@@ -11,10 +11,12 @@ with the odd bracket given by pairing against the quadratic lifts.
 __version__ = "0.1.0"
 
 from .engine import (
+    Analysis,
     CheckResult,
     SuperAlgebraData,
     SymplecticRep,
     TestReport,
+    analyze,
     casimir_image,
     construct_superalgebra,
     decide,
@@ -29,6 +31,7 @@ from .liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
 from .spbridge import (
     QuadraticElement,
     SpElement,
+    quadratic_pairing,
     quadratic_to_sp,
     sp_to_quadratic,
     trace_ratio_constant,
@@ -46,6 +49,7 @@ from .weyl import (
 )
 
 __all__ = [
+    "Analysis",
     "CheckResult",
     "Matrix",
     "PolyElement",
@@ -57,6 +61,7 @@ __all__ = [
     "SymplecticRep",
     "SymplecticSpace",
     "TestReport",
+    "analyze",
     "as_scalar",
     "bilinear_form",
     "casimir_image",
@@ -70,6 +75,7 @@ __all__ = [
     "phase_twist",
     "quadratic_lift",
     "quadratic_lift_adjoint",
+    "quadratic_pairing",
     "quadratic_to_sp",
     "sp_to_quadratic",
     "standard_space",

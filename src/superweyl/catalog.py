@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .engine import (IdentityViolated, NotARepresentation, SuperAlgebraData,
-                     SymplecticRep, construct_superalgebra,
+                     SymplecticRep, casimir_obstruction, construct_superalgebra,
                      form_invariance_witness, verify_superalgebra)
-from .exactla import (Matrix, Scalar, as_scalar, in_span, kernel_basis, rank,
-                      solve_linear, solve_overdetermined)
+from .exactla import (Matrix, Scalar, as_scalar, in_span, invert, kernel_basis,
+                      linear_combination, rank, solve_linear, solve_overdetermined)
 from .liealg import QuadraticLieAlgebra
 from .spbridge import NotSymplectic, SpElement, sp_to_quadratic
 from .symplectic import SymplecticSpace, standard_space
-from .weyl import PolyElement, grade, weyl_product
 
 _ZERO = as_scalar(0)
 _ONE = as_scalar(1)
@@ -189,24 +188,12 @@ def build_osp_even(m: int, n: int) -> SymplecticRep:
     nu_so = [kron(a, Matrix.identity(2 * n)) for a in so_b]
     nu_sp = [kron(Matrix.identity(m), b) for b in sp_b]
 
-    def summand_obstruction(mats: Sequence[Matrix], gram: Matrix) -> PolyElement:
-        if not mats:
-            return PolyElement.zero(space)
-        lifts = [sp_to_quadratic(SpElement(space, mat)).poly for mat in mats]
-        inv = solve_linear(gram, Matrix.identity(gram.rows))
-        total = PolyElement.zero(space)
-        for i, lift in enumerate(lifts):
-            dual = PolyElement.zero(space)
-            for j in range(len(lifts)):
-                if inv[j, i] != 0:
-                    dual = dual + inv[j, i] * lifts[j]
-            total = total + weyl_product(lift, dual)
-        return grade(total).component(4)
+    def summand_obstruction(mats: Sequence[Matrix], gram: Matrix):
+        lifts = [sp_to_quadratic(SpElement(space, m)).poly for m in mats]
+        return casimir_obstruction(space, lifts, invert(gram).columns())
 
-    gram_so = trace_gram(so_b)
-    gram_sp = trace_gram(sp_b)
-    p_so = summand_obstruction(nu_so, gram_so)
-    p_sp = summand_obstruction(nu_sp, gram_sp)
+    gram_so, gram_sp = trace_gram(so_b), trace_gram(sp_b)
+    p_so, p_sp = summand_obstruction(nu_so, gram_so), summand_obstruction(nu_sp, gram_sp)
     if p_so.is_zero() and p_sp.is_zero():
         lam_so, lam_sp = _ONE, _ONE
     elif p_so.is_zero() or p_sp.is_zero():
@@ -445,32 +432,23 @@ def supertrace_form(s: SuperAlgebraData, rep_even: Sequence[Matrix],
             raise InvalidInput(f"odd block pair {a} has the wrong size")
         odd_full.append(_assemble_odd(top, bottom))
     k = s.even.dim
+    zero = Matrix.zeros(total, total)
     for i in range(k):
         for j in range(i + 1, k):
             comm = rep_even[i] * rep_even[j] - rep_even[j] * rep_even[i]
-            expected = Matrix.zeros(total, total)
-            for l, c in enumerate(s.even.bracket(i, j)):
-                if c != 0:
-                    expected = expected + c * rep_even[l]
+            expected = linear_combination(s.even.bracket(i, j), rep_even, zero)
             if comm != expected:
                 raise NotARepresentation(i, j, f"even-even bracket fails at ({i}, {j})")
     for i in range(k):
         for a in range(s.odd_dim):
             comm = rep_even[i] * odd_full[a] - odd_full[a] * rep_even[i]
-            expected = Matrix.zeros(total, total)
-            col = s.even_odd[i].col(a)
-            for b, c in enumerate(col):
-                if c != 0:
-                    expected = expected + c * odd_full[b]
+            expected = linear_combination(s.even_odd[i].col(a), odd_full, zero)
             if comm != expected:
                 raise NotARepresentation(i, a, f"even-odd bracket fails at ({i}, {a})")
     for a in range(s.odd_dim):
         for b in range(a, s.odd_dim):
             anti = odd_full[a] * odd_full[b] + odd_full[b] * odd_full[a]
-            expected = Matrix.zeros(total, total)
-            for l, c in enumerate(s.odd_bracket(a, b)):
-                if c != 0:
-                    expected = expected + c * rep_even[l]
+            expected = linear_combination(s.odd_bracket(a, b), rep_even, zero)
             if anti != expected:
                 raise NotARepresentation(a, b, f"odd-odd bracket fails at ({a}, {b})")
     gram_even = Matrix([[_supertrace(rep_even[i] * rep_even[j], d0) for j in range(k)]

@@ -20,12 +20,13 @@ from . import __version__
 from .catalog import (CalibrationFailed, InvalidInput, NotAnIdeal, NotInvariant,
                       TooLarge, UnknownInstance, build_instance)
 from .engine import (IdentityViolated, InternalDegreeLeak, NotARepresentation,
-                     NotSuperLieType, construct_superalgebra_unchecked, decide,
-                     validate_rep, verify_superalgebra)
+                     NotSuperLieType, analyze, construct_superalgebra_unchecked,
+                     decide, first_failing_triple, validate_rep,
+                     verify_superalgebra)
 from .exactla import LinAlgError
-from .jsonio import (ParseError, file_digest, load_problem, odd_brackets_to_json,
-                     problem_to_json, report_to_json, superalgebra_to_json,
-                     write_json_atomic)
+from .jsonio import (ParseError, canonical_dumps, file_digest, load_problem,
+                     odd_brackets_to_json, problem_to_json, report_to_json,
+                     superalgebra_to_json, write_json_atomic)
 from .liealg import LieAlgebraError, validate_lie
 from .spbridge import InconsistentRatio, NotSymplectic
 from .symplectic import SymplecticError, validate_space
@@ -55,12 +56,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_test(args) -> int:
-    rep = _validated_problem(args.input)
-    report = decide(rep)
+    analysis = analyze(_validated_problem(args.input))
+    report = decide(analysis)
     checks = list(report.diagnostics)
     odd_brackets = None
     if report.verdict:
-        s = construct_superalgebra_unchecked(rep)
+        s = construct_superalgebra_unchecked(analysis)
         checks.extend(verify_superalgebra(s))
         odd_brackets = odd_brackets_to_json(s)
     obj = report_to_json(report, checks, odd_brackets,
@@ -72,15 +73,16 @@ def cmd_test(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    rep = _validated_problem(args.input)
-    report = decide(rep)
+    analysis = analyze(_validated_problem(args.input))
+    report = decide(analysis)
     if not report.verdict:
-        terms = report.obstruction.sorted_terms()
+        (a, b, c), jacobiator = first_failing_triple(analysis.rep, report.obstruction)
         print("obstructed: the degree-four component of the Casimir image "
-              f"has {len(terms)} nonzero term(s); leading term "
-              f"{terms[0][1]} * x^{list(terms[0][0])}")
+              f"has {len(report.obstruction.terms)} nonzero term(s); the odd "
+              f"triple ({a}, {b}, {c}) has jacobiator "
+              f"[{', '.join(str(x) for x in jacobiator)}]")
         return 2
-    s = construct_superalgebra_unchecked(rep)
+    s = construct_superalgebra_unchecked(analysis)
     checks = verify_superalgebra(s)
     obj = superalgebra_to_json(s, checks, version=__version__,
                                digest=file_digest(args.input))
@@ -100,7 +102,6 @@ def cmd_catalog(args) -> int:
         write_json_atomic(args.out, obj)
         print(f"instance {args.name} written to {args.out}")
     else:
-        from .jsonio import canonical_dumps
         sys.stdout.write(canonical_dumps(obj))
     return 0
 

@@ -4,34 +4,41 @@ extends to a Lie superalgebra with an invariant supersymmetric form.
 Given an even algebra g0 with invariant form B and a representation nu of
 g0 on a symplectic space v, there is at most one way to put a Lie
 superalgebra structure on g0 + v compatible with nu and with the direct-sum
-form.  The test is computed entirely inside the polynomial model of the
-noncommutative algebra on v:
+form.  The paper's test lives in the noncommutative (Weyl) algebra on v:
 
 1. lift each nu(x_i) to a quadratic polynomial (``quadratic_lift``),
-2. push the Casimir element of g0 through the lift (``casimir_image``);
-   the image decomposes into a degree-four part plus a constant,
+2. push the Casimir element sum_i x_i x^i of g0 through the lift with the
+   noncommutative product (``casimir_image``); the image decomposes into a
+   degree-four part plus a constant,
 3. the extension exists exactly when the degree-four part vanishes; the
    constant is then the Casimir scalar, and the odd-odd bracket is
    recovered as ``[y, y'] = 2 quadratic_lift_adjoint(y.y')``.
 
+The Weyl product of ``weyl`` is the reference model.  The working path,
+checked against it by the tests, uses closed forms computed once per
+problem by ``analyze``: the lifts of ``sp_to_quadratic``, and, since the
+product of quadratics a, b is a.b + 1/2 [a, b] + (a, b), the obstruction
+sum_i lift_i . lift^i (``casimir_obstruction``) and the constant
+sum_i (lift_i, lift^i) (``quadratic_pairing``).
+
 When the degree-four obstruction is nonzero, the candidate bracket still
 exists but fails the odd-odd-odd super Jacobi identity, and the failure is
 measured exactly by contracting the obstruction three times
-(``jacobiator``).
+(``jacobiator_from_obstruction``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .exactla import Matrix, Scalar, as_scalar
+from .exactla import Matrix, Scalar, SingularMatrix, as_scalar, invert, linear_combination
 from .liealg import QuadraticLieAlgebra, casimir_pairs
-from .spbridge import (NotSymplectic, QuadraticElement, SpElement,
-                       sp_to_quadratic, trace_ratio_constant)
+from .spbridge import (NotSymplectic, QuadraticElement, SpElement, quadratic_monomials,
+                       quadratic_pairing, sp_to_quadratic, trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
-from .weyl import (GradedDecomposition, PolyElement, bilinear_form, constant_term,
-                   contract, grade, weyl_product)
+from .weyl import (GradedDecomposition, PolyElement, constant_term, contract,
+                   grade, linear_coordinates, sym_product)
 
 _ZERO = as_scalar(0)
 
@@ -98,10 +105,8 @@ def validate_rep(rep: SymplecticRep) -> None:
     for i in range(k):
         for j in range(i + 1, k):
             commutator = rep.matrices[i] * rep.matrices[j] - rep.matrices[j] * rep.matrices[i]
-            expected = Matrix.zeros(rep.space.dim, rep.space.dim)
-            for l, c in enumerate(rep.algebra.bracket(i, j)):
-                if c != 0:
-                    expected = expected + c * rep.matrices[l]
+            expected = linear_combination(rep.algebra.bracket(i, j), rep.matrices,
+                                          Matrix.zeros(rep.space.dim, rep.space.dim))
             if commutator != expected:
                 raise NotARepresentation(i, j)
 
@@ -111,43 +116,78 @@ def quadratic_lift(rep: SymplecticRep, i: int) -> QuadraticElement:
     return sp_to_quadratic(SpElement(rep.space, rep.matrices[i]))
 
 
-def _lift_polys(rep: SymplecticRep) -> list[PolyElement]:
-    return [quadratic_lift(rep, i).poly for i in range(rep.algebra.dim)]
+def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
+                        duals: Sequence[Sequence[Scalar]]) -> PolyElement:
+    """Degree-four part sum_i lift_i . lift^i of the Casimir image, where
+    lift^i = sum_j duals[i][j] lift_j.  The top-degree part of the
+    noncommutative product of two quadratics is their commutative product."""
+    zero = PolyElement.zero(space)
+    return sum((sym_product(lift, linear_combination(dual, lifts, zero))
+                for lift, dual in zip(lifts, duals)), zero)
 
 
-def quadratic_lift_adjoint(rep: SymplecticRep, w: QuadraticElement,
-                           lifts: Sequence[PolyElement] | None = None) -> tuple[Scalar, ...]:
-    """The element t of g0 with B(x_i, t) = (lift(x_i), w) for all i.
+@dataclass(frozen=True)
+class Analysis:
+    """What ``decide`` and the constructions read, computed once per problem
+    by ``analyze``.  ``scalar`` is the constant term of the Casimir image;
+    ``trace_constant`` is None when the space has dimension below two."""
+
+    rep: SymplecticRep
+    duals: tuple[tuple[Scalar, ...], ...]
+    lifts: tuple[PolyElement, ...]
+    obstruction: PolyElement
+    scalar: Scalar
+    trace_constant: Scalar | None
+
+
+Problem = SymplecticRep | Analysis
+
+
+def analyze(problem: Problem) -> Analysis:
+    """Lift the representation and compute the Casimir image in closed form;
+    an ``Analysis`` is returned unchanged.  The representation is taken as
+    validated: on data that is not, a surviving degree-two part of the image
+    raises ``InternalDegreeLeak(2)``."""
+    if isinstance(problem, Analysis):
+        return problem
+    rep, space = problem, problem.space
+    lifts = tuple(quadratic_lift(rep, i).poly for i in range(rep.algebra.dim))
+    duals = tuple(dual for _, dual in casimir_pairs(rep.algebra).pairs)
+    # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu^i]
+    if not sum((nu * d - d * nu for nu, d in zip(rep.matrices, _dual_matrices(rep, duals))),
+               Matrix.zeros(space.dim, space.dim)).is_zero():
+        raise InternalDegreeLeak(2)
+    zero = PolyElement.zero(space)
+    scalar = sum((quadratic_pairing(lift, linear_combination(dual, lifts, zero))
+                  for lift, dual in zip(lifts, duals)), _ZERO)
+    return Analysis(rep, duals, lifts, casimir_obstruction(space, lifts, duals), scalar,
+                    trace_ratio_constant(space) if space.dim >= 2 else None)
+
+
+def _dual_matrices(rep: SymplecticRep, duals: Sequence[Sequence[Scalar]]) -> list[Matrix]:
+    zero = Matrix.zeros(rep.space.dim, rep.space.dim)
+    return [linear_combination(dual, rep.matrices, zero) for dual in duals]
+
+
+def quadratic_lift_adjoint(problem: Problem, w: QuadraticElement) -> tuple[Scalar, ...]:
+    """The element t = sum_i (lift(x_i), w) x^i of g0, so that
+    B(x_i, t) = (lift(x_i), w) for all i.
 
     This is the transpose of the quadratic lift against the two invariant
     forms; it intertwines the actions on quadratics and on g0.
     """
-    from .exactla import solve_linear  # local import keeps module surface tidy
-    if lifts is None:
-        lifts = _lift_polys(rep)
-    rhs = [bilinear_form(lift, w.poly) for lift in lifts]
-    sol = solve_linear(rep.algebra.form, Matrix.column(rhs))
-    return sol.col(0)
+    a = analyze(problem)
+    coeffs = [quadratic_pairing(lift, w.poly) for lift in a.lifts]
+    return tuple(sum((c * d[l] for c, d in zip(coeffs, a.duals)), _ZERO)
+                 for l in range(a.rep.algebra.dim))
 
 
-def casimir_image(rep: SymplecticRep) -> GradedDecomposition:
+def casimir_image(problem: Problem) -> GradedDecomposition:
     """Image of the Casimir element of g0 under the quadratic lift, using
     dual bases for the form.  The result always lies in degree four plus a
-    constant; components in degrees 1 to 3 raise ``InternalDegreeLeak``."""
-    lifts = _lift_polys(rep)
-    pairs = casimir_pairs(rep.algebra)
-    total = PolyElement.zero(rep.space)
-    for i, dual in pairs.pairs:
-        dual_lift = PolyElement.zero(rep.space)
-        for j, c in enumerate(dual):
-            if c != 0:
-                dual_lift = dual_lift + c * lifts[j]
-        total = total + weyl_product(lifts[i], dual_lift)
-    decomposition = grade(total)
-    for d in decomposition.degrees():
-        if d not in (0, 4):
-            raise InternalDegreeLeak(d)
-    return decomposition
+    constant; a degree-two component raises ``InternalDegreeLeak``."""
+    a = analyze(problem)
+    return grade(a.obstruction + PolyElement.constant(a.rep.space, a.scalar))
 
 
 @dataclass(frozen=True)
@@ -171,49 +211,43 @@ class TestReport:
     diagnostics: tuple[CheckResult, ...]
 
 
-def decide(rep: SymplecticRep) -> TestReport:
+def decide(problem: Problem) -> TestReport:
     """Run the decision procedure; see the module docstring."""
-    image = casimir_image(rep)
+    a = analyze(problem)
+    image = casimir_image(a)
     obstruction = image.component(4)
     verdict = obstruction.is_zero()
     scalar = constant_term(image.component(0)) if verdict else None
     diagnostics = [CheckResult("degree_confinement", True)]
-    if rep.space.dim >= 2:
-        c = trace_ratio_constant(rep.space)
+    c = a.trace_constant
+    if c is not None:
         diagnostics.append(CheckResult("trace_ratio_fitted", True, str(c)))
         diagnostics.append(CheckResult("trace_ratio_magnitude_eighth",
                                        abs(c) == as_scalar("1/8"), "1/8"))
         if verdict:
-            rhs = c * _dual_trace_sum(rep)
+            rhs = c * _dual_trace_sum(a)
             diagnostics.append(CheckResult("trace_identity", scalar == rhs, str(rhs)))
     return TestReport(verdict, scalar, obstruction, tuple(diagnostics))
 
 
-def _dual_trace_sum(rep: SymplecticRep) -> Scalar:
-    total = _ZERO
-    for i, dual in casimir_pairs(rep.algebra).pairs:
-        dual_matrix = Matrix.zeros(rep.space.dim, rep.space.dim)
-        for j, c in enumerate(dual):
-            if c != 0:
-                dual_matrix = dual_matrix + c * rep.matrices[j]
-        total += (rep.matrices[i] * dual_matrix).trace()
-    return total
+def _dual_trace_sum(a: Analysis) -> Scalar:
+    return sum(((nu * nu_dual).trace()
+                for nu, nu_dual in zip(a.rep.matrices, _dual_matrices(a.rep, a.duals))), _ZERO)
 
 
-def trace_identity_check(rep: SymplecticRep) -> tuple[Scalar, Scalar, Scalar]:
+def trace_identity_check(problem: Problem) -> tuple[Scalar, Scalar, Scalar]:
     """For a positive instance, the Casimir scalar must equal the fitted
     trace-ratio constant times the trace of the Casimir in the matrix
     representation.  Returns (scalar, product, constant); raises
     ``IdentityViolated`` on mismatch."""
-    report = decide(rep)
-    if not report.verdict:
+    a = analyze(problem)
+    if not a.obstruction.is_zero():
         raise ValueError("trace identity only applies to positive instances")
-    c = trace_ratio_constant(rep.space)
-    rhs = c * _dual_trace_sum(rep)
-    if report.casimir_scalar != rhs:
-        raise IdentityViolated(
-            f"Casimir scalar {report.casimir_scalar} != {c} * trace sum ({rhs})")
-    return report.casimir_scalar, rhs, c
+    c = a.trace_constant
+    rhs = c * _dual_trace_sum(a)
+    if a.scalar != rhs:
+        raise IdentityViolated(f"Casimir scalar {a.scalar} != {c} * trace sum ({rhs})")
+    return a.scalar, rhs, c
 
 
 # -- the superalgebra structure --------------------------------------------
@@ -240,25 +274,16 @@ class SuperAlgebraData:
         return self.odd_odd.get(key, tuple([_ZERO] * self.even.dim))
 
 
-def _pair_quadratic(space: SymplecticSpace, a: int, b: int) -> QuadraticElement:
-    exp = [0] * space.dim
-    exp[a] += 1
-    exp[b] += 1
-    return QuadraticElement(PolyElement.monomial(space, exp, 1))
-
-
-def construct_superalgebra_unchecked(rep: SymplecticRep) -> SuperAlgebraData:
+def construct_superalgebra_unchecked(problem: Problem) -> SuperAlgebraData:
     """Assemble the candidate structure with [y_a, y_b] = 2 lift^t(y_a y_b)
     without testing the obstruction.  Diagnostic tool: on a negative
     instance the result fails exactly the odd-odd-odd Jacobi sector."""
-    lifts = _lift_polys(rep)
-    two = as_scalar(2)
-    odd_odd: dict[tuple[int, int], tuple[Scalar, ...]] = {}
-    for a in range(rep.space.dim):
-        for b in range(a, rep.space.dim):
-            w = _pair_quadratic(rep.space, a, b)
-            t = quadratic_lift_adjoint(rep, w, lifts)
-            odd_odd[(a, b)] = tuple(two * x for x in t)
+    a = analyze(problem)
+    rep, n = a.rep, a.rep.space.dim
+    # quadratic_monomials lists the y_i y_j (i <= j) in this order
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    odd_odd = {pair: tuple(2 * x for x in quadratic_lift_adjoint(a, QuadraticElement(mono)))
+               for pair, mono in zip(pairs, quadratic_monomials(rep.space))}
     return SuperAlgebraData(
         even=rep.algebra,
         odd_dim=rep.space.dim,
@@ -269,13 +294,14 @@ def construct_superalgebra_unchecked(rep: SymplecticRep) -> SuperAlgebraData:
     )
 
 
-def construct_superalgebra(rep: SymplecticRep) -> SuperAlgebraData:
+def construct_superalgebra(problem: Problem) -> SuperAlgebraData:
     """Construct the unique extension; raises ``NotSuperLieType`` with the
     degree-four obstruction when none exists."""
-    report = decide(rep)
+    a = analyze(problem)
+    report = decide(a)
     if not report.verdict:
         raise NotSuperLieType(report.obstruction)
-    return construct_superalgebra_unchecked(rep)
+    return construct_superalgebra_unchecked(a)
 
 
 # Homogeneous elements are tagged (parity, coordinates): parity 0 lives in
@@ -312,31 +338,14 @@ def _super_bracket(s: SuperAlgebraData, x: Homogeneous, y: Homogeneous) -> Homog
 
 
 def _super_form(s: SuperAlgebraData, x: Homogeneous, y: Homogeneous) -> Scalar:
-    px, vx = x
-    py, vy = y
-    if px != py:
+    if x[0] != y[0]:
         return _ZERO
-    gram = s.form_even if px == 0 else s.form_odd
-    total = _ZERO
-    for i, xi in enumerate(vx):
-        if xi == 0:
-            continue
-        row = gram.row(i)
-        total += xi * sum((row[j] * vy[j] for j in range(len(vy))), _ZERO)
-    return total
+    return (s.form_even if x[0] == 0 else s.form_odd).bilinear(x[1], y[1])
 
 
 def _basis_elements(s: SuperAlgebraData) -> list[Homogeneous]:
-    out: list[Homogeneous] = []
-    for i in range(s.even.dim):
-        out.append((0, tuple(as_scalar(1 if t == i else 0) for t in range(s.even.dim))))
-    for a in range(s.odd_dim):
-        out.append((1, tuple(as_scalar(1 if t == a else 0) for t in range(s.odd_dim))))
-    return out
-
-
-def _is_zero_h(x: Homogeneous) -> bool:
-    return all(c == 0 for c in x[1])
+    return ([_unit(0, i, s) for i in range(s.even.dim)]
+            + [_unit(1, a, s) for a in range(s.odd_dim)])
 
 
 def _add_h(x: Homogeneous, y: Homogeneous) -> Homogeneous:
@@ -398,7 +407,6 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     checks.append(CheckResult("form_supersymmetry", sym_ok and alt_ok,
                               None if sym_ok and alt_ok else "Gram symmetry pattern broken"))
 
-    from .exactla import SingularMatrix, invert
     nonsingular = True
     try:
         invert(s.form_even)
@@ -421,11 +429,7 @@ def form_invariance_witness(s: SuperAlgebraData,
     """First basis triple violating ([x,y], z) = -(-1)^{|x||y|} (y, [x,z]),
     or None.  Optional Gram overrides let callers test a different form
     against the same bracket tables."""
-    probe = s
-    if form_even is not None or form_odd is not None:
-        probe = SuperAlgebraData(s.even, s.odd_dim, s.even_odd, s.odd_odd,
-                                 form_even if form_even is not None else s.form_even,
-                                 form_odd if form_odd is not None else s.form_odd)
+    probe = replace(s, form_even=form_even or s.form_even, form_odd=form_odd or s.form_odd)
     basis = _basis_elements(probe)
     for x in basis:
         for y in basis:
@@ -465,6 +469,13 @@ def jacobiator_from_obstruction(rep: SymplecticRep, obstruction: PolyElement,
     contracted = contract(space.basis_vector(c),
                           contract(space.basis_vector(b),
                                    contract(space.basis_vector(a), obstruction)))
-    from .weyl import linear_coordinates
-    coords = linear_coordinates(contracted)
-    return tuple(as_scalar(2) * x for x in coords)
+    return tuple(2 * x for x in linear_coordinates(contracted))
+
+
+def first_failing_triple(rep: SymplecticRep, obstruction: PolyElement):
+    """The first odd triple a <= b <= c, in lexicographic order, with nonzero
+    ``jacobiator_from_obstruction``, as ((a, b, c), vector); None if none."""
+    n = rep.space.dim
+    triples = ((a, b, c) for a in range(n) for b in range(a, n) for c in range(b, n))
+    return next(((t, vec) for t in triples
+                 if any(vec := jacobiator_from_obstruction(rep, obstruction, *t))), None)

@@ -131,6 +131,14 @@ class Matrix:
         return tuple(sum((self.data[i][j] * v[j] for j in range(self.cols)), _ZERO)
                      for i in range(self.rows))
 
+    def bilinear(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
+        """The form value x^T M y, skipping zero entries of x."""
+        total = _ZERO
+        for xi, row in zip(x, self.data):
+            if xi != 0:
+                total += xi * sum((r * yj for r, yj in zip(row, y)), _ZERO)
+        return total
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
@@ -149,9 +157,14 @@ class Matrix:
             if self.cols != other.rows:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            return Matrix([[sum((self.data[i][k] * other.data[k][j] for k in range(self.cols)), _ZERO)
-                            for j in range(other.cols)] for i in range(self.rows)],
-                          cols=other.cols)
+            out = []
+            for row in self.data:
+                acc = [_ZERO] * other.cols
+                for a, other_row in zip(row, other.data):
+                    if a != 0:
+                        acc = [x + a * b for x, b in zip(acc, other_row)]
+                out.append(acc)
+            return Matrix(out, cols=other.cols)
         return Matrix([[a * as_scalar(other) for a in row] for row in self.data], cols=self.cols)
 
     def __rmul__(self, other):
@@ -174,6 +187,16 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
+def linear_combination(coeffs: Sequence[Scalar], items: Sequence, zero):
+    """sum_j coeffs[j] items[j] for matrices, polynomials or anything else
+    with + and scalar *, starting from ``zero``; zero coefficients are skipped."""
+    total = zero
+    for c, item in zip(coeffs, items):
+        if c != 0:
+            total = total + c * item
+    return total
+
+
 def solve_linear(a: Matrix, b: Matrix) -> Matrix:
     """Solve ``a x = b`` for square nonsingular ``a`` by Gauss-Jordan elimination.
 
@@ -185,22 +208,12 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix:
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side has wrong number of rows")
     n = a.rows
-    width = b.cols
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(n)]
-    for col in range(n):
-        # over Q any nonzero pivot is exact, so the first one will do
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"no pivot available in column {col}")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = _ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return Matrix([row[n:] for row in aug], cols=width)
+    m, pivots = _rref(Matrix([a.row(i) + b.row(i) for i in range(n)], cols=n + b.cols))
+    if pivots[:n] != list(range(n)):
+        # the first column of ``a`` without a pivot
+        col = next(c for c in range(n) if c >= len(pivots) or pivots[c] != c)
+        raise SingularMatrix(f"no pivot available in column {col}")
+    return Matrix([row[n:] for row in m], cols=b.cols)
 
 
 def invert(a: Matrix) -> Matrix:

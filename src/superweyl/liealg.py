@@ -102,13 +102,7 @@ class QuadraticLieAlgebra:
         return tuple(out)
 
     def form_value(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-        total = _ZERO
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.form.row(i)
-            total += xi * sum((row[j] * y[j] for j in range(self.dim)), _ZERO)
-        return total
+        return self.form.bilinear(x, y)
 
 
 def validate_lie(g: QuadraticLieAlgebra) -> None:

@@ -2,29 +2,36 @@
 
 A homogeneous quadratic polynomial w acts on linear elements through the
 noncommutative commutator; concretely ``ad w (v) = -2 contract(v, w)``.
-This action is an infinitesimal symmetry of the form, the resulting map
-from quadratics to matrices is an isomorphism of Lie algebras (with the
-commutator coming from the noncommutative product on the quadratic side),
-and its inverse is computed here by solving against the Gram matrix of the
-pairing on quadratics.
+This action is an infinitesimal symmetry of the form, and the resulting map
+A from quadratics to matrices is an isomorphism of Lie algebras (with the
+commutator coming from the noncommutative product on the quadratic side).
 
-There is also a scalar worth recording: on quadratics the polynomial
-pairing is proportional to the matrix trace form, and ``trace_ratio_constant``
-fits the proportionality constant and verifies it on a spanning set.  For
-the conventions of this package the constant is -1/8 in every dimension;
-the sign is forced by the permanent expansion of the pairing, under which
-the square of a mixed quadratic monomial such as e.f is negative.
+The Weyl-product model in ``weyl`` defines everything here; the working
+code uses closed forms that the test suite checks against it.  Writing
+w = sum_ij S_ij x_i x_j with S symmetric, A(w) = 4 S omega, so the inverse
+is ``sp_to_quadratic(alpha) = 1/4 sum_ij (alpha omega^-1)_ij x_i x_j``; and
+the pairing of quadratics, the constant term of their noncommutative
+product, is the permanent ``quadratic_pairing``.
+
+There is also a scalar worth recording: on quadratics the pairing is
+proportional to the matrix trace form, and ``trace_ratio_constant`` fits
+the proportionality constant with one Weyl-product pairing and verifies it
+on the full monomial set.  For the conventions of this package the
+constant is -1/8 in every dimension; the sign is forced by the permanent
+expansion of the pairing, under which the square of a mixed quadratic
+monomial such as e.f is negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import (DimensionMismatch, Matrix, Scalar, as_scalar,
-                      solve_linear)
-from .symplectic import SymplecticSpace, Vector, as_vector, is_in_sp, pair
-from .weyl import (PolyElement, bilinear_form, contract, linear_coordinates,
-                   sym_product)
+from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar, invert
+from .symplectic import SymplecticSpace, Vector, as_vector, is_in_sp
+from .weyl import (PolyElement, SpaceMismatch, bilinear_form, contract,
+                   linear_coordinates, sym_product)
+
+_ZERO = as_scalar(0)
 
 
 class NotSymplectic(Exception):
@@ -66,18 +73,9 @@ class QuadraticElement:
 
 def quadratic_monomials(space: SymplecticSpace) -> list[PolyElement]:
     """Monomial basis x_i x_j (i <= j) of the quadratics, in lexicographic order."""
-    out = []
-    for i in range(space.dim):
-        for j in range(i, space.dim):
-            exp = [0] * space.dim
-            exp[i] += 1
-            exp[j] += 1
-            out.append(PolyElement.monomial(space, exp, 1))
-    return out
-
-
-def _index_pairs(dim: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
+    n = space.dim
+    return [PolyElement.monomial(space, [(t == i) + (t == j) for t in range(n)], 1)
+            for i in range(n) for j in range(i, n)]
 
 
 def ad_vector(w: QuadraticElement, u) -> Vector:
@@ -99,31 +97,38 @@ def quadratic_to_sp(w: QuadraticElement) -> SpElement:
 
 
 def sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
-    """Inverse of ``quadratic_to_sp``.
-
-    Solves for the quadratic w with (x_i x_j, w) = -1/2 (x_i, alpha x_j) for
-    all basis pairs, using the Gram matrix of the pairing on the monomial
-    basis of quadratics.  Works for any nonsingular form matrix, not just
-    the standard one.
-    """
+    """Inverse of ``quadratic_to_sp``: 1/4 sum_ij (alpha omega^-1)_ij x_i x_j,
+    for any nonsingular form matrix.  ``alpha omega^-1`` is symmetric
+    exactly because alpha preserves the form."""
     space = alpha.space
-    monomials = quadratic_monomials(space)
-    if not monomials:
-        return QuadraticElement(PolyElement.zero(space))
-    gram = Matrix([[bilinear_form(p, q) for q in monomials] for p in monomials],
-                  cols=len(monomials))
-    half = as_scalar("-1/2")
-    rhs = []
-    for i, j in _index_pairs(space.dim):
-        image = alpha.matrix.col(j)
-        rhs.append(half * pair(space, space.basis_vector(i), image))
-    coeffs = solve_linear(gram, Matrix.column(rhs))
-    total = PolyElement.zero(space)
-    for k, mono in enumerate(monomials):
-        c = coeffs[k, 0]
-        if c != 0:
-            total = total + c * mono
-    return QuadraticElement(total)
+    s = (alpha.matrix * invert(space.omega)).data
+    terms: dict = {}
+    for i, row in enumerate(s):
+        for j, x in enumerate(row):
+            exp = tuple((t == i) + (t == j) for t in range(space.dim))
+            terms[exp] = terms.get(exp, _ZERO) + x / 4
+    return QuadraticElement(PolyElement(space, terms))
+
+
+def _factors(exp) -> list[int]:
+    return [i for i, k in enumerate(exp) for _ in range(k)]
+
+
+def quadratic_pairing(a: PolyElement, b: PolyElement) -> Scalar:
+    """The pairing of two quadratics, equal to ``weyl.bilinear_form`` but
+    read off the form matrix w: (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja."""
+    if a.space != b.space:
+        raise SpaceMismatch("quadratics live on different spaces")
+    if not (a.is_homogeneous(2) and b.is_homogeneous(2)):
+        raise ValueError("quadratic_pairing needs homogeneous quadratics")
+    w = a.space.omega.data
+    right = [(_factors(e), c) for e, c in b.terms.items()]
+    total = _ZERO
+    for e, c1 in a.terms.items():
+        i, j = _factors(e)
+        for (p, q), c2 in right:
+            total += c1 * c2 * (w[i][p] * w[j][q] + w[i][q] * w[j][p])
+    return total
 
 
 def derivation_action(alpha: SpElement, a: PolyElement) -> PolyElement:
@@ -147,31 +152,29 @@ def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     """The constant c with (w, z) = c tr(A(w) A(z)) for all quadratics w, z,
     where A is ``quadratic_to_sp``.
 
-    Fitted on the first monomial pair with nonzero trace pairing and then
-    verified against the full monomial spanning set; raises
-    ``InconsistentRatio`` if any pair disagrees, which would mean the two
-    bilinear forms are not proportional.
+    Fitted with ``weyl.bilinear_form`` on the first monomial pair with
+    nonzero trace pairing, then verified with ``quadratic_pairing`` against
+    the full monomial spanning set; raises ``InconsistentRatio`` if any pair
+    disagrees, which would mean the two bilinear forms are not proportional
+    or the closed-form pairing has left the Weyl-product one.
     """
     if space.dim < 2:
         raise ValueError("the trace ratio needs a space of dimension at least 2")
     monomials = quadratic_monomials(space)
-    mats = [quadratic_to_sp(QuadraticElement(p)).matrix for p in monomials]
-    constant: Scalar | None = None
-    for p_idx in range(len(monomials)):
-        for q_idx in range(len(monomials)):
-            t = (mats[p_idx] * mats[q_idx]).trace()
-            if t != 0:
-                constant = bilinear_form(monomials[p_idx], monomials[q_idx]) / t
-                break
-        if constant is not None:
-            break
-    if constant is None:
+    mats = [quadratic_to_sp(QuadraticElement(p)).matrix.data for p in monomials]
+    support = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x != 0]
+               for m in mats]
+
+    def trace(p_idx: int, q_idx: int) -> Scalar:
+        other = mats[q_idx]
+        return sum((x * other[j][i] for i, j, x in support[p_idx]), _ZERO)
+
+    pairs = [(p, q) for p in range(len(monomials)) for q in range(len(monomials))]
+    anchor = next(((p, q) for p, q in pairs if trace(p, q) != 0), None)
+    if anchor is None:
         raise InconsistentRatio("trace pairing vanishes identically")
-    for p_idx in range(len(monomials)):
-        for q_idx in range(len(monomials)):
-            lhs = bilinear_form(monomials[p_idx], monomials[q_idx])
-            rhs = constant * (mats[p_idx] * mats[q_idx]).trace()
-            if lhs != rhs:
-                raise InconsistentRatio(
-                    f"pairing and trace form disagree on monomial pair ({p_idx}, {q_idx})")
+    constant = bilinear_form(monomials[anchor[0]], monomials[anchor[1]]) / trace(*anchor)
+    for p, q in pairs:
+        if quadratic_pairing(monomials[p], monomials[q]) != constant * trace(p, q):
+            raise InconsistentRatio(f"pairing and trace form disagree on monomial pair ({p}, {q})")
     return constant

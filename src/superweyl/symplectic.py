@@ -87,15 +87,7 @@ def validate_space(space: SymplecticSpace) -> None:
 
 def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
     """The form value u^T omega v."""
-    uu = as_vector(space, u)
-    vv = as_vector(space, v)
-    total = as_scalar(0)
-    for i, ui in enumerate(uu):
-        if ui == 0:
-            continue
-        row = space.omega.row(i)
-        total += ui * sum((row[j] * vv[j] for j in range(space.dim)), as_scalar(0))
-    return total
+    return space.omega.bilinear(as_vector(space, u), as_vector(space, v))
 
 
 def is_in_sp(space: SymplecticSpace, alpha: Matrix) -> bool:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .exactla import Scalar, as_scalar
-from .symplectic import SymplecticSpace, Vector, as_vector, pair
+from .symplectic import SymplecticSpace, Vector, as_vector
 
 _ZERO = as_scalar(0)
 
@@ -195,8 +195,9 @@ def contract(u: Sequence, a: PolyElement) -> PolyElement:
     ``contract(u, v) = (u, v)`` on linear v and zero on constants."""
     space = a.space
     uu = as_vector(space, u)
-    # s[i] = (u, x_i), precomputed once per call
-    s = [pair(space, uu, space.basis_vector(i)) for i in range(space.dim)]
+    # s[i] = (u, x_i) = sum_j u_j omega_ji, precomputed once per call
+    s = [sum((uj * row[i] for uj, row in zip(uu, space.omega.data) if uj != 0), _ZERO)
+         for i in range(space.dim)]
     out: dict[Exponent, Scalar] = {}
     for exp, coeff in a.terms.items():
         for i, k in enumerate(exp):

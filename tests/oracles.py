@@ -3,16 +3,19 @@
 Everything here recomputes quantities the library produces, but along a
 different route: the symmetrized product via explicit averaging over
 permutations of creation/annihilation chains, the pairing of products of
-linear elements via the permanent formula, and representation-theoretic
-trace values from closed-form weight sums.  Agreement between these and
+linear elements via the permanent formula, the quadratic lift of a matrix
+by solving against the Gram matrix of the Weyl-product pairing, and
+representation-theoretic trace values from closed-form weight sums.  Agreement between these and
 the engine is the backbone of the suite.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
+from superweyl.exactla import Matrix, solve_linear
+from superweyl.spbridge import QuadraticElement, SpElement, quadratic_monomials
 from superweyl.symplectic import SymplecticSpace, pair
-from superweyl.weyl import PolyElement, contract, linear_coordinates
+from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates
 
 
 def gamma_apply(u: PolyElement, z: PolyElement) -> PolyElement:
@@ -73,3 +76,22 @@ def sl2_casimir_trace(two_j: int) -> Fraction:
     ``two_j``, from the eigenvalue (two_j)(two_j + 2)/2 of the quadratic
     Casimir element times the dimension two_j + 1."""
     return Fraction(two_j * (two_j + 2), 2) * (two_j + 1)
+
+
+def oracle_sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
+    """The quadratic w with (x_i x_j, w) = -1/2 (x_i, alpha x_j) for all
+    i <= j, found by solving against the Gram matrix of ``bilinear_form``
+    (the Weyl-product pairing) on the monomial basis of quadratics."""
+    space = alpha.space
+    monomials = quadratic_monomials(space)
+    if not monomials:
+        return QuadraticElement(PolyElement.zero(space))
+    gram = Matrix([[bilinear_form(p, q) for q in monomials] for p in monomials],
+                  cols=len(monomials))
+    rhs = [Fraction(-1, 2) * pair(space, space.basis_vector(i), alpha.matrix.col(j))
+           for i in range(space.dim) for j in range(i, space.dim)]
+    coeffs = solve_linear(gram, Matrix.column(rhs))
+    total = PolyElement.zero(space)
+    for k, mono in enumerate(monomials):
+        total = total + coeffs[k, 0] * mono
+    return QuadraticElement(total)

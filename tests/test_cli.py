@@ -165,6 +165,27 @@ def test_construct_obstructed_exits_two(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_construct_obstructed_names_first_failing_triple(tmp_path, capsys):
+    # the named triple is the first a <= b <= c whose jacobiator, computed
+    # from the unchecked bracket tables, is nonzero
+    from itertools import combinations_with_replacement
+
+    from superweyl.engine import construct_superalgebra_unchecked, jacobiator
+    path = _write_instance(tmp_path, "spin", "3")
+    capsys.readouterr()
+    assert main(["construct", path, "--out", str(tmp_path / "s.json")]) == 2
+    printed = capsys.readouterr().out
+    s = construct_superalgebra_unchecked(build_spin_rep(3))
+    for a, b, c in combinations_with_replacement(range(4), 3):
+        vec = jacobiator(s, a, b, c)
+        if any(x != 0 for x in vec):
+            break
+    expected = f"odd triple ({a}, {b}, {c}) has jacobiator [{', '.join(str(x) for x in vec)}]"
+    assert printed.startswith("obstructed: ")
+    assert expected in printed
+    assert printed.count("\n") == 1
+
+
 def test_catalog_to_stdout(tmp_path, capsys):
     assert main(["catalog", "gl11"]) == 0
     printed = capsys.readouterr().out

@@ -1,0 +1,176 @@
+"""Differential tests: the closed forms of the working path against the
+Weyl-product model.
+
+The engine lifts matrices with 1/4 sum (alpha omega^-1)_ij x_i x_j, pairs
+quadratics with the permanent (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja,
+and reads the Casimir image as commutative product plus pairing.  Each is
+compared here with its definition: the Gram-solve lift of
+``oracles.oracle_sp_to_quadratic``, ``weyl.bilinear_form`` and the graded
+parts of sums of ``weyl.weyl_product``.  Spaces are the standard ones or
+their images under a random change of basis Q (omega -> Q^T omega Q), so
+dense, non-standard form matrices are covered.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_sp_to_quadratic
+from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
+                               build_spin_rep, double_base)
+from superweyl.engine import SymplecticRep, analyze, casimir_obstruction, decide
+from superweyl.exactla import Matrix, invert
+from superweyl.liealg import casimir_pairs
+from superweyl.spbridge import (SpElement, quadratic_monomials, quadratic_pairing,
+                                quadratic_to_sp, sp_to_quadratic)
+from superweyl.symplectic import SymplecticSpace, standard_space
+from superweyl.weyl import (PolyElement, bilinear_form, constant_term, grade,
+                            weyl_commutator, weyl_product)
+
+ENTRIES = st.sampled_from([Fraction(x)
+                           for x in ("-2", "-1", "-1/2", "0", "0", "1/3", "1", "3/2")])
+NONZERO = st.sampled_from([Fraction(x) for x in ("-2", "-1", "-1/3", "1/2", "1", "3")])
+
+
+@st.composite
+def changes_of_basis(draw, n):
+    """A product L U of a unit lower and an upper triangular matrix with
+    nonzero diagonal, so invertible by construction."""
+    lower = Matrix([[1 if i == j else draw(ENTRIES) if j < i else 0 for j in range(n)]
+                    for i in range(n)])
+    upper = Matrix([[draw(NONZERO) if i == j else draw(ENTRIES) if j > i else 0
+                     for j in range(n)] for i in range(n)])
+    return lower * upper
+
+
+@st.composite
+def spaces(draw, max_half=2):
+    """A standard space, or its form rewritten in a random basis."""
+    base = standard_space(draw(st.integers(1, max_half)))
+    if not draw(st.booleans()):
+        return base
+    q = draw(changes_of_basis(base.dim))
+    return SymplecticSpace(base.dim, q.transpose() * base.omega * q)
+
+
+@st.composite
+def sp_elements(draw, space):
+    """omega^-1 T for a random symmetric T: every element of sp(omega) has this form."""
+    n = space.dim
+    upper = [[draw(ENTRIES) if j >= i else 0 for j in range(n)] for i in range(n)]
+    sym = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    return SpElement(space, invert(space.omega) * sym)
+
+
+@st.composite
+def quadratics(draw, space):
+    total = PolyElement.zero(space)
+    for mono in quadratic_monomials(space):
+        total = total + draw(ENTRIES) * mono
+    return total
+
+
+@st.composite
+def space_with_sp_element(draw):
+    space = draw(spaces(max_half=3))
+    return draw(sp_elements(space))
+
+
+@given(space_with_sp_element())
+@settings(max_examples=40, deadline=None)
+def test_lift_matches_gram_solve_oracle(alpha):
+    w = sp_to_quadratic(alpha)
+    assert w.poly == oracle_sp_to_quadratic(alpha).poly
+    assert quadratic_to_sp(w).matrix == alpha.matrix
+
+
+@st.composite
+def space_with_two_quadratics(draw):
+    space = draw(spaces())
+    return draw(quadratics(space)), draw(quadratics(space))
+
+
+@given(space_with_two_quadratics())
+@settings(max_examples=40, deadline=None)
+def test_quadratic_pairing_matches_bilinear_form(pair_of_quadratics):
+    a, b = pair_of_quadratics
+    assert quadratic_pairing(a, b) == bilinear_form(a, b)
+    assert quadratic_pairing(a, b) == quadratic_pairing(b, a)
+
+
+@st.composite
+def casimir_data(draw):
+    """Random elements alpha_1..alpha_k of sp(omega) and random dual
+    coefficients; the graded split of the Casimir-like sum holds for any."""
+    space = draw(spaces())
+    k = draw(st.integers(1, 3))
+    alphas = [draw(sp_elements(space)) for _ in range(k)]
+    duals = [[draw(ENTRIES) for _ in range(k)] for _ in range(k)]
+    return space, alphas, duals
+
+
+@given(casimir_data())
+@settings(max_examples=25, deadline=None)
+def test_casimir_split_matches_weyl_products(data):
+    space, alphas, duals = data
+    lifts = [oracle_sp_to_quadratic(alpha).poly for alpha in alphas]
+    dual_lifts = [sum((c * lift for c, lift in zip(dual, lifts)), PolyElement.zero(space))
+                  for dual in duals]
+    total = PolyElement.zero(space)
+    commutators = PolyElement.zero(space)
+    for lift, dual_lift in zip(lifts, dual_lifts):
+        total = total + weyl_product(lift, dual_lift)
+        commutators = commutators + weyl_commutator(lift, dual_lift)
+    image = grade(total)
+    assert set(image.degrees()) <= {0, 2, 4}
+
+    closed_lifts = [sp_to_quadratic(alpha).poly for alpha in alphas]
+    assert casimir_obstruction(space, closed_lifts, duals) == image.component(4)
+    scalar = sum((quadratic_pairing(a, b) for a, b in zip(closed_lifts, dual_lifts)), Fraction(0))
+    assert scalar == constant_term(image.component(0))
+    assert image.component(2) == Fraction(1, 2) * commutators
+
+
+def _conjugate_space(rep: SymplecticRep, q: Matrix) -> SymplecticRep:
+    """The same representation in the basis given by the columns of Q:
+    omega -> Q^T omega Q and nu -> Q^-1 nu Q."""
+    q_inv = invert(q)
+    space = SymplecticSpace(rep.space.dim, q.transpose() * rep.space.omega * q)
+    return SymplecticRep(rep.algebra, space, tuple(q_inv * m * q for m in rep.matrices))
+
+
+BASE_REPS = {
+    "gl11": build_gl11_even,
+    "osp_even(1,1)": lambda: build_osp_even(1, 1),
+    "spin 3": lambda: build_spin_rep(3),
+    "double gl11": lambda: build_double(double_base("gl11"))[0],
+}
+
+
+@st.composite
+def conjugated_reps(draw):
+    base = BASE_REPS[draw(st.sampled_from(sorted(BASE_REPS)))]()
+    return base, _conjugate_space(base, draw(changes_of_basis(base.space.dim)))
+
+
+@given(conjugated_reps())
+@settings(max_examples=12, deadline=None)
+def test_analysis_matches_weyl_path_in_random_symplectic_basis(reps):
+    base, rep = reps
+    a = analyze(rep)
+    lifts = [oracle_sp_to_quadratic(SpElement(rep.space, m)).poly for m in rep.matrices]
+    assert a.lifts == tuple(lifts)
+    total = PolyElement.zero(rep.space)
+    for i, dual in casimir_pairs(rep.algebra).pairs:
+        dual_lift = sum((c * lift for c, lift in zip(dual, lifts)), PolyElement.zero(rep.space))
+        total = total + weyl_product(lifts[i], dual_lift)
+    image = grade(total)
+    assert set(image.degrees()) <= {0, 4}
+    assert a.obstruction == image.component(4)
+    assert a.scalar == constant_term(image.component(0))
+
+    # the verdict and the scalar do not depend on the basis of v
+    report, base_report = decide(a), decide(base)
+    assert report.verdict == base_report.verdict
+    assert report.casimir_scalar == base_report.casimir_scalar
