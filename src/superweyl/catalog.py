@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 from .engine import (IdentityViolated, NotARepresentation, SuperAlgebraData,
                      SymplecticRep, casimir_obstruction, construct_superalgebra,
-                     form_invariance_witness, verify_superalgebra)
-from .exactla import (Matrix, Scalar, as_scalar, in_span, invert, kernel_basis,
-                      linear_combination, rank, solve_linear, solve_overdetermined)
+                     form_invariance_witness, representation_defect, verify_superalgebra)
+from .exactla import (Matrix, Scalar, as_scalar, in_span, invert, kernel_basis, rank,
+                      solve_linear, solve_overdetermined)
 from .liealg import QuadraticLieAlgebra
 from .spbridge import NotSymplectic, SpElement, sp_to_quadratic
 from .symplectic import SymplecticSpace, standard_space
@@ -358,42 +358,17 @@ def adjoint_representation(s: SuperAlgebraData) -> tuple[list[Matrix], list[tupl
     representation: full matrices for even generators, (top-right,
     bottom-left) block pairs for odd ones."""
     k = s.even.dim
-    n = s.odd_dim
-    rep_even = []
-    for i in range(k):
-        data = [[_ZERO] * (k + n) for _ in range(k + n)]
-        for j in range(k):
-            for l, c in enumerate(s.even.bracket(i, j)):
-                data[l][j] = c
-        for p in range(n):
-            for q in range(n):
-                data[k + p][k + q] = s.even_odd[i][p, q]
-        rep_even.append(Matrix(data, cols=k + n))
-    rep_odd = []
-    for a in range(n):
-        top = [[_ZERO] * n for _ in range(k)]
-        bottom = [[_ZERO] * k for _ in range(n)]
-        for c_idx in range(n):
-            for l, c in enumerate(s.odd_bracket(a, c_idx)):
-                top[l][c_idx] = c
-        for j in range(k):
-            image = s.even_odd[j].apply(tuple(_ONE if t == a else _ZERO for t in range(n)))
-            for p in range(n):
-                bottom[p][j] = -image[p]
-        rep_odd.append((Matrix(top, cols=n), Matrix(bottom, cols=k)))
-    return rep_even, rep_odd
+    ad = s.adjoint()
+    rep_odd = [(Matrix([m.row(i)[k:] for i in range(k)], cols=s.odd_dim),
+                Matrix([m.row(i)[:k] for i in range(k, s.dim)], cols=k)) for m in ad[k:]]
+    return ad[:k], rep_odd
 
 
 def _assemble_odd(top: Matrix, bottom: Matrix) -> Matrix:
+    """The block matrix [[0, top], [bottom, 0]]."""
     d0, d1 = top.rows, top.cols
-    data = [[_ZERO] * (d0 + d1) for _ in range(d0 + d1)]
-    for i in range(d0):
-        for j in range(d1):
-            data[i][d0 + j] = top[i, j]
-    for i in range(d1):
-        for j in range(d0):
-            data[d0 + i][j] = bottom[i, j]
-    return Matrix(data, cols=d0 + d1)
+    return Matrix([(_ZERO,) * d0 + top.row(i) for i in range(d0)]
+                  + [bottom.row(i) + (_ZERO,) * d1 for i in range(d1)], cols=d0 + d1)
 
 
 def _supertrace(mat: Matrix, d0: int) -> Scalar:
@@ -407,9 +382,9 @@ def supertrace_form(s: SuperAlgebraData, rep_even: Sequence[Matrix],
     ``s``: entry (i, j) is the supertrace of the product of the matrices of
     generators i and j, separately on the even and odd basis.
 
-    Validates the graded bracket compatibility (commutators for even pairs,
-    anticommutators for odd pairs) and asserts invariance of the resulting
-    form under the adjoint action."""
+    Validates that rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) = rho([x, y])
+    on basis pairs x <= y and asserts invariance of the resulting form under
+    the adjoint action."""
     if len(rep_even) != s.even.dim or len(rep_odd_blocks) != s.odd_dim:
         raise InvalidInput("need one matrix per generator")
     if rep_odd_blocks:
@@ -431,26 +406,14 @@ def supertrace_form(s: SuperAlgebraData, rep_even: Sequence[Matrix],
         if top.rows != d0 or top.cols != d1 or bottom.rows != d1 or bottom.cols != d0:
             raise InvalidInput(f"odd block pair {a} has the wrong size")
         odd_full.append(_assemble_odd(top, bottom))
-    k = s.even.dim
-    zero = Matrix.zeros(total, total)
-    for i in range(k):
-        for j in range(i + 1, k):
-            comm = rep_even[i] * rep_even[j] - rep_even[j] * rep_even[i]
-            expected = linear_combination(s.even.bracket(i, j), rep_even, zero)
-            if comm != expected:
-                raise NotARepresentation(i, j, f"even-even bracket fails at ({i}, {j})")
-    for i in range(k):
-        for a in range(s.odd_dim):
-            comm = rep_even[i] * odd_full[a] - odd_full[a] * rep_even[i]
-            expected = linear_combination(s.even_odd[i].col(a), odd_full, zero)
-            if comm != expected:
-                raise NotARepresentation(i, a, f"even-odd bracket fails at ({i}, {a})")
-    for a in range(s.odd_dim):
-        for b in range(a, s.odd_dim):
-            anti = odd_full[a] * odd_full[b] + odd_full[b] * odd_full[a]
-            expected = linear_combination(s.odd_bracket(a, b), rep_even, zero)
-            if anti != expected:
-                raise NotARepresentation(a, b, f"odd-odd bracket fails at ({a}, {b})")
+    rho = list(rep_even) + odd_full
+    ad, k = s.adjoint(), s.even.dim
+    for x in range(s.dim):
+        for y in range(x, s.dim):
+            if not representation_defect(ad, rho, k, x, y).is_zero():
+                (p, i), (q, j) = s.label(x), s.label(y)
+                raise NotARepresentation(
+                    i, j, f"graded bracket fails at parities ({p}, {q}), indices ({i}, {j})")
     gram_even = Matrix([[_supertrace(rep_even[i] * rep_even[j], d0) for j in range(k)]
                         for i in range(k)], cols=k)
     gram_odd = Matrix([[_supertrace(odd_full[a] * odd_full[b], d0) for b in range(s.odd_dim)]
@@ -487,14 +450,10 @@ def radical_quotient(s: SuperAlgebraData, form_even: Matrix,
     rad_even = [mat.col(0) for mat in kernel_basis(form_even)]
     rad_odd = [mat.col(0) for mat in kernel_basis(form_odd)]
 
-    from .engine import _super_bracket, _basis_elements
-    for h in _basis_elements(s):
-        for parity, radical in ((0, rad_even), (1, rad_odd)):
-            for r in radical:
-                p, vec = _super_bracket(s, h, (parity, r))
-                target = rad_even if p == 0 else rad_odd
-                if not in_span(target, vec):
-                    raise NotAnIdeal("radical is not stable under the bracket")
+    zero_k, zero_n = (_ZERO,) * s.even.dim, (_ZERO,) * s.odd_dim
+    radical = [(*r, *zero_n) for r in rad_even] + [(*zero_k, *r) for r in rad_odd]
+    if not all(in_span(radical, ad_t.apply(r)) for ad_t in s.adjoint() for r in radical):
+        raise NotAnIdeal("radical is not stable under the bracket")
 
     def complement(dim: int, radical: list[tuple[Scalar, ...]]) -> tuple[list[int], Matrix | None]:
         chosen: list[int] = []

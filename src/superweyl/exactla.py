@@ -141,13 +141,13 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+        return Matrix([[a + b if b else a for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self.data, other.data)], cols=self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+        return Matrix([[a - b if b else a for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self.data, other.data)], cols=self.cols)
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-a for a in row] for row in self.data], cols=self.cols)
@@ -162,7 +162,7 @@ class Matrix:
                 acc = [_ZERO] * other.cols
                 for a, other_row in zip(row, other.data):
                     if a != 0:
-                        acc = [x + a * b for x, b in zip(acc, other_row)]
+                        acc = [x + a * b if b else x for x, b in zip(acc, other_row)]
                 out.append(acc)
             return Matrix(out, cols=other.cols)
         return Matrix([[a * as_scalar(other) for a in row] for row in self.data], cols=self.cols)

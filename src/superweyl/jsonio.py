@@ -32,12 +32,19 @@ def scalar_to_str(x: Scalar) -> str:
 
 
 def scalar_from_str(text) -> Scalar:
-    if not isinstance(text, (str, int)):
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ParseError(f"expected a rational string, got {text!r}")
     try:
         return as_scalar(text if isinstance(text, str) else int(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -70,7 +77,9 @@ def poly_from_json(space: SymplecticSpace, obj) -> PolyElement:
     for item in obj:
         if not isinstance(item, dict) or "exp" not in item or "coeff" not in item:
             raise ParseError("each term needs 'exp' and 'coeff'")
-        exp = tuple(int(k) for k in item["exp"])
+        if not isinstance(item["exp"], list):
+            raise ParseError("'exp' must be a list of integers")
+        exp = tuple(_integer(k, "exponent") for k in item["exp"])
         terms[exp] = terms.get(exp, as_scalar(0)) + scalar_from_str(item["coeff"])
     try:
         return PolyElement(space, terms)
@@ -85,8 +94,8 @@ def space_to_json(space: SymplecticSpace) -> dict:
 def space_from_json(obj) -> SymplecticSpace:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ParseError("space needs a 'dim' field")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    dim = _integer(obj["dim"], "space dimension")
+    if dim < 0:
         raise ParseError(f"bad space dimension {dim!r}")
     omega = obj.get("omega", "standard")
     if omega == "standard":
@@ -109,17 +118,15 @@ def algebra_to_json(g: QuadraticLieAlgebra) -> dict:
 def algebra_from_json(obj) -> QuadraticLieAlgebra:
     if not isinstance(obj, dict) or "dim" not in obj or "form" not in obj:
         raise ParseError("algebra needs 'dim' and 'form' fields")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    dim = _integer(obj["dim"], "algebra dimension")
+    if dim < 0:
         raise ParseError(f"bad algebra dimension {dim!r}")
     entries = []
     for item in obj.get("brackets", []):
         if not isinstance(item, list) or len(item) != 4:
             raise ParseError("each bracket entry must be [i, j, l, value]")
-        i, j, l, value = item
-        if not all(isinstance(t, int) for t in (i, j, l)):
-            raise ParseError("bracket indices must be integers")
-        entries.append((i, j, l, scalar_from_str(value)))
+        *indices, value = item
+        entries.append((*(_integer(t, "bracket index") for t in indices), scalar_from_str(value)))
     form = matrix_from_json(obj["form"], rows=dim, cols=dim)
     try:
         return QuadraticLieAlgebra.from_sparse(dim, entries, form)

@@ -4,15 +4,18 @@ Everything here recomputes quantities the library produces, but along a
 different route: the symmetrized product via explicit averaging over
 permutations of creation/annihilation chains, the pairing of products of
 linear elements via the permanent formula, the quadratic lift of a matrix
-by solving against the Gram matrix of the Weyl-product pairing, and
-representation-theoretic trace values from closed-form weight sums.  Agreement between these and
-the engine is the backbone of the suite.
+by solving against the Gram matrix of the Weyl-product pairing,
+representation-theoretic trace values from closed-form weight sums, and
+the superalgebra axioms by explicit brackets of basis elements, triple by
+triple, in place of adjoint-matrix identities.  Agreement between these
+and the engine is the backbone of the suite.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
-from superweyl.exactla import Matrix, solve_linear
+from superweyl.engine import CheckResult
+from superweyl.exactla import Matrix, SingularMatrix, invert, solve_linear
 from superweyl.spbridge import QuadraticElement, SpElement, quadratic_monomials
 from superweyl.symplectic import SymplecticSpace, pair
 from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates
@@ -95,3 +98,119 @@ def oracle_sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
     for k, mono in enumerate(monomials):
         total = total + coeffs[k, 0] * mono
     return QuadraticElement(total)
+
+
+# -- the superalgebra axioms, triple by triple ------------------------------
+#
+# Homogeneous elements are tagged (parity, coordinates): parity 0 lives in
+# g0, parity 1 in the odd space.  Every bracket is computed from the tables
+# of ``SuperAlgebraData`` one basis element at a time, with no matrices.
+
+
+def _super_bracket(s, x, y):
+    px, vx = x
+    py, vy = y
+    if px == 0 and py == 0:
+        return (0, s.even.bracket_vectors(vx, vy))
+    if px == 0 and py == 1:
+        out = [Fraction(0)] * s.odd_dim
+        for i, c in enumerate(vx):
+            if c != 0:
+                image = s.even_odd[i].apply(vy)
+                out = [o + c * t for o, t in zip(out, image)]
+        return (1, tuple(out))
+    if px == 1 and py == 0:
+        parity, vec = _super_bracket(s, y, x)
+        return (parity, tuple(-t for t in vec))
+    out_even = [Fraction(0)] * s.even.dim
+    for a, ca in enumerate(vx):
+        for b, cb in enumerate(vy):
+            if ca != 0 and cb != 0:
+                for l, c in enumerate(s.odd_bracket(a, b)):
+                    out_even[l] += ca * cb * c
+    return (0, tuple(out_even))
+
+
+def _super_form(s, x, y):
+    if x[0] != y[0]:
+        return Fraction(0)
+    return (s.form_even if x[0] == 0 else s.form_odd).bilinear(x[1], y[1])
+
+
+def _unit(s, parity, index):
+    dim = s.even.dim if parity == 0 else s.odd_dim
+    return (parity, tuple(Fraction(int(t == index)) for t in range(dim)))
+
+
+def _labelled_basis(s):
+    return ([(0, i, _unit(s, 0, i)) for i in range(s.even.dim)]
+            + [(1, a, _unit(s, 1, a)) for a in range(s.odd_dim)])
+
+
+def _form_invariance_witness(s):
+    """First basis triple, in basis order, with
+    ([x,y], z) != -(-1)^{|x||y|} (y, [x,z])."""
+    basis = _labelled_basis(s)
+    for px, i, x in basis:
+        for py, j, y in basis:
+            sign = -1 if px and py else 1
+            for pz, l, z in basis:
+                lhs = _super_form(s, _super_bracket(s, x, y), z)
+                rhs = -sign * _super_form(s, y, _super_bracket(s, x, z))
+                if lhs != rhs:
+                    return f"parities ({px}, {py}, {pz}), indices ({i}, {j}, {l})"
+    return None
+
+
+def _antisymmetric(s, x, y):
+    """[x,y] = -(-1)^{|x||y|} [y,x]"""
+    sign = -1 if x[0] and y[0] else 1
+    parity, vec = _super_bracket(s, y, x)
+    return _super_bracket(s, x, y) == (parity, tuple(-sign * t for t in vec))
+
+
+def _jacobi_holds(s, parities, indices):
+    """[x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]"""
+    x, y, z = (_unit(s, p, t) for p, t in zip(parities, indices))
+    lhs = _super_bracket(s, x, _super_bracket(s, y, z))
+    r1 = _super_bracket(s, _super_bracket(s, x, y), z)
+    r2 = _super_bracket(s, y, _super_bracket(s, x, z))
+    sign = -1 if x[0] and y[0] else 1
+    return lhs == (r1[0], tuple(a + sign * b for a, b in zip(r1[1], r2[1])))
+
+
+def oracle_verify_superalgebra(s) -> list[CheckResult]:
+    """The twelve checks of ``verify_superalgebra``, each evaluated on every
+    basis pair or triple through explicit brackets of homogeneous elements;
+    each witness is the first violating tuple in iteration order."""
+    basis = _labelled_basis(s)
+    checks = []
+
+    witness = next((f"parities ({px}, {py}), indices ({i}, {j})"
+                    for (px, i, x), (py, j, y) in product(basis, repeat=2)
+                    if not _antisymmetric(s, x, y)), None)
+    checks.append(CheckResult("graded_antisymmetry", witness is None, witness))
+
+    for parities in product((0, 1), repeat=3):
+        dims = [s.even.dim if p == 0 else s.odd_dim for p in parities]
+        witness = next((f"indices {t}" for t in product(*map(range, dims))
+                        if not _jacobi_holds(s, parities, t)), None)
+        checks.append(CheckResult("jacobi_" + "".join("eo"[p] for p in parities),
+                                  witness is None, witness))
+
+    witness = _form_invariance_witness(s)
+    checks.append(CheckResult("form_invariance", witness is None, witness))
+
+    supersymmetric = (s.form_even.transpose() == s.form_even
+                      and s.form_odd.transpose() == -s.form_odd)
+    checks.append(CheckResult("form_supersymmetry", supersymmetric,
+                              None if supersymmetric else "Gram symmetry pattern broken"))
+    try:
+        invert(s.form_even)
+        invert(s.form_odd)
+        nonsingular = True
+    except SingularMatrix:
+        nonsingular = False
+    checks.append(CheckResult("form_nonsingular", nonsingular,
+                              None if nonsingular else "a Gram block is singular"))
+    return checks

@@ -8,8 +8,8 @@ from superweyl import __version__
 from superweyl.catalog import build_osp_even, build_spin_rep
 from superweyl.cli import main
 from superweyl.exactla import Matrix
-from superweyl.jsonio import (ParseError, canonical_dumps, matrix_from_json,
-                              matrix_to_json, poly_from_json, poly_to_json,
+from superweyl.jsonio import (ParseError, algebra_from_json, canonical_dumps,
+                              matrix_from_json, matrix_to_json, poly_from_json, poly_to_json,
                               problem_from_json, problem_to_json,
                               scalar_from_str, scalar_to_str, space_from_json,
                               space_to_json, write_json_atomic)
@@ -82,6 +82,25 @@ def test_problem_parse_errors():
     obj["nu"] = obj["nu"][:2]
     with pytest.raises(ParseError):
         problem_from_json(obj)
+
+
+def test_json_booleans_and_non_integer_exponents_are_refused():
+    for value in (True, False, 1.0):
+        with pytest.raises(ParseError):
+            scalar_from_str(value)
+    with pytest.raises(ParseError):
+        space_from_json({"dim": True, "omega": [["0"]]})
+    with pytest.raises(ParseError):
+        algebra_from_json({"dim": True, "brackets": [], "form": [["1"]]})
+    with pytest.raises(ParseError):
+        algebra_from_json({"dim": 2, "brackets": [[False, True, 0, "1"]],
+                           "form": [["1", "0"], ["0", "1"]]})
+    with pytest.raises(ParseError):
+        matrix_from_json([[True]])
+    s = standard_space(1)
+    for exp in ([1.9, 0], [1.0, 0], ["x", 0], [True, 0], "10", 2):
+        with pytest.raises(ParseError):
+            poly_from_json(s, [{"exp": exp, "coeff": "1"}])
 
 
 def test_canonical_dumps_is_stable():
@@ -215,6 +234,21 @@ def test_error_paths_print_exception_names(tmp_path, capsys):
 
     assert main(["catalog", "spin", "2"]) == 1
     assert capsys.readouterr().err.startswith("NotSymplectic:")
+
+
+def test_boolean_dimension_exits_one_with_one_line(tmp_path, capsys):
+    # true would otherwise be read as the dimension 1 and the problem decided
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "space": {"dim": 2, "omega": "standard"},
+        "g0": {"dim": True, "brackets": [], "form": [["1"]]},
+        "nu": [[["0", "0"], ["0", "0"]]]}))
+    report = tmp_path / "report.json"
+    assert main(["test", str(path), "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ParseError:") and captured.err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_validation_error_names_surface(tmp_path, capsys):

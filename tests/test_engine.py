@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -238,6 +239,43 @@ def test_odd_bracket_is_rigid():
             trial = SuperAlgebraData(base.even, base.odd_dim, base.even_odd,
                                      perturbed, base.form_even, base.form_odd)
             assert any(not c.passed for c in verify_superalgebra(trial))
+
+
+# -- shape checks and the adjoint view ---------------------------------------
+
+
+def test_superalgebra_shape_checks():
+    s = construct_superalgebra(osp11())  # k = 3, n = 2
+    with pytest.raises(ValueError, match="per even basis element"):
+        replace(s, even_odd=s.even_odd[:2])
+    with pytest.raises(ValueError, match="per even basis element"):
+        replace(s, even_odd=s.even_odd[:2] + (Matrix.identity(3),))
+    for key in [(1, 0), (0, 2), (-1, 0), (0,)]:
+        with pytest.raises(ValueError, match="odd bracket key"):
+            replace(s, odd_odd={**s.odd_odd, key: (0, 0, 0)})
+    with pytest.raises(ValueError, match="coordinates"):
+        replace(s, odd_odd={**s.odd_odd, (0, 1): (0, 0)})
+    with pytest.raises(ValueError, match="even Gram"):
+        replace(s, form_even=Matrix.identity(2))
+    with pytest.raises(ValueError, match="odd Gram"):
+        replace(s, form_odd=Matrix.identity(3))
+
+
+def test_adjoint_and_gram_read_the_tables():
+    s = construct_superalgebra(osp11())
+    k, n, ad, g = s.even.dim, s.odd_dim, s.adjoint(), s.gram()
+    assert len(ad) == s.dim == k + n
+    for t in range(k):
+        for u in range(k):
+            assert ad[t].col(u) == s.even.bracket(t, u) + (0,) * n
+        for a in range(n):
+            assert ad[t].col(k + a) == (0,) * k + s.even_odd[t].col(a)
+            assert ad[k + a].col(t) == tuple(-x for x in ad[t].col(k + a))
+    for a in range(n):
+        for b in range(n):
+            assert ad[k + a].col(k + b) == s.odd_bracket(a, b) + (0,) * n
+    assert g == Matrix([s.form_even.row(i) + (0,) * n for i in range(k)]
+                       + [(0,) * k + s.form_odd.row(a) for a in range(n)])
 
 
 # -- the jacobiator --------------------------------------------------------

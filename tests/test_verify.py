@@ -1,0 +1,87 @@
+"""``verify_superalgebra`` against the triple-by-triple oracle.
+
+The library checks the axioms as identities of adjoint matrices; the
+oracle brackets basis elements one triple at a time.  Both must return the
+same twelve ``CheckResult`` values, witness strings included, on passing
+structures, on candidates that fail the odd Jacobi sector, on dense
+conjugated data, and on every single-entry perturbation of small tables.
+"""
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from oracles import oracle_verify_superalgebra
+from superweyl.catalog import build_instance
+from superweyl.engine import construct_superalgebra_unchecked, verify_superalgebra
+from superweyl.exactla import Matrix
+from superweyl.jsonio import load_problem
+
+GOLDEN = Path(__file__).parent / "golden"
+
+EXTENDS_LADDER = [("gl11",), ("osp_even", 1, 1), ("osp_even", 2, 1), ("osp_even", 1, 2),
+                  ("spin", 1), ("double", "abelian1"), ("double", "gl11"), ("double", "osp12")]
+
+
+def _catalog_structure(name, *params):
+    return construct_superalgebra_unchecked(build_instance(name, params))
+
+
+def _assert_same_checks(s):
+    assert verify_superalgebra(s) == oracle_verify_superalgebra(s)
+
+
+@pytest.mark.parametrize("instance", EXTENDS_LADDER, ids=lambda t: "-".join(map(str, t)))
+def test_ladder_instances_match_oracle(instance):
+    s = _catalog_structure(*instance)
+    checks = verify_superalgebra(s)
+    assert all(c.passed and c.witness is None for c in checks)
+    assert checks == oracle_verify_superalgebra(s)
+
+
+@pytest.mark.parametrize("two_j", [3, 5])
+def test_obstructed_candidates_match_oracle(two_j):
+    s = _catalog_structure("spin", two_j)
+    checks = verify_superalgebra(s)
+    assert [c.name for c in checks if not c.passed] == ["jacobi_ooo"]
+    assert checks == oracle_verify_superalgebra(s)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("conj-*[0-9].json")), ids=lambda p: p.stem)
+def test_conjugated_golden_inputs_match_oracle(path):
+    _assert_same_checks(construct_superalgebra_unchecked(load_problem(str(path))))
+
+
+def _bumped(m: Matrix, i: int, j: int) -> Matrix:
+    return Matrix([[x + (r == i and c == j) for c, x in enumerate(row)]
+                   for r, row in enumerate(m.data)], cols=m.cols)
+
+
+def _perturbations(s):
+    """Every copy of ``s`` with one table or Gram entry increased by one."""
+    for key, coords in sorted(s.odd_odd.items()):
+        for l in range(len(coords)):
+            odd_odd = dict(s.odd_odd)
+            odd_odd[key] = tuple(x + (t == l) for t, x in enumerate(coords))
+            yield replace(s, odd_odd=odd_odd)
+    for i, m in enumerate(s.even_odd):
+        for p in range(m.rows):
+            for q in range(m.cols):
+                yield replace(s, even_odd=s.even_odd[:i] + (_bumped(m, p, q),) + s.even_odd[i + 1:])
+    for field in ("form_even", "form_odd"):
+        m = getattr(s, field)
+        for p in range(m.rows):
+            for q in range(m.cols):
+                yield replace(s, **{field: _bumped(m, p, q)})
+
+
+@pytest.mark.parametrize("instance", [("osp_even", 1, 1), ("double", "gl11")],
+                         ids=lambda t: "-".join(map(str, t)))
+def test_single_entry_perturbations_match_oracle(instance):
+    failing = 0
+    for trial in _perturbations(_catalog_structure(*instance)):
+        checks = verify_superalgebra(trial)
+        assert checks == oracle_verify_superalgebra(trial)
+        failing += any(not c.passed for c in checks)
+    assert failing > 0
