@@ -21,10 +21,10 @@ from typing import Callable, Sequence
 
 from .engine import (IdentityViolated, NotARepresentation, SuperAlgebraData,
                      SymplecticRep, casimir_obstruction, construct_superalgebra,
-                     form_invariance_witness, representation_defect, verify_superalgebra)
+                     form_invariance_witness, verify_superalgebra)
 from .exactla import (Matrix, Scalar, as_scalar, in_span, invert, kernel_basis, rank,
                       solve_linear, solve_overdetermined)
-from .liealg import QuadraticLieAlgebra
+from .liealg import QuadraticLieAlgebra, representation_defect
 from .spbridge import NotSymplectic, SpElement, sp_to_quadratic
 from .symplectic import SymplecticSpace, standard_space
 
@@ -46,7 +46,7 @@ class UnknownInstance(Exception):
         super().__init__(f"no catalog instance named {name!r}")
 
 
-class InvalidInput(Exception):
+class InvalidInput(ValueError):
     """Builder input does not satisfy its precondition."""
 
 
@@ -178,7 +178,7 @@ def build_osp_even(m: int, n: int) -> SymplecticRep:
     used as is.
     """
     if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+        raise InvalidInput("need m >= 1 and n >= 1")
     if m * 2 * n > 16:
         raise TooLarge(f"tensor space dimension {m * 2 * n} exceeds the supported 16")
     so_b = so_basis(m)
@@ -227,7 +227,7 @@ def build_spin_rep(two_j: int) -> SymplecticRep:
     raise ``NotSymplectic``.  Instances above ``two_j = 7`` are refused as
     out of scope."""
     if two_j < 1:
-        raise ValueError("two_j must be positive")
+        raise InvalidInput("two_j must be positive")
     if two_j % 2 == 0:
         raise NotSymplectic("the invariant form is symmetric for even two_j")
     if two_j > 7:

@@ -36,7 +36,7 @@ _DOMAIN_ERRORS = (
     ParseError, LinAlgError, SymplecticError, SpaceMismatch, NotSymplectic,
     InconsistentRatio, LieAlgebraError, NotARepresentation, InternalDegreeLeak,
     IdentityViolated, TooLarge, CalibrationFailed, UnknownInstance, InvalidInput,
-    NotInvariant, NotAnIdeal, ValueError, OSError,
+    NotInvariant, NotAnIdeal, OSError,
 )
 
 

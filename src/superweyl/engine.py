@@ -30,11 +30,11 @@ measured exactly by contracting the obstruction three times
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from .exactla import Matrix, Scalar, SingularMatrix, as_scalar, invert, linear_combination
-from .liealg import QuadraticLieAlgebra, casimir_pairs
+from .liealg import QuadraticLieAlgebra, casimir_pairs, representation_defect
 from .spbridge import (NotSymplectic, QuadraticElement, SpElement, quadratic_monomials,
                        quadratic_pairing, sp_to_quadratic, trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
@@ -97,19 +97,16 @@ class SymplecticRep:
 
 
 def validate_rep(rep: SymplecticRep) -> None:
-    """Check that every matrix preserves the form and that matrix
-    commutators realize the bracket table."""
+    """Check that every matrix preserves the form and that
+    ``representation_defect`` of the matrices against the adjoint matrices
+    of the algebra vanishes on every basis pair."""
     for i, m in enumerate(rep.matrices):
         if not is_in_sp(rep.space, m):
             raise NotSymplectic(index=i)
-    k = rep.algebra.dim
-    for i in range(k):
-        for j in range(i + 1, k):
-            commutator = rep.matrices[i] * rep.matrices[j] - rep.matrices[j] * rep.matrices[i]
-            expected = linear_combination(rep.algebra.bracket(i, j), rep.matrices,
-                                          Matrix.zeros(rep.space.dim, rep.space.dim))
-            if commutator != expected:
-                raise NotARepresentation(i, j)
+    ad, k = rep.algebra.adjoint(), rep.algebra.dim
+    for i, j in combinations(range(k), 2):
+        if not representation_defect(ad, rep.matrices, k, i, j).is_zero():
+            raise NotARepresentation(i, j)
 
 
 def quadratic_lift(rep: SymplecticRep, i: int) -> QuadraticElement:
@@ -236,21 +233,6 @@ def _dual_trace_sum(a: Analysis) -> Scalar:
                 for nu, nu_dual in zip(a.rep.matrices, _dual_matrices(a.rep, a.duals))), _ZERO)
 
 
-def trace_identity_check(problem: Problem) -> tuple[Scalar, Scalar, Scalar]:
-    """For a positive instance, the Casimir scalar must equal the fitted
-    trace-ratio constant times the trace of the Casimir in the matrix
-    representation.  Returns (scalar, product, constant); raises
-    ``IdentityViolated`` on mismatch."""
-    a = analyze(problem)
-    if not a.obstruction.is_zero():
-        raise ValueError("trace identity only applies to positive instances")
-    c = a.trace_constant
-    rhs = c * _dual_trace_sum(a)
-    if a.scalar != rhs:
-        raise IdentityViolated(f"Casimir scalar {a.scalar} != {c} * trace sum ({rhs})")
-    return a.scalar, rhs, c
-
-
 # -- the superalgebra structure --------------------------------------------
 
 
@@ -301,12 +283,11 @@ class SuperAlgebraData:
 
     def adjoint(self) -> list[Matrix]:
         """The matrices ad_t of all basis elements: column u of ad_t holds
-        the coordinates of [e_t, e_u].  Read off the bracket tables alone."""
+        the coordinates of [e_t, e_u].  Read off the bracket tables alone;
+        for even t it is the block sum of the even ad_t and nu_t."""
         k, n = self.even.dim, self.odd_dim
         zero_k, zero_n = (_ZERO,) * k, (_ZERO,) * n
-        ad = [Matrix.from_columns([(*self.even.bracket(t, u), *zero_n) for u in range(k)]
-                                  + [(*zero_k, *nu.col(a)) for a in range(n)], rows=k + n)
-              for t, nu in enumerate(self.even_odd)]
+        ad = [_block_diagonal(ad_t, nu) for ad_t, nu in zip(self.even.adjoint(), self.even_odd)]
         ad += [Matrix.from_columns([(*zero_k, *(-c for c in nu.col(a))) for nu in self.even_odd]
                                    + [(*self.odd_bracket(a, b), *zero_n) for b in range(n)],
                                    rows=k + n)
@@ -315,9 +296,12 @@ class SuperAlgebraData:
 
     def gram(self) -> Matrix:
         """Block-diagonal Gram matrix of the form on g0 + v."""
-        zero_k, zero_n = (_ZERO,) * self.even.dim, (_ZERO,) * self.odd_dim
-        return Matrix([row + zero_n for row in self.form_even.data]
-                      + [zero_k + row for row in self.form_odd.data], cols=self.dim)
+        return _block_diagonal(self.form_even, self.form_odd)
+
+
+def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix([row + (_ZERO,) * b.cols for row in a.data]
+                  + [(_ZERO,) * a.cols + row for row in b.data], cols=a.cols + b.cols)
 
 
 def construct_superalgebra_unchecked(problem: Problem) -> SuperAlgebraData:
@@ -348,20 +332,6 @@ def construct_superalgebra(problem: Problem) -> SuperAlgebraData:
     if not report.verdict:
         raise NotSuperLieType(report.obstruction)
     return construct_superalgebra_unchecked(a)
-
-
-def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
-                          x: int, y: int) -> Matrix:
-    """rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) - sum_t (ad_x)_{ty} rho(t)
-    for basis elements x, y of a superalgebra with adjoint matrices ``ad``
-    whose first k basis elements are even.  It vanishes on every pair exactly
-    when rho is a graded representation; for rho = ad, its column z is
-    [x,[y,z]] - (-1)^{|x||y|} [y,[x,z]] - [[x,y],z]."""
-    yx = rho[y] * rho[x]
-    xy = rho[x] * rho[y]
-    supercommutator = xy + yx if x >= k and y >= k else xy - yx
-    return supercommutator - linear_combination(ad[x].col(y), rho,
-                                                Matrix.zeros(xy.rows, xy.cols))
 
 
 def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:

@@ -166,7 +166,7 @@ def load_problem(path: str) -> SymplecticRep:
             obj = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return problem_from_json(obj)
 

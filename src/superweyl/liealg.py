@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Sequence
 
 from .exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix,
-                      as_scalar, invert)
+                      as_scalar, invert, linear_combination)
 
 _ZERO = as_scalar(0)
 
@@ -104,39 +105,53 @@ class QuadraticLieAlgebra:
     def form_value(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
         return self.form.bilinear(x, y)
 
+    def adjoint(self) -> list[Matrix]:
+        """The matrices ad_i: column j of ad_i holds the coordinates of
+        the bracket of basis elements i and j."""
+        return [Matrix.from_columns(row, rows=self.dim) for row in self.brackets]
+
+
+def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
+                          x: int, y: int) -> Matrix:
+    """rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) - sum_t (ad_x)_{ty} rho(t)
+    for basis elements x, y of a superalgebra with adjoint matrices ``ad``
+    whose first k basis elements are even.  It vanishes on every pair exactly
+    when rho is a graded representation; for rho = ad, its column z is
+    [x,[y,z]] - (-1)^{|x||y|} [y,[x,z]] - [[x,y],z]."""
+    yx = rho[y] * rho[x]
+    xy = rho[x] * rho[y]
+    supercommutator = xy + yx if x >= k and y >= k else xy - yx
+    return supercommutator - linear_combination(ad[x].col(y), rho,
+                                                Matrix.zeros(xy.rows, xy.cols))
+
 
 def validate_lie(g: QuadraticLieAlgebra) -> None:
     """Check antisymmetry, the Jacobi identity, and that the form is
-    symmetric, nonsingular and ad-invariant.  Raises the first violation."""
-    k = g.dim
-    for i in range(k):
-        for j in range(k):
-            if any(a != -b for a, b in zip(g.brackets[i][j], g.brackets[j][i])):
-                raise NotAntisymmetric(i, j)
-    units = [tuple(as_scalar(1 if t == l else 0) for t in range(k)) for l in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            for l in range(j + 1, k):
-                total = [_ZERO] * k
-                for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-                    inner = g.bracket(a, b)
-                    outer = g.bracket_vectors(inner, units[c])
-                    total = [x + y for x, y in zip(total, outer)]
-                if any(x != 0 for x in total):
-                    raise JacobiFails(i, j, l)
+    symmetric, nonsingular and ad-invariant, as identities of the adjoint
+    matrices: ad_i e_j = -ad_j e_i, ``representation_defect(ad, ad, ...)``
+    vanishes, and ad_i^T B + B ad_i = 0.  Raises the first violation."""
+    ad, k = g.adjoint(), g.dim
+    for i, j in product(range(k), repeat=2):
+        if ad[i].col(j) != tuple(-c for c in ad[j].col(i)):
+            raise NotAntisymmetric(i, j)
+    # with antisymmetry, column l of the defect on (i, j) is minus the
+    # cyclic sum [[i,j],l] + [[j,l],i] + [[l,i],j]
+    for i, j in combinations(range(k - 1), 2):
+        defect = representation_defect(ad, ad, k, i, j)
+        l = next((l for l in range(j + 1, k) if any(defect.col(l))), None)
+        if l is not None:
+            raise JacobiFails(i, j, l)
     if g.form.transpose() != g.form:
         raise FormSingular("form matrix is not symmetric")
     try:
         invert(g.form)
     except SingularMatrix as exc:
         raise FormSingular(str(exc)) from exc
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                lhs = g.form_value(g.bracket(i, j), units[l])
-                rhs = g.form_value(units[j], g.bracket(i, l))
-                if lhs + rhs != 0:
-                    raise FormNotInvariant(i, j, l)
+    for i, ad_i in enumerate(ad):
+        defect = ad_i.transpose() * g.form + g.form * ad_i
+        hit = next(((j, l) for j, l in product(range(k), repeat=2) if defect[j, l] != 0), None)
+        if hit is not None:
+            raise FormNotInvariant(i, *hit)
 
 
 @dataclass(frozen=True)

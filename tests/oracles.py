@@ -6,18 +6,20 @@ permutations of creation/annihilation chains, the pairing of products of
 linear elements via the permanent formula, the quadratic lift of a matrix
 by solving against the Gram matrix of the Weyl-product pairing,
 representation-theoretic trace values from closed-form weight sums, and
-the superalgebra axioms by explicit brackets of basis elements, triple by
-triple, in place of adjoint-matrix identities.  Agreement between these
+the Lie algebra, representation and superalgebra axioms by explicit
+brackets of basis elements, pair by pair and triple by triple, in place of
+adjoint-matrix identities.  Agreement between these
 and the engine is the backbone of the suite.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
-from superweyl.engine import CheckResult
-from superweyl.exactla import Matrix, SingularMatrix, invert, solve_linear
-from superweyl.spbridge import QuadraticElement, SpElement, quadratic_monomials
-from superweyl.symplectic import SymplecticSpace, pair
+from superweyl.engine import CheckResult, NotARepresentation
+from superweyl.exactla import Matrix, SingularMatrix, invert, linear_combination, solve_linear
+from superweyl.liealg import FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric
+from superweyl.spbridge import NotSymplectic, QuadraticElement, SpElement, quadratic_monomials
+from superweyl.symplectic import SymplecticSpace, is_in_sp, pair
 from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates
 
 
@@ -98,6 +100,60 @@ def oracle_sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
     for k, mono in enumerate(monomials):
         total = total + coeffs[k, 0] * mono
     return QuadraticElement(total)
+
+
+# -- the Lie algebra and representation axioms, tuple by tuple --------------
+
+
+def oracle_validate_lie(g) -> None:
+    """``validate_lie`` through brackets of coordinate vectors: antisymmetry
+    on every pair, the cyclic Jacobi sum on every triple i < j < l, and
+    ([x_i, x_j], x_l) + (x_j, [x_i, x_l]) = 0 on every triple, raising the
+    first violation in that order."""
+    k = g.dim
+    for i in range(k):
+        for j in range(k):
+            if any(a != -b for a, b in zip(g.brackets[i][j], g.brackets[j][i])):
+                raise NotAntisymmetric(i, j)
+    units = [tuple(Fraction(int(t == l)) for t in range(k)) for l in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            for l in range(j + 1, k):
+                total = [Fraction(0)] * k
+                for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
+                    outer = g.bracket_vectors(g.bracket(a, b), units[c])
+                    total = [x + y for x, y in zip(total, outer)]
+                if any(x != 0 for x in total):
+                    raise JacobiFails(i, j, l)
+    if g.form.transpose() != g.form:
+        raise FormSingular("form matrix is not symmetric")
+    try:
+        invert(g.form)
+    except SingularMatrix as exc:
+        raise FormSingular(str(exc)) from exc
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                lhs = g.form_value(g.bracket(i, j), units[l])
+                rhs = g.form_value(units[j], g.bracket(i, l))
+                if lhs + rhs != 0:
+                    raise FormNotInvariant(i, j, l)
+
+
+def oracle_validate_rep(rep) -> None:
+    """``validate_rep`` through matrix commutators: every matrix preserves
+    the form, and [nu_i, nu_j] = sum_l c_ij^l nu_l for every pair i < j."""
+    for i, m in enumerate(rep.matrices):
+        if not is_in_sp(rep.space, m):
+            raise NotSymplectic(index=i)
+    k = rep.algebra.dim
+    for i in range(k):
+        for j in range(i + 1, k):
+            commutator = rep.matrices[i] * rep.matrices[j] - rep.matrices[j] * rep.matrices[i]
+            expected = linear_combination(rep.algebra.bracket(i, j), rep.matrices,
+                                          Matrix.zeros(rep.space.dim, rep.space.dim))
+            if commutator != expected:
+                raise NotARepresentation(i, j)
 
 
 # -- the superalgebra axioms, triple by triple ------------------------------

@@ -20,7 +20,7 @@ from superweyl.cli import main
 from superweyl.engine import (construct_superalgebra,
                               construct_superalgebra_unchecked, decide,
                               jacobiator, jacobiator_from_obstruction,
-                              trace_identity_check, verify_superalgebra)
+                              verify_superalgebra)
 from superweyl.exactla import Matrix
 from superweyl.liealg import QuadraticLieAlgebra
 from superweyl.spbridge import (QuadraticElement, SpElement, derivation_action,
@@ -159,8 +159,10 @@ def test_criterion_05_smallest_positive_instance():
     checks = verify_superalgebra(s)
     assert len(checks) == 12 and all(c.passed for c in checks)
 
-    scalar, rhs, c = trace_identity_check(rep)
-    assert (scalar, rhs, c) == (Fraction(-3, 8), Fraction(-3, 8), Fraction(-1, 8))
+    diagnostics = {d.name: d for d in report.diagnostics}
+    identity, fitted = diagnostics["trace_identity"], diagnostics["trace_ratio_fitted"]
+    rhs, c = Fraction(identity.witness), Fraction(fitted.witness)
+    assert identity.passed and (rhs, c) == (Fraction(-3, 8), Fraction(-1, 8))
     assert rhs / c == sl2_casimir_trace(1)
     announce(5, "three-dimensional simple algebra on the plane: verdict "
                 "positive, scalar -3/8 confirmed by an independent oracle, "

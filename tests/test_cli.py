@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superweyl import __version__
 from superweyl.catalog import build_osp_even, build_spin_rep
@@ -262,6 +269,114 @@ def test_validation_error_names_surface(tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err.startswith("NotSymplectic:")
+
+
+def test_invalid_catalog_parameters_exit_one_with_one_line(capsys):
+    for argv in (["catalog", "osp_even", "0", "1"], ["catalog", "spin", "0"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("InvalidInput:") and captured.err.count("\n") == 1
+
+
+def test_non_utf8_file_exits_one_with_one_line(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ParseError:") and captured.err.count("\n") == 1
+
+
+def test_unwritable_report_exits_one_with_one_line(tmp_path, capsys):
+    path = _write_instance(tmp_path, "gl11")
+    capsys.readouterr()
+    report = tmp_path / "missing" / "r.json"
+    assert main(["test", path, "--report", str(report)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_programming_errors_are_not_reported_as_bad_input(tmp_path, monkeypatch):
+    # a ValueError from inside the library is a bug, not a verdict on the input
+    import superweyl.cli
+
+    def broken(problem):
+        raise ValueError("bug")
+
+    path = _write_instance(tmp_path, "gl11")
+    monkeypatch.setattr(superweyl.cli, "decide", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["test", path, "--report", str(tmp_path / "r.json")])
+
+
+# -- fuzzing problem files -------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FUZZ_BASES = {stem: json.loads((GOLDEN / f"{stem}.json").read_text())
+              for stem in ("gl11", "spin-3", "osp_even-1-1")}
+
+
+def _locations(obj, path=()):
+    """Every (path, value) below ``obj``, parents before children."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _locations(value, path + (key,))
+
+
+_DROP = object()
+_OUT_OF_RANGE = st.one_of(st.integers(max_value=-1), st.integers(min_value=17, max_value=10 ** 30))
+
+
+def _replaced(obj, path, value):
+    """A copy of ``obj`` with ``value`` at ``path``, or that field removed."""
+    out = copy.deepcopy(obj)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DROP:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return out
+
+
+@st.composite
+def mutated_problems(draw):
+    """A golden problem file with one field dropped, one scalar, dimension
+    or index replaced by a value of the wrong kind, or one matrix entry
+    changed."""
+    base = FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]
+    where = dict(_locations(base))
+    kind = draw(st.sampled_from(["drop", "wrong kind", "entry"]))
+    if kind == "drop":
+        return _replaced(base, draw(st.sampled_from([p for p in where if isinstance(p[-1], str)])),
+                         _DROP)
+    if kind == "wrong kind":
+        # dimensions and indices are integers, scalars are strings
+        leaf = draw(st.sampled_from([int, str]))
+        path = draw(st.sampled_from([p for p, v in where.items() if type(v) is leaf]))
+        value = draw(st.one_of(st.booleans(), st.floats(allow_nan=False), _OUT_OF_RANGE,
+                               st.lists(st.sampled_from(["1", 0, "-1/2"]), max_size=2)))
+        return _replaced(base, path, value)
+    path = draw(st.sampled_from([p for p, v in where.items() if isinstance(v, str)]))
+    change = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+    return _replaced(base, path, str(Fraction(where[path]) + change))
+
+
+@given(mutated_problems())
+@settings(max_examples=50, deadline=None)
+def test_mutated_problem_files_exit_cleanly(problem):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(problem, handle)
+        for argv in (["validate", path], ["test", path, "--report", os.path.join(tmp, "r.json")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.getvalue().count("\n") == 1
 
 
 def test_version_flag(capsys):

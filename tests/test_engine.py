@@ -12,8 +12,7 @@ from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               construct_superalgebra_unchecked, decide,
                               jacobiator, jacobiator_from_obstruction,
                               quadratic_lift, quadratic_lift_adjoint,
-                              trace_identity_check, validate_rep,
-                              verify_superalgebra)
+                              validate_rep, verify_superalgebra)
 from superweyl.exactla import Matrix, invert
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
@@ -164,13 +163,15 @@ def test_decide_negative_instance():
 
 
 def test_trace_identity():
-    scalar, rhs, c = trace_identity_check(osp11())
-    assert scalar == rhs == Fraction(-3, 8)
+    r = decide(osp11())
+    diagnostics = {d.name: d for d in r.diagnostics}
+    identity, fitted = diagnostics["trace_identity"], diagnostics["trace_ratio_fitted"]
+    rhs, c = Fraction(identity.witness), Fraction(fitted.witness)
+    assert identity.passed and r.casimir_scalar == rhs == Fraction(-3, 8)
     assert c == Fraction(-1, 8)
     # so the trace of the Casimir in the defining matrices is 3
     assert rhs / c == 3
-    with pytest.raises(ValueError):
-        trace_identity_check(build_spin_rep(3))
+    assert "trace_identity" not in {d.name for d in decide(build_spin_rep(3)).diagnostics}
 
 
 def test_zero_dimensional_odd_space():

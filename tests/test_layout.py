@@ -2,13 +2,17 @@
 
 No module may import a private (``_``-prefixed, non-dunder) name from a
 sibling module, at module level or inside a function: a name shared across
-modules is part of the package's interface and must be public.
+modules is part of the package's interface and must be public.  Every
+function that the benchmark's tracer wraps must stay a module-level
+callable of its module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "superweyl"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "superweyl"
 
 
 def _private(name: str) -> bool:
@@ -40,3 +44,22 @@ def test_detector_sees_function_local_imports(tmp_path):
     sample.write_text("def f():\n    from .engine import _hidden, public\n"
                       "from . import __version__\n")
     assert private_imports(sample) == ["sample.py:2 imports _hidden from .engine"]
+
+
+def traced_targets() -> dict[str, tuple[str, ...]]:
+    """``TARGETS`` of ``perfbench/tracing.py``, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign | ast.Assign):
+            targets = [node.target] if isinstance(node, ast.AnnAssign) else node.targets
+            if any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in targets):
+                return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_traced_functions_exist():
+    targets = traced_targets()
+    assert {"liealg", "engine", "symplectic"} <= set(targets)
+    missing = [f"{module}.{name}" for module, names in targets.items() for name in names
+               if not callable(getattr(importlib.import_module(f"superweyl.{module}"), name, None))]
+    assert missing == []
