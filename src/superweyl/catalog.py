@@ -1,4 +1,4 @@
-"""Constructions of known families of instances and related tools.
+"""Constructions of known families of instances.
 
 Builders return ready-to-test representations: the orthogonal-symplectic
 even pairs acting on a tensor product, the two-dimensional diagonal
@@ -8,10 +8,6 @@ three-dimensional simple algebra (symplectic exactly for odd highest
 weight, with the smallest negative instance at weight three), and the
 double of any verified superalgebra on the sum of the algebra and its dual
 space.
-
-Also here: the supertrace form of a graded matrix representation, the
-adjoint representation of a table-defined superalgebra, and the quotient
-by the radical of a degenerate invariant form.
 """
 
 from __future__ import annotations
@@ -19,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .engine import (IdentityViolated, NotARepresentation, SuperAlgebraData,
-                     SymplecticRep, casimir_obstruction, construct_superalgebra,
-                     form_invariance_witness, verify_superalgebra)
-from .exactla import (Matrix, Scalar, as_scalar, in_span, invert, kernel_basis, rank,
-                      solve_linear, solve_overdetermined)
-from .liealg import QuadraticLieAlgebra, representation_defect
+from .engine import (SuperAlgebraData, SymplecticRep, casimir_obstruction,
+                     construct_superalgebra, verify_superalgebra)
+from .exactla import Matrix, Scalar, as_scalar, invert, solve_overdetermined
+from .liealg import QuadraticLieAlgebra
 from .spbridge import NotSymplectic, SpElement, sp_to_quadratic
 from .symplectic import SymplecticSpace, standard_space
 
@@ -48,16 +42,6 @@ class UnknownInstance(Exception):
 
 class InvalidInput(ValueError):
     """Builder input does not satisfy its precondition."""
-
-
-class NotInvariant(Exception):
-    """A supplied bilinear form fails supersymmetry or invariance."""
-
-
-class NotAnIdeal(Exception):
-    """The radical of the supplied form is not an ideal; this signals that
-    the invariance validation itself is broken, since invariance forces the
-    radical to be an ideal."""
 
 
 # -- matrix Lie algebra helpers --------------------------------------------
@@ -123,21 +107,19 @@ def trace_gram(basis: Sequence[Matrix]) -> Matrix:
 
 def matrix_structure_constants(basis: Sequence[Matrix]) -> list[list[tuple[Scalar, ...]]]:
     """Expand commutators of basis matrices back in the basis; the basis
-    must be closed under commutators and linearly independent."""
+    must be closed under commutators and linearly independent.  All k^2
+    commutators are expanded by one row reduction, as right-hand columns."""
     if not basis:
         return []
-    size = basis[0].rows * basis[0].cols
-    flat = Matrix.from_columns(
-        [[b[i, j] for i in range(b.rows) for j in range(b.cols)] for b in basis], rows=size)
     k = len(basis)
-    table: list[list[tuple[Scalar, ...]]] = [[() for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            comm = basis[i] * basis[j] - basis[j] * basis[i]
-            target = Matrix.column([comm[p, q] for p in range(comm.rows) for q in range(comm.cols)])
-            coords = solve_overdetermined(flat, target)
-            table[i][j] = coords.col(0)
-    return table
+
+    def flat(m: Matrix) -> tuple[Scalar, ...]:
+        return tuple(x for row in m.data for x in row)
+
+    commutators = [flat(a * b - b * a) for a in basis for b in basis]
+    coords = solve_overdetermined(Matrix.from_columns([flat(b) for b in basis]),
+                                  Matrix.from_columns(commutators))
+    return [[coords.col(i * k + j) for j in range(k)] for i in range(k)]
 
 
 def _block_algebra(blocks: Sequence[tuple[Sequence[Matrix], Matrix]]) -> QuadraticLieAlgebra:
@@ -348,169 +330,6 @@ def build_double(s: SuperAlgebraData) -> tuple[SymplecticRep, SuperAlgebraData]:
         form_odd=form_odd,
     )
     return rep, data
-
-
-# -- supertrace forms ------------------------------------------------------
-
-
-def adjoint_representation(s: SuperAlgebraData) -> tuple[list[Matrix], list[tuple[Matrix, Matrix]]]:
-    """The adjoint action of ``s`` on itself as a graded matrix
-    representation: full matrices for even generators, (top-right,
-    bottom-left) block pairs for odd ones."""
-    k = s.even.dim
-    ad = s.adjoint()
-    rep_odd = [(Matrix([m.row(i)[k:] for i in range(k)], cols=s.odd_dim),
-                Matrix([m.row(i)[:k] for i in range(k, s.dim)], cols=k)) for m in ad[k:]]
-    return ad[:k], rep_odd
-
-
-def _assemble_odd(top: Matrix, bottom: Matrix) -> Matrix:
-    """The block matrix [[0, top], [bottom, 0]]."""
-    d0, d1 = top.rows, top.cols
-    return Matrix([(_ZERO,) * d0 + top.row(i) for i in range(d0)]
-                  + [bottom.row(i) + (_ZERO,) * d1 for i in range(d1)], cols=d0 + d1)
-
-
-def _supertrace(mat: Matrix, d0: int) -> Scalar:
-    return (sum((mat[i, i] for i in range(d0)), _ZERO)
-            - sum((mat[i, i] for i in range(d0, mat.rows)), _ZERO))
-
-
-def supertrace_form(s: SuperAlgebraData, rep_even: Sequence[Matrix],
-                    rep_odd_blocks: Sequence[tuple[Matrix, Matrix]]) -> tuple[Matrix, Matrix]:
-    """Gram matrices of the supertrace form of a graded representation of
-    ``s``: entry (i, j) is the supertrace of the product of the matrices of
-    generators i and j, separately on the even and odd basis.
-
-    Validates that rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) = rho([x, y])
-    on basis pairs x <= y and asserts invariance of the resulting form under
-    the adjoint action."""
-    if len(rep_even) != s.even.dim or len(rep_odd_blocks) != s.odd_dim:
-        raise InvalidInput("need one matrix per generator")
-    if rep_odd_blocks:
-        d0, d1 = rep_odd_blocks[0][0].rows, rep_odd_blocks[0][0].cols
-    elif rep_even:
-        d0, d1 = rep_even[0].rows, 0
-    else:
-        d0 = d1 = 0
-    total = d0 + d1
-    for i, mat in enumerate(rep_even):
-        if mat.rows != total or mat.cols != total:
-            raise InvalidInput(f"even matrix {i} has the wrong size")
-        for p in range(total):
-            for q in range(total):
-                if (p < d0) != (q < d0) and mat[p, q] != 0:
-                    raise NotARepresentation(i, i, f"even matrix {i} does not preserve the grading")
-    odd_full = []
-    for a, (top, bottom) in enumerate(rep_odd_blocks):
-        if top.rows != d0 or top.cols != d1 or bottom.rows != d1 or bottom.cols != d0:
-            raise InvalidInput(f"odd block pair {a} has the wrong size")
-        odd_full.append(_assemble_odd(top, bottom))
-    rho = list(rep_even) + odd_full
-    ad, k = s.adjoint(), s.even.dim
-    for x in range(s.dim):
-        for y in range(x, s.dim):
-            if not representation_defect(ad, rho, k, x, y).is_zero():
-                (p, i), (q, j) = s.label(x), s.label(y)
-                raise NotARepresentation(
-                    i, j, f"graded bracket fails at parities ({p}, {q}), indices ({i}, {j})")
-    gram_even = Matrix([[_supertrace(rep_even[i] * rep_even[j], d0) for j in range(k)]
-                        for i in range(k)], cols=k)
-    gram_odd = Matrix([[_supertrace(odd_full[a] * odd_full[b], d0) for b in range(s.odd_dim)]
-                       for a in range(s.odd_dim)], cols=s.odd_dim)
-    witness = form_invariance_witness(s, form_even=gram_even, form_odd=gram_odd)
-    if witness is not None:
-        raise IdentityViolated(f"supertrace form is not invariant: {witness}")
-    return gram_even, gram_odd
-
-
-# -- quotient by the radical of a degenerate form --------------------------
-
-
-def radical_quotient(s: SuperAlgebraData, form_even: Matrix,
-                        form_odd: Matrix) -> SuperAlgebraData:
-    """Quotient of ``s`` by the radical of a possibly-degenerate invariant
-    supersymmetric form; the induced form on the quotient is nonsingular.
-
-    Raises ``NotInvariant`` when the supplied form fails supersymmetry or
-    invariance and ``NotAnIdeal`` when the radical fails to be an ideal,
-    which can only happen if the invariance validation is broken."""
-    if form_even.rows != s.even.dim or form_even.cols != s.even.dim:
-        raise InvalidInput("even Gram matrix has the wrong size")
-    if form_odd.rows != s.odd_dim or form_odd.cols != s.odd_dim:
-        raise InvalidInput("odd Gram matrix has the wrong size")
-    if form_even.transpose() != form_even:
-        raise NotInvariant("even Gram matrix is not symmetric")
-    if form_odd.transpose() != -form_odd:
-        raise NotInvariant("odd Gram matrix is not antisymmetric")
-    witness = form_invariance_witness(s, form_even=form_even, form_odd=form_odd)
-    if witness is not None:
-        raise NotInvariant(f"form is not invariant: {witness}")
-
-    rad_even = [mat.col(0) for mat in kernel_basis(form_even)]
-    rad_odd = [mat.col(0) for mat in kernel_basis(form_odd)]
-
-    zero_k, zero_n = (_ZERO,) * s.even.dim, (_ZERO,) * s.odd_dim
-    radical = [(*r, *zero_n) for r in rad_even] + [(*zero_k, *r) for r in rad_odd]
-    if not all(in_span(radical, ad_t.apply(r)) for ad_t in s.adjoint() for r in radical):
-        raise NotAnIdeal("radical is not stable under the bracket")
-
-    def complement(dim: int, radical: list[tuple[Scalar, ...]]) -> tuple[list[int], Matrix | None]:
-        chosen: list[int] = []
-        cols = list(radical)
-        current = rank(Matrix.from_columns(cols, rows=dim)) if cols else 0
-        for idx in range(dim):
-            unit = tuple(_ONE if t == idx else _ZERO for t in range(dim))
-            attempt = cols + [unit]
-            r = rank(Matrix.from_columns(attempt, rows=dim))
-            if r > current:
-                chosen.append(idx)
-                cols = attempt
-                current = r
-        if dim == 0:
-            return chosen, None
-        units = [tuple(_ONE if t == idx else _ZERO for t in range(dim)) for idx in chosen]
-        basis = Matrix.from_columns(units + list(radical), rows=dim)
-        return chosen, basis
-
-    chosen_even, basis_even = complement(s.even.dim, rad_even)
-    chosen_odd, basis_odd = complement(s.odd_dim, rad_odd)
-
-    def project(basis: Matrix | None, count: int, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        if basis is None or count == 0:
-            return tuple([_ZERO] * count)
-        sol = solve_linear(basis, Matrix.column(vec))
-        return tuple(sol[i, 0] for i in range(count))
-
-    ke = len(chosen_even)
-    ko = len(chosen_odd)
-    brackets = [[tuple([_ZERO] * ke) for _ in range(ke)] for _ in range(ke)]
-    for p, i in enumerate(chosen_even):
-        for q, j in enumerate(chosen_even):
-            brackets[p][q] = project(basis_even, ke, s.even.bracket(i, j))
-    q_form_even = Matrix([[form_even[i, j] for j in chosen_even] for i in chosen_even], cols=ke)
-    even = QuadraticLieAlgebra(ke, tuple(tuple(row) for row in brackets), q_form_even)
-    even_odd = []
-    for i in chosen_even:
-        cols = []
-        for d in chosen_odd:
-            unit = tuple(_ONE if t == d else _ZERO for t in range(s.odd_dim))
-            cols.append(project(basis_odd, ko, s.even_odd[i].apply(unit)))
-        even_odd.append(Matrix.from_columns(cols, rows=ko))
-    odd_odd = {}
-    for p in range(ko):
-        for q in range(p, ko):
-            odd_odd[(p, q)] = project(basis_even, ke,
-                                      s.odd_bracket(chosen_odd[p], chosen_odd[q]))
-    q_form_odd = Matrix([[form_odd[i, j] for j in chosen_odd] for i in chosen_odd], cols=ko)
-    return SuperAlgebraData(
-        even=even,
-        odd_dim=ko,
-        even_odd=tuple(even_odd),
-        odd_odd=odd_odd,
-        form_even=q_form_even,
-        form_odd=q_form_odd,
-    )
 
 
 # -- registry --------------------------------------------------------------

@@ -17,12 +17,11 @@ import argparse
 import sys
 
 from . import __version__
-from .catalog import (CalibrationFailed, InvalidInput, NotAnIdeal, NotInvariant,
-                      TooLarge, UnknownInstance, build_instance)
-from .engine import (IdentityViolated, InternalDegreeLeak, NotARepresentation,
-                     NotSuperLieType, analyze, construct_superalgebra_unchecked,
-                     decide, first_failing_triple, validate_rep,
-                     verify_superalgebra)
+from .catalog import (CalibrationFailed, InvalidInput, TooLarge, UnknownInstance,
+                      build_instance)
+from .engine import (InternalDegreeLeak, NotARepresentation, NotSuperLieType, analyze,
+                     construct_superalgebra_unchecked, decide, first_failing_triple,
+                     validate_rep, verify_superalgebra)
 from .exactla import LinAlgError
 from .jsonio import (ParseError, canonical_dumps, file_digest, load_problem,
                      odd_brackets_to_json, problem_to_json, report_to_json,
@@ -35,8 +34,7 @@ from .weyl import SpaceMismatch
 _DOMAIN_ERRORS = (
     ParseError, LinAlgError, SymplecticError, SpaceMismatch, NotSymplectic,
     InconsistentRatio, LieAlgebraError, NotARepresentation, InternalDegreeLeak,
-    IdentityViolated, TooLarge, CalibrationFailed, UnknownInstance, InvalidInput,
-    NotInvariant, NotAnIdeal, OSError,
+    TooLarge, CalibrationFailed, UnknownInstance, InvalidInput, OSError,
 )
 
 

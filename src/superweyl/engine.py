@@ -29,7 +29,7 @@ measured exactly by contracting the obstruction three times
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
@@ -45,10 +45,9 @@ _ZERO = as_scalar(0)
 
 
 class NotARepresentation(Exception):
-    def __init__(self, i: int, j: int, detail: str | None = None):
+    def __init__(self, i: int, j: int):
         self.pair = (i, j)
-        super().__init__(
-            detail or f"matrix commutator disagrees with the bracket on basis pair ({i}, {j})")
+        super().__init__(f"matrix commutator disagrees with the bracket on basis pair ({i}, {j})")
 
 
 class InternalDegreeLeak(Exception):
@@ -69,10 +68,6 @@ class NotSuperLieType(Exception):
         self.obstruction = obstruction
         super().__init__("no Lie superalgebra extension exists; "
                          f"degree-four obstruction has {len(obstruction.terms)} terms")
-
-
-class IdentityViolated(Exception):
-    """An identity that should hold exactly failed; signals a bug."""
 
 
 @dataclass(frozen=True)
@@ -403,14 +398,10 @@ def _located(s: SuperAlgebraData, *basis: int) -> str:
             f"indices {tuple(i for _, i in labels)}")
 
 
-def form_invariance_witness(s: SuperAlgebraData,
-                            form_even: Matrix | None = None,
-                            form_odd: Matrix | None = None) -> str | None:
+def form_invariance_witness(s: SuperAlgebraData) -> str | None:
     """First basis triple violating ([x,y], z) = -(-1)^{|x||y|} (y, [x,z]),
-    read off ad_x^T G + S_x G ad_x, or None.  Optional Gram overrides let
-    callers test a different form against the same bracket tables."""
-    probe = replace(s, form_even=form_even or s.form_even, form_odd=form_odd or s.form_odd)
-    g, k, n = probe.gram(), s.even.dim, s.odd_dim
+    read off ad_x^T G + S_x G ad_x, or None."""
+    g, k, n = s.gram(), s.even.dim, s.odd_dim
     signs = (Matrix.identity(k + n), Matrix.diagonal([1] * k + [-1] * n))
     for x, ad_x in enumerate(s.adjoint()):
         defect = ad_x.transpose() * g + signs[int(x >= k)] * g * ad_x

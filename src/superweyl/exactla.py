@@ -286,13 +286,3 @@ def solve_overdetermined(a: Matrix, b: Matrix) -> Matrix:
     for row_idx, pc in enumerate(pivots):
         sol[pc] = m[row_idx][a.cols:]
     return Matrix(sol, cols=b.cols)
-
-
-def in_span(columns: Sequence[Sequence[Scalar]], vec: Sequence[Scalar]) -> bool:
-    """Whether ``vec`` lies in the span of the given column vectors."""
-    cols = list(columns)
-    if not cols:
-        return all(x == 0 for x in vec)
-    a = Matrix.from_columns(cols)
-    stacked = Matrix.from_columns(cols + [tuple(vec)])
-    return rank(a) == rank(stacked)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from typing import Sequence
 
@@ -31,11 +32,19 @@ def scalar_to_str(x: Scalar) -> str:
     return str(x)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def scalar_from_str(text) -> Scalar:
+    """A JSON integer or a string ``"p"`` or ``"p/q"`` of decimal digits with
+    an optional leading minus; decimals, exponents, spaces and ``+`` are
+    refused before any arithmetic."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ParseError(f"expected a rational string, got {text!r}")
+    if isinstance(text, str) and not _RATIONAL.fullmatch(text):
+        raise ParseError(f"bad rational {text!r}: expected \"p\" or \"p/q\"")
     try:
-        return as_scalar(text if isinstance(text, str) else int(text))
+        return as_scalar(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
 
@@ -121,8 +130,11 @@ def algebra_from_json(obj) -> QuadraticLieAlgebra:
     dim = _integer(obj["dim"], "algebra dimension")
     if dim < 0:
         raise ParseError(f"bad algebra dimension {dim!r}")
+    items = obj.get("brackets", [])
+    if not isinstance(items, list):
+        raise ParseError("'brackets' must be a list of [i, j, l, value] entries")
     entries = []
-    for item in obj.get("brackets", []):
+    for item in items:
         if not isinstance(item, list) or len(item) != 4:
             raise ParseError("each bracket entry must be [i, j, l, value]")
         *indices, value = item

@@ -2,17 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from superweyl.catalog import (CATALOG_INSTANCES, InvalidInput, NotARepresentation,
-                               NotInvariant, TooLarge, UnknownInstance,
-                               abelian_superalgebra, adjoint_representation,
-                               build_double, build_gl11_even, build_instance,
-                               build_osp_even, build_spin_rep, double_base, kron,
-                               matrix_structure_constants, radical_quotient,
-                               so_basis, sp_basis, supertrace_form, trace_gram)
+from superweyl.catalog import (CATALOG_INSTANCES, InvalidInput, TooLarge, UnknownInstance,
+                               abelian_superalgebra, build_double, build_gl11_even,
+                               build_instance, build_osp_even, build_spin_rep, double_base,
+                               kron, matrix_structure_constants, so_basis, sp_basis,
+                               trace_gram)
 from superweyl.engine import (SuperAlgebraData, construct_superalgebra, decide,
                               validate_rep, verify_superalgebra)
-from superweyl.exactla import Matrix
-from superweyl.liealg import validate_lie
+from superweyl.exactla import LinAlgError, Matrix, SingularMatrix
+from superweyl.liealg import representation_defect, validate_lie
 from superweyl.spbridge import NotSymplectic
 from superweyl.symplectic import is_in_sp, standard_space, validate_space
 
@@ -68,6 +66,15 @@ def test_structure_constants_sl2():
     assert table[0][2] == (0, 0, -2)
     assert table[1][2] == (1, 0, 0)
     assert table[2][1] == (-1, 0, 0)
+
+
+def test_structure_constants_refuse_open_or_dependent_bases():
+    e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    with pytest.raises(LinAlgError) as info:
+        matrix_structure_constants([e12, e21])  # [E12, E21] = diag(1, -1) is outside
+    assert not isinstance(info.value, SingularMatrix)
+    with pytest.raises(SingularMatrix):
+        matrix_structure_constants([e12, 2 * e12])
 
 
 # -- instance builders -----------------------------------------------------
@@ -168,84 +175,32 @@ def test_double_rejects_broken_input():
 # -- supertrace forms ------------------------------------------------------
 
 
+def _gram_of_supertrace(mats, d0):
+    """[str(M_i M_j)] with str(M) = sum_{u<d0} M_uu - sum_{u>=d0} M_uu."""
+    def supertrace(m):
+        return sum(m[u, u] for u in range(d0)) - sum(m[u, u] for u in range(d0, m.rows))
+    return Matrix([[supertrace(a * b) for b in mats] for a in mats], cols=len(mats))
+
+
 def test_adjoint_supertrace_of_simple_superalgebra():
     # both blocks come out exactly three times the defining-normalized form
     s = double_base("osp12")
-    rep_even, rep_odd = adjoint_representation(s)
-    b_even, b_odd = supertrace_form(s, rep_even, rep_odd)
-    assert b_even == 3 * s.form_even
-    assert b_odd == 3 * s.form_odd
+    ad, k = s.adjoint(), s.even.dim
+    assert _gram_of_supertrace(ad[:k], k) == 3 * s.form_even
+    assert _gram_of_supertrace(ad[k:], k) == 3 * s.form_odd
 
 
 def test_defining_supertrace_of_gl11():
+    # E11, E22 even and E12, E21 odd represent the base, and their
+    # supertrace forms are the forms the builder chose
     s = double_base("gl11")
-    rep_even = (Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]]))
-    rep_odd = ((Matrix([[1]]), Matrix([[0]])), (Matrix([[0]]), Matrix([[1]])))
-    b_even, b_odd = supertrace_form(s, rep_even, rep_odd)
-    assert b_even == Matrix.diagonal([1, -1])
-    assert b_odd == Matrix([[0, 1], [-1, 0]])
-
-
-def test_supertrace_form_validates_input():
-    s = double_base("gl11")
-    with pytest.raises(InvalidInput):
-        supertrace_form(s, (Matrix.identity(2),), ())
-    # an even matrix with an off-diagonal block breaks the grading
-    bad_even = (Matrix([[1, 1], [0, 0]]), Matrix([[0, 0], [0, 1]]))
-    blocks = ((Matrix([[1]]), Matrix([[0]])), (Matrix([[0]]), Matrix([[1]])))
-    with pytest.raises(NotARepresentation):
-        supertrace_form(s, bad_even, blocks)
-    # right shapes but wrong brackets
-    wrong = (Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, -1]]))
-    with pytest.raises(NotARepresentation):
-        supertrace_form(s, wrong, blocks)
-
-
-# -- quotients -------------------------------------------------------------
-
-
-def test_quotient_by_nonsingular_form_changes_nothing():
-    s = double_base("osp12")
-    q = radical_quotient(s, s.form_even, s.form_odd)
-    assert q.even.brackets == s.even.brackets
-    assert q.odd_odd == s.odd_odd
-    assert q.form_even == s.form_even and q.form_odd == s.form_odd
-
-
-def test_quotient_by_zero_form_is_zero():
-    s = double_base("gl11")
-    q = radical_quotient(s, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
-    assert q.even.dim == 0 and q.odd_dim == 0
-
-
-def test_quotient_of_double_by_pulled_back_form():
-    # pull the adjoint supertrace form of the base back through the
-    # projection of the double onto the base; the radical is the dual half
-    # and the quotient recovers the base with the adjoint-supertrace form
-    base = double_base("osp12")
-    _, ds = build_double(base)
-    ad_even, ad_odd = adjoint_representation(base)
-    zero_even = Matrix.zeros(5, 5)
-    zero_blocks = (Matrix.zeros(3, 2), Matrix.zeros(2, 3))
-    b_even, b_odd = supertrace_form(
-        ds, tuple(ad_even) + (zero_even,) * 3, tuple(ad_odd) + (zero_blocks,) * 2)
-    q = radical_quotient(ds, b_even, b_odd)
-    assert q.even.dim == 3 and q.odd_dim == 2
-    assert all_pass(q) == []
-    assert q.form_even == 3 * base.form_even
-    assert q.form_odd == 3 * base.form_odd
-    assert q.odd_odd == base.odd_odd
-
-
-def test_quotient_rejects_bad_gram():
-    s = double_base("gl11")
-    with pytest.raises(InvalidInput):
-        radical_quotient(s, Matrix.zeros(3, 3), s.form_odd)
-    with pytest.raises(NotInvariant):
-        radical_quotient(s, Matrix([[0, 1], [0, 0]]), s.form_odd)
-    # symmetric and of the right shape, but not invariant
-    with pytest.raises(NotInvariant):
-        radical_quotient(s, Matrix.diagonal([1, 1]), s.form_odd)
+    rho = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]]),
+           Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])]
+    ad, k = s.adjoint(), s.even.dim
+    assert all(representation_defect(ad, rho, k, x, y).is_zero()
+               for x in range(s.dim) for y in range(s.dim))
+    assert _gram_of_supertrace(rho[:k], 1) == s.form_even == Matrix.diagonal([1, -1])
+    assert _gram_of_supertrace(rho[k:], 1) == s.form_odd == Matrix([[0, 1], [-1, 0]])
 
 
 # -- registry --------------------------------------------------------------

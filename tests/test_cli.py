@@ -32,10 +32,11 @@ def test_scalar_strings():
     assert scalar_to_str(Fraction(4)) == "4"
     assert scalar_from_str("-3/8") == Fraction(-3, 8)
     assert scalar_from_str("7") == Fraction(7)
-    with pytest.raises(ParseError):
-        scalar_from_str("abc")
-    with pytest.raises(ParseError):
-        scalar_from_str(None)
+    assert scalar_from_str(3) == Fraction(3)
+    # only "p" and "p/q" with an optional minus; Fraction alone accepts the last five
+    for text in ("abc", None, "-1/-2", "1.5", " 1 ", "1e5", "+1", "1_000"):
+        with pytest.raises(ParseError):
+            scalar_from_str(text)
 
 
 def test_matrix_round_trip():
@@ -256,6 +257,19 @@ def test_boolean_dimension_exits_one_with_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("ParseError:") and captured.err.count("\n") == 1
     assert not report.exists()
+
+
+@pytest.mark.parametrize("brackets", [5, None, "[]", {"0": [0, 1, 0, "1"]}])
+def test_brackets_that_are_not_a_list_exit_one_with_one_line(tmp_path, capsys, brackets):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "space": {"dim": 2, "omega": "standard"},
+        "g0": {"dim": 1, "brackets": brackets, "form": [["1"]]},
+        "nu": [[["0", "0"], ["0", "0"]]]}))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ParseError:") and captured.err.count("\n") == 1
 
 
 def test_validation_error_names_surface(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superweyl.exactla import (DimensionMismatch, LinAlgError, Matrix,
-                               SingularMatrix, as_scalar, in_span, invert,
+                               SingularMatrix, as_scalar, invert,
                                kernel_basis, rank, solve_linear,
                                solve_overdetermined)
 
@@ -105,14 +105,6 @@ def test_solve_overdetermined():
         solve_overdetermined(a, Matrix.column([2, 3, 6]))
     with pytest.raises(SingularMatrix):
         solve_overdetermined(Matrix([[1, 2], [2, 4], [0, 0]]), Matrix.column([0, 0, 0]))
-
-
-def test_in_span():
-    cols = [(1, 0, 1), (0, 1, 1)]
-    assert in_span(cols, (1, 1, 2))
-    assert not in_span(cols, (0, 0, 1))
-    assert in_span([], (0, 0))
-    assert not in_span([], (1, 0))
 
 
 _scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -4,12 +4,18 @@ No module may import a private (``_``-prefixed, non-dunder) name from a
 sibling module, at module level or inside a function: a name shared across
 modules is part of the package's interface and must be public.  Every
 function that the benchmark's tracer wraps must stay a module-level
-callable of its module.
+callable of its module, and the benchmark's traced CLI calls must reach
+every function its checker requires.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+import pytest
+
+from superweyl import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "superweyl"
@@ -46,15 +52,20 @@ def test_detector_sees_function_local_imports(tmp_path):
     assert private_imports(sample) == ["sample.py:2 imports _hidden from .engine"]
 
 
-def traced_targets() -> dict[str, tuple[str, ...]]:
-    """``TARGETS`` of ``perfbench/tracing.py``, read without importing it."""
-    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+def perfbench_constant(filename: str, name: str):
+    """A literal module-level constant of ``perfbench/<filename>``, read
+    without importing the file."""
+    tree = ast.parse((ROOT / "perfbench" / filename).read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.AnnAssign | ast.Assign):
             targets = [node.target] if isinstance(node, ast.AnnAssign) else node.targets
-            if any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in targets):
+            if any(isinstance(t, ast.Name) and t.id == name for t in targets):
                 return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+    raise AssertionError(f"perfbench/{filename} defines no {name}")
+
+
+def traced_targets() -> dict[str, tuple[str, ...]]:
+    return perfbench_constant("tracing.py", "TARGETS")
 
 
 def test_traced_functions_exist():
@@ -63,3 +74,30 @@ def test_traced_functions_exist():
     missing = [f"{module}.{name}" for module, names in targets.items() for name in names
                if not callable(getattr(importlib.import_module(f"superweyl.{module}"), name, None))]
     assert missing == []
+
+
+def _load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv, positive", [(["gl11"], True), (["spin", "3"], False)])
+def test_traced_call_paths_reach_every_required_function(tmp_path, capsys, argv, positive):
+    # the benchmark's traced pass flags a result as incorrect when a required
+    # function gets no call, or a positive-only one runs on a negative problem
+    every_pass = perfbench_constant("run.py", "EVERY_PASS")
+    positive_only = perfbench_constant("run.py", "POSITIVE_ONLY")
+    problem, report, out = (str(tmp_path / name) for name in ("p.json", "r.json", "s.json"))
+    tracer = _load_tracer_module().Tracer()
+    with tracer.installed():
+        assert cli.main(["catalog", *argv, "--out", problem]) == 0
+        assert cli.main(["test", problem, "--report", report]) == 0
+        assert cli.main(["construct", problem, "--out", out]) == (0 if positive else 2)
+    capsys.readouterr()
+    required = every_pass + (positive_only if positive else ())
+    assert [name for name in required if tracer.total(name, "calls") == 0] == []
+    if not positive:
+        assert [name for name in positive_only if tracer.total(name, "calls") != 0] == []
