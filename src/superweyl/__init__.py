@@ -42,8 +42,6 @@ from .weyl import (
     bilinear_form,
     contract,
     grade,
-    parity_twist,
-    phase_twist,
     weyl_commutator,
     weyl_product,
 )
@@ -71,8 +69,6 @@ __all__ = [
     "decide",
     "grade",
     "jacobiator",
-    "parity_twist",
-    "phase_twist",
     "quadratic_lift",
     "quadratic_lift_adjoint",
     "quadratic_pairing",

@@ -12,6 +12,7 @@ space.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -235,24 +236,19 @@ def build_spin_rep(two_j: int) -> SymplecticRep:
 
 def abelian_superalgebra(dim: int, form: Matrix | None = None) -> SuperAlgebraData:
     """Purely even abelian superalgebra; the degenerate base case for doubles."""
-    even = QuadraticLieAlgebra.abelian(dim, form)
-    return SuperAlgebraData(
-        even=even,
-        odd_dim=0,
-        even_odd=tuple(Matrix.zeros(0, 0) for _ in range(dim)),
-        odd_odd={},
-        form_even=even.form,
-        form_odd=Matrix.zeros(0, 0),
-    )
+    point = Matrix.zeros(0, 0)
+    rep = SymplecticRep(QuadraticLieAlgebra.abelian(dim, form), SymplecticSpace(0, point),
+                        (point,) * dim)
+    return SuperAlgebraData(rep, {})
 
 
-def build_double(s: SuperAlgebraData) -> tuple[SymplecticRep, SuperAlgebraData]:
+def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
     """The double of ``s``: the sum of ``s`` and its dual space, with ``s``
     acting on functionals through the contragredient action, the dual an
     abelian ideal, and the hyperbolic form pairing the two halves.
 
-    Returns both presentations of the same object: the even part with its
-    action on the odd space, and the explicit bracket tables.  The sign of
+    The odd bracket is written out by hand, so that the engine's
+    reconstruction from ``.rep`` can be compared against it.  The sign of
     the odd pairing follows the rule (u, v) = -(v, u) for odd u, v applied
     to the canonical pairing of functionals against vectors, written in the
     order (functional, vector).
@@ -260,8 +256,8 @@ def build_double(s: SuperAlgebraData) -> tuple[SymplecticRep, SuperAlgebraData]:
     failures = [c for c in verify_superalgebra(s) if not c.passed]
     if failures:
         raise InvalidInput(f"input fails verification: {failures[0].name}")
-    k = s.even.dim
-    n = s.odd_dim
+    base = s.rep.algebra
+    k, n = base.dim, s.rep.space.dim
     kk = 2 * k
     nn = 2 * n
 
@@ -269,12 +265,12 @@ def build_double(s: SuperAlgebraData) -> tuple[SymplecticRep, SuperAlgebraData]:
     brackets = [[[_ZERO] * kk for _ in range(kk)] for _ in range(kk)]
     for i in range(k):
         for j in range(k):
-            for l, c in enumerate(s.even.bracket(i, j)):
+            for l, c in enumerate(base.bracket(i, j)):
                 brackets[i][j][l] = c
     for i in range(k):
         for j in range(k):
             for l in range(k):
-                c = -s.even.bracket(i, l)[j]
+                c = -base.bracket(i, l)[j]
                 brackets[i][k + j][k + l] = c
                 brackets[k + j][i][k + l] = -c
     frozen = tuple(tuple(tuple(v) for v in row) for row in brackets)
@@ -283,16 +279,13 @@ def build_double(s: SuperAlgebraData) -> tuple[SymplecticRep, SuperAlgebraData]:
     even = QuadraticLieAlgebra(kk, frozen, form_even)
 
     # odd form on basis (y_0..y_{n-1}, z_0..z_{n-1}): (y_b, z_a) = -delta
-    form_odd = Matrix([[_ZERO] * nn for _ in range(nn)], cols=nn)
-    if n:
-        form_odd = Matrix(
-            [[-_ONE if j == i + n else _ONE if i == j + n else _ZERO for j in range(nn)]
-             for i in range(nn)], cols=nn)
+    form_odd = Matrix([[-_ONE if j == i + n else _ONE if i == j + n else _ZERO
+                        for j in range(nn)] for i in range(nn)], cols=nn)
 
     # action of the doubled even part on the doubled odd space
     matrices: list[Matrix] = []
     for i in range(k):
-        nu_i = s.even_odd[i]
+        nu_i = s.rep.matrices[i]
         data = [[_ZERO] * nn for _ in range(nn)]
         for p in range(n):
             for q in range(n):
@@ -305,8 +298,7 @@ def build_double(s: SuperAlgebraData) -> tuple[SymplecticRep, SuperAlgebraData]:
             for c_idx in range(n):
                 data[n + c_idx][b] = s.odd_bracket(b, c_idx)[j]
         matrices.append(Matrix(data, cols=nn))
-    space = SymplecticSpace(nn, form_odd)
-    rep = SymplecticRep(even, space, tuple(matrices))
+    rep = SymplecticRep(even, SymplecticSpace(nn, form_odd), tuple(matrices))
 
     # explicit odd-odd table of the double
     odd_odd: dict[tuple[int, int], tuple[Scalar, ...]] = {}
@@ -319,17 +311,9 @@ def build_double(s: SuperAlgebraData) -> tuple[SymplecticRep, SuperAlgebraData]:
             elif p < n <= q:
                 a = q - n
                 for l in range(k):
-                    coords[k + l] = -s.even_odd[l][a, p]
+                    coords[k + l] = -s.rep.matrices[l][a, p]
             odd_odd[(p, q)] = tuple(coords)
-    data = SuperAlgebraData(
-        even=even,
-        odd_dim=nn,
-        even_odd=tuple(matrices),
-        odd_odd=odd_odd,
-        form_even=form_even,
-        form_odd=form_odd,
-    )
-    return rep, data
+    return SuperAlgebraData(rep, odd_odd)
 
 
 # -- registry --------------------------------------------------------------
@@ -386,12 +370,16 @@ def build_instance(name: str, parameters: Sequence) -> SymplecticRep:
     if name == "double":
         if len(params) != 1:
             raise InvalidInput("double takes the name of a base instance")
-        return build_double(double_base(str(params[0])))[0]
+        return build_double(double_base(str(params[0]))).rep
     raise UnknownInstance(name)
 
 
 def _as_int(value) -> int:
-    try:
+    """A Python int other than a bool, or a string of ASCII digits with an
+    optional leading minus; spaces, signs, underscores and other digits are
+    refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"expected an integer parameter, got {value!r}") from exc
+    raise InvalidInput(f"expected an integer parameter, got {value!r}")

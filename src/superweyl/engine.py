@@ -233,57 +233,50 @@ def _dual_trace_sum(a: Analysis) -> Scalar:
 
 @dataclass(frozen=True)
 class SuperAlgebraData:
-    """Bracket tables and Gram matrices of a Lie superalgebra on g0 + v.
+    """A Lie superalgebra on g0 + v: the representation ``rep`` of g0 on v,
+    which holds the even brackets, nu and the forms B and omega, plus the
+    odd bracket.
 
-    ``even_odd[i]`` is the matrix action of even basis element i on the odd
-    space; ``odd_odd`` maps unordered index pairs (a <= b) to coordinates in
-    g0 of the symmetric odd bracket.  Construction checks shapes;
-    ``verify_superalgebra`` checks the axioms on the derived view
-    ``adjoint()`` and ``gram()``, whose basis is x_0..x_{k-1}, y_0..y_{n-1}.
+    ``odd_odd`` maps unordered index pairs (a <= b) to coordinates in g0 of
+    the symmetric odd bracket; a missing pair is zero.  Construction checks
+    its keys and lengths; ``verify_superalgebra`` checks the axioms on the
+    derived view ``adjoint()`` and ``gram()``, whose basis is
+    x_0..x_{k-1}, y_0..y_{n-1}.
     """
 
-    even: QuadraticLieAlgebra
-    odd_dim: int
-    even_odd: tuple[Matrix, ...]
+    rep: SymplecticRep
     odd_odd: dict[tuple[int, int], tuple[Scalar, ...]]
-    form_even: Matrix
-    form_odd: Matrix
 
     def __post_init__(self):
-        k, n = self.even.dim, self.odd_dim
-        if len(self.even_odd) != k or any(m.rows != n or m.cols != n for m in self.even_odd):
-            raise ValueError("need one odd_dim x odd_dim matrix per even basis element")
+        k, n = self.rep.algebra.dim, self.rep.space.dim
         for key, coords in self.odd_odd.items():
             if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] <= key[1] < n):
                 raise ValueError(f"odd bracket key {key!r} is not a pair a <= b < {n}")
             if len(coords) != k:
                 raise ValueError(f"odd bracket {key} needs {k} coordinates, got {len(coords)}")
-        if self.form_even.rows != k or self.form_even.cols != k:
-            raise ValueError("even Gram matrix must be square of the even dimension")
-        if self.form_odd.rows != n or self.form_odd.cols != n:
-            raise ValueError("odd Gram matrix must be square of the odd dimension")
 
     @property
     def dim(self) -> int:
-        return self.even.dim + self.odd_dim
+        return self.rep.algebra.dim + self.rep.space.dim
 
     def label(self, u: int) -> tuple[int, int]:
         """(parity, index within that parity) of basis element u."""
-        k = self.even.dim
+        k = self.rep.algebra.dim
         return (0, u) if u < k else (1, u - k)
 
     def odd_bracket(self, a: int, b: int) -> tuple[Scalar, ...]:
         key = (a, b) if a <= b else (b, a)
-        return self.odd_odd.get(key, tuple([_ZERO] * self.even.dim))
+        return self.odd_odd.get(key, tuple([_ZERO] * self.rep.algebra.dim))
 
     def adjoint(self) -> list[Matrix]:
         """The matrices ad_t of all basis elements: column u of ad_t holds
         the coordinates of [e_t, e_u].  Read off the bracket tables alone;
         for even t it is the block sum of the even ad_t and nu_t."""
-        k, n = self.even.dim, self.odd_dim
+        algebra, nus = self.rep.algebra, self.rep.matrices
+        k, n = algebra.dim, self.rep.space.dim
         zero_k, zero_n = (_ZERO,) * k, (_ZERO,) * n
-        ad = [_block_diagonal(ad_t, nu) for ad_t, nu in zip(self.even.adjoint(), self.even_odd)]
-        ad += [Matrix.from_columns([(*zero_k, *(-c for c in nu.col(a))) for nu in self.even_odd]
+        ad = [_block_diagonal(ad_t, nu) for ad_t, nu in zip(algebra.adjoint(), nus)]
+        ad += [Matrix.from_columns([(*zero_k, *(-c for c in nu.col(a))) for nu in nus]
                                    + [(*self.odd_bracket(a, b), *zero_n) for b in range(n)],
                                    rows=k + n)
                for a in range(n)]
@@ -291,7 +284,7 @@ class SuperAlgebraData:
 
     def gram(self) -> Matrix:
         """Block-diagonal Gram matrix of the form on g0 + v."""
-        return _block_diagonal(self.form_even, self.form_odd)
+        return _block_diagonal(self.rep.algebra.form, self.rep.space.omega)
 
 
 def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
@@ -304,19 +297,12 @@ def construct_superalgebra_unchecked(problem: Problem) -> SuperAlgebraData:
     without testing the obstruction.  Diagnostic tool: on a negative
     instance the result fails exactly the odd-odd-odd Jacobi sector."""
     a = analyze(problem)
-    rep, n = a.rep, a.rep.space.dim
+    n = a.rep.space.dim
     # quadratic_monomials lists the y_i y_j (i <= j) in this order
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     odd_odd = {pair: tuple(2 * x for x in quadratic_lift_adjoint(a, QuadraticElement(mono)))
-               for pair, mono in zip(pairs, quadratic_monomials(rep.space))}
-    return SuperAlgebraData(
-        even=rep.algebra,
-        odd_dim=rep.space.dim,
-        even_odd=tuple(rep.matrices),
-        odd_odd=odd_odd,
-        form_even=rep.algebra.form,
-        form_odd=rep.space.omega,
-    )
+               for pair, mono in zip(pairs, quadratic_monomials(a.rep.space))}
+    return SuperAlgebraData(a.rep, odd_odd)
 
 
 def construct_superalgebra(problem: Problem) -> SuperAlgebraData:
@@ -348,7 +334,7 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     Each check reports the first violating tuple in basis order (even
     before odd), with indices counted within their parity.  Only the bracket
     tables and Gram blocks are read, never the engine's lifts."""
-    ad, k, basis = s.adjoint(), s.even.dim, range(s.dim)
+    ad, k, basis = s.adjoint(), s.rep.algebra.dim, range(s.dim)
     checks: list[CheckResult] = []
 
     witness = next((_located(s, x, y) for x, y in product(basis, repeat=2)
@@ -372,15 +358,16 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     witness = form_invariance_witness(s)
     checks.append(CheckResult("form_invariance", witness is None, witness))
 
-    sym_ok = s.form_even.transpose() == s.form_even
-    alt_ok = s.form_odd.transpose() == -s.form_odd
+    form, omega = s.rep.algebra.form, s.rep.space.omega
+    sym_ok = form.transpose() == form
+    alt_ok = omega.transpose() == -omega
     checks.append(CheckResult("form_supersymmetry", sym_ok and alt_ok,
                               None if sym_ok and alt_ok else "Gram symmetry pattern broken"))
 
     nonsingular = True
     try:
-        invert(s.form_even)
-        invert(s.form_odd)
+        invert(form)
+        invert(omega)
     except SingularMatrix:
         nonsingular = False
     checks.append(CheckResult("form_nonsingular", nonsingular,
@@ -401,7 +388,7 @@ def _located(s: SuperAlgebraData, *basis: int) -> str:
 def form_invariance_witness(s: SuperAlgebraData) -> str | None:
     """First basis triple violating ([x,y], z) = -(-1)^{|x||y|} (y, [x,z]),
     read off ad_x^T G + S_x G ad_x, or None."""
-    g, k, n = s.gram(), s.even.dim, s.odd_dim
+    g, k, n = s.gram(), s.rep.algebra.dim, s.rep.space.dim
     signs = (Matrix.identity(k + n), Matrix.diagonal([1] * k + [-1] * n))
     for x, ad_x in enumerate(s.adjoint()):
         defect = ad_x.transpose() * g + signs[int(x >= k)] * g * ad_x
@@ -417,7 +404,7 @@ def jacobiator(s: SuperAlgebraData, a: int, b: int, c: int) -> Vector:
     basis elements; the inner bracket lands in g0 and the outer one acts
     back on the odd space, so the result is an odd coordinate vector.
     Zero for every triple exactly when the odd-odd-odd Jacobi sector holds."""
-    ad, k = s.adjoint(), s.even.dim
+    ad, k = s.adjoint(), s.rep.algebra.dim
     images = [ad[k + p].apply(ad[k + q].col(k + r))
               for p, q, r in ((a, b, c), (b, c, a), (c, a, b))]
     return tuple(sum(entries, _ZERO) for entries in zip(*images))[k:]

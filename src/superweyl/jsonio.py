@@ -18,7 +18,7 @@ import tempfile
 from typing import Sequence
 
 from .engine import (CheckResult, SuperAlgebraData, SymplecticRep, TestReport)
-from .exactla import Matrix, Scalar, as_scalar
+from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar
 from .liealg import QuadraticLieAlgebra
 from .symplectic import SymplecticSpace, standard_space
 from .weyl import PolyElement
@@ -63,9 +63,10 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 def matrix_from_json(obj, rows: int | None = None, cols: int | None = None) -> Matrix:
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise ParseError("matrix must be a list of rows")
+    entries = [[scalar_from_str(x) for x in row] for row in obj]
     try:
-        m = Matrix([[scalar_from_str(x) for x in row] for row in obj], cols=cols)
-    except Exception as exc:
+        m = Matrix(entries, cols=cols)
+    except DimensionMismatch as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
     if rows is not None and m.rows != rows:
         raise ParseError(f"expected {rows} rows, got {m.rows}")
@@ -77,23 +78,6 @@ def matrix_from_json(obj, rows: int | None = None, cols: int | None = None) -> M
 def poly_to_json(p: PolyElement) -> list[dict]:
     return [{"exp": list(exp), "coeff": scalar_to_str(coeff)}
             for exp, coeff in p.sorted_terms()]
-
-
-def poly_from_json(space: SymplecticSpace, obj) -> PolyElement:
-    if not isinstance(obj, list):
-        raise ParseError("polynomial must be a list of terms")
-    terms = {}
-    for item in obj:
-        if not isinstance(item, dict) or "exp" not in item or "coeff" not in item:
-            raise ParseError("each term needs 'exp' and 'coeff'")
-        if not isinstance(item["exp"], list):
-            raise ParseError("'exp' must be a list of integers")
-        exp = tuple(_integer(k, "exponent") for k in item["exp"])
-        terms[exp] = terms.get(exp, as_scalar(0)) + scalar_from_str(item["coeff"])
-    try:
-        return PolyElement(space, terms)
-    except Exception as exc:
-        raise ParseError(f"bad polynomial: {exc}") from exc
 
 
 def space_to_json(space: SymplecticSpace) -> dict:
@@ -215,13 +199,13 @@ def superalgebra_to_json(s: SuperAlgebraData, checks: Sequence[CheckResult],
     return {
         "tool_version": version,
         "input_digest": digest,
-        "even": algebra_to_json(s.even),
-        "odd_dim": s.odd_dim,
-        "even_odd": [matrix_to_json(m) for m in s.even_odd],
+        "even": algebra_to_json(s.rep.algebra),
+        "odd_dim": s.rep.space.dim,
+        "even_odd": [matrix_to_json(m) for m in s.rep.matrices],
         "odd_brackets": [[a, b, [scalar_to_str(c) for c in s.odd_odd[(a, b)]]]
                          for (a, b) in sorted(s.odd_odd)],
-        "form_even": matrix_to_json(s.form_even),
-        "form_odd": matrix_to_json(s.form_odd),
+        "form_even": matrix_to_json(s.rep.algebra.form),
+        "form_odd": matrix_to_json(s.rep.space.omega),
         "checks": checks_to_json(checks),
     }
 

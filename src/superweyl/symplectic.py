@@ -52,9 +52,6 @@ class SymplecticSpace:
             raise IndexError(f"basis index {i} out of range for dimension {self.dim}")
         return tuple(as_scalar(1 if j == i else 0) for j in range(self.dim))
 
-    def zero_vector(self) -> Vector:
-        return tuple(as_scalar(0) for _ in range(self.dim))
-
 
 def as_vector(space: SymplecticSpace, coords: Sequence) -> Vector:
     v = tuple(as_scalar(x) for x in coords)

@@ -252,7 +252,7 @@ def bilinear_form(a: PolyElement, b: PolyElement) -> Scalar:
     return constant_term(weyl_product(a, b))
 
 
-# -- grading and the order-four twist --------------------------------------
+# -- grading --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -281,35 +281,6 @@ def grade(a: PolyElement) -> GradedDecomposition:
         buckets.setdefault(sum(exp), {})[exp] = coeff
     return GradedDecomposition(
         a.space, {d: PolyElement(a.space, t) for d, t in buckets.items()})
-
-
-@dataclass(frozen=True)
-class PhaseSplit:
-    """Image of a polynomial under the order-four antiautomorphism that
-    scales each degree-n component by the n-th power of the imaginary unit,
-    encoded without complex arithmetic as a real part (even degrees, sign
-    (-1)^(n/2)) and an imaginary part (odd degrees, sign (-1)^((n-1)/2))."""
-
-    real: PolyElement
-    imag: PolyElement
-
-
-def phase_twist(a: PolyElement) -> PhaseSplit:
-    real: dict[Exponent, Scalar] = {}
-    imag: dict[Exponent, Scalar] = {}
-    for exp, coeff in a.terms.items():
-        n = sum(exp)
-        signed = -coeff if n % 4 in (2, 3) else coeff
-        if n % 2:
-            imag[exp] = signed
-        else:
-            real[exp] = signed
-    return PhaseSplit(PolyElement(a.space, real), PolyElement(a.space, imag))
-
-
-def parity_twist(a: PolyElement) -> PolyElement:
-    """Square of the phase twist: each degree-n component scaled by (-1)^n."""
-    return PolyElement(a.space, {e: -c if sum(e) % 2 else c for e, c in a.terms.items()})
 
 
 def linear_coordinates(a: PolyElement) -> Vector:

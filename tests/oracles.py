@@ -167,18 +167,18 @@ def _super_bracket(s, x, y):
     px, vx = x
     py, vy = y
     if px == 0 and py == 0:
-        return (0, s.even.bracket_vectors(vx, vy))
+        return (0, s.rep.algebra.bracket_vectors(vx, vy))
     if px == 0 and py == 1:
-        out = [Fraction(0)] * s.odd_dim
+        out = [Fraction(0)] * s.rep.space.dim
         for i, c in enumerate(vx):
             if c != 0:
-                image = s.even_odd[i].apply(vy)
+                image = s.rep.matrices[i].apply(vy)
                 out = [o + c * t for o, t in zip(out, image)]
         return (1, tuple(out))
     if px == 1 and py == 0:
         parity, vec = _super_bracket(s, y, x)
         return (parity, tuple(-t for t in vec))
-    out_even = [Fraction(0)] * s.even.dim
+    out_even = [Fraction(0)] * s.rep.algebra.dim
     for a, ca in enumerate(vx):
         for b, cb in enumerate(vy):
             if ca != 0 and cb != 0:
@@ -190,17 +190,17 @@ def _super_bracket(s, x, y):
 def _super_form(s, x, y):
     if x[0] != y[0]:
         return Fraction(0)
-    return (s.form_even if x[0] == 0 else s.form_odd).bilinear(x[1], y[1])
+    return (s.rep.algebra.form if x[0] == 0 else s.rep.space.omega).bilinear(x[1], y[1])
 
 
 def _unit(s, parity, index):
-    dim = s.even.dim if parity == 0 else s.odd_dim
+    dim = s.rep.algebra.dim if parity == 0 else s.rep.space.dim
     return (parity, tuple(Fraction(int(t == index)) for t in range(dim)))
 
 
 def _labelled_basis(s):
-    return ([(0, i, _unit(s, 0, i)) for i in range(s.even.dim)]
-            + [(1, a, _unit(s, 1, a)) for a in range(s.odd_dim)])
+    return ([(0, i, _unit(s, 0, i)) for i in range(s.rep.algebra.dim)]
+            + [(1, a, _unit(s, 1, a)) for a in range(s.rep.space.dim)])
 
 
 def _form_invariance_witness(s):
@@ -248,7 +248,7 @@ def oracle_verify_superalgebra(s) -> list[CheckResult]:
     checks.append(CheckResult("graded_antisymmetry", witness is None, witness))
 
     for parities in product((0, 1), repeat=3):
-        dims = [s.even.dim if p == 0 else s.odd_dim for p in parities]
+        dims = [s.rep.algebra.dim if p == 0 else s.rep.space.dim for p in parities]
         witness = next((f"indices {t}" for t in product(*map(range, dims))
                         if not _jacobi_holds(s, parities, t)), None)
         checks.append(CheckResult("jacobi_" + "".join("eo"[p] for p in parities),
@@ -257,13 +257,13 @@ def oracle_verify_superalgebra(s) -> list[CheckResult]:
     witness = _form_invariance_witness(s)
     checks.append(CheckResult("form_invariance", witness is None, witness))
 
-    supersymmetric = (s.form_even.transpose() == s.form_even
-                      and s.form_odd.transpose() == -s.form_odd)
+    supersymmetric = (s.rep.algebra.form.transpose() == s.rep.algebra.form
+                      and s.rep.space.omega.transpose() == -s.rep.space.omega)
     checks.append(CheckResult("form_supersymmetry", supersymmetric,
                               None if supersymmetric else "Gram symmetry pattern broken"))
     try:
-        invert(s.form_even)
-        invert(s.form_odd)
+        invert(s.rep.algebra.form)
+        invert(s.rep.space.omega)
         nonsingular = True
     except SingularMatrix:
         nonsingular = False

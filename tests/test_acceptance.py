@@ -228,12 +228,12 @@ def test_criterion_08_calibrated_instances_within_budget():
 
 def test_criterion_09_double_round_trips():
     for name in ("abelian1", "gl11", "osp12"):
-        rep, expected = build_double(double_base(name))
-        report = decide(rep)
+        expected = build_double(double_base(name))
+        report = decide(expected.rep)
         assert report.verdict
-        rebuilt = construct_superalgebra(rep)
+        rebuilt = construct_superalgebra(expected.rep)
         assert rebuilt.odd_odd == expected.odd_odd
-    assert decide(build_double(double_base("abelian1"))[0]).casimir_scalar == 0
+    assert decide(build_double(double_base("abelian1")).rep).casimir_scalar == 0
     announce(9, "doubles of three base structures extend and the engine "
                 "reconstructs their explicit odd bracket tables")
 

@@ -137,9 +137,10 @@ def test_spin_rep_rejects_bad_weight():
 def test_double_shapes_and_validity():
     for name in ("abelian1", "gl11", "osp12"):
         base = double_base(name)
-        rep, data = build_double(base)
-        assert rep.algebra.dim == 2 * base.even.dim
-        assert rep.space.dim == 2 * base.odd_dim
+        data = build_double(base)
+        rep = data.rep
+        assert rep.algebra.dim == 2 * base.rep.algebra.dim
+        assert rep.space.dim == 2 * base.rep.space.dim
         validate_space(rep.space) if rep.space.dim else None
         validate_lie(rep.algebra)
         validate_rep(rep)
@@ -148,16 +149,16 @@ def test_double_shapes_and_validity():
 
 def test_double_reconstruction_round_trip():
     for name in ("abelian1", "gl11", "osp12"):
-        rep, expected = build_double(double_base(name))
-        r = decide(rep)
+        expected = build_double(double_base(name))
+        r = decide(expected.rep)
         assert r.verdict
-        rebuilt = construct_superalgebra(rep)
+        rebuilt = construct_superalgebra(expected.rep)
         assert rebuilt.odd_odd == expected.odd_odd
-        assert rebuilt.even_odd == expected.even_odd
+        assert rebuilt.rep is expected.rep
 
 
 def test_double_of_purely_even_input():
-    rep, data = build_double(abelian_superalgebra(2))
+    rep = build_double(abelian_superalgebra(2)).rep
     assert rep.space.dim == 0 and rep.algebra.dim == 4
     assert decide(rep).verdict
 
@@ -166,8 +167,7 @@ def test_double_rejects_broken_input():
     base = double_base("gl11")
     broken = dict(base.odd_odd)
     broken[(0, 0)] = (Fraction(1), Fraction(0))
-    bad = SuperAlgebraData(base.even, base.odd_dim, base.even_odd, broken,
-                           base.form_even, base.form_odd)
+    bad = SuperAlgebraData(base.rep, broken)
     with pytest.raises(InvalidInput):
         build_double(bad)
 
@@ -185,9 +185,9 @@ def _gram_of_supertrace(mats, d0):
 def test_adjoint_supertrace_of_simple_superalgebra():
     # both blocks come out exactly three times the defining-normalized form
     s = double_base("osp12")
-    ad, k = s.adjoint(), s.even.dim
-    assert _gram_of_supertrace(ad[:k], k) == 3 * s.form_even
-    assert _gram_of_supertrace(ad[k:], k) == 3 * s.form_odd
+    ad, k = s.adjoint(), s.rep.algebra.dim
+    assert _gram_of_supertrace(ad[:k], k) == 3 * s.rep.algebra.form
+    assert _gram_of_supertrace(ad[k:], k) == 3 * s.rep.space.omega
 
 
 def test_defining_supertrace_of_gl11():
@@ -196,11 +196,11 @@ def test_defining_supertrace_of_gl11():
     s = double_base("gl11")
     rho = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]]),
            Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])]
-    ad, k = s.adjoint(), s.even.dim
+    ad, k = s.adjoint(), s.rep.algebra.dim
     assert all(representation_defect(ad, rho, k, x, y).is_zero()
                for x in range(s.dim) for y in range(s.dim))
-    assert _gram_of_supertrace(rho[:k], 1) == s.form_even == Matrix.diagonal([1, -1])
-    assert _gram_of_supertrace(rho[k:], 1) == s.form_odd == Matrix([[0, 1], [-1, 0]])
+    assert _gram_of_supertrace(rho[:k], 1) == s.rep.algebra.form == Matrix.diagonal([1, -1])
+    assert _gram_of_supertrace(rho[k:], 1) == s.rep.space.omega == Matrix([[0, 1], [-1, 0]])
 
 
 # -- registry --------------------------------------------------------------

@@ -144,7 +144,7 @@ BASE_REPS = {
     "gl11": build_gl11_even,
     "osp_even(1,1)": lambda: build_osp_even(1, 1),
     "spin 3": lambda: build_spin_rep(3),
-    "double gl11": lambda: build_double(double_base("gl11"))[0],
+    "double gl11": lambda: build_double(double_base("gl11")).rep,
 }
 
 

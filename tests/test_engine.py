@@ -61,8 +61,12 @@ def test_validate_rep_rejects_wrong_commutator():
 
 def test_rep_shape_check():
     g = QuadraticLieAlgebra.abelian(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one matrix per basis element"):
         SymplecticRep(g, S1, (Matrix.zeros(2, 2),))
+    with pytest.raises(ValueError, match="square of the space dimension"):
+        SymplecticRep(g, S1, (Matrix.zeros(2, 2), Matrix.identity(3)))
+    with pytest.raises(ValueError, match="square of the space dimension"):
+        SymplecticRep(g, S1, (Matrix.zeros(2, 2), Matrix.zeros(2, 3)))
 
 
 # -- quadratic lifts -------------------------------------------------------
@@ -182,7 +186,7 @@ def test_zero_dimensional_odd_space():
     r = decide(rep)
     assert r.verdict and r.casimir_scalar == 0
     s = construct_superalgebra(rep)
-    assert s.odd_dim == 0
+    assert s.rep is rep and s.dim == 2
     assert all(c.passed for c in verify_superalgebra(s))
 
 
@@ -190,14 +194,14 @@ def test_zero_dimensional_odd_space():
 
 
 def test_construct_matches_hand_tables_for_gl11():
-    s = construct_superalgebra(build_gl11_even())
-    assert s.even_odd == (Matrix.diagonal([1, -1]), Matrix.diagonal([-1, 1]))
+    rep = build_gl11_even()
+    s = construct_superalgebra(rep)
+    assert s.rep is rep
     assert s.odd_bracket(0, 1) == (1, 1)
     assert s.odd_bracket(1, 0) == (1, 1)
     assert s.odd_bracket(0, 0) == (0, 0)
     assert s.odd_bracket(1, 1) == (0, 0)
-    assert s.form_even == Matrix.diagonal([1, -1])
-    assert s.form_odd == Matrix([[0, 1], [-1, 0]])
+    assert s.gram() == Matrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
 
 
 def test_construct_matches_hand_tables_for_sl2_action():
@@ -237,8 +241,7 @@ def test_odd_bracket_is_rigid():
             coords = list(perturbed[key])
             coords[l] += 1
             perturbed[key] = tuple(coords)
-            trial = SuperAlgebraData(base.even, base.odd_dim, base.even_odd,
-                                     perturbed, base.form_even, base.form_odd)
+            trial = SuperAlgebraData(base.rep, perturbed)
             assert any(not c.passed for c in verify_superalgebra(trial))
 
 
@@ -247,36 +250,29 @@ def test_odd_bracket_is_rigid():
 
 def test_superalgebra_shape_checks():
     s = construct_superalgebra(osp11())  # k = 3, n = 2
-    with pytest.raises(ValueError, match="per even basis element"):
-        replace(s, even_odd=s.even_odd[:2])
-    with pytest.raises(ValueError, match="per even basis element"):
-        replace(s, even_odd=s.even_odd[:2] + (Matrix.identity(3),))
     for key in [(1, 0), (0, 2), (-1, 0), (0,)]:
         with pytest.raises(ValueError, match="odd bracket key"):
             replace(s, odd_odd={**s.odd_odd, key: (0, 0, 0)})
     with pytest.raises(ValueError, match="coordinates"):
         replace(s, odd_odd={**s.odd_odd, (0, 1): (0, 0)})
-    with pytest.raises(ValueError, match="even Gram"):
-        replace(s, form_even=Matrix.identity(2))
-    with pytest.raises(ValueError, match="odd Gram"):
-        replace(s, form_odd=Matrix.identity(3))
 
 
 def test_adjoint_and_gram_read_the_tables():
     s = construct_superalgebra(osp11())
-    k, n, ad, g = s.even.dim, s.odd_dim, s.adjoint(), s.gram()
+    algebra, nus, omega = s.rep.algebra, s.rep.matrices, s.rep.space.omega
+    k, n, ad, g = algebra.dim, s.rep.space.dim, s.adjoint(), s.gram()
     assert len(ad) == s.dim == k + n
     for t in range(k):
         for u in range(k):
-            assert ad[t].col(u) == s.even.bracket(t, u) + (0,) * n
+            assert ad[t].col(u) == algebra.bracket(t, u) + (0,) * n
         for a in range(n):
-            assert ad[t].col(k + a) == (0,) * k + s.even_odd[t].col(a)
+            assert ad[t].col(k + a) == (0,) * k + nus[t].col(a)
             assert ad[k + a].col(t) == tuple(-x for x in ad[t].col(k + a))
     for a in range(n):
         for b in range(n):
             assert ad[k + a].col(k + b) == s.odd_bracket(a, b) + (0,) * n
-    assert g == Matrix([s.form_even.row(i) + (0,) * n for i in range(k)]
-                       + [(0,) * k + s.form_odd.row(a) for a in range(n)])
+    assert g == Matrix([algebra.form.row(i) + (0,) * n for i in range(k)]
+                       + [(0,) * k + omega.row(a) for a in range(n)])
 
 
 # -- the jacobiator --------------------------------------------------------

@@ -5,7 +5,8 @@ sibling module, at module level or inside a function: a name shared across
 modules is part of the package's interface and must be public.  Every
 function that the benchmark's tracer wraps must stay a module-level
 callable of its module, and the benchmark's traced CLI calls must reach
-every function its checker requires.
+every function its checker requires.  Every name the package exports
+exists, once.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import superweyl
 from superweyl import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +52,13 @@ def test_detector_sees_function_local_imports(tmp_path):
     sample.write_text("def f():\n    from .engine import _hidden, public\n"
                       "from . import __version__\n")
     assert private_imports(sample) == ["sample.py:2 imports _hidden from .engine"]
+
+
+def test_public_names_exist_once():
+    # a stale entry of __all__ fails only on a star import
+    names = superweyl.__all__
+    assert [name for name in names if not hasattr(superweyl, name)] == []
+    assert len(set(names)) == len(names)
 
 
 def perfbench_constant(filename: str, name: str):

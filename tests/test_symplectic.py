@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superweyl.exactla import Matrix
+from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.symplectic import (NotAlternating, OddDimension, Singular,
                                   SymplecticSpace, is_in_sp, pair,
                                   standard_space, validate_space)
@@ -46,7 +46,12 @@ def test_validate_rejects_singular_form():
 def test_zero_dimensional_space_is_fine():
     s = SymplecticSpace(0, Matrix([], cols=0))
     validate_space(s)
-    assert s.zero_vector() == ()
+
+
+def test_omega_shape_is_checked_on_construction():
+    for omega in (Matrix.identity(3), Matrix.zeros(2, 3), Matrix([], cols=0)):
+        with pytest.raises(DimensionMismatch, match="omega must be 2x2"):
+            SymplecticSpace(2, omega)
 
 
 def test_is_in_sp():

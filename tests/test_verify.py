@@ -8,6 +8,7 @@ conjugated data, and on every single-entry perturbation of small tables.
 """
 
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -65,15 +66,18 @@ def _perturbations(s):
             odd_odd = dict(s.odd_odd)
             odd_odd[key] = tuple(x + (t == l) for t, x in enumerate(coords))
             yield replace(s, odd_odd=odd_odd)
-    for i, m in enumerate(s.even_odd):
+    rep = s.rep
+    for i, m in enumerate(rep.matrices):
         for p in range(m.rows):
             for q in range(m.cols):
-                yield replace(s, even_odd=s.even_odd[:i] + (_bumped(m, p, q),) + s.even_odd[i + 1:])
-    for field in ("form_even", "form_odd"):
-        m = getattr(s, field)
-        for p in range(m.rows):
-            for q in range(m.cols):
-                yield replace(s, **{field: _bumped(m, p, q)})
+                matrices = rep.matrices[:i] + (_bumped(m, p, q),) + rep.matrices[i + 1:]
+                yield replace(s, rep=replace(rep, matrices=matrices))
+    for p, q in product(range(rep.algebra.dim), repeat=2):
+        algebra = replace(rep.algebra, form=_bumped(rep.algebra.form, p, q))
+        yield replace(s, rep=replace(rep, algebra=algebra))
+    for p, q in product(range(rep.space.dim), repeat=2):
+        space = replace(rep.space, omega=_bumped(rep.space.omega, p, q))
+        yield replace(s, rep=replace(rep, space=space))
 
 
 @pytest.mark.parametrize("instance", [("osp_even", 1, 1), ("double", "gl11")],

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import oracle_weyl_product, permanent_pairing
 from superweyl.symplectic import SymplecticSpace, pair, standard_space
-from superweyl.weyl import (GradedDecomposition, PhaseSplit, PolyElement,
-                            SpaceMismatch, bilinear_form, constant_term,
-                            contract, grade, linear_coordinates, parity_twist,
-                            phase_twist, weyl_commutator, weyl_product)
+from superweyl.weyl import (PolyElement, SpaceMismatch, bilinear_form, constant_term,
+                            contract, grade, linear_coordinates, weyl_commutator,
+                            weyl_product)
 
 S1 = standard_space(1)
 S2 = standard_space(2)
@@ -236,7 +235,7 @@ def test_product_is_bilinear(a, b):
     assert weyl_product(b, two_a) == weyl_product(b, a) + weyl_product(b, a)
 
 
-# -- grading and twists ----------------------------------------------------
+# -- grading ---------------------------------------------------------------
 
 
 def test_grade_reassembles():
@@ -248,54 +247,6 @@ def test_grade_reassembles():
         assert g.component(d).is_homogeneous(d)
         assert not g.component(d).is_zero()
     assert g.component(99).is_zero()
-
-
-def test_phase_twist_signs_by_degree():
-    # period four in the degree: +real, +imag, -real, -imag
-    expectations = {0: ("real", 1), 1: ("imag", 1), 2: ("real", -1),
-                    3: ("imag", -1), 4: ("real", 1), 5: ("imag", 1)}
-    for n, (part, sign) in expectations.items():
-        a = PolyElement.monomial(S1, (n, 0), 3)
-        t = phase_twist(a)
-        main = t.real if part == "real" else t.imag
-        other = t.imag if part == "real" else t.real
-        assert main == sign * a
-        assert other.is_zero()
-
-
-def _split_product(x: PhaseSplit, y: PhaseSplit) -> PhaseSplit:
-    return PhaseSplit(
-        weyl_product(x.real, y.real) - weyl_product(x.imag, y.imag),
-        weyl_product(x.real, y.imag) + weyl_product(x.imag, y.real))
-
-
-def test_phase_twist_reverses_products():
-    rng = random.Random(43)
-    for _ in range(8):
-        a = random_poly(rng, S1, 3)
-        b = random_poly(rng, S1, 3)
-        lhs = phase_twist(weyl_product(a, b))
-        rhs = _split_product(phase_twist(b), phase_twist(a))
-        assert lhs == rhs
-
-
-def test_parity_twist_is_product_automorphism_of_order_two():
-    rng = random.Random(47)
-    for _ in range(8):
-        a = random_poly(rng, S2, 3)
-        b = random_poly(rng, S2, 3)
-        assert parity_twist(weyl_product(a, b)) == weyl_product(parity_twist(a), parity_twist(b))
-        assert parity_twist(parity_twist(a)) == a
-
-
-def test_parity_twist_is_phase_twist_squared():
-    rng = random.Random(53)
-    for _ in range(8):
-        a = random_poly(rng, S1, 4)
-        t = phase_twist(a)
-        # apply the twist to each part and recombine with i * i = -1
-        tt_real = phase_twist(t.real).real - phase_twist(t.imag).imag
-        assert tt_real == parity_twist(a)
 
 
 def test_linear_coordinates_roundtrip():
