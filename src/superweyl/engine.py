@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
-from .exactla import Matrix, Scalar, SingularMatrix, as_scalar, invert, linear_combination
-from .liealg import QuadraticLieAlgebra, casimir_pairs, representation_defect
+from .exactla import (Column, Matrix, Scalar, SingularMatrix, add_product, as_scalar,
+                      integer_columns, invariance_violation, invert, linear_combination)
+from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
 from .spbridge import (NotSymplectic, QuadraticElement, SpElement, quadratic_monomials,
                        quadratic_pairing, sp_to_quadratic, trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
@@ -92,15 +93,16 @@ class SymplecticRep:
 
 
 def validate_rep(rep: SymplecticRep) -> None:
-    """Check that every matrix preserves the form and that
-    ``representation_defect`` of the matrices against the adjoint matrices
-    of the algebra vanishes on every basis pair."""
+    """Check that every matrix preserves the form (``is_in_sp``) and that
+    the representation defect of the matrices against the adjoint matrices
+    of the algebra vanishes on every basis pair, on the integer columns of
+    ``defect_columns``."""
     for i, m in enumerate(rep.matrices):
         if not is_in_sp(rep.space, m):
             raise NotSymplectic(index=i)
-    ad, k = rep.algebra.adjoint(), rep.algebra.dim
+    ad, rho, k = rep.algebra.adjoint_columns, integer_columns(rep.matrices), rep.algebra.dim
     for i, j in combinations(range(k), 2):
-        if not representation_defect(ad, rep.matrices, k, i, j).is_zero():
+        if defect_columns(ad, rho, k, i, j, range(rep.space.dim)):
             raise NotARepresentation(i, j)
 
 
@@ -147,14 +149,29 @@ def analyze(problem: Problem) -> Analysis:
     lifts = tuple(quadratic_lift(rep, i).poly for i in range(rep.algebra.dim))
     duals = tuple(dual for _, dual in casimir_pairs(rep.algebra).pairs)
     # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu^i]
-    if not sum((nu * d - d * nu for nu, d in zip(rep.matrices, _dual_matrices(rep, duals))),
-               Matrix.zeros(space.dim, space.dim)).is_zero():
+    if _dual_commutator_sum(rep, duals):
         raise InternalDegreeLeak(2)
     zero = PolyElement.zero(space)
     scalar = sum((quadratic_pairing(lift, linear_combination(dual, lifts, zero))
                   for lift, dual in zip(lifts, duals)), _ZERO)
     return Analysis(rep, duals, lifts, casimir_obstruction(space, lifts, duals), scalar,
                     trace_ratio_constant(space) if space.dim >= 2 else None)
+
+
+def _dual_commutator_sum(rep: SymplecticRep, duals: Sequence[Sequence[Scalar]]) -> bool:
+    """Whether sum_i [nu_i, nu^i], with nu^i = sum_j duals[i][j] nu_j, is
+    nonzero, on integer columns."""
+    n = rep.space.dim
+    _, nus = integer_columns(rep.matrices)
+    _, (dual_rows,) = integer_columns([Matrix.from_columns(duals, rows=rep.algebra.dim)])
+    at_column = [[nu[z] for nu in nus] for z in range(n)]
+    total: list[Column] = [{} for _ in range(n)]
+    for nu, coeffs in zip(nus, dual_rows):
+        nu_dual = [add_product({}, at_column[z], coeffs) for z in range(n)]
+        for z in range(n):
+            add_product(total[z], nu, nu_dual[z])
+            add_product(total[z], nu_dual, nu[z], -1)
+    return any(any(col.values()) for col in total)
 
 
 def _dual_matrices(rep: SymplecticRep, duals: Sequence[Sequence[Scalar]]) -> list[Matrix]:
@@ -333,29 +350,49 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
 
     Each check reports the first violating tuple in basis order (even
     before odd), with indices counted within their parity.  Only the bracket
-    tables and Gram blocks are read, never the engine's lifts."""
+    tables and Gram blocks are read, never the engine's lifts.
+
+    The identities are tested on the integer columns of ``integer_columns``,
+    with no ``Fraction`` product.  Once graded antisymmetry holds, the Jacobi
+    defect D of ``defect_columns`` satisfies D(y, x) = -(-1)^{|x||y|} D(x, y),
+    so it is computed only for x <= y and its nonzero columns are read back
+    for (y, x); when antisymmetry fails, every ordered pair is computed."""
     ad, k, basis = s.adjoint(), s.rep.algebra.dim, range(s.dim)
+    cols = integer_columns(ad)
+    c = cols.columns
     checks: list[CheckResult] = []
 
     witness = next((_located(s, x, y) for x, y in product(basis, repeat=2)
-                    if ad[x].col(y) != tuple(c if x >= k and y >= k else -c
-                                             for c in ad[y].col(x))), None)
-    checks.append(CheckResult("graded_antisymmetry", witness is None, witness))
+                    if c[x][y] != {r: v if x >= k and y >= k else -v
+                                   for r, v in c[y][x].items()}), None)
+    antisymmetric = witness is None
+    checks.append(CheckResult("graded_antisymmetry", antisymmetric, witness))
 
     sectors: dict[tuple[int, ...], str | None] = dict.fromkeys(product((0, 1), repeat=3))
+    parity = [s.label(u)[0] for u in basis]
+
+    def open_columns(p: int, q: int) -> list[int]:
+        return [z for z in basis if sectors[p, q, parity[z]] is None]
+
+    mirrored: dict[tuple[int, int], dict[int, Column]] = {}
     for x, y in product(basis, repeat=2):
-        columns = [z for z in basis if sectors[_parities(s, x, y, z)] is None]
-        if not columns:
-            continue
-        defect = representation_defect(ad, ad, k, x, y)
+        px, py = parity[x], parity[y]
+        columns = open_columns(px, py)
+        if antisymmetric and x > y:
+            nonzero = mirrored.pop((y, x))
+        elif antisymmetric and x < y:
+            wanted = sorted({*columns, *open_columns(py, px)})
+            nonzero = mirrored[x, y] = defect_columns(cols, cols, k, x, y, wanted)
+        else:
+            nonzero = defect_columns(cols, cols, k, x, y, columns)
         for z in columns:
-            sector = _parities(s, x, y, z)
-            if sectors[sector] is None and any(defect.col(z)):
+            sector = (px, py, parity[z])
+            if sectors[sector] is None and z in nonzero:
                 sectors[sector] = f"indices {tuple(s.label(u)[1] for u in (x, y, z))}"
     checks += [CheckResult("jacobi_" + "".join("eo"[p] for p in sector), w is None, w)
                for sector, w in sectors.items()]
 
-    witness = form_invariance_witness(s)
+    witness = _invariance_witness(s, c)
     checks.append(CheckResult("form_invariance", witness is None, witness))
 
     form, omega = s.rep.algebra.form, s.rep.space.omega
@@ -375,10 +412,6 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     return checks
 
 
-def _parities(s: SuperAlgebraData, *basis: int) -> tuple[int, ...]:
-    return tuple(s.label(u)[0] for u in basis)
-
-
 def _located(s: SuperAlgebraData, *basis: int) -> str:
     labels = [s.label(u) for u in basis]
     return (f"parities {tuple(p for p, _ in labels)}, "
@@ -387,13 +420,16 @@ def _located(s: SuperAlgebraData, *basis: int) -> str:
 
 def form_invariance_witness(s: SuperAlgebraData) -> str | None:
     """First basis triple violating ([x,y], z) = -(-1)^{|x||y|} (y, [x,z]),
-    read off ad_x^T G + S_x G ad_x, or None."""
+    read off ad_x^T G + S_x G ad_x on integer columns, or None."""
+    return _invariance_witness(s, integer_columns(s.adjoint()).columns)
+
+
+def _invariance_witness(s: SuperAlgebraData, ad: Sequence[Sequence[Column]]) -> str | None:
     g, k, n = s.gram(), s.rep.algebra.dim, s.rep.space.dim
-    signs = (Matrix.identity(k + n), Matrix.diagonal([1] * k + [-1] * n))
-    for x, ad_x in enumerate(s.adjoint()):
-        defect = ad_x.transpose() * g + signs[int(x >= k)] * g * ad_x
-        hit = next(((y, z) for y, z in product(range(k + n), repeat=2) if defect[y, z] != 0),
-                   None)
+    _, (gram, gram_t) = integer_columns([g, g.transpose()])
+    odd_signs = [1] * k + [-1] * n
+    for x, ad_x in enumerate(ad):
+        hit = invariance_violation(ad_x, gram, gram_t, odd_signs if x >= k else None)
         if hit is not None:
             return _located(s, x, *hit)
     return None

@@ -6,12 +6,19 @@ done with ``fractions.Fraction`` entries and naive Gaussian elimination.
 There is deliberately no floating point anywhere; the decision procedure
 rests on exact vanishing tests, and a tolerance would turn a theorem into
 a heuristic.
+
+Those vanishing tests run on a fraction-free kernel: ``integer_columns``
+clears the denominators of a list of matrices with one exact common
+denominator and keeps each column as a sparse {row: int} map.  A zero test
+of an identity that is homogeneous in each scaled operand then needs only
+integer arithmetic, and it is still exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Scalar = Fraction
 
@@ -286,3 +293,60 @@ def solve_overdetermined(a: Matrix, b: Matrix) -> Matrix:
     for row_idx, pc in enumerate(pivots):
         sol[pc] = m[row_idx][a.cols:]
     return Matrix(sol, cols=b.cols)
+
+
+# -- the fraction-free check kernel ------------------------------------------
+
+Column = dict[int, int]
+
+
+class IntegerColumns(NamedTuple):
+    """Matrices M_t stored as d M_t for one common denominator d:
+    ``columns[t][j]`` maps each row i where (M_t)_ij is nonzero to the
+    integer d (M_t)_ij."""
+
+    scale: int
+    columns: list[list[Column]]
+
+
+def integer_columns(matrices: Sequence[Matrix]) -> IntegerColumns:
+    """Clear denominators: d is the lcm of the denominators of every entry
+    of every matrix, so d M is integral for each of them."""
+    scale = lcm(*{x.denominator for m in matrices for row in m.data for x in row})
+    columns = []
+    for m in matrices:
+        cols: list[Column] = [{} for _ in range(m.cols)]
+        for i, row in enumerate(m.data):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x.numerator * (scale // x.denominator)
+        columns.append(cols)
+    return IntegerColumns(scale, columns)
+
+
+def add_product(out: Column, a: Sequence[Column], v: Mapping[int, int], c: int = 1) -> Column:
+    """out += c A v, for A given by its columns and a sparse integer vector v.
+    Entries that cancel stay in ``out`` as zeros; ``out`` is returned."""
+    for t, vt in v.items():
+        factor = c * vt
+        for i, x in a[t].items():
+            out[i] = out.get(i, 0) + factor * x
+    return out
+
+
+def invariance_violation(a: Sequence[Column], g: Sequence[Column], g_t: Sequence[Column],
+                         signs: Sequence[int] | None = None) -> tuple[int, int] | None:
+    """The first (j, l), in row-major order, where a^T G + S G a has a nonzero
+    entry, or None.  A, G and G^T are given by their integer columns and
+    S = diag(signs) is the identity when ``signs`` is None.  The defect is
+    linear in A and in G, so any nonzero scaling of either gives the same
+    answer."""
+    defect: dict[tuple[int, int], int] = {}
+    for j, col in enumerate(a):
+        # column j of G^T A is row j of A^T G
+        for l, x in add_product({}, g_t, col).items():
+            defect[j, l] = x
+    for l, col in enumerate(a):
+        for j, x in add_product({}, g, col).items():
+            defect[j, l] = defect.get((j, l), 0) + (x if signs is None else signs[j] * x)
+    return min((key for key, x in defect.items() if x), default=None)

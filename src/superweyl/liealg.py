@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix,
-                      as_scalar, invert, linear_combination)
+from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar,
+                      SingularMatrix, add_product, as_scalar, integer_columns,
+                      invariance_violation, invert, linear_combination)
 
 _ZERO = as_scalar(0)
 
@@ -105,10 +107,19 @@ class QuadraticLieAlgebra:
     def form_value(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
         return self.form.bilinear(x, y)
 
-    def adjoint(self) -> list[Matrix]:
+    def adjoint(self) -> tuple[Matrix, ...]:
         """The matrices ad_i: column j of ad_i holds the coordinates of
-        the bracket of basis elements i and j."""
-        return [Matrix.from_columns(row, rows=self.dim) for row in self.brackets]
+        the bracket of basis elements i and j.  Built once per algebra."""
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix.from_columns(row, rows=self.dim) for row in self.brackets)
+
+    @cached_property
+    def adjoint_columns(self) -> IntegerColumns:
+        """``adjoint()`` on the fraction-free kernel, built once per algebra."""
+        return integer_columns(self.adjoint())
 
 
 def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
@@ -117,7 +128,9 @@ def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
     for basis elements x, y of a superalgebra with adjoint matrices ``ad``
     whose first k basis elements are even.  It vanishes on every pair exactly
     when rho is a graded representation; for rho = ad, its column z is
-    [x,[y,z]] - (-1)^{|x||y|} [y,[x,z]] - [[x,y],z]."""
+    [x,[y,z]] - (-1)^{|x||y|} [y,[x,z]] - [[x,y],z].
+
+    This is the ``Fraction`` reference; the checks run ``defect_columns``."""
     yx = rho[y] * rho[x]
     xy = rho[x] * rho[y]
     supercommutator = xy + yx if x >= k and y >= k else xy - yx
@@ -125,31 +138,58 @@ def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
                                                 Matrix.zeros(xy.rows, xy.cols))
 
 
+def defect_columns(ad: IntegerColumns, rho: IntegerColumns, k: int, x: int, y: int,
+                   columns: Iterable[int]) -> dict[int, Column]:
+    """The nonzero columns z, among ``columns``, of ``representation_defect``
+    on the fraction-free kernel: with A = d_A ad and R = d_R rho integral,
+    column z of d_A (R_x R_y -+ R_y R_x) - d_R sum_t (A_x)_{ty} R_t, which is
+    d_A d_R^2 times the rational defect, keyed by z."""
+    d_ad, a = ad
+    d_rho, r = rho
+    r_x, r_y = r[x], r[y]
+    sign = 1 if x >= k and y >= k else -1
+    bracket = a[x][y]
+    out = {}
+    for z in columns:
+        col = add_product({}, r_x, r_y[z], d_ad)
+        add_product(col, r_y, r_x[z], sign * d_ad)
+        for t, c in bracket.items():
+            factor = d_rho * c
+            for i, v in r[t][z].items():
+                col[i] = col.get(i, 0) - factor * v
+        nonzero = {i: v for i, v in col.items() if v}
+        if nonzero:
+            out[z] = nonzero
+    return out
+
+
 def validate_lie(g: QuadraticLieAlgebra) -> None:
     """Check antisymmetry, the Jacobi identity, and that the form is
     symmetric, nonsingular and ad-invariant, as identities of the adjoint
-    matrices: ad_i e_j = -ad_j e_i, ``representation_defect(ad, ad, ...)``
-    vanishes, and ad_i^T B + B ad_i = 0.  Raises the first violation."""
-    ad, k = g.adjoint(), g.dim
+    matrices on the integer columns of ``g.adjoint_columns``:
+    ad_i e_j = -ad_j e_i, ``defect_columns(ad, ad, ...)`` is empty, and
+    ad_i^T B + B ad_i = 0 (``invariance_violation``).  No ``Fraction``
+    product is formed.  Raises the first violation."""
+    ad, k = g.adjoint_columns, g.dim
+    cols = ad.columns
     for i, j in product(range(k), repeat=2):
-        if ad[i].col(j) != tuple(-c for c in ad[j].col(i)):
+        if cols[i][j] != {r: -c for r, c in cols[j][i].items()}:
             raise NotAntisymmetric(i, j)
     # with antisymmetry, column l of the defect on (i, j) is minus the
     # cyclic sum [[i,j],l] + [[j,l],i] + [[l,i],j]
     for i, j in combinations(range(k - 1), 2):
-        defect = representation_defect(ad, ad, k, i, j)
-        l = next((l for l in range(j + 1, k) if any(defect.col(l))), None)
-        if l is not None:
-            raise JacobiFails(i, j, l)
+        defect = defect_columns(ad, ad, k, i, j, range(j + 1, k))
+        if defect:
+            raise JacobiFails(i, j, min(defect))
     if g.form.transpose() != g.form:
         raise FormSingular("form matrix is not symmetric")
     try:
         invert(g.form)
     except SingularMatrix as exc:
         raise FormSingular(str(exc)) from exc
-    for i, ad_i in enumerate(ad):
-        defect = ad_i.transpose() * g.form + g.form * ad_i
-        hit = next(((j, l) for j, l in product(range(k), repeat=2) if defect[j, l] != 0), None)
+    _, (form,) = integer_columns([g.form])
+    for i, ad_i in enumerate(cols):
+        hit = invariance_violation(ad_i, form, form)  # B is symmetric here
         if hit is not None:
             raise FormNotInvariant(i, *hit)
 

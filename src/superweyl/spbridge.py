@@ -16,17 +16,19 @@ product, is the permanent ``quadratic_pairing``.
 There is also a scalar worth recording: on quadratics the pairing is
 proportional to the matrix trace form, and ``trace_ratio_constant`` fits
 the proportionality constant with one Weyl-product pairing and verifies it
-on the full monomial set.  For the conventions of this package the
-constant is -1/8 in every dimension; the sign is forced by the permanent
-expansion of the pairing, under which the square of a mixed quadratic
-monomial such as e.f is negative.
+on the full monomial set through the closed forms of both.  For the
+conventions of this package the constant is -1/8 in every dimension: since
+omega is alternating, tr(A(p) A(q)) = -8 (p, q) on the monomial basis.  The
+sign is forced by the permanent expansion of the pairing, under which the
+square of a mixed quadratic monomial such as e.f is negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar, invert
+from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar, integer_columns, invert
 from .symplectic import SymplecticSpace, Vector, as_vector, is_in_sp
 from .weyl import (PolyElement, SpaceMismatch, bilinear_form, contract,
                    linear_coordinates, sym_product)
@@ -152,29 +154,46 @@ def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     """The constant c with (w, z) = c tr(A(w) A(z)) for all quadratics w, z,
     where A is ``quadratic_to_sp``.
 
-    Fitted with ``weyl.bilinear_form`` on the first monomial pair with
-    nonzero trace pairing, then verified with ``quadratic_pairing`` against
-    the full monomial spanning set; raises ``InconsistentRatio`` if any pair
-    disagrees, which would mean the two bilinear forms are not proportional
-    or the closed-form pairing has left the Weyl-product one.
+    On the monomial basis both forms are read off the form matrix w:
+    (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja, as in ``quadratic_pairing``,
+    and tr(A(x_i x_j) A(x_a x_b)) = 4 (w_ja w_bi + w_jb w_ai + w_ia w_bj + w_ib w_aj).
+    The constant is fitted with ``weyl.bilinear_form`` and the matrices of
+    ``quadratic_to_sp`` on the first monomial pair with nonzero trace, where
+    the closed-form trace must agree with those matrices; then the two
+    closed forms are compared on every monomial pair, in integers on d w for
+    the common denominator d of w.  Raises ``InconsistentRatio``
+    if any pair disagrees, which would mean the two bilinear forms are not
+    proportional or a closed form has left the Weyl-product model.  For an
+    alternating w the trace form is -8 times the pairing, so c = -1/8.
     """
     if space.dim < 2:
         raise ValueError("the trace ratio needs a space of dimension at least 2")
-    monomials = quadratic_monomials(space)
-    mats = [quadratic_to_sp(QuadraticElement(p)).matrix.data for p in monomials]
-    support = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x != 0]
-               for m in mats]
+    n = space.dim
+    scale, (columns,) = integer_columns([space.omega])
+    w = [[col.get(i, 0) for col in columns] for i in range(n)]
+    # the factors (i, j) of the monomials, in the order of quadratic_monomials
+    factors = [(i, j) for i in range(n) for j in range(i, n)]
 
-    def trace(p_idx: int, q_idx: int) -> Scalar:
-        other = mats[q_idx]
-        return sum((x * other[j][i] for i, j, x in support[p_idx]), _ZERO)
+    def pairing(p: int, q: int) -> int:
+        (i, j), (a, b) = factors[p], factors[q]
+        return w[i][a] * w[j][b] + w[i][b] * w[j][a]
 
-    pairs = [(p, q) for p in range(len(monomials)) for q in range(len(monomials))]
-    anchor = next(((p, q) for p, q in pairs if trace(p, q) != 0), None)
+    def trace(p: int, q: int) -> int:
+        (i, j), (a, b) = factors[p], factors[q]
+        return 4 * (w[j][a] * w[b][i] + w[j][b] * w[a][i] + w[i][a] * w[b][j] + w[i][b] * w[a][j])
+
+    pairs = list(product(range(len(factors)), repeat=2))
+    anchor = next(((p, q) for p, q in pairs if trace(p, q)), None)
     if anchor is None:
         raise InconsistentRatio("trace pairing vanishes identically")
-    constant = bilinear_form(monomials[anchor[0]], monomials[anchor[1]]) / trace(*anchor)
+    monomials = quadratic_monomials(space)
+    left, right = (quadratic_to_sp(QuadraticElement(monomials[p])).matrix for p in anchor)
+    anchor_trace = sum((left[i, j] * right[j, i] for i in range(n) for j in range(n)), _ZERO)
+    if anchor_trace * scale ** 2 != trace(*anchor):
+        raise InconsistentRatio("the closed-form trace disagrees with quadratic_to_sp "
+                                f"on monomial pair {anchor}")
+    constant = bilinear_form(monomials[anchor[0]], monomials[anchor[1]]) / anchor_trace
     for p, q in pairs:
-        if quadratic_pairing(monomials[p], monomials[q]) != constant * trace(p, q):
+        if pairing(p, q) * constant.denominator != constant.numerator * trace(p, q):
             raise InconsistentRatio(f"pairing and trace form disagree on monomial pair ({p}, {q})")
     return constant

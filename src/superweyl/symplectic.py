@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix,
-                      as_scalar, invert)
+                      as_scalar, integer_columns, invariance_violation, invert)
 
 Vector = tuple[Scalar, ...]
 
@@ -89,8 +89,9 @@ def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
 
 def is_in_sp(space: SymplecticSpace, alpha: Matrix) -> bool:
     """Whether ``alpha`` is an infinitesimal symmetry of the form:
-    alpha^T omega + omega alpha = 0."""
+    alpha^T omega + omega alpha = 0, tested on integer columns."""
     if alpha.rows != space.dim or alpha.cols != space.dim:
         raise DimensionMismatch(
             f"expected a {space.dim}x{space.dim} matrix, got {alpha.rows}x{alpha.cols}")
-    return (alpha.transpose() * space.omega + space.omega * alpha).is_zero()
+    _, (a, omega, omega_t) = integer_columns([alpha, space.omega, space.omega.transpose()])
+    return invariance_violation(a, omega, omega_t) is None

@@ -5,7 +5,8 @@ different route: the symmetrized product via explicit averaging over
 permutations of creation/annihilation chains, the pairing of products of
 linear elements via the permanent formula, the quadratic lift of a matrix
 by solving against the Gram matrix of the Weyl-product pairing,
-representation-theoretic trace values from closed-form weight sums, and
+representation-theoretic trace values from closed-form weight sums, the
+trace ratio from the matrices of every pair of quadratic monomials, and
 the Lie algebra, representation and superalgebra axioms by explicit
 brackets of basis elements, pair by pair and triple by triple, in place of
 adjoint-matrix identities.  Agreement between these
@@ -18,7 +19,8 @@ from itertools import permutations, product
 from superweyl.engine import CheckResult, NotARepresentation
 from superweyl.exactla import Matrix, SingularMatrix, invert, linear_combination, solve_linear
 from superweyl.liealg import FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric
-from superweyl.spbridge import NotSymplectic, QuadraticElement, SpElement, quadratic_monomials
+from superweyl.spbridge import (InconsistentRatio, NotSymplectic, QuadraticElement, SpElement,
+                                quadratic_monomials, quadratic_pairing, quadratic_to_sp)
 from superweyl.symplectic import SymplecticSpace, is_in_sp, pair
 from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates
 
@@ -100,6 +102,32 @@ def oracle_sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
     for k, mono in enumerate(monomials):
         total = total + coeffs[k, 0] * mono
     return QuadraticElement(total)
+
+
+def oracle_trace_ratio_constant(space: SymplecticSpace) -> Fraction:
+    """``trace_ratio_constant`` from the matrices: build A(p) with
+    ``quadratic_to_sp`` for every quadratic monomial p, fit the constant with
+    ``bilinear_form`` on the first pair with nonzero tr(A(p) A(q)), and
+    require (p, q) = c tr(A(p) A(q)) through ``quadratic_pairing`` on all N^2
+    pairs."""
+    monomials = quadratic_monomials(space)
+    mats = [quadratic_to_sp(QuadraticElement(p)).matrix.data for p in monomials]
+    support = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x != 0]
+               for m in mats]
+
+    def trace(p_idx: int, q_idx: int) -> Fraction:
+        other = mats[q_idx]
+        return sum((x * other[j][i] for i, j, x in support[p_idx]), Fraction(0))
+
+    pairs = [(p, q) for p in range(len(monomials)) for q in range(len(monomials))]
+    anchor = next(((p, q) for p, q in pairs if trace(p, q) != 0), None)
+    if anchor is None:
+        raise InconsistentRatio("trace pairing vanishes identically")
+    constant = bilinear_form(monomials[anchor[0]], monomials[anchor[1]]) / trace(*anchor)
+    for p, q in pairs:
+        if quadratic_pairing(monomials[p], monomials[q]) != constant * trace(p, q):
+            raise InconsistentRatio(f"pairing and trace form disagree on monomial pair ({p}, {q})")
+    return constant
 
 
 # -- the Lie algebra and representation axioms, tuple by tuple --------------

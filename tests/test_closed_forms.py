@@ -3,10 +3,12 @@ Weyl-product model.
 
 The engine lifts matrices with 1/4 sum (alpha omega^-1)_ij x_i x_j, pairs
 quadratics with the permanent (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja,
-and reads the Casimir image as commutative product plus pairing.  Each is
-compared here with its definition: the Gram-solve lift of
-``oracles.oracle_sp_to_quadratic``, ``weyl.bilinear_form`` and the graded
-parts of sums of ``weyl.weyl_product``.  Spaces are the standard ones or
+reads the Casimir image as commutative product plus pairing, and fits the
+trace ratio from closed forms of both bilinear forms.  Each is compared
+here with its definition: the Gram-solve lift of
+``oracles.oracle_sp_to_quadratic``, ``weyl.bilinear_form``, the graded
+parts of sums of ``weyl.weyl_product`` and the matrix-by-matrix fit of
+``oracles.oracle_trace_ratio_constant``.  Spaces are the standard ones or
 their images under a random change of basis Q (omega -> Q^T omega Q), so
 dense, non-standard form matrices are covered.
 """
@@ -16,14 +18,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_sp_to_quadratic
+from oracles import oracle_sp_to_quadratic, oracle_trace_ratio_constant
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
 from superweyl.engine import SymplecticRep, analyze, casimir_obstruction, decide
 from superweyl.exactla import Matrix, invert
 from superweyl.liealg import casimir_pairs
 from superweyl.spbridge import (SpElement, quadratic_monomials, quadratic_pairing,
-                                quadratic_to_sp, sp_to_quadratic)
+                                quadratic_to_sp, sp_to_quadratic, trace_ratio_constant)
 from superweyl.symplectic import SymplecticSpace, standard_space
 from superweyl.weyl import (PolyElement, bilinear_form, constant_term, grade,
                             weyl_commutator, weyl_product)
@@ -97,6 +99,12 @@ def test_quadratic_pairing_matches_bilinear_form(pair_of_quadratics):
     a, b = pair_of_quadratics
     assert quadratic_pairing(a, b) == bilinear_form(a, b)
     assert quadratic_pairing(a, b) == quadratic_pairing(b, a)
+
+
+@given(spaces(max_half=4))
+@settings(max_examples=12, deadline=None)
+def test_trace_ratio_matches_matrix_oracle(space):
+    assert trace_ratio_constant(space) == oracle_trace_ratio_constant(space) == Fraction(-1, 8)
 
 
 @st.composite

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from superweyl import liealg
 from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.liealg import (FormNotInvariant, FormSingular, JacobiFails,
                               NotAntisymmetric, QuadraticLieAlgebra,
@@ -21,6 +22,22 @@ def test_sl2_structure():
     assert g.bracket(1, 0) == (0, -2, 0)
     assert g.bracket(1, 2) == (1, 0, 0)
     validate_lie(g)
+
+
+def test_adjoint_is_built_once_per_algebra(monkeypatch):
+    g = sl2()
+    validate_lie(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adjoint was built again")
+
+    monkeypatch.setattr(Matrix, "from_columns", refuse)
+    monkeypatch.setattr(liealg, "integer_columns", refuse)
+    assert g.adjoint() is g.adjoint()
+    assert g.adjoint()[1].col(0) == (0, -2, 0)
+    assert g.adjoint_columns.columns[1][0] == {1: -2}
+    with pytest.raises(AssertionError):
+        sl2().adjoint()
 
 
 def test_bracket_vectors_bilinear():
