@@ -21,7 +21,7 @@ from .engine import (SuperAlgebraData, SymplecticRep, casimir_obstruction,
 from .exactla import Matrix, Scalar, as_scalar, invert, solve_overdetermined
 from .liealg import QuadraticLieAlgebra
 from .spbridge import NotSymplectic, SpElement, sp_to_quadratic
-from .symplectic import SymplecticSpace, standard_space
+from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
 
 _ZERO = as_scalar(0)
 _ONE = as_scalar(1)
@@ -162,8 +162,9 @@ def build_osp_even(m: int, n: int) -> SymplecticRep:
     """
     if m < 1 or n < 1:
         raise InvalidInput("need m >= 1 and n >= 1")
-    if m * 2 * n > 16:
-        raise TooLarge(f"tensor space dimension {m * 2 * n} exceeds the supported 16")
+    if m * 2 * n > MAX_STANDARD_DIM:
+        raise TooLarge(f"tensor space dimension {m * 2 * n} "
+                       f"exceeds the supported {MAX_STANDARD_DIM}")
     so_b = so_basis(m)
     sp_b = sp_basis(n)
     omega_2n = standard_space(n).omega

@@ -12,7 +12,9 @@ form.  The paper's test lives in the noncommutative (Weyl) algebra on v:
    degree-four part plus a constant,
 3. the extension exists exactly when the degree-four part vanishes; the
    constant is then the Casimir scalar, and the odd-odd bracket is
-   recovered as ``[y, y'] = 2 quadratic_lift_adjoint(y.y')``.
+   recovered as ``[y, y'] = 2 quadratic_lift_adjoint(y.y')``; by invariance
+   of B + omega, B([y_p, y_q], x) = -omega(y_p, nu(x) y_q), so coordinate l
+   of [y_p, y_q] is -(omega mu_l)_pq for the matrices mu_l = nu(x^l).
 
 The Weyl product of ``weyl`` is the reference model.  The working path,
 checked against it by the tests, uses closed forms computed once per
@@ -39,7 +41,7 @@ from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
 from .spbridge import (NotSymplectic, QuadraticElement, SpElement, quadratic_monomials,
                        quadratic_pairing, sp_to_quadratic, trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
-from .weyl import (GradedDecomposition, PolyElement, constant_term, contract,
+from .weyl import (GradedDecomposition, PolyElement, SpaceMismatch, constant_term, contract,
                    grade, linear_coordinates, sym_product)
 
 _ZERO = as_scalar(0)
@@ -124,11 +126,13 @@ def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
 @dataclass(frozen=True)
 class Analysis:
     """What ``decide`` and the constructions read, computed once per problem
-    by ``analyze``.  ``scalar`` is the constant term of the Casimir image;
-    ``trace_constant`` is None when the space has dimension below two."""
+    by ``analyze``.  ``dual_matrices[l]`` is mu_l = sum_i (x^i)_l nu_i for the
+    dual basis x^i of B, so nu(x^l) when B is symmetric.  ``scalar`` is the
+    constant term of the Casimir image; ``trace_constant`` is None when the
+    space has dimension below two."""
 
     rep: SymplecticRep
-    duals: tuple[tuple[Scalar, ...], ...]
+    dual_matrices: tuple[Matrix, ...]
     lifts: tuple[PolyElement, ...]
     obstruction: PolyElement
     scalar: Scalar
@@ -148,35 +152,29 @@ def analyze(problem: Problem) -> Analysis:
     rep, space = problem, problem.space
     lifts = tuple(quadratic_lift(rep, i).poly for i in range(rep.algebra.dim))
     duals = tuple(dual for _, dual in casimir_pairs(rep.algebra).pairs)
-    # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu^i]
-    if _dual_commutator_sum(rep, duals):
+    mus = tuple(linear_combination(coeffs, rep.matrices, Matrix.zeros(space.dim, space.dim))
+                for coeffs in zip(*duals))
+    # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu(x^i)]
+    if _dual_commutator_sum(rep, mus):
         raise InternalDegreeLeak(2)
     zero = PolyElement.zero(space)
     scalar = sum((quadratic_pairing(lift, linear_combination(dual, lifts, zero))
                   for lift, dual in zip(lifts, duals)), _ZERO)
-    return Analysis(rep, duals, lifts, casimir_obstruction(space, lifts, duals), scalar,
+    return Analysis(rep, mus, lifts, casimir_obstruction(space, lifts, duals), scalar,
                     trace_ratio_constant(space) if space.dim >= 2 else None)
 
 
-def _dual_commutator_sum(rep: SymplecticRep, duals: Sequence[Sequence[Scalar]]) -> bool:
-    """Whether sum_i [nu_i, nu^i], with nu^i = sum_j duals[i][j] nu_j, is
+def _dual_commutator_sum(rep: SymplecticRep, mus: Sequence[Matrix]) -> bool:
+    """Whether sum_l [nu_l, mu_l], which is -sum_i [nu_i, nu(x^i)], is
     nonzero, on integer columns."""
-    n = rep.space.dim
-    _, nus = integer_columns(rep.matrices)
-    _, (dual_rows,) = integer_columns([Matrix.from_columns(duals, rows=rep.algebra.dim)])
-    at_column = [[nu[z] for nu in nus] for z in range(n)]
-    total: list[Column] = [{} for _ in range(n)]
-    for nu, coeffs in zip(nus, dual_rows):
-        nu_dual = [add_product({}, at_column[z], coeffs) for z in range(n)]
-        for z in range(n):
-            add_product(total[z], nu, nu_dual[z])
-            add_product(total[z], nu_dual, nu[z], -1)
+    _, columns = integer_columns([*rep.matrices, *mus])
+    k = rep.algebra.dim
+    total: list[Column] = [{} for _ in range(rep.space.dim)]
+    for nu, mu in zip(columns[:k], columns[k:]):
+        for z, col in enumerate(total):
+            add_product(col, nu, mu[z])
+            add_product(col, mu, nu[z], -1)
     return any(any(col.values()) for col in total)
-
-
-def _dual_matrices(rep: SymplecticRep, duals: Sequence[Sequence[Scalar]]) -> list[Matrix]:
-    zero = Matrix.zeros(rep.space.dim, rep.space.dim)
-    return [linear_combination(dual, rep.matrices, zero) for dual in duals]
 
 
 def quadratic_lift_adjoint(problem: Problem, w: QuadraticElement) -> tuple[Scalar, ...]:
@@ -184,12 +182,20 @@ def quadratic_lift_adjoint(problem: Problem, w: QuadraticElement) -> tuple[Scala
     B(x_i, t) = (lift(x_i), w) for all i.
 
     This is the transpose of the quadratic lift against the two invariant
-    forms; it intertwines the actions on quadratics and on g0.
+    forms; it intertwines the actions on quadratics and on g0.  Since
+    (lift(x_i), y_p y_q) = -1/2 (omega nu_i)_pq, for any nonsingular B it is
+    t_l = -1/2 sum_{c y_p y_q in w} c (omega mu_l)_pq, mu_l = dual_matrices[l].
     """
     a = analyze(problem)
-    coeffs = [quadratic_pairing(lift, w.poly) for lift in a.lifts]
-    return tuple(sum((c * d[l] for c, d in zip(coeffs, a.duals)), _ZERO)
-                 for l in range(a.rep.algebra.dim))
+    if w.poly.space != a.rep.space:
+        raise SpaceMismatch("the quadratic lives on a different space")
+    omega = a.rep.space.omega.data
+    t = [_ZERO] * a.rep.algebra.dim
+    for exp, c in w.poly.terms.items():
+        p, q = (i for i, e in enumerate(exp) for _ in range(e))
+        for l, mu in enumerate(a.dual_matrices):
+            t[l] += c * sum((x * mu.data[r][q] for r, x in enumerate(omega[p]) if x), _ZERO)
+    return tuple(-x / 2 for x in t)
 
 
 def casimir_image(problem: Problem) -> GradedDecomposition:
@@ -241,8 +247,9 @@ def decide(problem: Problem) -> TestReport:
 
 
 def _dual_trace_sum(a: Analysis) -> Scalar:
-    return sum(((nu * nu_dual).trace()
-                for nu, nu_dual in zip(a.rep.matrices, _dual_matrices(a.rep, a.duals))), _ZERO)
+    """sum_i tr(nu_i nu(x^i)), as sum_l tr(nu_l mu_l)."""
+    return sum((x * mu.data[q][p] for nu, mu in zip(a.rep.matrices, a.dual_matrices)
+                for p, row in enumerate(nu.data) for q, x in enumerate(row) if x), _ZERO)
 
 
 # -- the superalgebra structure --------------------------------------------
@@ -368,29 +375,21 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     antisymmetric = witness is None
     checks.append(CheckResult("graded_antisymmetry", antisymmetric, witness))
 
-    sectors: dict[tuple[int, ...], str | None] = dict.fromkeys(product((0, 1), repeat=3))
     parity = [s.label(u)[0] for u in basis]
-
-    def open_columns(p: int, q: int) -> list[int]:
-        return [z for z in basis if sectors[p, q, parity[z]] is None]
-
-    mirrored: dict[tuple[int, int], dict[int, Column]] = {}
+    witnesses: dict[tuple[int, int, int], str] = {}
+    defects: dict[tuple[int, int], dict[int, Column]] = {}
     for x, y in product(basis, repeat=2):
-        px, py = parity[x], parity[y]
-        columns = open_columns(px, py)
         if antisymmetric and x > y:
-            nonzero = mirrored.pop((y, x))
-        elif antisymmetric and x < y:
-            wanted = sorted({*columns, *open_columns(py, px)})
-            nonzero = mirrored[x, y] = defect_columns(cols, cols, k, x, y, wanted)
+            nonzero = defects[y, x]
         else:
-            nonzero = defect_columns(cols, cols, k, x, y, columns)
-        for z in columns:
-            sector = (px, py, parity[z])
-            if sectors[sector] is None and z in nonzero:
-                sectors[sector] = f"indices {tuple(s.label(u)[1] for u in (x, y, z))}"
-    checks += [CheckResult("jacobi_" + "".join("eo"[p] for p in sector), w is None, w)
-               for sector, w in sectors.items()]
+            nonzero = defects[x, y] = defect_columns(cols, cols, k, x, y, basis)
+        for z in nonzero:
+            sector = (parity[x], parity[y], parity[z])
+            if sector not in witnesses:
+                witnesses[sector] = f"indices {tuple(s.label(u)[1] for u in (x, y, z))}"
+    checks += [CheckResult("jacobi_" + "".join("eo"[p] for p in sector),
+                           sector not in witnesses, witnesses.get(sector))
+               for sector in product((0, 1), repeat=3)]
 
     witness = _invariance_witness(s, c)
     checks.append(CheckResult("form_invariance", witness is None, witness))

@@ -20,7 +20,7 @@ from typing import Sequence
 from .engine import (CheckResult, SuperAlgebraData, SymplecticRep, TestReport)
 from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar
 from .liealg import QuadraticLieAlgebra
-from .symplectic import SymplecticSpace, standard_space
+from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
 from .weyl import PolyElement
 
 
@@ -94,6 +94,9 @@ def space_from_json(obj) -> SymplecticSpace:
     if omega == "standard":
         if dim % 2 or dim == 0:
             raise ParseError("'standard' omega needs a positive even dimension")
+        if dim > MAX_STANDARD_DIM:
+            raise ParseError(f"'standard' omega is limited to dimension {MAX_STANDARD_DIM}, "
+                             f"got {dim}")
         return standard_space(dim // 2)
     return SymplecticSpace(dim, matrix_from_json(omega, rows=dim, cols=dim))
 

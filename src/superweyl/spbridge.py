@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar, integer_columns, invert
+from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar, integer_columns
 from .symplectic import SymplecticSpace, Vector, as_vector, is_in_sp
 from .weyl import (PolyElement, SpaceMismatch, bilinear_form, contract,
                    linear_coordinates, sym_product)
@@ -103,7 +103,7 @@ def sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
     for any nonsingular form matrix.  ``alpha omega^-1`` is symmetric
     exactly because alpha preserves the form."""
     space = alpha.space
-    s = (alpha.matrix * invert(space.omega)).data
+    s = (alpha.matrix * space.omega_inverse).data
     terms: dict = {}
     for i, row in enumerate(s):
         for j, x in enumerate(row):

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix,
                       as_scalar, integer_columns, invariance_violation, invert)
 
 Vector = tuple[Scalar, ...]
+
+# The largest space dimension that the "standard" shorthand of problem files
+# expands and that the catalog builds.
+MAX_STANDARD_DIM = 16
 
 
 class SymplecticError(Exception):
@@ -52,6 +57,12 @@ class SymplecticSpace:
             raise IndexError(f"basis index {i} out of range for dimension {self.dim}")
         return tuple(as_scalar(1 if j == i else 0) for j in range(self.dim))
 
+    @cached_property
+    def omega_inverse(self) -> Matrix:
+        """The inverse of ``omega``, computed once per space; raises
+        ``SingularMatrix`` when there is none."""
+        return invert(self.omega)
+
 
 def as_vector(space: SymplecticSpace, coords: Sequence) -> Vector:
     v = tuple(as_scalar(x) for x in coords)
@@ -77,7 +88,7 @@ def validate_space(space: SymplecticSpace) -> None:
     if space.omega.transpose() != -space.omega:
         raise NotAlternating()
     try:
-        invert(space.omega)
+        space.omega_inverse
     except SingularMatrix as exc:
         raise Singular(str(exc)) from exc
 

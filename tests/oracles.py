@@ -6,7 +6,8 @@ permutations of creation/annihilation chains, the pairing of products of
 linear elements via the permanent formula, the quadratic lift of a matrix
 by solving against the Gram matrix of the Weyl-product pairing,
 representation-theoretic trace values from closed-form weight sums, the
-trace ratio from the matrices of every pair of quadratic monomials, and
+trace ratio from the matrices of every pair of quadratic monomials, the
+transpose of the lift by pairing every polynomial lift with a quadratic, and
 the Lie algebra, representation and superalgebra axioms by explicit
 brackets of basis elements, pair by pair and triple by triple, in place of
 adjoint-matrix identities.  Agreement between these
@@ -128,6 +129,17 @@ def oracle_trace_ratio_constant(space: SymplecticSpace) -> Fraction:
         if quadratic_pairing(monomials[p], monomials[q]) != constant * trace(p, q):
             raise InconsistentRatio(f"pairing and trace form disagree on monomial pair ({p}, {q})")
     return constant
+
+
+def oracle_quadratic_lift_adjoint(rep, w: QuadraticElement) -> tuple[Fraction, ...]:
+    """t = sum_i (lift_i, w) x^i: ``quadratic_pairing`` of every polynomial
+    lift of ``oracle_sp_to_quadratic`` with w, against the dual basis x^i of
+    B, column i of B^-1."""
+    lifts = [oracle_sp_to_quadratic(SpElement(rep.space, m)).poly for m in rep.matrices]
+    coeffs = [quadratic_pairing(lift, w.poly) for lift in lifts]
+    duals = invert(rep.algebra.form).columns()
+    return tuple(sum((c * dual[l] for c, dual in zip(coeffs, duals)), Fraction(0))
+                 for l in range(rep.algebra.dim))
 
 
 # -- the Lie algebra and representation axioms, tuple by tuple --------------

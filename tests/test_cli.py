@@ -282,6 +282,23 @@ def test_brackets_that_are_not_a_list_exit_one_with_one_line(tmp_path, capsys, b
     assert captured.err.startswith("ParseError:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dim, status", [(16, 0), (18, 1)])
+def test_standard_omega_is_limited_to_dimension_16(tmp_path, capsys, dim, status):
+    # the shorthand expands to a dense form, so a short file must not ask for a huge one
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "space": {"dim": dim, "omega": "standard"},
+        "g0": {"dim": 0, "brackets": [], "form": []},
+        "nu": []}))
+    assert main(["validate", str(path)]) == status
+    captured = capsys.readouterr()
+    if status:
+        assert captured.out == ""
+        assert captured.err.startswith("ParseError:") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+
+
 def test_validation_error_names_surface(tmp_path, capsys):
     # identity matrix does not preserve the form: the rep check must say so
     obj = {

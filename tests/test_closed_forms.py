@@ -3,14 +3,18 @@ Weyl-product model.
 
 The engine lifts matrices with 1/4 sum (alpha omega^-1)_ij x_i x_j, pairs
 quadratics with the permanent (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja,
-reads the Casimir image as commutative product plus pairing, and fits the
-trace ratio from closed forms of both bilinear forms.  Each is compared
+reads the Casimir image as commutative product plus pairing, fits the
+trace ratio from closed forms of both bilinear forms, and reads the
+transpose of the lift off omega and the dual matrices.  Each is compared
 here with its definition: the Gram-solve lift of
 ``oracles.oracle_sp_to_quadratic``, ``weyl.bilinear_form``, the graded
-parts of sums of ``weyl.weyl_product`` and the matrix-by-matrix fit of
-``oracles.oracle_trace_ratio_constant``.  Spaces are the standard ones or
+parts of sums of ``weyl.weyl_product``, the matrix-by-matrix fit of
+``oracles.oracle_trace_ratio_constant`` and the polynomial pairings of
+``oracles.oracle_quadratic_lift_adjoint``.  Spaces are the standard ones or
 their images under a random change of basis Q (omega -> Q^T omega Q), so
-dense, non-standard form matrices are covered.
+dense, non-standard form matrices are covered.  A change of basis P of g0
+together with Q of v must carry verdict, scalar, obstruction and odd
+bracket covariantly.
 """
 
 from fractions import Fraction
@@ -18,17 +22,21 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_sp_to_quadratic, oracle_trace_ratio_constant
+from oracles import (oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
+                     oracle_trace_ratio_constant)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
-from superweyl.engine import SymplecticRep, analyze, casimir_obstruction, decide
-from superweyl.exactla import Matrix, invert
-from superweyl.liealg import casimir_pairs
-from superweyl.spbridge import (SpElement, quadratic_monomials, quadratic_pairing,
-                                quadratic_to_sp, sp_to_quadratic, trace_ratio_constant)
-from superweyl.symplectic import SymplecticSpace, standard_space
+from superweyl.engine import (SymplecticRep, analyze, casimir_obstruction,
+                              construct_superalgebra, decide, quadratic_lift_adjoint,
+                              validate_rep)
+from superweyl.exactla import Matrix, invert, linear_combination
+from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
+from superweyl.spbridge import (QuadraticElement, SpElement, quadratic_monomials,
+                                quadratic_pairing, quadratic_to_sp, sp_to_quadratic,
+                                trace_ratio_constant)
+from superweyl.symplectic import SymplecticSpace, standard_space, validate_space
 from superweyl.weyl import (PolyElement, bilinear_form, constant_term, grade,
-                            weyl_commutator, weyl_product)
+                            sym_product, weyl_commutator, weyl_product)
 
 ENTRIES = st.sampled_from([Fraction(x)
                            for x in ("-2", "-1", "-1/2", "0", "0", "1/3", "1", "3/2")])
@@ -182,3 +190,94 @@ def test_analysis_matches_weyl_path_in_random_symplectic_basis(reps):
     report, base_report = decide(a), decide(base)
     assert report.verdict == base_report.verdict
     assert report.casimir_scalar == base_report.casimir_scalar
+
+
+@st.composite
+def reps_with_quadratic(draw):
+    _, rep = draw(conjugated_reps())
+    return rep, QuadraticElement(draw(quadratics(rep.space)))
+
+
+@given(reps_with_quadratic())
+@settings(max_examples=12, deadline=None)
+def test_lift_adjoint_matches_pairing_oracle(data):
+    rep, w = data
+    assert quadratic_lift_adjoint(rep, w) == oracle_quadratic_lift_adjoint(rep, w)
+
+
+@given(quadratics(standard_space(2)))
+@settings(max_examples=12, deadline=None)
+def test_lift_adjoint_holds_for_an_asymmetric_form(w):
+    # commuting nu, so the degree-two part vanishes for any B; with B not
+    # symmetric the dual matrices are not nu(x^l), and the closed form must
+    # still give B(x_i, t) = (lift_i, w)
+    space = standard_space(2)
+    algebra = QuadraticLieAlgebra.abelian(2, Matrix([[1, 2], [0, 1]]))
+    rep = SymplecticRep(algebra, space, (Matrix.diagonal([1, 0, -1, 0]),
+                                         Matrix.diagonal([1, 2, -1, -2])))
+    w = QuadraticElement(w)
+    t = quadratic_lift_adjoint(rep, w)
+    assert t == oracle_quadratic_lift_adjoint(rep, w)
+    for i, nu in enumerate(rep.matrices):
+        unit = tuple(Fraction(int(l == i)) for l in range(2))
+        lift = sp_to_quadratic(SpElement(space, nu)).poly
+        assert algebra.form_value(unit, t) == bilinear_form(lift, w.poly)
+
+
+def _change_basis(rep: SymplecticRep, p: Matrix, q: Matrix) -> SymplecticRep:
+    """The same problem in the basis x'_i = sum_j P_ji x_j of g0 and
+    y'_a = sum_c Q_ca y_c of v: B' = P^T B P, brackets re-expanded through
+    P^-1, nu'_i = sum_j P_ji Q^-1 nu_j Q and omega' = Q^T omega Q."""
+    k, p_inv = rep.algebra.dim, invert(p)
+    brackets = tuple(tuple(p_inv.apply(rep.algebra.bracket_vectors(p.col(i), p.col(j)))
+                           for j in range(k)) for i in range(k))
+    algebra = QuadraticLieAlgebra(k, brackets, p.transpose() * rep.algebra.form * p)
+    conjugated = _conjugate_space(rep, q)
+    zero = Matrix.zeros(rep.space.dim, rep.space.dim)
+    return SymplecticRep(algebra, conjugated.space,
+                         tuple(linear_combination(p.col(i), conjugated.matrices, zero)
+                               for i in range(k)))
+
+
+def _substitute(poly: PolyElement, m: Matrix, space: SymplecticSpace) -> PolyElement:
+    """``poly`` with each y_c replaced by sum_a m_ac y'_a, on ``space``."""
+    images = [PolyElement.from_vector(space, m.col(c)) for c in range(space.dim)]
+    total = PolyElement.zero(space)
+    for exp, coeff in poly.terms.items():
+        term = PolyElement.constant(space, coeff)
+        for c, power in enumerate(exp):
+            for _ in range(power):
+                term = sym_product(term, images[c])
+        total = total + term
+    return total
+
+
+@st.composite
+def problems_in_new_bases(draw):
+    base = BASE_REPS[draw(st.sampled_from(sorted(BASE_REPS)))]()
+    p = draw(changes_of_basis(base.algebra.dim))
+    q = draw(changes_of_basis(base.space.dim))
+    return base, p, q, _change_basis(base, p, q)
+
+
+@given(problems_in_new_bases())
+@settings(max_examples=12, deadline=None)
+def test_answers_are_covariant_under_change_of_basis(data):
+    base, p, q, rep = data
+    validate_space(rep.space)
+    validate_lie(rep.algebra)
+    validate_rep(rep)
+    report, base_report = decide(rep), decide(base)
+    assert report.verdict == base_report.verdict
+    assert report.casimir_scalar == base_report.casimir_scalar
+    assert report.obstruction == _substitute(base_report.obstruction, invert(q), rep.space)
+    if not report.verdict:
+        return
+    s, base_s = construct_superalgebra(rep), construct_superalgebra(base)
+    p_inv, n = invert(p), rep.space.dim
+    for a in range(n):
+        for b in range(a, n):
+            old = [sum((q[c, a] * q[d, b] * base_s.odd_bracket(c, d)[l]
+                        for c in range(n) for d in range(n)), Fraction(0))
+                   for l in range(rep.algebra.dim)]
+            assert s.odd_bracket(a, b) == p_inv.apply(old)
