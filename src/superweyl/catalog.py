@@ -13,12 +13,11 @@ space.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .engine import (SuperAlgebraData, SymplecticRep, casimir_obstruction,
                      construct_superalgebra, verify_superalgebra)
-from .exactla import Matrix, Scalar, as_scalar, invert, solve_overdetermined
+from .exactla import Matrix, Scalar, as_scalar, invert, record, solve_overdetermined
 from .liealg import QuadraticLieAlgebra
 from .spbridge import NotSymplectic, SpElement, sp_to_quadratic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
@@ -320,7 +319,7 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
 # -- registry --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class InstanceDescriptor:
     name: str
     parameters: tuple

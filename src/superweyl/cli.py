@@ -17,8 +17,6 @@ import argparse
 import sys
 
 from . import __version__
-from .catalog import (CalibrationFailed, InvalidInput, TooLarge, UnknownInstance,
-                      build_instance)
 from .engine import (InternalDegreeLeak, NotARepresentation, NotSuperLieType, analyze,
                      construct_superalgebra_unchecked, decide, first_failing_triple,
                      validate_rep, verify_superalgebra)
@@ -33,9 +31,13 @@ from .weyl import SpaceMismatch
 
 _DOMAIN_ERRORS = (
     ParseError, LinAlgError, SymplecticError, SpaceMismatch, NotSymplectic,
-    InconsistentRatio, LieAlgebraError, NotARepresentation, InternalDegreeLeak,
-    TooLarge, CalibrationFailed, UnknownInstance, InvalidInput, OSError,
+    InconsistentRatio, LieAlgebraError, NotARepresentation, InternalDegreeLeak, OSError,
 )
+
+
+def _fail(exc: Exception, status: int) -> int:
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return status
 
 
 def _validated_problem(path: str):
@@ -94,7 +96,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    rep = build_instance(args.name, args.parameters)
+    # only this verb loads the catalog, so the others do not pay for importing it
+    from .catalog import (CalibrationFailed, InvalidInput, TooLarge, UnknownInstance,
+                          build_instance)
+
+    try:
+        rep = build_instance(args.name, args.parameters)
+    except (TooLarge, CalibrationFailed, UnknownInstance, InvalidInput) as exc:
+        return _fail(exc, 1)
     obj = problem_to_json(rep)
     if args.out:
         write_json_atomic(args.out, obj)
@@ -140,11 +149,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NotSuperLieType as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except _DOMAIN_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
 
 
 if __name__ == "__main__":

@@ -31,12 +31,12 @@ measured exactly by contracting the obstruction three times
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations, product
-from typing import Sequence
 
 from .exactla import (Column, Matrix, Scalar, SingularMatrix, add_product, as_scalar,
-                      integer_columns, invariance_violation, invert, linear_combination)
+                      integer_columns, invariance_violation, invert, linear_combination,
+                      record)
 from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
 from .spbridge import (NotSymplectic, QuadraticElement, SpElement, quadratic_monomials,
                        quadratic_pairing, sp_to_quadratic, trace_ratio_constant)
@@ -73,7 +73,7 @@ class NotSuperLieType(Exception):
                          f"degree-four obstruction has {len(obstruction.terms)} terms")
 
 
-@dataclass(frozen=True)
+@record
 class SymplecticRep:
     """A quadratic Lie algebra acting on a symplectic space.
 
@@ -123,7 +123,7 @@ def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
                 for lift, dual in zip(lifts, duals)), zero)
 
 
-@dataclass(frozen=True)
+@record
 class Analysis:
     """What ``decide`` and the constructions read, computed once per problem
     by ``analyze``.  ``dual_matrices[l]`` is mu_l = sum_i (x^i)_l nu_i for the
@@ -206,14 +206,14 @@ def casimir_image(problem: Problem) -> GradedDecomposition:
     return grade(a.obstruction + PolyElement.constant(a.rep.space, a.scalar))
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class TestReport:
     """Outcome of the decision procedure.
 
@@ -255,7 +255,7 @@ def _dual_trace_sum(a: Analysis) -> Scalar:
 # -- the superalgebra structure --------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SuperAlgebraData:
     """A Lie superalgebra on g0 + v: the representation ``rep`` of g0 on v,
     which holds the even brackets, nu and the forms B and omega, plus the

@@ -12,13 +12,17 @@ clears the denominators of a list of matrices with one exact common
 denominator and keeps each column as a sparse {row: int} map.  A zero test
 of an identity that is homogeneous in each scaled operand then needs only
 integer arithmetic, and it is still exact.
+
+``record`` makes the frozen value classes of every module: a small class
+decorator, so that importing the package does not load ``dataclasses``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Scalar = Fraction
 
@@ -172,10 +176,14 @@ class Matrix:
                         acc = [x + a * b if b else x for x, b in zip(acc, other_row)]
                 out.append(acc)
             return Matrix(out, cols=other.cols)
-        return Matrix([[a * as_scalar(other) for a in row] for row in self.data], cols=self.cols)
+        return self._scaled(as_scalar(other))
 
     def __rmul__(self, other):
-        return Matrix([[as_scalar(other) * a for a in row] for row in self.data], cols=self.cols)
+        return self._scaled(as_scalar(other))
+
+    def _scaled(self, c: Scalar) -> "Matrix":
+        """c M, multiplying only the nonzero entries."""
+        return Matrix([[c * a if a else a for a in row] for row in self.data], cols=self.cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -300,13 +308,12 @@ def solve_overdetermined(a: Matrix, b: Matrix) -> Matrix:
 Column = dict[int, int]
 
 
-class IntegerColumns(NamedTuple):
-    """Matrices M_t stored as d M_t for one common denominator d:
-    ``columns[t][j]`` maps each row i where (M_t)_ij is nonzero to the
-    integer d (M_t)_ij."""
+class IntegerColumns(namedtuple("IntegerColumns", "scale columns")):
+    """Matrices M_t stored as d M_t for one common denominator d, the int
+    ``scale``: ``columns[t][j]`` maps each row i where (M_t)_ij is nonzero
+    to the integer d (M_t)_ij."""
 
-    scale: int
-    columns: list[list[Column]]
+    __slots__ = ()
 
 
 def integer_columns(matrices: Sequence[Matrix]) -> IntegerColumns:
@@ -350,3 +357,75 @@ def invariance_violation(a: Sequence[Column], g: Sequence[Column], g_t: Sequence
         for j, x in add_product({}, g, col).items():
             defect[j, l] = defect.get((j, l), 0) + (x if signs is None else signs[j] * x)
     return min((key for key, x in defect.items() if x), default=None)
+
+
+# -- frozen records ------------------------------------------------------------
+
+_MISSING = object()
+
+
+def record(cls):
+    """Class decorator for an immutable record, the value types of the package.
+
+    The fields are the names annotated in the class body, in order; a class
+    attribute of the same name is that field's default.  ``__init__`` takes
+    the fields by position or by name, stores them and then calls the
+    class's ``__post_init__``, if it has one, to check them.  Two records are
+    equal when they are of the same class with equal fields, and the hash is
+    that of the field tuple.  Assigning or deleting an attribute raises
+    ``AttributeError``; ``functools.cached_property`` still caches, since it
+    writes the instance dictionary directly."""
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def fields(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, names))
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} fields, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated field {name!r}")
+            values[name] = value
+        store = self.__dict__
+        for name in names:
+            value = values.get(name, defaults.get(name, _MISSING))
+            if value is _MISSING:
+                raise TypeError(f"{cls.__name__}() is missing the field {name!r}")
+            store[name] = value
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+                + ")")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    cls._record_fields = names
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with the named fields changed; the
+    copy's ``__post_init__`` checks it as any new record."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._record_fields},
+                        **changes})

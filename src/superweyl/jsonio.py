@@ -4,18 +4,16 @@ Rationals are written as strings ``"p/q"`` (or ``"p"`` for integers),
 polynomial terms as exponent/coefficient records sorted by exponent
 vector, and every file is emitted through ``canonical_dumps`` so that the
 same mathematical content always produces identical bytes.  Writes go
-through a temporary file in the target directory followed by an atomic
-rename, so a crash cannot leave a half-written report behind.
+through a new temporary file in the target directory followed by an
+atomic rename, so a crash cannot leave a half-written report behind.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
-import tempfile
-from typing import Sequence
+from collections.abc import Sequence
 
 from .engine import (CheckResult, SuperAlgebraData, SymplecticRep, TestReport)
 from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar
@@ -218,21 +216,24 @@ def canonical_dumps(obj) -> str:
 
 
 def write_json_atomic(path: str, obj) -> None:
-    """Serialize canonically and rename into place so readers never see a
-    partial file."""
+    """Serialize canonically into a new file of mode 0600 beside ``path``
+    and rename it into place, so readers never see a partial file; on any
+    failure the temporary file is removed and ``path`` is left as it was."""
     text = canonical_dumps(obj)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
 def file_digest(path: str) -> str:
+    import hashlib  # imported on first use: ``validate`` and ``catalog`` never need it
+
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Sequence
 
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar,
                       SingularMatrix, add_product, as_scalar, integer_columns,
-                      invariance_violation, invert, linear_combination)
+                      invariance_violation, invert, linear_combination, record)
 
 _ZERO = as_scalar(0)
 
@@ -41,7 +40,7 @@ class FormNotInvariant(LieAlgebraError):
         super().__init__(f"form is not ad-invariant on basis triple ({i}, {j}, {l})")
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticLieAlgebra:
     """Structure constants and a symmetric bilinear form on a fixed basis.
 
@@ -194,7 +193,7 @@ def validate_lie(g: QuadraticLieAlgebra) -> None:
             raise FormNotInvariant(i, *hit)
 
 
-@dataclass(frozen=True)
+@record
 class CasimirPairs:
     """Dual pairs (i, coordinates of the dual basis vector) for the form."""
 

@@ -25,10 +25,10 @@ square of a mixed quadratic monomial such as e.f is negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar, integer_columns
+from .exactla import (DimensionMismatch, Matrix, Scalar, as_scalar, integer_columns,
+                      record)
 from .symplectic import SymplecticSpace, Vector, as_vector, is_in_sp
 from .weyl import (PolyElement, SpaceMismatch, bilinear_form, contract,
                    linear_coordinates, sym_product)
@@ -50,7 +50,7 @@ class InconsistentRatio(Exception):
     """The quadratic pairing failed to be a single multiple of the trace form."""
 
 
-@dataclass(frozen=True)
+@record
 class SpElement:
     """A matrix satisfying alpha^T omega + omega alpha = 0, checked on construction."""
 
@@ -62,7 +62,7 @@ class SpElement:
             raise NotSymplectic()
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticElement:
     """A polynomial that is homogeneous of degree two (or zero)."""
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
 from .exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix,
-                      as_scalar, integer_columns, invariance_violation, invert)
+                      as_scalar, integer_columns, invariance_violation, invert, record)
 
 Vector = tuple[Scalar, ...]
 
@@ -36,7 +35,7 @@ class Singular(SymplecticError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
+@record
 class SymplecticSpace:
     """A coordinate space of dimension ``dim`` with bilinear form matrix ``omega``.
 

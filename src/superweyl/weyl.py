@@ -24,10 +24,9 @@ space, (e.f, e.f) = -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-from .exactla import Scalar, as_scalar
+from .exactla import Scalar, as_scalar, record
 from .symplectic import SymplecticSpace, Vector, as_vector
 
 _ZERO = as_scalar(0)
@@ -255,7 +254,7 @@ def bilinear_form(a: PolyElement, b: PolyElement) -> Scalar:
 # -- grading --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GradedDecomposition:
     """Homogeneous components of a polynomial, keyed by degree."""
 

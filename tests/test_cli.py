@@ -128,12 +128,32 @@ def test_canonical_dumps_is_stable():
     assert a.endswith("\n")
 
 
-def test_atomic_write(tmp_path):
+def test_atomic_write(tmp_path, monkeypatch, capsys):
     target = tmp_path / "out.json"
     write_json_atomic(str(target), {"x": 1})
     assert json.loads(target.read_text()) == {"x": 1}
-    leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
-    assert leftovers == []
+    assert os.listdir(tmp_path) == ["out.json"]
+
+    # a failed rename leaves no temporary file, and no target or the old one
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    fresh = tmp_path / "fresh.json"
+    for path in (fresh, target):
+        with pytest.raises(OSError, match="simulated"):
+            write_json_atomic(str(path), {"x": 2})
+    assert os.listdir(tmp_path) == ["out.json"]
+    assert target.read_text() == canonical_dumps({"x": 1})
+    monkeypatch.undo()
+
+    # a target in a missing directory is an OSError: exit 1, one line
+    report = tmp_path / "missing" / "report.json"
+    assert main(["test", str(GOLDEN / "gl11.json"), "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FileNotFoundError:") and captured.err.count("\n") == 1
+    assert not report.parent.exists()
 
 
 # -- command-line flows ----------------------------------------------------
@@ -422,6 +442,28 @@ def test_mutated_problem_files_exit_cleanly(problem):
             assert code in (0, 1, 2)
             if code == 1:
                 assert err.getvalue().count("\n") == 1
+
+
+# an argument that starts with "-" and is no negative integer is an option
+# to argparse, which exits 2 by itself; negative integers come from the
+# integer strategy
+_ARGUMENT_TEXT = st.text(max_size=12).filter(lambda text: not text.startswith("-"))
+
+
+@given(st.one_of(st.sampled_from(["gl11", "osp_even", "spin", "double"]), _ARGUMENT_TEXT),
+       st.lists(st.one_of(st.integers(-2, 3).map(str), _ARGUMENT_TEXT,
+                          st.sampled_from(["abelian1", "gl11", "osp12"])), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_catalog_arguments_exit_cleanly(name, params):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["catalog", name, *params])
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["space"]
 
 
 def test_version_flag(capsys):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -13,7 +12,7 @@ from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               jacobiator, jacobiator_from_obstruction,
                               quadratic_lift, quadratic_lift_adjoint,
                               validate_rep, verify_superalgebra)
-from superweyl.exactla import Matrix, invert
+from superweyl.exactla import Matrix, invert, replace
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
 from superweyl.symplectic import SymplecticSpace, standard_space

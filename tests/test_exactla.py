@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from superweyl.exactla import (DimensionMismatch, LinAlgError, Matrix,
                                SingularMatrix, as_scalar, invert,
-                               kernel_basis, rank, solve_linear,
-                               solve_overdetermined)
+                               kernel_basis, rank, record, replace,
+                               solve_linear, solve_overdetermined)
 
 
 def test_as_scalar_accepts_exact_inputs():
@@ -125,3 +126,75 @@ def test_solve_reproduces_rhs(a, rhs):
         assert rank(a) < a.rows
         return
     assert a * x == b
+
+
+@st.composite
+def matrices_with_zero_lines(draw):
+    """Matrices with some rows and columns entirely zero, and zeros elsewhere."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    return Matrix([[0 if i in zero_rows or j in zero_cols else draw(_scalars)
+                    for j in range(cols)] for i in range(rows)])
+
+
+@given(matrices_with_zero_lines(),
+       st.one_of(_scalars, st.integers(-3, 3), st.sampled_from(["0", "-3/8"])))
+@settings(max_examples=60, deadline=None)
+def test_scalar_product_is_entrywise(m, c):
+    expected = Matrix([[as_scalar(c) * a for a in row] for row in m.data], cols=m.cols)
+    assert c * m == expected
+    assert m * c == expected
+
+
+# -- frozen records --------------------------------------------------------
+
+
+@record
+class _Pair:
+    left: int
+    right: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        if self.left < 0:
+            raise ValueError("left must not be negative")
+
+    @cached_property
+    def total(self):
+        return self.left + self.right
+
+
+def test_record_fields_defaults_and_checks():
+    p = _Pair(1, Fraction(1, 2))
+    assert (p.left, p.right) == (1, Fraction(1, 2))
+    assert _Pair(2).right == 0
+    assert _Pair(right=3, left=1) == _Pair(1, 3)
+    assert repr(p) == "_Pair(left=1, right=Fraction(1, 2))"
+    with pytest.raises(ValueError, match="negative"):
+        _Pair(-1)
+    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"left": 1}), ((1,), {"other": 2})]:
+        with pytest.raises(TypeError):
+            _Pair(*args, **kwargs)
+
+
+def test_record_equality_hash_and_immutability():
+    p = _Pair(1, 2)
+    assert p == _Pair(1, 2) and hash(p) == hash(_Pair(1, 2)) == hash((1, 2))
+    assert p != _Pair(1, 3) and p != (1, 2)
+    assert len({p, _Pair(1, 2), _Pair(2, 2)}) == 2
+    with pytest.raises(AttributeError):
+        p.left = 5
+    with pytest.raises(AttributeError):
+        del p.right
+    assert p.total == 3 and p.total is p.total
+    # the cached value is no field: equality and hash do not see it
+    assert p == _Pair(1, 2) and hash(p) == hash((1, 2))
+
+
+def test_replace_checks_the_copy():
+    p = _Pair(1, 2)
+    assert replace(p, right=5) == _Pair(1, 5) and p == _Pair(1, 2)
+    with pytest.raises(ValueError, match="negative"):
+        replace(p, left=-1)
+    with pytest.raises(TypeError):
+        replace(p, other=1)

@@ -6,12 +6,15 @@ modules is part of the package's interface and must be public.  Every
 function that the benchmark's tracer wraps must stay a module-level
 callable of its module, and the benchmark's traced CLI calls must reach
 every function its checker requires.  Every name the package exports
-exists, once.
+exists, once.  Importing the command line loads only what its verbs run.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +113,25 @@ def test_traced_call_paths_reach_every_required_function(tmp_path, capsys, argv,
     assert [name for name in required if tracer.total(name, "calls") == 0] == []
     if not positive:
         assert [name for name in positive_only if tracer.total(name, "calls") != 0] == []
+
+
+# modules that every CLI call would pay to import although no verb but
+# ``catalog`` (or none at all) runs them
+NOT_AT_STARTUP = ("dataclasses", "inspect", "typing", "tempfile", "hashlib", "superweyl.catalog")
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python -S`` in a new process with only this checkout's ``src`` on
+    the path, so no site package is imported."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True,
+                          timeout=60, check=True)
+
+
+def test_cli_imports_only_what_verbs_need():
+    out = _fresh_python("-c", "import sys, superweyl.cli; "
+                        f"print(sorted(set({NOT_AT_STARTUP!r}) & set(sys.modules)))")
+    assert out.stdout.decode().strip() == "[]"
+    # the catalog verb imports the catalog itself
+    out = _fresh_python("-m", "superweyl.cli", "catalog", "gl11")
+    assert out.stdout == (ROOT / "tests" / "golden" / "gl11.json").read_bytes()

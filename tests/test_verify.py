@@ -7,7 +7,6 @@ structures, on candidates that fail the odd Jacobi sector, on dense
 conjugated data, and on every single-entry perturbation of small tables.
 """
 
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import pytest
 from oracles import oracle_verify_superalgebra
 from superweyl.catalog import build_instance
 from superweyl.engine import construct_superalgebra_unchecked, verify_superalgebra
-from superweyl.exactla import Matrix
+from superweyl.exactla import Matrix, replace
 from superweyl.jsonio import load_problem
 
 GOLDEN = Path(__file__).parent / "golden"
