@@ -11,12 +11,10 @@ with the odd bracket given by pairing against the quadratic lifts.
 __version__ = "0.1.0"
 
 from .engine import (
-    Analysis,
     CheckResult,
     SuperAlgebraData,
     SymplecticRep,
     TestReport,
-    analyze,
     casimir_image,
     construct_superalgebra,
     decide,
@@ -47,7 +45,6 @@ from .weyl import (
 )
 
 __all__ = [
-    "Analysis",
     "CheckResult",
     "Matrix",
     "PolyElement",
@@ -59,7 +56,6 @@ __all__ = [
     "SymplecticRep",
     "SymplecticSpace",
     "TestReport",
-    "analyze",
     "as_scalar",
     "bilinear_form",
     "casimir_image",

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import __version__
-from .engine import (InternalDegreeLeak, NotARepresentation, NotSuperLieType, analyze,
+from .engine import (InternalDegreeLeak, NotARepresentation, NotSuperLieType,
                      construct_superalgebra_unchecked, decide, first_failing_triple,
                      validate_rep, verify_superalgebra)
 from .exactla import LinAlgError
@@ -56,12 +56,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_test(args) -> int:
-    analysis = analyze(_validated_problem(args.input))
-    report = decide(analysis)
+    rep = _validated_problem(args.input)
+    report = decide(rep)
     checks = list(report.diagnostics)
     odd_brackets = None
     if report.verdict:
-        s = construct_superalgebra_unchecked(analysis)
+        s = construct_superalgebra_unchecked(rep)
         checks.extend(verify_superalgebra(s))
         odd_brackets = odd_brackets_to_json(s)
     obj = report_to_json(report, checks, odd_brackets,
@@ -73,16 +73,16 @@ def cmd_test(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    analysis = analyze(_validated_problem(args.input))
-    report = decide(analysis)
+    rep = _validated_problem(args.input)
+    report = decide(rep)
     if not report.verdict:
-        (a, b, c), jacobiator = first_failing_triple(analysis.rep, report.obstruction)
+        (a, b, c), jacobiator = first_failing_triple(rep, report.obstruction)
         print("obstructed: the degree-four component of the Casimir image "
               f"has {len(report.obstruction.terms)} nonzero term(s); the odd "
               f"triple ({a}, {b}, {c}) has jacobiator "
               f"[{', '.join(str(x) for x in jacobiator)}]")
         return 2
-    s = construct_superalgebra_unchecked(analysis)
+    s = construct_superalgebra_unchecked(rep)
     checks = verify_superalgebra(s)
     obj = superalgebra_to_json(s, checks, version=__version__,
                                digest=file_digest(args.input))

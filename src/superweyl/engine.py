@@ -14,14 +14,20 @@ form.  The paper's test lives in the noncommutative (Weyl) algebra on v:
    constant is then the Casimir scalar, and the odd-odd bracket is
    recovered as ``[y, y'] = 2 quadratic_lift_adjoint(y.y')``; by invariance
    of B + omega, B([y_p, y_q], x) = -omega(y_p, nu(x) y_q), so coordinate l
-   of [y_p, y_q] is -(omega mu_l)_pq for the matrices mu_l = nu(x^l).
+   of [y_p, y_q] is -(omega mu_l)_pq for mu_l = nu(x^l), the one value that
+   decision and construction share (``SymplecticRep.dual_matrices``).
 
 The Weyl product of ``weyl`` is the reference model.  The working path,
-checked against it by the tests, uses closed forms computed once per
-problem by ``analyze``: the lifts of ``sp_to_quadratic``, and, since the
-product of quadratics a, b is a.b + 1/2 [a, b] + (a, b), the obstruction
-sum_i lift_i . lift^i (``casimir_obstruction``) and the constant
-sum_i (lift_i, lift^i) (``quadratic_pairing``).
+checked against it by the tests, uses closed forms: since the product of
+quadratics a, b is a.b + 1/2 [a, b] + (a, b), ``casimir_image`` turns the
+lifts of ``sp_to_quadratic`` into the obstruction sum_i lift_i . lift^i
+(``casimir_obstruction``) and the constant sum_i (lift_i, lift^i)
+(``quadratic_pairing``).
+
+Every entry point takes its representation as validated (``validate_space``,
+``validate_lie``, ``validate_rep``).  Unvalidated, a matrix outside sp(omega)
+still raises ``NotSymplectic`` in the lift, and a degree-two part of the
+Casimir image ``InternalDegreeLeak(2)``; any other defect goes unseen.
 
 When the degree-four obstruction is nonzero, the candidate bracket still
 exists but fails the odd-odd-odd super Jacobi identity, and the failure is
@@ -32,6 +38,7 @@ measured exactly by contracting the obstruction three times
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import combinations, product
 
 from .exactla import (Column, Matrix, Scalar, SingularMatrix, add_product, as_scalar,
@@ -93,6 +100,14 @@ class SymplecticRep:
             if m.rows != self.space.dim or m.cols != self.space.dim:
                 raise ValueError("representation matrices must be square of the space dimension")
 
+    @cached_property
+    def dual_matrices(self) -> tuple[Matrix, ...]:
+        """mu_l = sum_i (x^i)_l nu_i for the dual basis x^i of B, so nu(x^l)
+        when B is symmetric; computed once per representation."""
+        zero = Matrix.zeros(self.space.dim, self.space.dim)
+        return tuple(linear_combination(row, self.matrices, zero)
+                     for row in self.algebra.form_inverse.data)
+
 
 def validate_rep(rep: SymplecticRep) -> None:
     """Check that every matrix preserves the form (``is_in_sp``) and that
@@ -123,51 +138,10 @@ def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
                 for lift, dual in zip(lifts, duals)), zero)
 
 
-@record
-class Analysis:
-    """What ``decide`` and the constructions read, computed once per problem
-    by ``analyze``.  ``dual_matrices[l]`` is mu_l = sum_i (x^i)_l nu_i for the
-    dual basis x^i of B, so nu(x^l) when B is symmetric.  ``scalar`` is the
-    constant term of the Casimir image; ``trace_constant`` is None when the
-    space has dimension below two."""
-
-    rep: SymplecticRep
-    dual_matrices: tuple[Matrix, ...]
-    lifts: tuple[PolyElement, ...]
-    obstruction: PolyElement
-    scalar: Scalar
-    trace_constant: Scalar | None
-
-
-Problem = SymplecticRep | Analysis
-
-
-def analyze(problem: Problem) -> Analysis:
-    """Lift the representation and compute the Casimir image in closed form;
-    an ``Analysis`` is returned unchanged.  The representation is taken as
-    validated: on data that is not, a surviving degree-two part of the image
-    raises ``InternalDegreeLeak(2)``."""
-    if isinstance(problem, Analysis):
-        return problem
-    rep, space = problem, problem.space
-    lifts = tuple(quadratic_lift(rep, i).poly for i in range(rep.algebra.dim))
-    duals = tuple(dual for _, dual in casimir_pairs(rep.algebra).pairs)
-    mus = tuple(linear_combination(coeffs, rep.matrices, Matrix.zeros(space.dim, space.dim))
-                for coeffs in zip(*duals))
-    # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu(x^i)]
-    if _dual_commutator_sum(rep, mus):
-        raise InternalDegreeLeak(2)
-    zero = PolyElement.zero(space)
-    scalar = sum((quadratic_pairing(lift, linear_combination(dual, lifts, zero))
-                  for lift, dual in zip(lifts, duals)), _ZERO)
-    return Analysis(rep, mus, lifts, casimir_obstruction(space, lifts, duals), scalar,
-                    trace_ratio_constant(space) if space.dim >= 2 else None)
-
-
-def _dual_commutator_sum(rep: SymplecticRep, mus: Sequence[Matrix]) -> bool:
+def _dual_commutator_sum(rep: SymplecticRep) -> bool:
     """Whether sum_l [nu_l, mu_l], which is -sum_i [nu_i, nu(x^i)], is
     nonzero, on integer columns."""
-    _, columns = integer_columns([*rep.matrices, *mus])
+    _, columns = integer_columns([*rep.matrices, *rep.dual_matrices])
     k = rep.algebra.dim
     total: list[Column] = [{} for _ in range(rep.space.dim)]
     for nu, mu in zip(columns[:k], columns[k:]):
@@ -177,33 +151,41 @@ def _dual_commutator_sum(rep: SymplecticRep, mus: Sequence[Matrix]) -> bool:
     return any(any(col.values()) for col in total)
 
 
-def quadratic_lift_adjoint(problem: Problem, w: QuadraticElement) -> tuple[Scalar, ...]:
+def quadratic_lift_adjoint(rep: SymplecticRep, w: QuadraticElement) -> tuple[Scalar, ...]:
     """The element t = sum_i (lift(x_i), w) x^i of g0, so that
     B(x_i, t) = (lift(x_i), w) for all i.
 
     This is the transpose of the quadratic lift against the two invariant
     forms; it intertwines the actions on quadratics and on g0.  Since
     (lift(x_i), y_p y_q) = -1/2 (omega nu_i)_pq, for any nonsingular B it is
-    t_l = -1/2 sum_{c y_p y_q in w} c (omega mu_l)_pq, mu_l = dual_matrices[l].
+    t_l = -1/2 sum_{c y_p y_q in w} c (omega mu_l)_pq, mu_l = rep.dual_matrices[l].
     """
-    a = analyze(problem)
-    if w.poly.space != a.rep.space:
+    if w.poly.space != rep.space:
         raise SpaceMismatch("the quadratic lives on a different space")
-    omega = a.rep.space.omega.data
-    t = [_ZERO] * a.rep.algebra.dim
+    omega = rep.space.omega.data
+    t = [_ZERO] * rep.algebra.dim
     for exp, c in w.poly.terms.items():
         p, q = (i for i, e in enumerate(exp) for _ in range(e))
-        for l, mu in enumerate(a.dual_matrices):
+        for l, mu in enumerate(rep.dual_matrices):
             t[l] += c * sum((x * mu.data[r][q] for r, x in enumerate(omega[p]) if x), _ZERO)
     return tuple(-x / 2 for x in t)
 
 
-def casimir_image(problem: Problem) -> GradedDecomposition:
+def casimir_image(rep: SymplecticRep) -> GradedDecomposition:
     """Image of the Casimir element of g0 under the quadratic lift, using
-    dual bases for the form.  The result always lies in degree four plus a
-    constant; a degree-two component raises ``InternalDegreeLeak``."""
-    a = analyze(problem)
-    return grade(a.obstruction + PolyElement.constant(a.rep.space, a.scalar))
+    dual bases for the form.  For a ``rep`` that passed ``validate_space``,
+    ``validate_lie`` and ``validate_rep`` it lies in degree four plus a constant;
+    unvalidated, only ``NotSymplectic`` and ``InternalDegreeLeak(2)`` are raised."""
+    space = rep.space
+    lifts = tuple(quadratic_lift(rep, i).poly for i in range(rep.algebra.dim))
+    duals = tuple(dual for _, dual in casimir_pairs(rep.algebra).pairs)
+    # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu(x^i)]
+    if _dual_commutator_sum(rep):
+        raise InternalDegreeLeak(2)
+    zero = PolyElement.zero(space)
+    scalar = sum((quadratic_pairing(lift, linear_combination(dual, lifts, zero))
+                  for lift, dual in zip(lifts, duals)), _ZERO)
+    return grade(casimir_obstruction(space, lifts, duals) + PolyElement.constant(space, scalar))
 
 
 @record
@@ -227,28 +209,29 @@ class TestReport:
     diagnostics: tuple[CheckResult, ...]
 
 
-def decide(problem: Problem) -> TestReport:
-    """Run the decision procedure; see the module docstring."""
-    a = analyze(problem)
-    image = casimir_image(a)
+def decide(rep: SymplecticRep) -> TestReport:
+    """Run the decision procedure; see the module docstring.  ``rep`` must
+    have passed ``validate_space``, ``validate_lie`` and ``validate_rep``:
+    unvalidated, only the errors of ``casimir_image`` are caught."""
+    image = casimir_image(rep)
     obstruction = image.component(4)
     verdict = obstruction.is_zero()
     scalar = constant_term(image.component(0)) if verdict else None
     diagnostics = [CheckResult("degree_confinement", True)]
-    c = a.trace_constant
-    if c is not None:
+    if rep.space.dim >= 2:
+        c = trace_ratio_constant(rep.space)
         diagnostics.append(CheckResult("trace_ratio_fitted", True, str(c)))
         diagnostics.append(CheckResult("trace_ratio_magnitude_eighth",
                                        abs(c) == as_scalar("1/8"), "1/8"))
         if verdict:
-            rhs = c * _dual_trace_sum(a)
+            rhs = c * _dual_trace_sum(rep)
             diagnostics.append(CheckResult("trace_identity", scalar == rhs, str(rhs)))
     return TestReport(verdict, scalar, obstruction, tuple(diagnostics))
 
 
-def _dual_trace_sum(a: Analysis) -> Scalar:
+def _dual_trace_sum(rep: SymplecticRep) -> Scalar:
     """sum_i tr(nu_i nu(x^i)), as sum_l tr(nu_l mu_l)."""
-    return sum((x * mu.data[q][p] for nu, mu in zip(a.rep.matrices, a.dual_matrices)
+    return sum((x * mu.data[q][p] for nu, mu in zip(rep.matrices, rep.dual_matrices)
                 for p, row in enumerate(nu.data) for q, x in enumerate(row) if x), _ZERO)
 
 
@@ -316,27 +299,27 @@ def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
                   + [(_ZERO,) * a.cols + row for row in b.data], cols=a.cols + b.cols)
 
 
-def construct_superalgebra_unchecked(problem: Problem) -> SuperAlgebraData:
+def construct_superalgebra_unchecked(rep: SymplecticRep) -> SuperAlgebraData:
     """Assemble the candidate structure with [y_a, y_b] = 2 lift^t(y_a y_b)
     without testing the obstruction.  Diagnostic tool: on a negative
-    instance the result fails exactly the odd-odd-odd Jacobi sector."""
-    a = analyze(problem)
-    n = a.rep.space.dim
+    instance the result fails exactly the odd-odd-odd Jacobi sector.  ``rep``
+    must have passed ``validate_space``, ``validate_lie`` and ``validate_rep``."""
+    n = rep.space.dim
     # quadratic_monomials lists the y_i y_j (i <= j) in this order
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    odd_odd = {pair: tuple(2 * x for x in quadratic_lift_adjoint(a, QuadraticElement(mono)))
-               for pair, mono in zip(pairs, quadratic_monomials(a.rep.space))}
-    return SuperAlgebraData(a.rep, odd_odd)
+    odd_odd = {pair: tuple(2 * x for x in quadratic_lift_adjoint(rep, QuadraticElement(mono)))
+               for pair, mono in zip(pairs, quadratic_monomials(rep.space))}
+    return SuperAlgebraData(rep, odd_odd)
 
 
-def construct_superalgebra(problem: Problem) -> SuperAlgebraData:
+def construct_superalgebra(rep: SymplecticRep) -> SuperAlgebraData:
     """Construct the unique extension; raises ``NotSuperLieType`` with the
-    degree-four obstruction when none exists."""
-    a = analyze(problem)
-    report = decide(a)
+    degree-four obstruction when none exists.  ``rep`` must have passed
+    ``validate_space``, ``validate_lie`` and ``validate_rep``, as for ``decide``."""
+    report = decide(rep)
     if not report.verdict:
         raise NotSuperLieType(report.obstruction)
-    return construct_superalgebra_unchecked(a)
+    return construct_superalgebra_unchecked(rep)
 
 
 def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:

@@ -157,14 +157,26 @@ def problem_from_json(obj) -> SymplecticRep:
         raise ParseError(str(exc)) from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if it names a key twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_problem(path: str) -> SymplecticRep:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            obj = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply") from exc
     return problem_from_json(obj)
 
 

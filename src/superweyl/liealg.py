@@ -120,6 +120,14 @@ class QuadraticLieAlgebra:
         """``adjoint()`` on the fraction-free kernel, built once per algebra."""
         return integer_columns(self.adjoint())
 
+    @cached_property
+    def form_inverse(self) -> Matrix:
+        """The inverse of ``form``, once per algebra; raises ``FormSingular``."""
+        try:
+            return invert(self.form)
+        except SingularMatrix as exc:
+            raise FormSingular(str(exc)) from exc
+
 
 def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
                           x: int, y: int) -> Matrix:
@@ -182,10 +190,7 @@ def validate_lie(g: QuadraticLieAlgebra) -> None:
             raise JacobiFails(i, j, min(defect))
     if g.form.transpose() != g.form:
         raise FormSingular("form matrix is not symmetric")
-    try:
-        invert(g.form)
-    except SingularMatrix as exc:
-        raise FormSingular(str(exc)) from exc
+    g.form_inverse
     _, (form,) = integer_columns([g.form])
     for i, ad_i in enumerate(cols):
         hit = invariance_violation(ad_i, form, form)  # B is symmetric here
@@ -203,8 +208,4 @@ class CasimirPairs:
 def casimir_pairs(g: QuadraticLieAlgebra) -> CasimirPairs:
     """Dual basis against the form: the i-th dual vector is column i of the
     inverse form matrix, so that form(x_i, dual_j) = delta_ij."""
-    try:
-        inv = invert(g.form)
-    except SingularMatrix as exc:
-        raise FormSingular(str(exc)) from exc
-    return CasimirPairs(tuple((i, inv.col(i)) for i in range(g.dim)))
+    return CasimirPairs(tuple((i, g.form_inverse.col(i)) for i in range(g.dim)))

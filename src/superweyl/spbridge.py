@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .exactla import (DimensionMismatch, Matrix, Scalar, as_scalar, integer_columns,
-                      record)
+from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar, record
 from .symplectic import SymplecticSpace, Vector, as_vector, is_in_sp
 from .weyl import (PolyElement, SpaceMismatch, bilinear_form, contract,
                    linear_coordinates, sym_product)
@@ -107,8 +106,9 @@ def sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
     terms: dict = {}
     for i, row in enumerate(s):
         for j, x in enumerate(row):
-            exp = tuple((t == i) + (t == j) for t in range(space.dim))
-            terms[exp] = terms.get(exp, _ZERO) + x / 4
+            if x:
+                exp = tuple((t == i) + (t == j) for t in range(space.dim))
+                terms[exp] = terms.get(exp, _ZERO) + x / 4
     return QuadraticElement(PolyElement(space, terms))
 
 
@@ -169,7 +169,7 @@ def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     if space.dim < 2:
         raise ValueError("the trace ratio needs a space of dimension at least 2")
     n = space.dim
-    scale, (columns,) = integer_columns([space.omega])
+    scale, (columns, _) = space.omega_columns
     w = [[col.get(i, 0) for col in columns] for i in range(n)]
     # the factors (i, j) of the monomials, in the order of quadratic_monomials
     factors = [(i, j) for i in range(n) for j in range(i, n)]

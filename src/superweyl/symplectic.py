@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 
-from .exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix,
+from .exactla import (DimensionMismatch, IntegerColumns, Matrix, Scalar, SingularMatrix,
                       as_scalar, integer_columns, invariance_violation, invert, record)
 
 Vector = tuple[Scalar, ...]
@@ -62,6 +62,11 @@ class SymplecticSpace:
         ``SingularMatrix`` when there is none."""
         return invert(self.omega)
 
+    @cached_property
+    def omega_columns(self) -> IntegerColumns:
+        """``omega`` and its transpose on the fraction-free kernel, once per space."""
+        return integer_columns([self.omega, self.omega.transpose()])
+
 
 def as_vector(space: SymplecticSpace, coords: Sequence) -> Vector:
     v = tuple(as_scalar(x) for x in coords)
@@ -99,9 +104,11 @@ def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
 
 def is_in_sp(space: SymplecticSpace, alpha: Matrix) -> bool:
     """Whether ``alpha`` is an infinitesimal symmetry of the form:
-    alpha^T omega + omega alpha = 0, tested on integer columns."""
+    alpha^T omega + omega alpha = 0, tested on integer columns of
+    ``alpha`` and of ``space.omega_columns``."""
     if alpha.rows != space.dim or alpha.cols != space.dim:
         raise DimensionMismatch(
             f"expected a {space.dim}x{space.dim} matrix, got {alpha.rows}x{alpha.cols}")
-    _, (a, omega, omega_t) = integer_columns([alpha, space.omega, space.omega.transpose()])
+    _, (a,) = integer_columns([alpha])
+    _, (omega, omega_t) = space.omega_columns
     return invariance_violation(a, omega, omega_t) is None

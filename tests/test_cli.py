@@ -350,6 +350,26 @@ def test_non_utf8_file_exits_one_with_one_line(tmp_path, capsys):
     assert captured.err.startswith("ParseError:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[" * 1000 + "]" * 1000, "nests too deeply"),
+    ('{"space": {"dim": 2}, "g0": {"dim": 0, "form": []}, "nu": [], "nu": []}',
+     "duplicate key 'nu'"),
+], ids=["deep", "duplicate"])
+@pytest.mark.parametrize("verb", ["validate", "test", "construct"])
+def test_deep_nesting_and_duplicate_keys_exit_one_with_one_line(tmp_path, capsys, verb,
+                                                                 text, message):
+    # json.load alone raises RecursionError on the first and keeps the last "nu"
+    path, out = tmp_path / "p.json", tmp_path / "out.json"
+    path.write_text(text)
+    flags = {"validate": [], "test": ["--report", str(out)], "construct": ["--out", str(out)]}
+    assert main([verb, str(path), *flags[verb]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ParseError:") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not out.exists()
+
+
 def test_unwritable_report_exits_one_with_one_line(tmp_path, capsys):
     path = _write_instance(tmp_path, "gl11")
     capsys.readouterr()

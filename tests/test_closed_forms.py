@@ -26,9 +26,9 @@ from oracles import (oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
                      oracle_trace_ratio_constant)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
-from superweyl.engine import (SymplecticRep, analyze, casimir_obstruction,
-                              construct_superalgebra, decide, quadratic_lift_adjoint,
-                              validate_rep)
+from superweyl.engine import (SymplecticRep, casimir_image, casimir_obstruction,
+                              construct_superalgebra, decide, quadratic_lift,
+                              quadratic_lift_adjoint, validate_rep)
 from superweyl.exactla import Matrix, invert, linear_combination
 from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
 from superweyl.spbridge import (QuadraticElement, SpElement, quadratic_monomials,
@@ -174,20 +174,20 @@ def conjugated_reps(draw):
 @settings(max_examples=12, deadline=None)
 def test_analysis_matches_weyl_path_in_random_symplectic_basis(reps):
     base, rep = reps
-    a = analyze(rep)
     lifts = [oracle_sp_to_quadratic(SpElement(rep.space, m)).poly for m in rep.matrices]
-    assert a.lifts == tuple(lifts)
+    assert [quadratic_lift(rep, i).poly for i in range(rep.algebra.dim)] == lifts
     total = PolyElement.zero(rep.space)
     for i, dual in casimir_pairs(rep.algebra).pairs:
         dual_lift = sum((c * lift for c, lift in zip(dual, lifts)), PolyElement.zero(rep.space))
         total = total + weyl_product(lifts[i], dual_lift)
     image = grade(total)
     assert set(image.degrees()) <= {0, 4}
-    assert a.obstruction == image.component(4)
-    assert a.scalar == constant_term(image.component(0))
+    ours = casimir_image(rep)
+    assert ours.component(4) == image.component(4)
+    assert constant_term(ours.component(0)) == constant_term(image.component(0))
 
     # the verdict and the scalar do not depend on the basis of v
-    report, base_report = decide(a), decide(base)
+    report, base_report = decide(rep), decide(base)
     assert report.verdict == base_report.verdict
     assert report.casimir_scalar == base_report.casimir_scalar
 

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import superweyl.engine
+import superweyl.exactla
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               NotSuperLieType, SuperAlgebraData, SymplecticRep,
@@ -13,11 +16,13 @@ from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               quadratic_lift, quadratic_lift_adjoint,
                               validate_rep, verify_superalgebra)
 from superweyl.exactla import Matrix, invert, replace
+from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
-from superweyl.symplectic import SymplecticSpace, standard_space
+from superweyl.symplectic import SymplecticSpace, standard_space, validate_space
 from superweyl.weyl import PolyElement
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 S1 = standard_space(1)
 E = PolyElement.variable(S1, 0)
 F = PolyElement.variable(S1, 1)
@@ -143,6 +148,37 @@ def test_degree_leak_detected_on_corrupt_input():
     rep = SymplecticRep(g, S1, (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])))
     with pytest.raises(InternalDegreeLeak):
         casimir_image(rep)
+
+
+def test_decide_takes_its_input_as_validated():
+    # two non-commuting sp(omega) matrices on an abelian g0 with B = I: the
+    # lifts and the degree-two leak test pass, so decide answers (obstructed),
+    # and only validate_rep sees that they do not represent the bracket
+    rep = SymplecticRep(QuadraticLieAlgebra.abelian(2), S1,
+                        (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])))
+    assert decide(rep).obstruction == Fraction(1, 16) * (E * E * E * E + F * F * F * F)
+    with pytest.raises(NotARepresentation):
+        validate_rep(rep)
+
+
+def test_one_analysis_per_representation(monkeypatch):
+    # the lifts run once, in casimir_image, and omega and B are inverted
+    # once each, however many of the validators and entry points read them
+    counts = {"sp_to_quadratic": 0, "solve_linear": 0}
+    for module, name in ((superweyl.engine, "sp_to_quadratic"),
+                         (superweyl.exactla, "solve_linear")):
+        def counted(*args, _original=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    rep = load_problem(str(GOLDEN / "osp_even-1-2.json"))
+    validate_space(rep.space)
+    validate_lie(rep.algebra)
+    validate_rep(rep)
+    assert decide(rep).verdict
+    construct_superalgebra_unchecked(rep)
+    assert rep.algebra.dim == 10
+    assert counts == {"sp_to_quadratic": 10, "solve_linear": 2}
 
 
 def test_decide_positive_instances():

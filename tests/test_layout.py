@@ -115,6 +115,27 @@ def test_traced_call_paths_reach_every_required_function(tmp_path, capsys, argv,
         assert [name for name in positive_only if tracer.total(name, "calls") != 0] == []
 
 
+@pytest.mark.parametrize("argv", [["gl11"], ["spin", "3"]])
+def test_every_traced_lift_runs_inside_casimir_image(tmp_path, capsys, argv):
+    # the lifts are part of the Casimir image, so the traced casimir and
+    # decide stages include their time
+    problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
+    assert cli.main(["catalog", *argv, "--out", problem]) == 0
+    tracer = _load_tracer_module().Tracer()
+    with tracer.installed():
+        assert cli.main(["test", problem, "--report", report]) == 0
+    capsys.readouterr()
+
+    def ancestors(index):
+        while index >= 0:
+            name, _, _, index, _ = tracer.spans[index]
+            yield name
+
+    lifts = [span for span in tracer.spans if span[0] == "spbridge.sp_to_quadratic"]
+    assert lifts
+    assert [span for span in lifts if "engine.casimir_image" not in ancestors(span[3])] == []
+
+
 # modules that every CLI call would pay to import although no verb but
 # ``catalog`` (or none at all) runs them
 NOT_AT_STARTUP = ("dataclasses", "inspect", "typing", "tempfile", "hashlib", "superweyl.catalog")
