@@ -27,8 +27,6 @@ from .engine import (
 from .exactla import Matrix, Scalar, as_scalar
 from .liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
 from .spbridge import (
-    QuadraticElement,
-    SpElement,
     quadratic_pairing,
     quadratic_to_sp,
     sp_to_quadratic,
@@ -48,10 +46,8 @@ __all__ = [
     "CheckResult",
     "Matrix",
     "PolyElement",
-    "QuadraticElement",
     "QuadraticLieAlgebra",
     "Scalar",
-    "SpElement",
     "SuperAlgebraData",
     "SymplecticRep",
     "SymplecticSpace",

@@ -17,10 +17,12 @@ from collections.abc import Callable, Sequence
 
 from .engine import (SuperAlgebraData, SymplecticRep, casimir_obstruction,
                      construct_superalgebra, verify_superalgebra)
-from .exactla import Matrix, Scalar, as_scalar, invert, record, solve_overdetermined
+from .exactla import (Matrix, Scalar, as_scalar, invert, linear_combination, record,
+                      solve_overdetermined)
 from .liealg import QuadraticLieAlgebra
-from .spbridge import NotSymplectic, SpElement, sp_to_quadratic
+from .spbridge import NotSymplectic, sp_to_quadratic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
+from .weyl import PolyElement
 
 _ZERO = as_scalar(0)
 _ONE = as_scalar(1)
@@ -172,8 +174,10 @@ def build_osp_even(m: int, n: int) -> SymplecticRep:
     nu_sp = [kron(Matrix.identity(m), b) for b in sp_b]
 
     def summand_obstruction(mats: Sequence[Matrix], gram: Matrix):
-        lifts = [sp_to_quadratic(SpElement(space, m)).poly for m in mats]
-        return casimir_obstruction(space, lifts, invert(gram).columns())
+        lifts = [sp_to_quadratic(space, m) for m in mats]
+        zero = PolyElement.zero(space)
+        dual_lifts = [linear_combination(dual, lifts, zero) for dual in invert(gram).columns()]
+        return casimir_obstruction(space, lifts, dual_lifts)
 
     gram_so, gram_sp = trace_gram(so_b), trace_gram(sp_b)
     p_so, p_sp = summand_obstruction(nu_so, gram_so), summand_obstruction(nu_sp, gram_sp)
@@ -377,9 +381,12 @@ def build_instance(name: str, parameters: Sequence) -> SymplecticRep:
 def _as_int(value) -> int:
     """A Python int other than a bool, or a string of ASCII digits with an
     optional leading minus; spaces, signs, underscores and other digits are
-    refused."""
+    refused, and more than 18 digits, far above every size guard, are too many."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        digits = len(value.lstrip("-"))
+        if digits > 18:
+            raise TooLarge(f"an integer parameter of {digits} digits is out of scope")
         return int(value)
     raise InvalidInput(f"expected an integer parameter, got {value!r}")

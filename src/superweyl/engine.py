@@ -20,14 +20,15 @@ form.  The paper's test lives in the noncommutative (Weyl) algebra on v:
 The Weyl product of ``weyl`` is the reference model.  The working path,
 checked against it by the tests, uses closed forms: since the product of
 quadratics a, b is a.b + 1/2 [a, b] + (a, b), ``casimir_image`` turns the
-lifts of ``sp_to_quadratic`` into the obstruction sum_i lift_i . lift^i
-(``casimir_obstruction``) and the constant sum_i (lift_i, lift^i)
-(``quadratic_pairing``).
+lifts lift_i of ``sp_to_quadratic`` and the dual lifts lift^i, each formed
+once, into the obstruction sum_i lift_i . lift^i (``casimir_obstruction``)
+and the constant sum_i (lift_i, lift^i) (``quadratic_pairing``).
 
 Every entry point takes its representation as validated (``validate_space``,
-``validate_lie``, ``validate_rep``).  Unvalidated, a matrix outside sp(omega)
-still raises ``NotSymplectic`` in the lift, and a degree-two part of the
-Casimir image ``InternalDegreeLeak(2)``; any other defect goes unseen.
+``validate_lie``, and ``validate_rep``, the one ``is_in_sp`` test of nu).
+Unvalidated, a matrix outside sp(omega) still raises ``NotSymplectic`` in the
+lift, and a degree-two part of the Casimir image ``InternalDegreeLeak(2)``;
+any other defect goes unseen.
 
 When the degree-four obstruction is nonzero, the candidate bracket still
 exists but fails the odd-odd-odd super Jacobi identity, and the failure is
@@ -45,8 +46,8 @@ from .exactla import (Column, Matrix, Scalar, SingularMatrix, add_product, as_sc
                       integer_columns, invariance_violation, invert, linear_combination,
                       record)
 from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
-from .spbridge import (NotSymplectic, QuadraticElement, SpElement, quadratic_monomials,
-                       quadratic_pairing, sp_to_quadratic, trace_ratio_constant)
+from .spbridge import (NotSymplectic, quadratic_monomials, quadratic_pairing, sp_to_quadratic,
+                       trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
 from .weyl import (GradedDecomposition, PolyElement, SpaceMismatch, constant_term, contract,
                    grade, linear_coordinates, sym_product)
@@ -123,19 +124,18 @@ def validate_rep(rep: SymplecticRep) -> None:
             raise NotARepresentation(i, j)
 
 
-def quadratic_lift(rep: SymplecticRep, i: int) -> QuadraticElement:
+def quadratic_lift(rep: SymplecticRep, i: int) -> PolyElement:
     """The quadratic polynomial acting on v as nu(x_i) does."""
-    return sp_to_quadratic(SpElement(rep.space, rep.matrices[i]))
+    return sp_to_quadratic(rep.space, rep.matrices[i])
 
 
 def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
-                        duals: Sequence[Sequence[Scalar]]) -> PolyElement:
-    """Degree-four part sum_i lift_i . lift^i of the Casimir image, where
-    lift^i = sum_j duals[i][j] lift_j.  The top-degree part of the
-    noncommutative product of two quadratics is their commutative product."""
+                        dual_lifts: Sequence[PolyElement]) -> PolyElement:
+    """Degree-four part sum_i lift_i . lift^i of the Casimir image, for the
+    dual lifts lift^i.  The top-degree part of the noncommutative product of
+    two quadratics is their commutative product."""
     zero = PolyElement.zero(space)
-    return sum((sym_product(lift, linear_combination(dual, lifts, zero))
-                for lift, dual in zip(lifts, duals)), zero)
+    return sum((sym_product(lift, dual) for lift, dual in zip(lifts, dual_lifts)), zero)
 
 
 def _dual_commutator_sum(rep: SymplecticRep) -> bool:
@@ -151,7 +151,7 @@ def _dual_commutator_sum(rep: SymplecticRep) -> bool:
     return any(any(col.values()) for col in total)
 
 
-def quadratic_lift_adjoint(rep: SymplecticRep, w: QuadraticElement) -> tuple[Scalar, ...]:
+def quadratic_lift_adjoint(rep: SymplecticRep, w: PolyElement) -> tuple[Scalar, ...]:
     """The element t = sum_i (lift(x_i), w) x^i of g0, so that
     B(x_i, t) = (lift(x_i), w) for all i.
 
@@ -159,12 +159,15 @@ def quadratic_lift_adjoint(rep: SymplecticRep, w: QuadraticElement) -> tuple[Sca
     forms; it intertwines the actions on quadratics and on g0.  Since
     (lift(x_i), y_p y_q) = -1/2 (omega nu_i)_pq, for any nonsingular B it is
     t_l = -1/2 sum_{c y_p y_q in w} c (omega mu_l)_pq, mu_l = rep.dual_matrices[l].
+    Raises ``ValueError`` unless ``w`` is homogeneous of degree two.
     """
-    if w.poly.space != rep.space:
+    if w.space != rep.space:
         raise SpaceMismatch("the quadratic lives on a different space")
+    if not w.is_homogeneous(2):
+        raise ValueError("quadratic_lift_adjoint needs a homogeneous quadratic")
     omega = rep.space.omega.data
     t = [_ZERO] * rep.algebra.dim
-    for exp, c in w.poly.terms.items():
+    for exp, c in w.terms.items():
         p, q = (i for i, e in enumerate(exp) for _ in range(e))
         for l, mu in enumerate(rep.dual_matrices):
             t[l] += c * sum((x * mu.data[r][q] for r, x in enumerate(omega[p]) if x), _ZERO)
@@ -177,15 +180,15 @@ def casimir_image(rep: SymplecticRep) -> GradedDecomposition:
     ``validate_lie`` and ``validate_rep`` it lies in degree four plus a constant;
     unvalidated, only ``NotSymplectic`` and ``InternalDegreeLeak(2)`` are raised."""
     space = rep.space
-    lifts = tuple(quadratic_lift(rep, i).poly for i in range(rep.algebra.dim))
-    duals = tuple(dual for _, dual in casimir_pairs(rep.algebra).pairs)
+    lifts = tuple(quadratic_lift(rep, i) for i in range(rep.algebra.dim))
+    dual_lifts = tuple(linear_combination(dual, lifts, PolyElement.zero(space))
+                       for dual in casimir_pairs(rep.algebra))
     # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu(x^i)]
     if _dual_commutator_sum(rep):
         raise InternalDegreeLeak(2)
-    zero = PolyElement.zero(space)
-    scalar = sum((quadratic_pairing(lift, linear_combination(dual, lifts, zero))
-                  for lift, dual in zip(lifts, duals)), _ZERO)
-    return grade(casimir_obstruction(space, lifts, duals) + PolyElement.constant(space, scalar))
+    scalar = sum(map(quadratic_pairing, lifts, dual_lifts), _ZERO)
+    return grade(casimir_obstruction(space, lifts, dual_lifts)
+                 + PolyElement.constant(space, scalar))
 
 
 @record
@@ -307,7 +310,7 @@ def construct_superalgebra_unchecked(rep: SymplecticRep) -> SuperAlgebraData:
     n = rep.space.dim
     # quadratic_monomials lists the y_i y_j (i <= j) in this order
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    odd_odd = {pair: tuple(2 * x for x in quadratic_lift_adjoint(rep, QuadraticElement(mono)))
+    odd_odd = {pair: tuple(2 * x for x in quadratic_lift_adjoint(rep, mono))
                for pair, mono in zip(pairs, quadratic_monomials(rep.space))}
     return SuperAlgebraData(rep, odd_odd)
 

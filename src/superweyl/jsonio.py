@@ -47,6 +47,13 @@ def scalar_from_str(text) -> Scalar:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _known_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
+    """Refuse a key outside ``keys``: a misspelt optional field is not absent."""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ParseError(f"{what} has an unknown key {unknown[0]!r}")
+
+
 def _integer(value, what: str) -> int:
     """A JSON integer; booleans, floats and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -85,6 +92,7 @@ def space_to_json(space: SymplecticSpace) -> dict:
 def space_from_json(obj) -> SymplecticSpace:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise ParseError("space needs a 'dim' field")
+    _known_keys(obj, ("dim", "omega"), "space")
     dim = _integer(obj["dim"], "space dimension")
     if dim < 0:
         raise ParseError(f"bad space dimension {dim!r}")
@@ -112,6 +120,7 @@ def algebra_to_json(g: QuadraticLieAlgebra) -> dict:
 def algebra_from_json(obj) -> QuadraticLieAlgebra:
     if not isinstance(obj, dict) or "dim" not in obj or "form" not in obj:
         raise ParseError("algebra needs 'dim' and 'form' fields")
+    _known_keys(obj, ("dim", "brackets", "form"), "algebra")
     dim = _integer(obj["dim"], "algebra dimension")
     if dim < 0:
         raise ParseError(f"bad algebra dimension {dim!r}")
@@ -142,6 +151,7 @@ def problem_to_json(rep: SymplecticRep) -> dict:
 def problem_from_json(obj) -> SymplecticRep:
     if not isinstance(obj, dict):
         raise ParseError("problem file must contain a JSON object")
+    _known_keys(obj, ("space", "g0", "nu"), "problem file")
     for field in ("space", "g0", "nu"):
         if field not in obj:
             raise ParseError(f"problem file is missing {field!r}")

@@ -198,14 +198,7 @@ def validate_lie(g: QuadraticLieAlgebra) -> None:
             raise FormNotInvariant(i, *hit)
 
 
-@record
-class CasimirPairs:
-    """Dual pairs (i, coordinates of the dual basis vector) for the form."""
-
-    pairs: tuple[tuple[int, tuple[Scalar, ...]], ...]
-
-
-def casimir_pairs(g: QuadraticLieAlgebra) -> CasimirPairs:
-    """Dual basis against the form: the i-th dual vector is column i of the
-    inverse form matrix, so that form(x_i, dual_j) = delta_ij."""
-    return CasimirPairs(tuple((i, g.form_inverse.col(i)) for i in range(g.dim)))
+def casimir_pairs(g: QuadraticLieAlgebra) -> tuple[tuple[Scalar, ...], ...]:
+    """Dual basis against the form: the coordinates of the i-th dual vector
+    x^i are column i of the inverse form matrix, so that form(x_i, x^j) = delta_ij."""
+    return tuple(g.form_inverse.col(i) for i in range(g.dim))

@@ -13,6 +13,10 @@ is ``sp_to_quadratic(alpha) = 1/4 sum_ij (alpha omega^-1)_ij x_i x_j``; and
 the pairing of quadratics, the constant term of their noncommutative
 product, is the permanent ``quadratic_pairing``.
 
+Each map checks its own input: ``sp_to_quadratic`` refuses alpha when
+alpha omega^-1 is not symmetric, for an alternating omega exactly when alpha
+is outside sp(omega), and ``quadratic_to_sp`` refuses a non-quadratic.
+
 There is also a scalar worth recording: on quadratics the pairing is
 proportional to the matrix trace form, and ``trace_ratio_constant`` fits
 the proportionality constant with one Weyl-product pairing and verifies it
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar, record
-from .symplectic import SymplecticSpace, Vector, as_vector, is_in_sp
+from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar
+from .symplectic import SymplecticSpace, Vector, as_vector
 from .weyl import (PolyElement, SpaceMismatch, bilinear_form, contract,
                    linear_coordinates, sym_product)
 
@@ -49,29 +53,6 @@ class InconsistentRatio(Exception):
     """The quadratic pairing failed to be a single multiple of the trace form."""
 
 
-@record
-class SpElement:
-    """A matrix satisfying alpha^T omega + omega alpha = 0, checked on construction."""
-
-    space: SymplecticSpace
-    matrix: Matrix
-
-    def __post_init__(self):
-        if not is_in_sp(self.space, self.matrix):
-            raise NotSymplectic()
-
-
-@record
-class QuadraticElement:
-    """A polynomial that is homogeneous of degree two (or zero)."""
-
-    poly: PolyElement
-
-    def __post_init__(self):
-        if not self.poly.is_homogeneous(2):
-            raise ValueError("quadratic element must be homogeneous of degree 2")
-
-
 def quadratic_monomials(space: SymplecticSpace) -> list[PolyElement]:
     """Monomial basis x_i x_j (i <= j) of the quadratics, in lexicographic order."""
     n = space.dim
@@ -79,37 +60,40 @@ def quadratic_monomials(space: SymplecticSpace) -> list[PolyElement]:
             for i in range(n) for j in range(i, n)]
 
 
-def ad_vector(w: QuadraticElement, u) -> Vector:
-    """Commutator action of a quadratic element on a vector: -2 contract(u, w)."""
-    space = w.poly.space
-    uu = as_vector(space, u)
-    return linear_coordinates(as_scalar(-2) * contract(uu, w.poly))
+def ad_vector(w: PolyElement, u) -> Vector:
+    """Commutator action of a quadratic polynomial on a vector: -2 contract(u, w)."""
+    return linear_coordinates(as_scalar(-2) * contract(as_vector(w.space, u), w))
 
 
-def quadratic_to_sp(w: QuadraticElement) -> SpElement:
-    """Matrix of the commutator action of ``w`` on linear elements.
-
-    The result always satisfies the symmetry condition; the SpElement
-    constructor re-checks it.
-    """
-    space = w.poly.space
+def quadratic_to_sp(w: PolyElement) -> Matrix:
+    """Matrix of the commutator action of ``w`` on linear elements, which
+    preserves the form; raises ``ValueError`` unless ``w`` is homogeneous
+    of degree two (or zero)."""
+    if not w.is_homogeneous(2):
+        raise ValueError("quadratic_to_sp needs a homogeneous quadratic")
+    space = w.space
     cols = [ad_vector(w, space.basis_vector(j)) for j in range(space.dim)]
-    return SpElement(space, Matrix.from_columns(cols, rows=space.dim))
+    return Matrix.from_columns(cols, rows=space.dim)
 
 
-def sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
-    """Inverse of ``quadratic_to_sp``: 1/4 sum_ij (alpha omega^-1)_ij x_i x_j,
-    for any nonsingular form matrix.  ``alpha omega^-1`` is symmetric
-    exactly because alpha preserves the form."""
-    space = alpha.space
-    s = (alpha.matrix * space.omega_inverse).data
+def sp_to_quadratic(space: SymplecticSpace, alpha: Matrix) -> PolyElement:
+    """Inverse of ``quadratic_to_sp``: 1/4 sum_ij (alpha omega^-1)_ij x_i x_j.
+    Raises ``NotSymplectic`` unless alpha omega^-1 is symmetric, which for an
+    alternating omega is alpha preserving the form, and ``DimensionMismatch``
+    on a wrong shape."""
+    n = space.dim
+    if alpha.rows != n or alpha.cols != n:
+        raise DimensionMismatch(f"expected a {n}x{n} matrix, got {alpha.rows}x{alpha.cols}")
+    s = (alpha * space.omega_inverse).data
+    if any(s[i][j] != s[j][i] for i in range(n) for j in range(i)):
+        raise NotSymplectic()
     terms: dict = {}
     for i, row in enumerate(s):
         for j, x in enumerate(row):
             if x:
-                exp = tuple((t == i) + (t == j) for t in range(space.dim))
+                exp = tuple((t == i) + (t == j) for t in range(n))
                 terms[exp] = terms.get(exp, _ZERO) + x / 4
-    return QuadraticElement(PolyElement(space, terms))
+    return PolyElement(space, terms)
 
 
 def _factors(exp) -> list[int]:
@@ -133,13 +117,13 @@ def quadratic_pairing(a: PolyElement, b: PolyElement) -> Scalar:
     return total
 
 
-def derivation_action(alpha: SpElement, a: PolyElement) -> PolyElement:
+def derivation_action(alpha: Matrix, a: PolyElement) -> PolyElement:
     """Extension of the matrix ``alpha`` to a degree-preserving derivation of
     the commutative product, acting on linear elements as the matrix does."""
-    space = alpha.space
-    if a.space != space:
-        raise DimensionMismatch("polynomial lives on a different space")
-    images = [PolyElement.from_vector(space, alpha.matrix.col(i)) for i in range(space.dim)]
+    space = a.space
+    if alpha.rows != space.dim or alpha.cols != space.dim:
+        raise DimensionMismatch("matrix and polynomial live on spaces of different dimension")
+    images = [PolyElement.from_vector(space, alpha.col(i)) for i in range(space.dim)]
     total = PolyElement.zero(space)
     for exp, coeff in a.terms.items():
         for i, k in enumerate(exp):
@@ -187,7 +171,7 @@ def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     if anchor is None:
         raise InconsistentRatio("trace pairing vanishes identically")
     monomials = quadratic_monomials(space)
-    left, right = (quadratic_to_sp(QuadraticElement(monomials[p])).matrix for p in anchor)
+    left, right = (quadratic_to_sp(monomials[p]) for p in anchor)
     anchor_trace = sum((left[i, j] * right[j, i] for i in range(n) for j in range(n)), _ZERO)
     if anchor_trace * scale ** 2 != trace(*anchor):
         raise InconsistentRatio("the closed-form trace disagrees with quadratic_to_sp "

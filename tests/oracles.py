@@ -20,8 +20,8 @@ from itertools import permutations, product
 from superweyl.engine import CheckResult, NotARepresentation
 from superweyl.exactla import Matrix, SingularMatrix, invert, linear_combination, solve_linear
 from superweyl.liealg import FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric
-from superweyl.spbridge import (InconsistentRatio, NotSymplectic, QuadraticElement, SpElement,
-                                quadratic_monomials, quadratic_pairing, quadratic_to_sp)
+from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_monomials,
+                                quadratic_pairing, quadratic_to_sp)
 from superweyl.symplectic import SymplecticSpace, is_in_sp, pair
 from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates
 
@@ -86,23 +86,22 @@ def sl2_casimir_trace(two_j: int) -> Fraction:
     return Fraction(two_j * (two_j + 2), 2) * (two_j + 1)
 
 
-def oracle_sp_to_quadratic(alpha: SpElement) -> QuadraticElement:
+def oracle_sp_to_quadratic(space: SymplecticSpace, alpha: Matrix) -> PolyElement:
     """The quadratic w with (x_i x_j, w) = -1/2 (x_i, alpha x_j) for all
     i <= j, found by solving against the Gram matrix of ``bilinear_form``
     (the Weyl-product pairing) on the monomial basis of quadratics."""
-    space = alpha.space
     monomials = quadratic_monomials(space)
     if not monomials:
-        return QuadraticElement(PolyElement.zero(space))
+        return PolyElement.zero(space)
     gram = Matrix([[bilinear_form(p, q) for q in monomials] for p in monomials],
                   cols=len(monomials))
-    rhs = [Fraction(-1, 2) * pair(space, space.basis_vector(i), alpha.matrix.col(j))
+    rhs = [Fraction(-1, 2) * pair(space, space.basis_vector(i), alpha.col(j))
            for i in range(space.dim) for j in range(i, space.dim)]
     coeffs = solve_linear(gram, Matrix.column(rhs))
     total = PolyElement.zero(space)
     for k, mono in enumerate(monomials):
         total = total + coeffs[k, 0] * mono
-    return QuadraticElement(total)
+    return total
 
 
 def oracle_trace_ratio_constant(space: SymplecticSpace) -> Fraction:
@@ -112,7 +111,7 @@ def oracle_trace_ratio_constant(space: SymplecticSpace) -> Fraction:
     require (p, q) = c tr(A(p) A(q)) through ``quadratic_pairing`` on all N^2
     pairs."""
     monomials = quadratic_monomials(space)
-    mats = [quadratic_to_sp(QuadraticElement(p)).matrix.data for p in monomials]
+    mats = [quadratic_to_sp(p).data for p in monomials]
     support = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x != 0]
                for m in mats]
 
@@ -131,12 +130,12 @@ def oracle_trace_ratio_constant(space: SymplecticSpace) -> Fraction:
     return constant
 
 
-def oracle_quadratic_lift_adjoint(rep, w: QuadraticElement) -> tuple[Fraction, ...]:
+def oracle_quadratic_lift_adjoint(rep, w: PolyElement) -> tuple[Fraction, ...]:
     """t = sum_i (lift_i, w) x^i: ``quadratic_pairing`` of every polynomial
     lift of ``oracle_sp_to_quadratic`` with w, against the dual basis x^i of
     B, column i of B^-1."""
-    lifts = [oracle_sp_to_quadratic(SpElement(rep.space, m)).poly for m in rep.matrices]
-    coeffs = [quadratic_pairing(lift, w.poly) for lift in lifts]
+    lifts = [oracle_sp_to_quadratic(rep.space, m) for m in rep.matrices]
+    coeffs = [quadratic_pairing(lift, w) for lift in lifts]
     duals = invert(rep.algebra.form).columns()
     return tuple(sum((c * dual[l] for c, dual in zip(coeffs, duals)), Fraction(0))
                  for l in range(rep.algebra.dim))

@@ -23,8 +23,7 @@ from superweyl.engine import (construct_superalgebra,
                               verify_superalgebra)
 from superweyl.exactla import Matrix
 from superweyl.liealg import QuadraticLieAlgebra
-from superweyl.spbridge import (QuadraticElement, SpElement, derivation_action,
-                                quadratic_to_sp, sp_to_quadratic,
+from superweyl.spbridge import (derivation_action, quadratic_to_sp, sp_to_quadratic,
                                 trace_ratio_constant)
 from superweyl.symplectic import pair, standard_space
 from superweyl.weyl import (PolyElement, bilinear_form, linear_coordinates,
@@ -106,23 +105,22 @@ def test_criterion_03_quadratic_matrix_correspondence():
     for n in (1, 2, 3):
         space = standard_space(n)
         basis = sp_basis(n)
-        quads = [sp_to_quadratic(SpElement(space, mat)) for mat in basis]
+        quads = [sp_to_quadratic(space, mat) for mat in basis]
         # inverse on the matrix side
         for mat, w in zip(basis, quads):
-            assert quadratic_to_sp(w).matrix == mat
+            assert quadratic_to_sp(w) == mat
         # bracket correspondence on every basis pair
         for i, wi in enumerate(quads):
             for j, wj in enumerate(quads):
-                comm = weyl_commutator(wi.poly, wj.poly)
+                comm = weyl_commutator(wi, wj)
                 expected = basis[i] * basis[j] - basis[j] * basis[i]
-                assert quadratic_to_sp(QuadraticElement(comm)).matrix == expected
+                assert quadratic_to_sp(comm) == expected
         # the derivation extension acts as the commutator in all degrees
         for _ in range(5):
             mat = basis[rng.randrange(len(basis))]
-            alpha = SpElement(space, mat)
-            w = sp_to_quadratic(alpha)
+            w = sp_to_quadratic(space, mat)
             a = _random_poly(rng, space, 3, 3)
-            assert derivation_action(alpha, a) == weyl_commutator(w.poly, a)
+            assert derivation_action(mat, a) == weyl_commutator(w, a)
     announce(3, "quadratics and form-preserving matrices correspond as Lie "
                 "algebras in dimensions 2, 4, 6, with inverse and derivation checks")
 

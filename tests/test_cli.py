@@ -342,6 +342,16 @@ def test_invalid_catalog_parameters_exit_one_with_one_line(capsys):
         assert captured.out == ""
 
 
+def test_oversized_catalog_parameters_exit_one_with_one_line(capsys):
+    # past the interpreter's 4300-digit limit, int() itself refuses the first,
+    # and the size message of the second could not print its dimension
+    for argv in (["catalog", "spin", "1" * 4301], ["catalog", "osp_even", "1", "9" * 4300]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("TooLarge:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 def test_non_utf8_file_exits_one_with_one_line(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_bytes(b"\xff\xfe{")
@@ -354,7 +364,14 @@ def test_non_utf8_file_exits_one_with_one_line(tmp_path, capsys):
     ("[" * 1000 + "]" * 1000, "nests too deeply"),
     ('{"space": {"dim": 2}, "g0": {"dim": 0, "form": []}, "nu": [], "nu": []}',
      "duplicate key 'nu'"),
-], ids=["deep", "duplicate"])
+    # a misspelt optional field would otherwise read as absent
+    ('{"space": {"dim": 2}, "g0": {"dim": 0, "form": []}, "nu": [], "note": ""}',
+     "problem file has an unknown key 'note'"),
+    ('{"space": {"dim": 2, "omga": [["0", "2"], ["-2", "0"]]}, "g0": {"dim": 0, "form": []},'
+     ' "nu": []}', "space has an unknown key 'omga'"),
+    ('{"space": {"dim": 2}, "g0": {"dim": 0, "form": [], "brakets": [[0, 0, 0, "1"]]},'
+     ' "nu": []}', "algebra has an unknown key 'brakets'"),
+], ids=["deep", "duplicate", "unknown-top", "unknown-space", "unknown-g0"])
 @pytest.mark.parametrize("verb", ["validate", "test", "construct"])
 def test_deep_nesting_and_duplicate_keys_exit_one_with_one_line(tmp_path, capsys, verb,
                                                                  text, message):

@@ -19,6 +19,7 @@ bracket covariantly.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,12 +30,11 @@ from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
 from superweyl.engine import (SymplecticRep, casimir_image, casimir_obstruction,
                               construct_superalgebra, decide, quadratic_lift,
                               quadratic_lift_adjoint, validate_rep)
-from superweyl.exactla import Matrix, invert, linear_combination
+from superweyl.exactla import DimensionMismatch, Matrix, invert, linear_combination
 from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
-from superweyl.spbridge import (QuadraticElement, SpElement, quadratic_monomials,
-                                quadratic_pairing, quadratic_to_sp, sp_to_quadratic,
-                                trace_ratio_constant)
-from superweyl.symplectic import SymplecticSpace, standard_space, validate_space
+from superweyl.spbridge import (NotSymplectic, quadratic_monomials, quadratic_pairing,
+                                quadratic_to_sp, sp_to_quadratic, trace_ratio_constant)
+from superweyl.symplectic import SymplecticSpace, is_in_sp, standard_space, validate_space
 from superweyl.weyl import (PolyElement, bilinear_form, constant_term, grade,
                             sym_product, weyl_commutator, weyl_product)
 
@@ -70,7 +70,7 @@ def sp_elements(draw, space):
     n = space.dim
     upper = [[draw(ENTRIES) if j >= i else 0 for j in range(n)] for i in range(n)]
     sym = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
-    return SpElement(space, invert(space.omega) * sym)
+    return invert(space.omega) * sym
 
 
 @st.composite
@@ -84,15 +84,50 @@ def quadratics(draw, space):
 @st.composite
 def space_with_sp_element(draw):
     space = draw(spaces(max_half=3))
-    return draw(sp_elements(space))
+    return space, draw(sp_elements(space))
 
 
 @given(space_with_sp_element())
 @settings(max_examples=40, deadline=None)
-def test_lift_matches_gram_solve_oracle(alpha):
-    w = sp_to_quadratic(alpha)
-    assert w.poly == oracle_sp_to_quadratic(alpha).poly
-    assert quadratic_to_sp(w).matrix == alpha.matrix
+def test_lift_matches_gram_solve_oracle(data):
+    space, alpha = data
+    w = sp_to_quadratic(space, alpha)
+    assert w == oracle_sp_to_quadratic(space, alpha)
+    assert quadratic_to_sp(w) == alpha
+
+
+@st.composite
+def space_with_any_matrix(draw):
+    """A space and a rational matrix on it: an element of sp(omega), one
+    with a single entry moved, an arbitrary square matrix, or one of the
+    wrong shape."""
+    space = draw(spaces())
+    n = space.dim
+    kind = draw(st.sampled_from(["sp", "moved", "square", "wide", "tall"]))
+    if kind in ("sp", "moved"):
+        alpha = draw(sp_elements(space))
+        if kind == "moved":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            alpha = alpha + draw(NONZERO) * Matrix([[int((r, c) == (i, j)) for c in range(n)]
+                                                    for r in range(n)])
+        return space, alpha
+    rows, cols = {"square": (n, n), "wide": (n, n + 1), "tall": (n + 1, n)}[kind]
+    return space, Matrix([[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+@given(space_with_any_matrix())
+@settings(max_examples=60, deadline=None)
+def test_lift_refuses_exactly_the_matrices_outside_sp(data):
+    # the lift's symmetry test on alpha omega^-1 stands in for is_in_sp
+    space, alpha = data
+    if (alpha.rows, alpha.cols) != (space.dim, space.dim):
+        with pytest.raises(DimensionMismatch):
+            sp_to_quadratic(space, alpha)
+    elif is_in_sp(space, alpha):
+        assert quadratic_to_sp(sp_to_quadratic(space, alpha)) == alpha
+    else:
+        with pytest.raises(NotSymplectic):
+            sp_to_quadratic(space, alpha)
 
 
 @st.composite
@@ -130,7 +165,7 @@ def casimir_data(draw):
 @settings(max_examples=25, deadline=None)
 def test_casimir_split_matches_weyl_products(data):
     space, alphas, duals = data
-    lifts = [oracle_sp_to_quadratic(alpha).poly for alpha in alphas]
+    lifts = [oracle_sp_to_quadratic(space, alpha) for alpha in alphas]
     dual_lifts = [sum((c * lift for c, lift in zip(dual, lifts)), PolyElement.zero(space))
                   for dual in duals]
     total = PolyElement.zero(space)
@@ -141,8 +176,10 @@ def test_casimir_split_matches_weyl_products(data):
     image = grade(total)
     assert set(image.degrees()) <= {0, 2, 4}
 
-    closed_lifts = [sp_to_quadratic(alpha).poly for alpha in alphas]
-    assert casimir_obstruction(space, closed_lifts, duals) == image.component(4)
+    closed_lifts = [sp_to_quadratic(space, alpha) for alpha in alphas]
+    closed_duals = [linear_combination(dual, closed_lifts, PolyElement.zero(space))
+                    for dual in duals]
+    assert casimir_obstruction(space, closed_lifts, closed_duals) == image.component(4)
     scalar = sum((quadratic_pairing(a, b) for a, b in zip(closed_lifts, dual_lifts)), Fraction(0))
     assert scalar == constant_term(image.component(0))
     assert image.component(2) == Fraction(1, 2) * commutators
@@ -174,10 +211,10 @@ def conjugated_reps(draw):
 @settings(max_examples=12, deadline=None)
 def test_analysis_matches_weyl_path_in_random_symplectic_basis(reps):
     base, rep = reps
-    lifts = [oracle_sp_to_quadratic(SpElement(rep.space, m)).poly for m in rep.matrices]
-    assert [quadratic_lift(rep, i).poly for i in range(rep.algebra.dim)] == lifts
+    lifts = [oracle_sp_to_quadratic(rep.space, m) for m in rep.matrices]
+    assert [quadratic_lift(rep, i) for i in range(rep.algebra.dim)] == lifts
     total = PolyElement.zero(rep.space)
-    for i, dual in casimir_pairs(rep.algebra).pairs:
+    for i, dual in enumerate(casimir_pairs(rep.algebra)):
         dual_lift = sum((c * lift for c, lift in zip(dual, lifts)), PolyElement.zero(rep.space))
         total = total + weyl_product(lifts[i], dual_lift)
     image = grade(total)
@@ -195,7 +232,7 @@ def test_analysis_matches_weyl_path_in_random_symplectic_basis(reps):
 @st.composite
 def reps_with_quadratic(draw):
     _, rep = draw(conjugated_reps())
-    return rep, QuadraticElement(draw(quadratics(rep.space)))
+    return rep, draw(quadratics(rep.space))
 
 
 @given(reps_with_quadratic())
@@ -215,13 +252,12 @@ def test_lift_adjoint_holds_for_an_asymmetric_form(w):
     algebra = QuadraticLieAlgebra.abelian(2, Matrix([[1, 2], [0, 1]]))
     rep = SymplecticRep(algebra, space, (Matrix.diagonal([1, 0, -1, 0]),
                                          Matrix.diagonal([1, 2, -1, -2])))
-    w = QuadraticElement(w)
     t = quadratic_lift_adjoint(rep, w)
     assert t == oracle_quadratic_lift_adjoint(rep, w)
     for i, nu in enumerate(rep.matrices):
         unit = tuple(Fraction(int(l == i)) for l in range(2))
-        lift = sp_to_quadratic(SpElement(space, nu)).poly
-        assert algebra.form_value(unit, t) == bilinear_form(lift, w.poly)
+        lift = sp_to_quadratic(space, nu)
+        assert algebra.form_value(unit, t) == bilinear_form(lift, w)
 
 
 def _change_basis(rep: SymplecticRep, p: Matrix, q: Matrix) -> SymplecticRep:

@@ -7,6 +7,8 @@ import pytest
 
 import superweyl.engine
 import superweyl.exactla
+import superweyl.spbridge
+import superweyl.symplectic
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               NotSuperLieType, SuperAlgebraData, SymplecticRep,
@@ -78,16 +80,16 @@ def test_rep_shape_check():
 
 def test_lift_values_for_sl2_action():
     rep = osp11()
-    assert quadratic_lift(rep, 0).poly == Fraction(-1, 2) * (E * F)
-    assert quadratic_lift(rep, 1).poly == Fraction(1, 4) * (E * E)
-    assert quadratic_lift(rep, 2).poly == Fraction(-1, 4) * (F * F)
+    assert quadratic_lift(rep, 0) == Fraction(-1, 2) * (E * F)
+    assert quadratic_lift(rep, 1) == Fraction(1, 4) * (E * E)
+    assert quadratic_lift(rep, 2) == Fraction(-1, 4) * (F * F)
 
 
 def test_lift_is_equivariant():
     # lifting intertwines the bracket with the noncommutative commutator
     from superweyl.weyl import weyl_commutator
     for rep in (osp11(), build_spin_rep(3)):
-        lifts = [quadratic_lift(rep, i).poly for i in range(rep.algebra.dim)]
+        lifts = [quadratic_lift(rep, i) for i in range(rep.algebra.dim)]
         for i in range(rep.algebra.dim):
             for j in range(rep.algebra.dim):
                 expected = PolyElement.zero(rep.space)
@@ -99,14 +101,16 @@ def test_lift_is_equivariant():
 
 def test_lift_adjoint_values():
     rep = osp11()
-    assert quadratic_lift_adjoint(rep, _quad(E * E)) == (0, Fraction(-1, 2), 0)
-    assert quadratic_lift_adjoint(rep, _quad(E * F)) == (Fraction(1, 4), 0, 0)
-    assert quadratic_lift_adjoint(rep, _quad(F * F)) == (0, 0, Fraction(1, 2))
+    assert quadratic_lift_adjoint(rep, E * E) == (0, Fraction(-1, 2), 0)
+    assert quadratic_lift_adjoint(rep, E * F) == (Fraction(1, 4), 0, 0)
+    assert quadratic_lift_adjoint(rep, F * F) == (0, 0, Fraction(1, 2))
 
 
-def _quad(p):
-    from superweyl.spbridge import QuadraticElement
-    return QuadraticElement(p)
+def test_lift_adjoint_refuses_a_non_quadratic():
+    rep = osp11()
+    for w in (E, E * E + PolyElement.constant(S1, 1), E * E * F):
+        with pytest.raises(ValueError, match="homogeneous quadratic"):
+            quadratic_lift_adjoint(rep, w)
 
 
 def test_lift_adjoint_defining_property():
@@ -114,16 +118,16 @@ def test_lift_adjoint_defining_property():
     from superweyl.weyl import bilinear_form
     rng = random.Random(4)
     rep = build_spin_rep(3)
-    lifts = [quadratic_lift(rep, i).poly for i in range(3)]
+    lifts = [quadratic_lift(rep, i) for i in range(3)]
     for _ in range(5):
         exp = [0] * 4
         exp[rng.randrange(4)] += 1
         exp[rng.randrange(4)] += 1
-        w = _quad(PolyElement.monomial(rep.space, exp, rng.randint(1, 3)))
+        w = PolyElement.monomial(rep.space, exp, rng.randint(1, 3))
         t = quadratic_lift_adjoint(rep, w)
         for i in range(3):
             unit = tuple(Fraction(1 if k == i else 0) for k in range(3))
-            assert rep.algebra.form_value(unit, t) == bilinear_form(lifts[i], w.poly)
+            assert rep.algebra.form_value(unit, t) == bilinear_form(lifts[i], w)
 
 
 # -- the Casimir image and the verdict -------------------------------------
@@ -163,14 +167,26 @@ def test_decide_takes_its_input_as_validated():
 
 def test_one_analysis_per_representation(monkeypatch):
     # the lifts run once, in casimir_image, and omega and B are inverted
-    # once each, however many of the validators and entry points read them
-    counts = {"sp_to_quadratic": 0, "solve_linear": 0}
+    # once each, however many of the validators and entry points read them;
+    # only validate_rep tests nu against sp(omega), not the lift in spbridge,
+    # and each dual lift is formed once (the k dual matrices of the engine
+    # take the other k linear combinations)
+    originals = {"sp_to_quadratic": superweyl.spbridge.sp_to_quadratic,
+                 "solve_linear": superweyl.exactla.solve_linear,
+                 "is_in_sp": superweyl.symplectic.is_in_sp,
+                 "linear_combination": superweyl.exactla.linear_combination}
+    counts = dict.fromkeys(originals, 0)
     for module, name in ((superweyl.engine, "sp_to_quadratic"),
-                         (superweyl.exactla, "solve_linear")):
-        def counted(*args, _original=getattr(module, name), _name=name):
+                         (superweyl.exactla, "solve_linear"),
+                         (superweyl.engine, "is_in_sp"),
+                         (superweyl.spbridge, "is_in_sp"),
+                         (superweyl.engine, "linear_combination")):
+        def counted(*args, _name=name):
             counts[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(module, name, counted)
+            return originals[_name](*args)
+        # spbridge no longer imports is_in_sp; patching it anyway would count
+        # a membership test brought back into the lift
+        monkeypatch.setattr(module, name, counted, raising=False)
     rep = load_problem(str(GOLDEN / "osp_even-1-2.json"))
     validate_space(rep.space)
     validate_lie(rep.algebra)
@@ -178,7 +194,8 @@ def test_one_analysis_per_representation(monkeypatch):
     assert decide(rep).verdict
     construct_superalgebra_unchecked(rep)
     assert rep.algebra.dim == 10
-    assert counts == {"sp_to_quadratic": 10, "solve_linear": 2}
+    assert counts == {"sp_to_quadratic": 10, "solve_linear": 2, "is_in_sp": 10,
+                      "linear_combination": 20}
 
 
 def test_decide_positive_instances():

@@ -6,7 +6,8 @@ modules is part of the package's interface and must be public.  Every
 function that the benchmark's tracer wraps must stay a module-level
 callable of its module, and the benchmark's traced CLI calls must reach
 every function its checker requires.  Every name the package exports
-exists, once.  Importing the command line loads only what its verbs run.
+exists, once, and every other module uses each name it imports.  Importing
+the command line loads only what its verbs run.
 """
 
 import ast
@@ -62,6 +63,33 @@ def test_public_names_exist_once():
     names = superweyl.__all__
     assert [name for name in names if not hasattr(superweyl, name)] == []
     assert len(set(names)) == len(names)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by a module-level import of ``path`` and never referenced."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in tree.body if isinstance(node, ast.Import | ast.ImportFrom)
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} imports {name} and never uses it"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__ imports to export
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert [line for path in paths for line in unused_imports(path)] == []
+
+
+def test_unused_import_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from __future__ import annotations\nimport os.path\nimport re\n"
+                      "from .engine import decide, verify as check\n\n"
+                      "def f(x: check) -> None:\n    return os.sep\n")
+    assert unused_imports(sample) == ["sample.py:3 imports re and never uses it",
+                                      "sample.py:4 imports decide and never uses it"]
 
 
 def perfbench_constant(filename: str, name: str):

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superweyl.exactla import Matrix
-from superweyl.spbridge import (NotSymplectic, QuadraticElement, SpElement,
-                                ad_vector, derivation_action,
+from superweyl.exactla import DimensionMismatch, Matrix
+from superweyl.spbridge import (NotSymplectic, ad_vector, derivation_action,
                                 quadratic_monomials, quadratic_to_sp,
                                 sp_to_quadratic, trace_ratio_constant)
 from superweyl.symplectic import SymplecticSpace, standard_space
@@ -17,27 +16,29 @@ E = PolyElement.variable(S1, 0)
 F = PolyElement.variable(S1, 1)
 
 
-def test_quadratic_element_validation():
-    QuadraticElement(E * F)
-    QuadraticElement(PolyElement.zero(S1))
+def test_quadratic_to_sp_refuses_non_quadratics():
+    quadratic_to_sp(E * F)
+    quadratic_to_sp(PolyElement.zero(S1))
     with pytest.raises(ValueError):
-        QuadraticElement(E)
+        quadratic_to_sp(E)
     with pytest.raises(ValueError):
-        QuadraticElement(E * E + PolyElement.constant(S1, 1))
+        quadratic_to_sp(E * E + PolyElement.constant(S1, 1))
 
 
-def test_sp_element_validation():
-    SpElement(S1, Matrix.diagonal([1, -1]))
+def test_sp_to_quadratic_refuses_matrices_outside_sp():
+    sp_to_quadratic(S1, Matrix.diagonal([1, -1]))
     with pytest.raises(NotSymplectic):
-        SpElement(S1, Matrix.identity(2))
+        sp_to_quadratic(S1, Matrix.identity(2))
+    with pytest.raises(DimensionMismatch):
+        sp_to_quadratic(S1, Matrix.zeros(2, 3))
 
 
 def test_ad_vector_by_hand():
     # e.f scales e by -2 and f by 2; e^2 sends f to 4e and kills e
-    ef = QuadraticElement(E * F)
+    ef = E * F
     assert ad_vector(ef, (1, 0)) == (-2, 0)
     assert ad_vector(ef, (0, 1)) == (0, 2)
-    e2 = QuadraticElement(E * E)
+    e2 = E * E
     assert ad_vector(e2, (1, 0)) == (0, 0)
     assert ad_vector(e2, (0, 1)) == (4, 0)
 
@@ -45,19 +46,18 @@ def test_ad_vector_by_hand():
 def test_ad_matches_weyl_commutator():
     rng = random.Random(3)
     for _ in range(10):
-        w = QuadraticElement(
-            sum((PolyElement.monomial(S1, (2 - k, k), rng.randint(-3, 3))
-                 for k in range(3)), PolyElement.zero(S1)))
+        w = sum((PolyElement.monomial(S1, (2 - k, k), rng.randint(-3, 3))
+                 for k in range(3)), PolyElement.zero(S1))
         v = PolyElement.from_vector(
             S1, (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))))
-        direct = weyl_commutator(w.poly, v)
+        direct = weyl_commutator(w, v)
         assert linear_coordinates(direct) == ad_vector(w, linear_coordinates(v))
 
 
 def test_quadratic_to_sp_values():
-    assert quadratic_to_sp(QuadraticElement(E * F)).matrix == Matrix.diagonal([-2, 2])
-    assert quadratic_to_sp(QuadraticElement(E * E)).matrix == Matrix([[0, 4], [0, 0]])
-    assert quadratic_to_sp(QuadraticElement(F * F)).matrix == Matrix([[0, 0], [-4, 0]])
+    assert quadratic_to_sp(E * F) == Matrix.diagonal([-2, 2])
+    assert quadratic_to_sp(E * E) == Matrix([[0, 4], [0, 0]])
+    assert quadratic_to_sp(F * F) == Matrix([[0, 0], [-4, 0]])
 
 
 def test_map_is_lie_homomorphism():
@@ -70,9 +70,9 @@ def test_map_is_lie_homomorphism():
         z = sum((rng.randint(-2, 2) * m for m in monos), PolyElement.zero(s))
         comm = weyl_commutator(w, z)
         assert comm.is_homogeneous(2)
-        lhs = quadratic_to_sp(QuadraticElement(comm)).matrix
-        aw = quadratic_to_sp(QuadraticElement(w)).matrix
-        az = quadratic_to_sp(QuadraticElement(z)).matrix
+        lhs = quadratic_to_sp(comm)
+        aw = quadratic_to_sp(w)
+        az = quadratic_to_sp(z)
         assert lhs == aw * az - az * aw
 
 
@@ -80,31 +80,30 @@ def test_roundtrips_both_ways():
     rng = random.Random(15)
     for s in (S1, standard_space(2)):
         for _ in range(6):
-            w = QuadraticElement(
-                sum((rng.randint(-3, 3) * m for m in quadratic_monomials(s)),
-                    PolyElement.zero(s)))
-            assert sp_to_quadratic(quadratic_to_sp(w)).poly == w.poly
-        alpha = quadratic_to_sp(QuadraticElement(
+            w = sum((rng.randint(-3, 3) * m for m in quadratic_monomials(s)),
+                    PolyElement.zero(s))
+            assert sp_to_quadratic(s, quadratic_to_sp(w)) == w
+        alpha = quadratic_to_sp(
             sum((rng.randint(-2, 2) * m for m in quadratic_monomials(s)),
-                PolyElement.zero(s))))
-        assert quadratic_to_sp(sp_to_quadratic(alpha)).matrix == alpha.matrix
+                PolyElement.zero(s)))
+        assert quadratic_to_sp(sp_to_quadratic(s, alpha)) == alpha
 
 
 def test_sp_to_quadratic_nonstandard_form():
     s = SymplecticSpace(2, Matrix([[0, 3], [-3, 0]]))
-    alpha = SpElement(s, Matrix.diagonal([5, -5]))
-    w = sp_to_quadratic(alpha)
-    assert quadratic_to_sp(w).matrix == alpha.matrix
+    alpha = Matrix.diagonal([5, -5])
+    w = sp_to_quadratic(s, alpha)
+    assert quadratic_to_sp(w) == alpha
 
 
 def test_sp_to_quadratic_dimension_zero():
     s = SymplecticSpace(0, Matrix([], cols=0))
-    w = sp_to_quadratic(SpElement(s, Matrix([], cols=0)))
-    assert w.poly.is_zero()
+    w = sp_to_quadratic(s, Matrix([], cols=0))
+    assert w.is_zero()
 
 
 def test_derivation_action_extends_matrix():
-    alpha = SpElement(S1, Matrix.diagonal([1, -1]))
+    alpha = Matrix.diagonal([1, -1])
     # on linears: the matrix itself
     assert derivation_action(alpha, E) == E
     assert derivation_action(alpha, F) == -1 * F
@@ -118,14 +117,13 @@ def test_derivation_action_agrees_with_commutator():
     # the derivation extension of A(w) is the commutator with w in every degree
     rng = random.Random(21)
     for _ in range(8):
-        w = QuadraticElement(
-            sum((PolyElement.monomial(S1, (2 - k, k), rng.randint(-2, 2))
-                 for k in range(3)), PolyElement.zero(S1)))
+        w = sum((PolyElement.monomial(S1, (2 - k, k), rng.randint(-2, 2))
+                 for k in range(3)), PolyElement.zero(S1))
         alpha = quadratic_to_sp(w)
         a = sum((PolyElement.monomial(S1, (rng.randint(0, 2), rng.randint(0, 2)),
                                       rng.randint(-3, 3))
                  for _ in range(3)), PolyElement.zero(S1))
-        assert derivation_action(alpha, a) == weyl_commutator(w.poly, a)
+        assert derivation_action(alpha, a) == weyl_commutator(w, a)
 
 
 def test_trace_ratio_is_minus_one_eighth():
