@@ -1,7 +1,9 @@
 """Constructions of known families of instances.
 
 Builders return ready-to-test representations: the orthogonal-symplectic
-even pairs acting on a tensor product, the two-dimensional diagonal
+even pairs acting on a tensor product, whose summand forms are scaled to
+cancel the obstruction (``calibrate_scales``: ``casimir_image`` on each
+summand, then ``exactla.kernel_basis``), the two-dimensional diagonal
 instance whose extension is the smallest nontrivial superalgebra with a
 one-dimensional odd-odd image, the irreducible representations of the
 three-dimensional simple algebra (symplectic exactly for odd highest
@@ -15,14 +17,12 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Sequence
 
-from .engine import (SuperAlgebraData, SymplecticRep, casimir_obstruction,
-                     construct_superalgebra, verify_superalgebra)
-from .exactla import (Matrix, Scalar, as_scalar, invert, linear_combination, record,
-                      solve_overdetermined)
+from .engine import (SuperAlgebraData, SymplecticRep, casimir_image, construct_superalgebra,
+                     verify_superalgebra)
+from .exactla import Matrix, Scalar, as_scalar, kernel_basis, record, solve_overdetermined
 from .liealg import QuadraticLieAlgebra
-from .spbridge import NotSymplectic, sp_to_quadratic
+from .spbridge import NotSymplectic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
-from .weyl import PolyElement
 
 _ZERO = as_scalar(0)
 _ONE = as_scalar(1)
@@ -124,27 +124,50 @@ def matrix_structure_constants(basis: Sequence[Matrix]) -> list[list[tuple[Scala
     return [[coords.col(i * k + j) for j in range(k)] for i in range(k)]
 
 
-def _block_algebra(blocks: Sequence[tuple[Sequence[Matrix], Matrix]]) -> QuadraticLieAlgebra:
-    """Direct sum of matrix Lie algebras with a block-diagonal form.
-    ``blocks`` is a list of (basis, form) pairs; cross brackets are zero."""
-    total = sum(len(basis) for basis, _ in blocks)
-    brackets = [[tuple([_ZERO] * total) for _ in range(total)] for _ in range(total)]
+def _summand(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
+    """The matrix Lie algebra spanned by ``basis``, with its trace form."""
+    table = tuple(map(tuple, matrix_structure_constants(basis)))
+    return QuadraticLieAlgebra(len(basis), table, trace_gram(basis))
+
+
+def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
+                scales: Sequence[Scalar]) -> QuadraticLieAlgebra:
+    """Direct sum with the block-diagonal form sum_s scales[s] B_s; cross
+    brackets are zero."""
+    total, offset = sum(g.dim for g in summands), 0
+    brackets = [[(_ZERO,) * total] * total for _ in range(total)]
     form = [[_ZERO] * total for _ in range(total)]
-    offset = 0
-    for basis, gram in blocks:
-        k = len(basis)
-        table = matrix_structure_constants(basis)
-        for i in range(k):
-            for j in range(k):
-                coords = [_ZERO] * total
-                for l, c in enumerate(table[i][j]):
-                    coords[offset + l] = c
-                brackets[offset + i][offset + j] = tuple(coords)
-            for j in range(k):
-                form[offset + i][offset + j] = gram[i, j]
-        offset += k
-    return QuadraticLieAlgebra(total, tuple(tuple(row) for row in brackets),
-                               Matrix(form, cols=total))
+    for g, scale in zip(summands, scales):
+        end = offset + g.dim
+        before, after = (_ZERO,) * offset, (_ZERO,) * (total - end)
+        for i in range(g.dim):
+            brackets[offset + i][offset:end] = [before + v + after for v in g.brackets[i]]
+            form[offset + i][offset:end] = [scale * x for x in g.form.row(i)]
+        offset = end
+    return QuadraticLieAlgebra(total, tuple(map(tuple, brackets)), Matrix(form, cols=total))
+
+
+def calibrate_scales(space: SymplecticSpace,
+                     summands: Sequence[tuple[QuadraticLieAlgebra, Sequence[Matrix]]]
+                     ) -> list[Scalar]:
+    """Scales lambda_s, the first 1, of the summand forms B_s such that the
+    direct sum, each summand acting on ``space`` by its matrices, has no
+    degree-four obstruction.  That obstruction is sum_s P_s / lambda_s for
+    the obstructions P_s of ``casimir_image`` on each summand alone, so the
+    1/lambda_s span the kernel (``kernel_basis``) of the matrix with columns
+    P_s.  Raises ``CalibrationFailed`` unless the kernel is one line with no
+    zero coordinate, which would make the form singular."""
+    obstructions = [casimir_image(SymplecticRep(g, space, tuple(nus)))[0]
+                    for g, nus in summands]
+    monomials = sorted({exp for p in obstructions for exp in p.terms})
+    kernel = kernel_basis(Matrix([[p.coefficient(exp) for p in obstructions]
+                                  for exp in monomials], cols=len(obstructions)))
+    if len(kernel) != 1:
+        raise CalibrationFailed(f"the cancelling inverse scales span {len(kernel)} dimensions")
+    inverse_scales = kernel[0].col(0)
+    if not all(inverse_scales):
+        raise CalibrationFailed("cancelling the obstruction needs a zero summand form")
+    return [inverse_scales[0] / t for t in inverse_scales]
 
 
 # -- instance builders -----------------------------------------------------
@@ -154,45 +177,24 @@ def build_osp_even(m: int, n: int) -> SymplecticRep:
     """Orthogonal summand of size m and symplectic summand of size 2n acting
     on the tensor product of their defining spaces.
 
-    The relative scale of the two summand forms matters: the degree-four
-    obstruction is linear in the two inverse scales, so the builder solves
-    for the ratio that cancels it (``CalibrationFailed`` if none does) and
-    normalizes the first summand to the plain trace form.  For m = 1 the
-    orthogonal summand is zero-dimensional and the symplectic trace form is
-    used as is.
+    Each nonempty summand carries its trace form, scaled by
+    ``calibrate_scales`` so that the degree-four obstruction cancels; the
+    first keeps the plain trace form.  For m = 1 the orthogonal summand is
+    zero-dimensional and is dropped.
     """
     if m < 1 or n < 1:
         raise InvalidInput("need m >= 1 and n >= 1")
-    if m * 2 * n > MAX_STANDARD_DIM:
-        raise TooLarge(f"tensor space dimension {m * 2 * n} "
-                       f"exceeds the supported {MAX_STANDARD_DIM}")
-    so_b = so_basis(m)
-    sp_b = sp_basis(n)
-    omega_2n = standard_space(n).omega
-    space = SymplecticSpace(m * 2 * n, kron(Matrix.identity(m), omega_2n))
-    nu_so = [kron(a, Matrix.identity(2 * n)) for a in so_b]
-    nu_sp = [kron(Matrix.identity(m), b) for b in sp_b]
-
-    def summand_obstruction(mats: Sequence[Matrix], gram: Matrix):
-        lifts = [sp_to_quadratic(space, m) for m in mats]
-        zero = PolyElement.zero(space)
-        dual_lifts = [linear_combination(dual, lifts, zero) for dual in invert(gram).columns()]
-        return casimir_obstruction(space, lifts, dual_lifts)
-
-    gram_so, gram_sp = trace_gram(so_b), trace_gram(sp_b)
-    p_so, p_sp = summand_obstruction(nu_so, gram_so), summand_obstruction(nu_sp, gram_sp)
-    if p_so.is_zero() and p_sp.is_zero():
-        lam_so, lam_sp = _ONE, _ONE
-    elif p_so.is_zero() or p_sp.is_zero():
-        raise CalibrationFailed("only one summand contributes to the obstruction")
-    else:
-        exp = p_sp.sorted_terms()[0][0]
-        ratio = p_so.coefficient(exp) / p_sp.coefficient(exp)
-        if ratio == 0 or p_so != ratio * p_sp:
-            raise CalibrationFailed("summand obstructions are not proportional")
-        lam_so, lam_sp = _ONE, -_ONE / ratio
-    algebra = _block_algebra([(so_b, lam_so * gram_so), (sp_b, lam_sp * gram_sp)])
-    return SymplecticRep(algebra, space, tuple(nu_so + nu_sp))
+    dim = m * 2 * n
+    if dim > MAX_STANDARD_DIM:
+        shown = dim if dim < 10 ** 100 else "above 10^100"  # str() stops at 4,300 digits
+        raise TooLarge(f"tensor space dimension {shown} exceeds the supported {MAX_STANDARD_DIM}")
+    space = SymplecticSpace(dim, kron(Matrix.identity(m), standard_space(n).omega))
+    so_b, sp_b = so_basis(m), sp_basis(n)
+    actions = ([kron(a, Matrix.identity(2 * n)) for a in so_b],
+               [kron(Matrix.identity(m), b) for b in sp_b])
+    summands = [(_summand(basis), nus) for basis, nus in zip((so_b, sp_b), actions) if basis]
+    algebra = _direct_sum([g for g, _ in summands], calibrate_scales(space, summands))
+    return SymplecticRep(algebra, space, tuple(nu for _, nus in summands for nu in nus))
 
 
 def build_gl11_even() -> SymplecticRep:
@@ -238,10 +240,10 @@ def build_spin_rep(two_j: int) -> SymplecticRep:
     return SymplecticRep(algebra, space, (Matrix(h), Matrix(e), Matrix(f)))
 
 
-def abelian_superalgebra(dim: int, form: Matrix | None = None) -> SuperAlgebraData:
+def abelian_superalgebra(dim: int) -> SuperAlgebraData:
     """Purely even abelian superalgebra; the degenerate base case for doubles."""
     point = Matrix.zeros(0, 0)
-    rep = SymplecticRep(QuadraticLieAlgebra.abelian(dim, form), SymplecticSpace(0, point),
+    rep = SymplecticRep(QuadraticLieAlgebra.abelian(dim), SymplecticSpace(0, point),
                         (point,) * dim)
     return SuperAlgebraData(rep, {})
 

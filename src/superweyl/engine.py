@@ -8,8 +8,8 @@ form.  The paper's test lives in the noncommutative (Weyl) algebra on v:
 
 1. lift each nu(x_i) to a quadratic polynomial (``quadratic_lift``),
 2. push the Casimir element sum_i x_i x^i of g0 through the lift with the
-   noncommutative product (``casimir_image``); the image decomposes into a
-   degree-four part plus a constant,
+   noncommutative product; the image is a degree-four part plus a constant,
+   and ``casimir_image`` returns the two as (obstruction, scalar),
 3. the extension exists exactly when the degree-four part vanishes; the
    constant is then the Casimir scalar, and the odd-odd bracket is
    recovered as ``[y, y'] = 2 quadratic_lift_adjoint(y.y')``; by invariance
@@ -22,7 +22,8 @@ checked against it by the tests, uses closed forms: since the product of
 quadratics a, b is a.b + 1/2 [a, b] + (a, b), ``casimir_image`` turns the
 lifts lift_i of ``sp_to_quadratic`` and the dual lifts lift^i, each formed
 once, into the obstruction sum_i lift_i . lift^i (``casimir_obstruction``)
-and the constant sum_i (lift_i, lift^i) (``quadratic_pairing``).
+and the scalar sum_i (lift_i, lift^i) (``quadratic_pairing``), which
+``decide`` reads directly.
 
 Every entry point takes its representation as validated (``validate_space``,
 ``validate_lie``, and ``validate_rep``, the one ``is_in_sp`` test of nu).
@@ -49,8 +50,7 @@ from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
 from .spbridge import (NotSymplectic, quadratic_monomials, quadratic_pairing, sp_to_quadratic,
                        trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
-from .weyl import (GradedDecomposition, PolyElement, SpaceMismatch, constant_term, contract,
-                   grade, linear_coordinates, sym_product)
+from .weyl import PolyElement, SpaceMismatch, contract, linear_coordinates, sym_product
 
 _ZERO = as_scalar(0)
 
@@ -174,21 +174,21 @@ def quadratic_lift_adjoint(rep: SymplecticRep, w: PolyElement) -> tuple[Scalar, 
     return tuple(-x / 2 for x in t)
 
 
-def casimir_image(rep: SymplecticRep) -> GradedDecomposition:
+def casimir_image(rep: SymplecticRep) -> tuple[PolyElement, Scalar]:
     """Image of the Casimir element of g0 under the quadratic lift, using
-    dual bases for the form.  For a ``rep`` that passed ``validate_space``,
-    ``validate_lie`` and ``validate_rep`` it lies in degree four plus a constant;
-    unvalidated, only ``NotSymplectic`` and ``InternalDegreeLeak(2)`` are raised."""
-    space = rep.space
+    dual bases for the form, as (obstruction, scalar): the degree-four part
+    sum_i lift_i . lift^i and the constant sum_i (lift_i, lift^i).  For a
+    ``rep`` that passed ``validate_space``, ``validate_lie`` and ``validate_rep``
+    these are the whole image; unvalidated, only ``NotSymplectic`` and
+    ``InternalDegreeLeak(2)`` are raised."""
     lifts = tuple(quadratic_lift(rep, i) for i in range(rep.algebra.dim))
-    dual_lifts = tuple(linear_combination(dual, lifts, PolyElement.zero(space))
+    dual_lifts = tuple(linear_combination(dual, lifts, PolyElement.zero(rep.space))
                        for dual in casimir_pairs(rep.algebra))
     # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu(x^i)]
     if _dual_commutator_sum(rep):
         raise InternalDegreeLeak(2)
-    scalar = sum(map(quadratic_pairing, lifts, dual_lifts), _ZERO)
-    return grade(casimir_obstruction(space, lifts, dual_lifts)
-                 + PolyElement.constant(space, scalar))
+    return (casimir_obstruction(rep.space, lifts, dual_lifts),
+            sum(map(quadratic_pairing, lifts, dual_lifts), _ZERO))
 
 
 @record
@@ -216,10 +216,8 @@ def decide(rep: SymplecticRep) -> TestReport:
     """Run the decision procedure; see the module docstring.  ``rep`` must
     have passed ``validate_space``, ``validate_lie`` and ``validate_rep``:
     unvalidated, only the errors of ``casimir_image`` are caught."""
-    image = casimir_image(rep)
-    obstruction = image.component(4)
+    obstruction, scalar = casimir_image(rep)
     verdict = obstruction.is_zero()
-    scalar = constant_term(image.component(0)) if verdict else None
     diagnostics = [CheckResult("degree_confinement", True)]
     if rep.space.dim >= 2:
         c = trace_ratio_constant(rep.space)
@@ -229,7 +227,7 @@ def decide(rep: SymplecticRep) -> TestReport:
         if verdict:
             rhs = c * _dual_trace_sum(rep)
             diagnostics.append(CheckResult("trace_identity", scalar == rhs, str(rhs)))
-    return TestReport(verdict, scalar, obstruction, tuple(diagnostics))
+    return TestReport(verdict, scalar if verdict else None, obstruction, tuple(diagnostics))
 
 
 def _dual_trace_sum(rep: SymplecticRep) -> Scalar:

@@ -142,14 +142,6 @@ class Matrix:
         return tuple(sum((self.data[i][j] * v[j] for j in range(self.cols)), _ZERO)
                      for i in range(self.rows))
 
-    def bilinear(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-        """The form value x^T M y, skipping zero entries of x."""
-        total = _ZERO
-        for xi, row in zip(x, self.data):
-            if xi != 0:
-                total += xi * sum((r * yj for r, yj in zip(row, y)), _ZERO)
-        return total
-
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix([[a + b if b else a for a, b in zip(r1, r2)]
@@ -258,10 +250,6 @@ def _rref(a: Matrix) -> tuple[list[list[Scalar]], list[int]]:
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def rank(a: Matrix) -> int:
-    return len(_rref(a)[1])
 
 
 def kernel_basis(a: Matrix) -> list[Matrix]:

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar,
                       SingularMatrix, add_product, as_scalar, integer_columns,
-                      invariance_violation, invert, linear_combination, record)
+                      invariance_violation, invert, record)
 
 _ZERO = as_scalar(0)
 
@@ -89,23 +89,6 @@ class QuadraticLieAlgebra:
     def bracket(self, i: int, j: int) -> tuple[Scalar, ...]:
         return self.brackets[i][j]
 
-    def bracket_vectors(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Bilinear extension of the bracket to coordinate vectors."""
-        out = [_ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for l, c in enumerate(self.brackets[i][j]):
-                    if c != 0:
-                        out[l] += xi * yj * c
-        return tuple(out)
-
-    def form_value(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-        return self.form.bilinear(x, y)
-
     def adjoint(self) -> tuple[Matrix, ...]:
         """The matrices ad_i: column j of ad_i holds the coordinates of
         the bracket of basis elements i and j.  Built once per algebra."""
@@ -129,28 +112,15 @@ class QuadraticLieAlgebra:
             raise FormSingular(str(exc)) from exc
 
 
-def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
-                          x: int, y: int) -> Matrix:
-    """rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) - sum_t (ad_x)_{ty} rho(t)
-    for basis elements x, y of a superalgebra with adjoint matrices ``ad``
-    whose first k basis elements are even.  It vanishes on every pair exactly
-    when rho is a graded representation; for rho = ad, its column z is
-    [x,[y,z]] - (-1)^{|x||y|} [y,[x,z]] - [[x,y],z].
-
-    This is the ``Fraction`` reference; the checks run ``defect_columns``."""
-    yx = rho[y] * rho[x]
-    xy = rho[x] * rho[y]
-    supercommutator = xy + yx if x >= k and y >= k else xy - yx
-    return supercommutator - linear_combination(ad[x].col(y), rho,
-                                                Matrix.zeros(xy.rows, xy.cols))
-
-
 def defect_columns(ad: IntegerColumns, rho: IntegerColumns, k: int, x: int, y: int,
                    columns: Iterable[int]) -> dict[int, Column]:
-    """The nonzero columns z, among ``columns``, of ``representation_defect``
-    on the fraction-free kernel: with A = d_A ad and R = d_R rho integral,
-    column z of d_A (R_x R_y -+ R_y R_x) - d_R sum_t (A_x)_{ty} R_t, which is
-    d_A d_R^2 times the rational defect, keyed by z."""
+    """The nonzero columns z, among ``columns``, of the representation defect
+    rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) - sum_t (ad_x)_{ty} rho(t) of
+    a superalgebra with adjoint matrices ``ad`` whose first k basis elements
+    are even; it vanishes on every pair exactly when rho is a graded
+    representation.  With A = d_A ad and R = d_R rho integral, column z is
+    d_A (R_x R_y -+ R_y R_x) - d_R sum_t (A_x)_{ty} R_t, which is d_A d_R^2
+    times the rational defect."""
     d_ad, a = ad
     d_rho, r = rho
     r_x, r_y = r[x], r[y]

@@ -33,8 +33,7 @@ from itertools import product
 
 from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar
 from .symplectic import SymplecticSpace, Vector, as_vector
-from .weyl import (PolyElement, SpaceMismatch, bilinear_form, contract,
-                   linear_coordinates, sym_product)
+from .weyl import PolyElement, SpaceMismatch, bilinear_form, contract, linear_coordinates
 
 _ZERO = as_scalar(0)
 
@@ -114,23 +113,6 @@ def quadratic_pairing(a: PolyElement, b: PolyElement) -> Scalar:
         i, j = _factors(e)
         for (p, q), c2 in right:
             total += c1 * c2 * (w[i][p] * w[j][q] + w[i][q] * w[j][p])
-    return total
-
-
-def derivation_action(alpha: Matrix, a: PolyElement) -> PolyElement:
-    """Extension of the matrix ``alpha`` to a degree-preserving derivation of
-    the commutative product, acting on linear elements as the matrix does."""
-    space = a.space
-    if alpha.rows != space.dim or alpha.cols != space.dim:
-        raise DimensionMismatch("matrix and polynomial live on spaces of different dimension")
-    images = [PolyElement.from_vector(space, alpha.col(i)) for i in range(space.dim)]
-    total = PolyElement.zero(space)
-    for exp, coeff in a.terms.items():
-        for i, k in enumerate(exp):
-            if k == 0 or images[i].is_zero():
-                continue
-            rest = exp[:i] + (k - 1,) + exp[i + 1:]
-            total = total + (coeff * k) * sym_product(images[i], PolyElement.monomial(space, rest, 1))
     return total
 
 

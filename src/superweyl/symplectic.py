@@ -26,8 +26,8 @@ class OddDimension(SymplecticError):
 
 
 class NotAlternating(SymplecticError):
-    def __init__(self, detail: str = "form matrix is not antisymmetric"):
-        super().__init__(detail)
+    def __init__(self):
+        super().__init__("form matrix is not antisymmetric")
 
 
 class Singular(SymplecticError):
@@ -95,11 +95,6 @@ def validate_space(space: SymplecticSpace) -> None:
         space.omega_inverse
     except SingularMatrix as exc:
         raise Singular(str(exc)) from exc
-
-
-def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
-    """The form value u^T omega v."""
-    return space.omega.bilinear(as_vector(space, u), as_vector(space, v))
 
 
 def is_in_sp(space: SymplecticSpace, alpha: Matrix) -> bool:

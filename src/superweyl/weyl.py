@@ -20,13 +20,18 @@ permanent: (u_1...u_n, v_1...v_n) = sum over permutations s of
 prod_i (u_i, v_{s(i)}).  Note that with this convention the square of a
 mixed quadratic monomial can be negative: in the standard two-dimensional
 space, (e.f, e.f) = -1.
+
+The noncommutative product is the reference semantics: ``engine`` uses
+closed forms, which the tests check against ``weyl_product`` and ``grade``
+(the nonzero homogeneous parts, by degree).  On the working path it runs
+only inside ``bilinear_form``, the anchor of ``trace_ratio_constant``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .exactla import Scalar, as_scalar, record
+from .exactla import Scalar, as_scalar
 from .symplectic import SymplecticSpace, Vector, as_vector
 
 _ZERO = as_scalar(0)
@@ -254,32 +259,12 @@ def bilinear_form(a: PolyElement, b: PolyElement) -> Scalar:
 # -- grading --------------------------------------------------------------
 
 
-@record
-class GradedDecomposition:
-    """Homogeneous components of a polynomial, keyed by degree."""
-
-    space: SymplecticSpace
-    components: Mapping[int, PolyElement]
-
-    def component(self, degree: int) -> PolyElement:
-        return self.components.get(degree, PolyElement.zero(self.space))
-
-    def degrees(self) -> list[int]:
-        return sorted(self.components)
-
-    def reassemble(self) -> PolyElement:
-        total = PolyElement.zero(self.space)
-        for part in self.components.values():
-            total = total + part
-        return total
-
-
-def grade(a: PolyElement) -> GradedDecomposition:
+def grade(a: PolyElement) -> dict[int, PolyElement]:
+    """The nonzero homogeneous parts of ``a``, keyed by degree."""
     buckets: dict[int, dict[Exponent, Scalar]] = {}
     for exp, coeff in a.terms.items():
         buckets.setdefault(sum(exp), {})[exp] = coeff
-    return GradedDecomposition(
-        a.space, {d: PolyElement(a.space, t) for d, t in buckets.items()})
+    return {d: PolyElement(a.space, t) for d, t in buckets.items()}
 
 
 def linear_coordinates(a: PolyElement) -> Vector:

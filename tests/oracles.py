@@ -12,18 +12,100 @@ the Lie algebra, representation and superalgebra axioms by explicit
 brackets of basis elements, pair by pair and triple by triple, in place of
 adjoint-matrix identities.  Agreement between these
 and the engine is the backbone of the suite.
+
+The first section holds the plain ``Fraction`` helpers that only the tests
+use: form values, brackets of coordinate vectors, the representation defect
+as a matrix, and the derivation extending a matrix to polynomials.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import permutations, product
 
 from superweyl.engine import CheckResult, NotARepresentation
-from superweyl.exactla import Matrix, SingularMatrix, invert, linear_combination, solve_linear
-from superweyl.liealg import FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric
+from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix, invert,
+                               linear_combination, solve_linear)
+from superweyl.liealg import (FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric,
+                              QuadraticLieAlgebra)
 from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_monomials,
                                 quadratic_pairing, quadratic_to_sp)
-from superweyl.symplectic import SymplecticSpace, is_in_sp, pair
-from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates
+from superweyl.symplectic import SymplecticSpace, as_vector, is_in_sp
+from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates, sym_product
+
+_ZERO = Fraction(0)
+
+
+# -- reference helpers ------------------------------------------------------
+
+
+def bilinear(m: Matrix, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
+    """The form value x^T M y, skipping zero entries of x."""
+    total = _ZERO
+    for xi, row in zip(x, m.data):
+        if xi != 0:
+            total += xi * sum((r * yj for r, yj in zip(row, y)), _ZERO)
+    return total
+
+
+def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
+    """The form value u^T omega v."""
+    return bilinear(space.omega, as_vector(space, u), as_vector(space, v))
+
+
+def bracket_vectors(g: QuadraticLieAlgebra, x: Sequence[Scalar],
+                    y: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Bilinear extension of the bracket of g to coordinate vectors."""
+    out = [_ZERO] * g.dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            for l, c in enumerate(g.brackets[i][j]):
+                if c != 0:
+                    out[l] += xi * yj * c
+    return tuple(out)
+
+
+def form_value(g: QuadraticLieAlgebra, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
+    return bilinear(g.form, x, y)
+
+
+def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
+                          x: int, y: int) -> Matrix:
+    """rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) - sum_t (ad_x)_{ty} rho(t)
+    for basis elements x, y of a superalgebra with adjoint matrices ``ad``
+    whose first k basis elements are even.  It vanishes on every pair exactly
+    when rho is a graded representation; for rho = ad, its column z is
+    [x,[y,z]] - (-1)^{|x||y|} [y,[x,z]] - [[x,y],z].
+
+    This is the ``Fraction`` reference of ``liealg.defect_columns``."""
+    yx = rho[y] * rho[x]
+    xy = rho[x] * rho[y]
+    supercommutator = xy + yx if x >= k and y >= k else xy - yx
+    return supercommutator - linear_combination(ad[x].col(y), rho,
+                                                Matrix.zeros(xy.rows, xy.cols))
+
+
+def derivation_action(alpha: Matrix, a: PolyElement) -> PolyElement:
+    """Extension of the matrix ``alpha`` to a degree-preserving derivation of
+    the commutative product, acting on linear elements as the matrix does."""
+    space = a.space
+    if alpha.rows != space.dim or alpha.cols != space.dim:
+        raise DimensionMismatch("matrix and polynomial live on spaces of different dimension")
+    images = [PolyElement.from_vector(space, alpha.col(i)) for i in range(space.dim)]
+    total = PolyElement.zero(space)
+    for exp, coeff in a.terms.items():
+        for i, k in enumerate(exp):
+            if k == 0 or images[i].is_zero():
+                continue
+            rest = exp[:i] + (k - 1,) + exp[i + 1:]
+            total = total + (coeff * k) * sym_product(images[i], PolyElement.monomial(space, rest, 1))
+    return total
+
+
+# -- the Weyl product, the lift and the trace ratio, the slow way ------------
 
 
 def gamma_apply(u: PolyElement, z: PolyElement) -> PolyElement:
@@ -160,7 +242,7 @@ def oracle_validate_lie(g) -> None:
             for l in range(j + 1, k):
                 total = [Fraction(0)] * k
                 for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-                    outer = g.bracket_vectors(g.bracket(a, b), units[c])
+                    outer = bracket_vectors(g, g.bracket(a, b), units[c])
                     total = [x + y for x, y in zip(total, outer)]
                 if any(x != 0 for x in total):
                     raise JacobiFails(i, j, l)
@@ -173,8 +255,8 @@ def oracle_validate_lie(g) -> None:
     for i in range(k):
         for j in range(k):
             for l in range(k):
-                lhs = g.form_value(g.bracket(i, j), units[l])
-                rhs = g.form_value(units[j], g.bracket(i, l))
+                lhs = form_value(g, g.bracket(i, j), units[l])
+                rhs = form_value(g, units[j], g.bracket(i, l))
                 if lhs + rhs != 0:
                     raise FormNotInvariant(i, j, l)
 
@@ -206,7 +288,7 @@ def _super_bracket(s, x, y):
     px, vx = x
     py, vy = y
     if px == 0 and py == 0:
-        return (0, s.rep.algebra.bracket_vectors(vx, vy))
+        return (0, bracket_vectors(s.rep.algebra, vx, vy))
     if px == 0 and py == 1:
         out = [Fraction(0)] * s.rep.space.dim
         for i, c in enumerate(vx):
@@ -229,7 +311,7 @@ def _super_bracket(s, x, y):
 def _super_form(s, x, y):
     if x[0] != y[0]:
         return Fraction(0)
-    return (s.rep.algebra.form if x[0] == 0 else s.rep.space.omega).bilinear(x[1], y[1])
+    return bilinear(s.rep.algebra.form if x[0] == 0 else s.rep.space.omega, x[1], y[1])
 
 
 def _unit(s, parity, index):

@@ -13,7 +13,8 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from oracles import oracle_weyl_product, permanent_pairing, sl2_casimir_trace
+from oracles import (derivation_action, oracle_weyl_product, pair, permanent_pairing,
+                     sl2_casimir_trace)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base, sp_basis)
 from superweyl.cli import main
@@ -23,9 +24,8 @@ from superweyl.engine import (construct_superalgebra,
                               verify_superalgebra)
 from superweyl.exactla import Matrix
 from superweyl.liealg import QuadraticLieAlgebra
-from superweyl.spbridge import (derivation_action, quadratic_to_sp, sp_to_quadratic,
-                                trace_ratio_constant)
-from superweyl.symplectic import pair, standard_space
+from superweyl.spbridge import quadratic_to_sp, sp_to_quadratic, trace_ratio_constant
+from superweyl.symplectic import standard_space
 from superweyl.weyl import (PolyElement, bilinear_form, linear_coordinates,
                             weyl_commutator, weyl_product)
 

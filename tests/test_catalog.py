@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from superweyl.catalog import (CATALOG_INSTANCES, InvalidInput, TooLarge, UnknownInstance,
-                               abelian_superalgebra, build_double, build_gl11_even,
-                               build_instance, build_osp_even, build_spin_rep, double_base,
-                               kron, matrix_structure_constants, so_basis, sp_basis,
-                               trace_gram)
+from oracles import representation_defect
+from superweyl.catalog import (CATALOG_INSTANCES, CalibrationFailed, InvalidInput, TooLarge,
+                               UnknownInstance, abelian_superalgebra, build_double,
+                               build_gl11_even, build_instance, build_osp_even, build_spin_rep,
+                               calibrate_scales, double_base, kron, matrix_structure_constants,
+                               so_basis, sp_basis, trace_gram)
 from superweyl.engine import (SuperAlgebraData, construct_superalgebra, decide,
                               validate_rep, verify_superalgebra)
 from superweyl.exactla import LinAlgError, Matrix, SingularMatrix
-from superweyl.liealg import representation_defect, validate_lie
+from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
 from superweyl.symplectic import is_in_sp, standard_space, validate_space
 
@@ -104,6 +105,40 @@ def test_osp_even_calibration_recovers_supertrace_normalization():
     assert rep.algebra.form == expected
     # with no orthogonal generators there is nothing to calibrate against
     assert build_osp_even(1, 2).algebra.form == trace_gram(sp_basis(2))
+    # in general: the trace form on so(m) and minus the trace form on sp(2n)
+    for m, n in ((3, 1), (2, 2), (4, 1), (3, 2), (2, 3)):
+        so_gram, sp_gram = trace_gram(so_basis(m)), -trace_gram(sp_basis(n))
+        expected = Matrix([row + (0,) * sp_gram.cols for row in so_gram.data]
+                          + [(0,) * so_gram.cols + row for row in sp_gram.data])
+        assert build_osp_even(m, n).algebra.form == expected, (m, n)
+
+
+def test_calibration_scales_inversely_with_the_summand_forms():
+    # osp_even(2, 1) from its summands: so(2) with trace form -2, and sl2
+    # with its trace form, as built by build_spin_rep(1)
+    rep = build_osp_even(2, 1)
+    sl2 = build_spin_rep(1).algebra
+    for c_so, c_sp, expected in ((1, 1, [1, -1]), (3, 1, [1, -3]), (1, 2, [1, Fraction(-1, 2)])):
+        so2 = QuadraticLieAlgebra.abelian(1, Matrix([[-2 * c_so]]))
+        sp2 = QuadraticLieAlgebra(3, sl2.brackets, c_sp * sl2.form)
+        summands = [(so2, rep.matrices[:1]), (sp2, rep.matrices[1:])]
+        assert calibrate_scales(rep.space, summands) == expected
+
+
+def test_calibration_refuses_a_kernel_that_is_not_one_line():
+    # sp(2) on its standard space has no obstruction, so two copies leave
+    # every pair of inverse scales free
+    rep = build_spin_rep(1)
+    sp2 = (rep.algebra, rep.matrices)
+    with pytest.raises(CalibrationFailed, match="span 2 dimensions"):
+        calibrate_scales(rep.space, [sp2, sp2])
+    assert calibrate_scales(rep.space, [sp2]) == [1]
+    # a line alone has an obstruction: no scale cancels it, and next to
+    # sp(2) only a zero inverse scale would
+    line = (QuadraticLieAlgebra.abelian(1), (Matrix.diagonal([1, -1]),))
+    for summands in ([line], [sp2, line]):
+        with pytest.raises(CalibrationFailed):
+            calibrate_scales(rep.space, summands)
 
 
 def test_osp_even_rejects_bad_parameters():
@@ -111,6 +146,11 @@ def test_osp_even_rejects_bad_parameters():
         build_osp_even(0, 1)
     with pytest.raises(TooLarge):
         build_osp_even(3, 3)
+    # a dimension too long to print is still refused as too large
+    with pytest.raises(TooLarge):
+        build_osp_even(1, 10**4300)
+    with pytest.raises(TooLarge):
+        build_osp_even(10**4300, 1)
 
 
 def test_spin_rep_structure():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from superweyl.exactla import (DimensionMismatch, LinAlgError, Matrix,
                                SingularMatrix, as_scalar, invert,
-                               kernel_basis, rank, record, replace,
+                               kernel_basis, record, replace,
                                solve_linear, solve_overdetermined)
 
 
@@ -88,11 +88,11 @@ def test_singular_detected():
 
 def test_rank_and_kernel():
     a = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert rank(a) == 2
+    assert a.cols - len(kernel_basis(a)) == 2  # rank by nullity
     ker = kernel_basis(a)
     assert len(ker) == 1
     assert (a * ker[0]).is_zero()
-    assert rank(Matrix.identity(4)) == 4
+    assert 4 - len(kernel_basis(Matrix.identity(4))) == 4
     assert kernel_basis(Matrix.identity(3)) == []
     # kernel of the zero map is everything
     assert len(kernel_basis(Matrix.zeros(2, 3))) == 3
@@ -123,7 +123,7 @@ def test_solve_reproduces_rhs(a, rhs):
     try:
         x = solve_linear(a, b)
     except SingularMatrix:
-        assert rank(a) < a.rows
+        assert a.cols - len(kernel_basis(a)) < a.rows
         return
     assert a * x == b
 

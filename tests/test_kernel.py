@@ -3,7 +3,7 @@
 ``exactla.integer_columns`` scales a list of matrices by one common
 denominator into sparse integer columns.  On random matrices with mixed
 denominators from 1 to 12, the nonzero columns of ``liealg.defect_columns``
-must be those of ``liealg.representation_defect``, scaled exactly, and
+must be those of ``oracles.representation_defect``, scaled exactly, and
 ``exactla.invariance_violation`` and ``symplectic.is_in_sp`` must find what
 a^T G + S G a finds.  ``verify_superalgebra`` must agree with the
 triple-by-triple oracle on random tables, antisymmetric or not, so the
@@ -20,14 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_verify_superalgebra
+from oracles import oracle_verify_superalgebra, representation_defect
 from superweyl.catalog import build_instance
 from superweyl.engine import (SuperAlgebraData, SymplecticRep, construct_superalgebra_unchecked,
                               validate_rep, verify_superalgebra)
 from superweyl.exactla import Matrix, integer_columns, invariance_violation
 from superweyl.jsonio import load_problem
-from superweyl.liealg import (QuadraticLieAlgebra, defect_columns, representation_defect,
-                              validate_lie)
+from superweyl.liealg import QuadraticLieAlgebra, defect_columns, validate_lie
 from superweyl.symplectic import SymplecticSpace, is_in_sp
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -6,8 +6,11 @@ modules is part of the package's interface and must be public.  Every
 function that the benchmark's tracer wraps must stay a module-level
 callable of its module, and the benchmark's traced CLI calls must reach
 every function its checker requires.  Every name the package exports
-exists, once, and every other module uses each name it imports.  Importing
-the command line loads only what its verbs run.
+exists, once, and every other module uses each name it imports.  Every
+module-level function has a caller in the package, is exported, or is
+traced by the benchmark: a helper that only tests use lives in
+``tests/oracles.py``.  Importing the command line loads only what its verbs
+run.
 """
 
 import ast
@@ -92,6 +95,30 @@ def test_unused_import_detector(tmp_path):
                                       "sample.py:4 imports decide and never uses it"]
 
 
+def uncalled_functions(paths: list[Path], exempt: set[str]) -> list[str]:
+    """Module-level functions of ``paths`` (``__init__.py`` aside) whose name
+    no file of ``paths`` references, as a name or an attribute, unless
+    ``exempt`` holds the name or ``<module>.<name>``."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Name | ast.Attribute)}
+    return [f"{path.name}:{node.lineno} defines {node.name} and nothing calls it"
+            for path, tree in trees.items() if path.name != "__init__.py"
+            for node in tree.body if isinstance(node, ast.FunctionDef)
+            and not {node.name, f"{path.stem}.{node.name}"} & (referenced | exempt)]
+
+
+def test_caller_detector(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    pass\n\ndef traced():\n    pass\n\n"
+                                   "def exported():\n    pass\n\ndef dead():\n    pass\n")
+    (tmp_path / "b.py").write_text("from . import a\n\ndef f():\n    return a.used()\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert uncalled_functions(paths, {"a.traced", "exported"}) == [
+        "a.py:10 defines dead and nothing calls it", "b.py:3 defines f and nothing calls it"]
+
+
 def perfbench_constant(filename: str, name: str):
     """A literal module-level constant of ``perfbench/<filename>``, read
     without importing the file."""
@@ -114,6 +141,12 @@ def test_traced_functions_exist():
     missing = [f"{module}.{name}" for module, names in targets.items() for name in names
                if not callable(getattr(importlib.import_module(f"superweyl.{module}"), name, None))]
     assert missing == []
+
+
+def test_every_function_has_a_caller():
+    exempt = set(superweyl.__all__) | {f"{module}.{name}" for module, names
+                                       in traced_targets().items() for name in names}
+    assert uncalled_functions(sorted(PACKAGE.glob("*.py")), exempt) == []
 
 
 def _load_tracer_module():

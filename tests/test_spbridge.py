@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import derivation_action
 from superweyl.exactla import DimensionMismatch, Matrix
-from superweyl.spbridge import (NotSymplectic, ad_vector, derivation_action,
+from superweyl.spbridge import (NotSymplectic, ad_vector,
                                 quadratic_monomials, quadratic_to_sp,
                                 sp_to_quadratic, trace_ratio_constant)
 from superweyl.symplectic import SymplecticSpace, standard_space

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import pair
 from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.symplectic import (NotAlternating, OddDimension, Singular,
-                                  SymplecticSpace, is_in_sp, pair,
+                                  SymplecticSpace, is_in_sp,
                                   standard_space, validate_space)
 
 
