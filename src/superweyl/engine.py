@@ -15,15 +15,19 @@ form.  The paper's test lives in the noncommutative (Weyl) algebra on v:
    recovered as ``[y, y'] = 2 quadratic_lift_adjoint(y.y')``; by invariance
    of B + omega, B([y_p, y_q], x) = -omega(y_p, nu(x) y_q), so coordinate l
    of [y_p, y_q] is -(omega mu_l)_pq for mu_l = nu(x^l), the one value that
-   decision and construction share (``SymplecticRep.dual_matrices``).
+   decision and construction share (``SymplecticRep.dual_columns``).
 
 The Weyl product of ``weyl`` is the reference model.  The working path,
 checked against it by the tests, uses closed forms: since the product of
 quadratics a, b is a.b + 1/2 [a, b] + (a, b), ``casimir_image`` turns the
 lifts lift_i of ``sp_to_quadratic`` and the dual lifts lift^i, each formed
-once, into the obstruction sum_i lift_i . lift^i (``casimir_obstruction``)
-and the scalar sum_i (lift_i, lift^i) (``quadratic_pairing``), which
-``decide`` reads directly.
+once, into the obstruction sum_i lift_i . lift^i (commutative products)
+and the scalar sum_i (lift_i, lift^i) (the permanent of
+``quadratic_pairing``), which ``decide`` reads directly.  These sums, the
+mu_l, the degree-two leak test, the trace sum of the ``trace_identity``
+diagnostic and ``quadratic_lift_adjoint`` run on the fraction-free kernel
+of ``exactla``: operands scaled to integers by their common denominators,
+int accumulation, and one ``Fraction`` per output term.
 
 Every entry point takes its representation as validated (``validate_space``,
 ``validate_lie``, and ``validate_rep``, the one ``is_in_sp`` test of nu).
@@ -40,17 +44,17 @@ measured exactly by contracting the obstruction three times
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
-from .exactla import (Column, Matrix, Scalar, SingularMatrix, add_product, as_scalar,
-                      integer_columns, invariance_violation, invert, linear_combination,
+from .exactla import (Column, IntegerColumns, Matrix, Scalar, add_product, as_scalar,
+                      integer_columns, integer_vectors, invariance_violation, is_nonsingular,
                       record)
 from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
-from .spbridge import (NotSymplectic, quadratic_monomials, quadratic_pairing, sp_to_quadratic,
-                       trace_ratio_constant)
+from .spbridge import NotSymplectic, quadratic_monomials, sp_to_quadratic, trace_ratio_constant
 from .symplectic import SymplecticSpace, Vector, is_in_sp
-from .weyl import PolyElement, SpaceMismatch, contract, linear_coordinates, sym_product
+from .weyl import PolyElement, SpaceMismatch, contract, linear_coordinates
 
 _ZERO = as_scalar(0)
 
@@ -102,12 +106,27 @@ class SymplecticRep:
                 raise ValueError("representation matrices must be square of the space dimension")
 
     @cached_property
-    def dual_matrices(self) -> tuple[Matrix, ...]:
-        """mu_l = sum_i (x^i)_l nu_i for the dual basis x^i of B, so nu(x^l)
-        when B is symmetric; computed once per representation."""
-        zero = Matrix.zeros(self.space.dim, self.space.dim)
-        return tuple(linear_combination(row, self.matrices, zero)
-                     for row in self.algebra.form_inverse.data)
+    def matrix_columns(self) -> IntegerColumns:
+        """``matrices`` on the fraction-free kernel, once per representation."""
+        return integer_columns(self.matrices)
+
+    @cached_property
+    def dual_columns(self) -> IntegerColumns:
+        """The matrices mu_l = sum_i (B^-1)_li nu_i, so nu(x^l) for the dual
+        basis x^i of B when B is symmetric, as integer columns at the scale
+        d_nu d_B, for the scale d_nu of ``matrix_columns`` and d_B of B^-1;
+        once per representation."""
+        d_nu, nus = self.matrix_columns
+        d_b, (b_inverse,) = integer_columns([self.algebra.form_inverse])
+        mus: list[list[Column]] = [[{} for _ in range(self.space.dim)]
+                                   for _ in range(self.algebra.dim)]
+        for nu, column in zip(nus, b_inverse):
+            for l, c in column.items():
+                for mu_col, nu_col in zip(mus[l], nu):
+                    for r, x in nu_col.items():
+                        mu_col[r] = mu_col.get(r, 0) + c * x
+        return IntegerColumns(d_nu * d_b, [[{r: x for r, x in col.items() if x} for col in mu]
+                                           for mu in mus])
 
 
 def validate_rep(rep: SymplecticRep) -> None:
@@ -118,7 +137,7 @@ def validate_rep(rep: SymplecticRep) -> None:
     for i, m in enumerate(rep.matrices):
         if not is_in_sp(rep.space, m):
             raise NotSymplectic(index=i)
-    ad, rho, k = rep.algebra.adjoint_columns, integer_columns(rep.matrices), rep.algebra.dim
+    ad, rho, k = rep.algebra.adjoint_columns, rep.matrix_columns, rep.algebra.dim
     for i, j in combinations(range(k), 2):
         if defect_columns(ad, rho, k, i, j, range(rep.space.dim)):
             raise NotARepresentation(i, j)
@@ -129,26 +148,22 @@ def quadratic_lift(rep: SymplecticRep, i: int) -> PolyElement:
     return sp_to_quadratic(rep.space, rep.matrices[i])
 
 
-def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
-                        dual_lifts: Sequence[PolyElement]) -> PolyElement:
-    """Degree-four part sum_i lift_i . lift^i of the Casimir image, for the
-    dual lifts lift^i.  The top-degree part of the noncommutative product of
-    two quadratics is their commutative product."""
-    zero = PolyElement.zero(space)
-    return sum((sym_product(lift, dual) for lift, dual in zip(lifts, dual_lifts)), zero)
-
-
 def _dual_commutator_sum(rep: SymplecticRep) -> bool:
     """Whether sum_l [nu_l, mu_l], which is -sum_i [nu_i, nu(x^i)], is
     nonzero, on integer columns."""
-    _, columns = integer_columns([*rep.matrices, *rep.dual_matrices])
-    k = rep.algebra.dim
+    _, nus = rep.matrix_columns
+    _, mus = rep.dual_columns
     total: list[Column] = [{} for _ in range(rep.space.dim)]
-    for nu, mu in zip(columns[:k], columns[k:]):
+    for nu, mu in zip(nus, mus):
         for z, col in enumerate(total):
             add_product(col, nu, mu[z])
             add_product(col, mu, nu[z], -1)
     return any(any(col.values()) for col in total)
+
+
+def _quadratic_factors(exp) -> tuple[int, int]:
+    i, j = (t for t, e in enumerate(exp) for _ in range(e))
+    return i, j
 
 
 def quadratic_lift_adjoint(rep: SymplecticRep, w: PolyElement) -> tuple[Scalar, ...]:
@@ -158,20 +173,25 @@ def quadratic_lift_adjoint(rep: SymplecticRep, w: PolyElement) -> tuple[Scalar, 
     This is the transpose of the quadratic lift against the two invariant
     forms; it intertwines the actions on quadratics and on g0.  Since
     (lift(x_i), y_p y_q) = -1/2 (omega nu_i)_pq, for any nonsingular B it is
-    t_l = -1/2 sum_{c y_p y_q in w} c (omega mu_l)_pq, mu_l = rep.dual_matrices[l].
+    t_l = -1/2 sum_{c y_p y_q in w} c (omega mu_l)_pq, mu_l = ``rep.dual_columns``[l],
+    summed in integers on the scaled c, omega and mu_l.
     Raises ``ValueError`` unless ``w`` is homogeneous of degree two.
     """
     if w.space != rep.space:
         raise SpaceMismatch("the quadratic lives on a different space")
     if not w.is_homogeneous(2):
         raise ValueError("quadratic_lift_adjoint needs a homogeneous quadratic")
-    omega = rep.space.omega.data
-    t = [_ZERO] * rep.algebra.dim
-    for exp, c in w.terms.items():
-        p, q = (i for i, e in enumerate(exp) for _ in range(e))
-        for l, mu in enumerate(rep.dual_matrices):
-            t[l] += c * sum((x * mu.data[r][q] for r, x in enumerate(omega[p]) if x), _ZERO)
-    return tuple(-x / 2 for x in t)
+    d_w, (coeffs,) = integer_vectors([w.terms])
+    d_omega, (_, omega_rows) = rep.space.omega_columns
+    d_mu, mus = rep.dual_columns
+    t = [0] * rep.algebra.dim
+    for exp, c in coeffs.items():
+        p, q = _quadratic_factors(exp)
+        row = omega_rows[p]
+        for l, mu in enumerate(mus):
+            t[l] += c * sum(x * row[r] for r, x in mu[q].items() if r in row)
+    scale = -2 * d_w * d_omega * d_mu
+    return tuple(Fraction(x, scale) for x in t)
 
 
 def casimir_image(rep: SymplecticRep) -> tuple[PolyElement, Scalar]:
@@ -180,15 +200,50 @@ def casimir_image(rep: SymplecticRep) -> tuple[PolyElement, Scalar]:
     sum_i lift_i . lift^i and the constant sum_i (lift_i, lift^i).  For a
     ``rep`` that passed ``validate_space``, ``validate_lie`` and ``validate_rep``
     these are the whole image; unvalidated, only ``NotSymplectic`` and
-    ``InternalDegreeLeak(2)`` are raised."""
+    ``InternalDegreeLeak(2)`` are raised.
+
+    The sums run in integers: the lifts L_i over one common denominator d_L,
+    the dual lifts D_i = sum_j (d_B B^-1)_ji L_j, and the form w = d_omega
+    omega.  A term c_p y_i y_j of L_l times a term c_q y_a y_b of D_l adds
+    c_p c_q to the quartic y_i y_j y_a y_b, and c_p c_q (w_ia w_jb + w_ib w_ja)
+    to the scalar, the pairing of ``quadratic_pairing``; each output term is
+    then one division, by d_L^2 d_B for the obstruction and by
+    d_L^2 d_B d_omega^2 for the scalar."""
     lifts = tuple(quadratic_lift(rep, i) for i in range(rep.algebra.dim))
-    dual_lifts = tuple(linear_combination(dual, lifts, PolyElement.zero(rep.space))
-                       for dual in casimir_pairs(rep.algebra))
+    d_b, duals = integer_vectors([dict(enumerate(dual)) for dual in casimir_pairs(rep.algebra)])
     # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu(x^i)]
     if _dual_commutator_sum(rep):
         raise InternalDegreeLeak(2)
-    return (casimir_obstruction(rep.space, lifts, dual_lifts),
-            sum(map(quadratic_pairing, lifts, dual_lifts), _ZERO))
+    n = rep.space.dim
+    d_lift, terms = integer_vectors([lift.terms for lift in lifts])
+    # a quadratic y_i y_j is keyed by its factors (i, j), i <= j, and packed
+    # into an int with 4 bits per exponent, so that a sum of packed keys is
+    # the packed key of the product (every exponent stays below 16)
+    factors = {exp: _quadratic_factors(exp) for lift in lifts for exp in lift.terms}
+    integer_lifts = [{factors[exp]: c for exp, c in lift.items()} for lift in terms]
+    packed = {(i, j): (1 << 4 * i) + (1 << 4 * j) for i, j in factors.values()}
+    d_omega, (omega, _) = rep.space.omega_columns
+    w = [[col.get(i, 0) for col in omega] for i in range(n)]
+
+    quartic: dict[int, int] = {}
+    scalar = 0
+    for lift, dual in zip(integer_lifts, duals):
+        dual_lift: dict[tuple[int, int], int] = {}
+        for j, c in dual.items():
+            for key, x in integer_lifts[j].items():
+                dual_lift[key] = dual_lift.get(key, 0) + c * x
+        right = [(a, b, packed[a, b], x) for (a, b), x in dual_lift.items() if x]
+        for (i, j), c in lift.items():
+            w_i, w_j, key = w[i], w[j], packed[i, j]
+            for a, b, other, x in right:
+                cx = c * x
+                quartic[key + other] = quartic.get(key + other, 0) + cx
+                scalar += cx * (w_i[a] * w_j[b] + w_i[b] * w_j[a])
+    denominator = d_lift * d_lift * d_b
+    obstruction = PolyElement(rep.space, {
+        tuple((key >> 4 * t) & 15 for t in range(n)): Fraction(x, denominator)
+        for key, x in quartic.items() if x})
+    return obstruction, Fraction(scalar, denominator * d_omega * d_omega)
 
 
 @record
@@ -231,9 +286,13 @@ def decide(rep: SymplecticRep) -> TestReport:
 
 
 def _dual_trace_sum(rep: SymplecticRep) -> Scalar:
-    """sum_i tr(nu_i nu(x^i)), as sum_l tr(nu_l mu_l)."""
-    return sum((x * mu.data[q][p] for nu, mu in zip(rep.matrices, rep.dual_matrices)
-                for p, row in enumerate(nu.data) for q, x in enumerate(row) if x), _ZERO)
+    """sum_i tr(nu_i nu(x^i)), as sum_l tr(nu_l mu_l), summed in integers
+    on ``rep.matrix_columns`` and ``rep.dual_columns``."""
+    d_nu, nus = rep.matrix_columns
+    d_mu, mus = rep.dual_columns
+    total = sum(x * mu[p].get(q, 0) for nu, mu in zip(nus, mus)
+                for q, col in enumerate(nu) for p, x in col.items())
+    return Fraction(total, d_nu * d_mu)
 
 
 # -- the superalgebra structure --------------------------------------------
@@ -337,7 +396,8 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
       that is ([x,y], z) = -(-1)^{|x||y|} (y, [x,z]);
     - form_supersymmetry: the even Gram block is symmetric and the odd one
       antisymmetric;
-    - form_nonsingular: both Gram blocks are invertible.
+    - form_nonsingular: both Gram blocks are invertible, by fraction-free
+      elimination on their integer columns (``is_nonsingular``).
 
     Each check reports the first violating tuple in basis order (even
     before odd), with indices counted within their parity.  Only the bracket
@@ -384,12 +444,8 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     checks.append(CheckResult("form_supersymmetry", sym_ok and alt_ok,
                               None if sym_ok and alt_ok else "Gram symmetry pattern broken"))
 
-    nonsingular = True
-    try:
-        invert(form)
-        invert(omega)
-    except SingularMatrix:
-        nonsingular = False
+    nonsingular = all(is_nonsingular(integer_columns([m]).columns[0], m.rows)
+                      for m in (form, omega))
     checks.append(CheckResult("form_nonsingular", nonsingular,
                               None if nonsingular else "a Gram block is singular"))
     return checks

@@ -11,7 +11,12 @@ Those vanishing tests run on a fraction-free kernel: ``integer_columns``
 clears the denominators of a list of matrices with one exact common
 denominator and keeps each column as a sparse {row: int} map.  A zero test
 of an identity that is homogeneous in each scaled operand then needs only
-integer arithmetic, and it is still exact.
+integer arithmetic, and it is still exact.  The same scaling serves exact
+sums of products: ``integer_vectors`` does it for sparse vectors such as
+polynomial coefficients, the sum is accumulated in ``int``, and one
+``Fraction`` is formed per output entry, dividing by the product of the
+scales.  ``is_nonsingular`` decides invertibility on integer columns by
+fraction-free elimination.
 
 ``record`` makes the frozen value classes of every module: a small class
 decorator, so that importing the package does not load ``dataclasses``.
@@ -194,16 +199,6 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def linear_combination(coeffs: Sequence[Scalar], items: Sequence, zero):
-    """sum_j coeffs[j] items[j] for matrices, polynomials or anything else
-    with + and scalar *, starting from ``zero``; zero coefficients are skipped."""
-    total = zero
-    for c, item in zip(coeffs, items):
-        if c != 0:
-            total = total + c * item
-    return total
-
-
 def solve_linear(a: Matrix, b: Matrix) -> Matrix:
     """Solve ``a x = b`` for square nonsingular ``a`` by Gauss-Jordan elimination.
 
@@ -317,6 +312,34 @@ def integer_columns(matrices: Sequence[Matrix]) -> IntegerColumns:
                     cols[j][i] = x.numerator * (scale // x.denominator)
         columns.append(cols)
     return IntegerColumns(scale, columns)
+
+
+def integer_vectors(vectors: Sequence[Mapping]) -> tuple[int, list[dict]]:
+    """Clear denominators of sparse rational vectors, given as maps from any
+    key to a ``Fraction``: the lcm d of every denominator, and each vector
+    as the map of d v on its nonzero entries."""
+    scale = lcm(*{x.denominator for v in vectors for x in v.values()})
+    return scale, [{key: x.numerator * (scale // x.denominator) for key, x in v.items() if x}
+                   for v in vectors]
+
+
+def is_nonsingular(columns: Sequence[Column], n: int) -> bool:
+    """Whether the n x n integer matrix with these sparse columns is
+    invertible, by fraction-free (Bareiss) elimination on its transpose:
+    each division is exact, so only ints are formed."""
+    m = [[col.get(i, 0) for i in range(n)] for col in columns]
+    previous = 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return False
+        m[c], m[pivot] = m[pivot], m[c]
+        top, head = m[c], m[c][c]
+        for r in range(c + 1, n):
+            row, factor = m[r], m[r][c]
+            m[r] = [(x * head - factor * y) // previous for x, y in zip(row, top)]
+        previous = head
+    return True
 
 
 def add_product(out: Column, a: Sequence[Column], v: Mapping[int, int], c: int = 1) -> Column:

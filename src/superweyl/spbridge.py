@@ -29,9 +29,10 @@ square of a mixed quadratic monomial such as e.f is negative.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
-from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar
+from .exactla import DimensionMismatch, Matrix, Scalar, add_product, as_scalar, integer_columns
 from .symplectic import SymplecticSpace, Vector, as_vector
 from .weyl import PolyElement, SpaceMismatch, bilinear_form, contract, linear_coordinates
 
@@ -79,19 +80,22 @@ def sp_to_quadratic(space: SymplecticSpace, alpha: Matrix) -> PolyElement:
     """Inverse of ``quadratic_to_sp``: 1/4 sum_ij (alpha omega^-1)_ij x_i x_j.
     Raises ``NotSymplectic`` unless alpha omega^-1 is symmetric, which for an
     alternating omega is alpha preserving the form, and ``DimensionMismatch``
-    on a wrong shape."""
+    on a wrong shape.  The product and the symmetry test run on integer
+    columns, with ``space.omega_inverse_columns``; each coefficient is one
+    division."""
     n = space.dim
     if alpha.rows != n or alpha.cols != n:
         raise DimensionMismatch(f"expected a {n}x{n} matrix, got {alpha.rows}x{alpha.cols}")
-    s = (alpha * space.omega_inverse).data
-    if any(s[i][j] != s[j][i] for i in range(n) for j in range(i)):
+    # column j of S = (d_alpha alpha)(d omega^-1), an integer multiple of alpha omega^-1
+    d_alpha, (a,) = integer_columns([alpha])
+    d_inverse, (inverse,) = space.omega_inverse_columns
+    s = [add_product({}, a, col) for col in inverse]
+    if any(s[i].get(j, 0) != x for j, col in enumerate(s) for i, x in col.items()):
         raise NotSymplectic()
-    terms: dict = {}
-    for i, row in enumerate(s):
-        for j, x in enumerate(row):
-            if x:
-                exp = tuple((t == i) + (t == j) for t in range(n))
-                terms[exp] = terms.get(exp, _ZERO) + x / 4
+    # x_i x_j with i < j collects S_ij / 4 and S_ji / 4
+    quarter, half = 4 * d_alpha * d_inverse, 2 * d_alpha * d_inverse
+    terms = {tuple((t == i) + (t == j) for t in range(n)): Fraction(x, half if i < j else quarter)
+             for j, col in enumerate(s) for i, x in col.items() if x and i <= j}
     return PolyElement(space, terms)
 
 

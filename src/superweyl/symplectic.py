@@ -67,6 +67,11 @@ class SymplecticSpace:
         """``omega`` and its transpose on the fraction-free kernel, once per space."""
         return integer_columns([self.omega, self.omega.transpose()])
 
+    @cached_property
+    def omega_inverse_columns(self) -> IntegerColumns:
+        """``omega_inverse`` on the fraction-free kernel, once per space."""
+        return integer_columns([self.omega_inverse])
+
 
 def as_vector(space: SymplecticSpace, coords: Sequence) -> Vector:
     v = tuple(as_scalar(x) for x in coords)

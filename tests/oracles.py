@@ -14,8 +14,10 @@ adjoint-matrix identities.  Agreement between these
 and the engine is the backbone of the suite.
 
 The first section holds the plain ``Fraction`` helpers that only the tests
-use: form values, brackets of coordinate vectors, the representation defect
-as a matrix, and the derivation extending a matrix to polynomials.
+use: linear combinations, form values, brackets of coordinate vectors, the
+representation defect as a matrix, the degree-four part of the Casimir
+image as a sum of commutative products, and the derivation extending a
+matrix to polynomials.
 """
 
 from collections.abc import Sequence
@@ -24,7 +26,7 @@ from itertools import permutations, product
 
 from superweyl.engine import CheckResult, NotARepresentation
 from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix, invert,
-                               linear_combination, solve_linear)
+                               solve_linear)
 from superweyl.liealg import (FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric,
                               QuadraticLieAlgebra)
 from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_monomials,
@@ -36,6 +38,16 @@ _ZERO = Fraction(0)
 
 
 # -- reference helpers ------------------------------------------------------
+
+
+def linear_combination(coeffs: Sequence[Scalar], items: Sequence, zero):
+    """sum_j coeffs[j] items[j] for matrices, polynomials or anything else
+    with + and scalar *, starting from ``zero``; zero coefficients are skipped."""
+    total = zero
+    for c, item in zip(coeffs, items):
+        if c != 0:
+            total = total + c * item
+    return total
 
 
 def bilinear(m: Matrix, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
@@ -86,6 +98,18 @@ def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
     supercommutator = xy + yx if x >= k and y >= k else xy - yx
     return supercommutator - linear_combination(ad[x].col(y), rho,
                                                 Matrix.zeros(xy.rows, xy.cols))
+
+
+def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
+                        dual_lifts: Sequence[PolyElement]) -> PolyElement:
+    """Degree-four part sum_i lift_i . lift^i of the Casimir image, for the
+    dual lifts lift^i.  The top-degree part of the noncommutative product of
+    two quadratics is their commutative product.
+
+    With the scalar sum_i ``quadratic_pairing``(lift_i, lift^i), this is the
+    ``Fraction`` reference of ``engine.casimir_image``."""
+    zero = PolyElement.zero(space)
+    return sum((sym_product(lift, dual) for lift, dual in zip(lifts, dual_lifts)), zero)
 
 
 def derivation_action(alpha: Matrix, a: PolyElement) -> PolyElement:

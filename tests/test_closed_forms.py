@@ -23,14 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bracket_vectors, form_value, oracle_quadratic_lift_adjoint,
-                     oracle_sp_to_quadratic, oracle_trace_ratio_constant)
+from oracles import (bracket_vectors, casimir_obstruction, form_value, linear_combination,
+                     oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
+                     oracle_trace_ratio_constant)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
-from superweyl.engine import (SymplecticRep, casimir_image, casimir_obstruction,
-                              construct_superalgebra, decide, quadratic_lift,
-                              quadratic_lift_adjoint, validate_rep)
-from superweyl.exactla import DimensionMismatch, Matrix, invert, linear_combination
+from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra, decide,
+                              quadratic_lift, quadratic_lift_adjoint, validate_rep)
+from superweyl.exactla import DimensionMismatch, Matrix, invert
 from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
 from superweyl.spbridge import (NotSymplectic, quadratic_monomials, quadratic_pairing,
                                 quadratic_to_sp, sp_to_quadratic, trace_ratio_constant)

@@ -9,7 +9,7 @@ import superweyl.engine
 import superweyl.exactla
 import superweyl.spbridge
 import superweyl.symplectic
-from oracles import bracket_vectors, form_value
+from oracles import bracket_vectors, form_value, linear_combination
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               NotSuperLieType, SuperAlgebraData, SymplecticRep,
@@ -169,12 +169,12 @@ def test_one_analysis_per_representation(monkeypatch):
     # the lifts run once, in casimir_image, and omega and B are inverted
     # once each, however many of the validators and entry points read them;
     # only validate_rep tests nu against sp(omega), not the lift in spbridge,
-    # and each dual lift is formed once (the k dual matrices of the engine
-    # take the other k linear combinations)
+    # and the dual lifts and dual matrices are integer sums, with no
+    # Fraction linear combination
     originals = {"sp_to_quadratic": superweyl.spbridge.sp_to_quadratic,
                  "solve_linear": superweyl.exactla.solve_linear,
                  "is_in_sp": superweyl.symplectic.is_in_sp,
-                 "linear_combination": superweyl.exactla.linear_combination}
+                 "linear_combination": linear_combination}
     counts = dict.fromkeys(originals, 0)
     for module, name in ((superweyl.engine, "sp_to_quadratic"),
                          (superweyl.exactla, "solve_linear"),
@@ -195,7 +195,7 @@ def test_one_analysis_per_representation(monkeypatch):
     construct_superalgebra_unchecked(rep)
     assert rep.algebra.dim == 10
     assert counts == {"sp_to_quadratic": 10, "solve_linear": 2, "is_in_sp": 10,
-                      "linear_combination": 20}
+                      "linear_combination": 0}
 
 
 def test_decide_positive_instances():

@@ -10,6 +10,16 @@ triple-by-triple oracle on random tables, antisymmetric or not, so the
 (y, x) shortcut it takes after graded antisymmetry passes never changes a
 result.  Finally, the checks must not form a single ``Fraction`` matrix
 product.
+
+The same kernel computes the Casimir image: the lifts of
+``sp_to_quadratic``, the dual matrices and ``casimir_image`` sum in
+integers and divide once per output term.  On every golden problem and on
+random problems whose forms and matrices carry coprime denominators near
+10^6, they must equal their ``Fraction`` references exactly (the matrix
+product alpha omega^-1, ``oracles.casimir_obstruction`` and
+``quadratic_pairing``) and the Weyl-product path, and the lift must still
+refuse alpha when alpha omega^-1 misses symmetry by the smallest step.
+``is_nonsingular`` must agree with ``invert``.
 """
 
 from fractions import Fraction
@@ -17,17 +27,21 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_verify_superalgebra, representation_defect
+from oracles import (casimir_obstruction, linear_combination, oracle_sp_to_quadratic,
+                     oracle_verify_superalgebra, representation_defect)
 from superweyl.catalog import build_instance
-from superweyl.engine import (SuperAlgebraData, SymplecticRep, construct_superalgebra_unchecked,
-                              validate_rep, verify_superalgebra)
-from superweyl.exactla import Matrix, integer_columns, invariance_violation
+from superweyl.engine import (SuperAlgebraData, SymplecticRep, casimir_image,
+                              construct_superalgebra_unchecked, validate_rep, verify_superalgebra)
+from superweyl.exactla import (Matrix, SingularMatrix, integer_columns, invariance_violation,
+                               invert, is_nonsingular)
 from superweyl.jsonio import load_problem
-from superweyl.liealg import QuadraticLieAlgebra, defect_columns, validate_lie
+from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns, validate_lie
+from superweyl.spbridge import NotSymplectic, quadratic_pairing, sp_to_quadratic
 from superweyl.symplectic import SymplecticSpace, is_in_sp
+from superweyl.weyl import PolyElement, constant_term, grade, weyl_product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -186,3 +200,149 @@ def test_checks_form_no_fraction_products(monkeypatch):
         assert verify_superalgebra(s) == checks
     with pytest.raises(AssertionError, match="Fraction matrix product"):
         Matrix.identity(1) * Matrix.identity(1)
+
+
+def test_casimir_image_forms_no_fraction_products(monkeypatch):
+    expected = [(casimir_image(rep), construct_superalgebra_unchecked(rep).odd_odd)
+                for rep in _problems()]
+    reps = _problems()
+
+    def refuse(*args):
+        raise AssertionError("a Fraction product of matrices or polynomials was formed")
+
+    for cls, name in ((Matrix, "__mul__"), (PolyElement, "__mul__"), (PolyElement, "__rmul__"),
+                      (PolyElement, "__add__")):
+        monkeypatch.setattr(cls, name, refuse)
+    for rep, (image, odd_odd) in zip(reps, expected, strict=True):
+        assert casimir_image(rep) == image
+        assert construct_superalgebra_unchecked(rep).odd_odd == odd_odd
+
+
+# -- the Casimir image against its Fraction reference --------------------------
+
+
+def fraction_lift(space: SymplecticSpace, alpha: Matrix) -> PolyElement:
+    """1/4 sum_ij (alpha omega^-1)_ij x_i x_j from the ``Fraction`` product."""
+    s, n = (alpha * invert(space.omega)).data, space.dim
+    return PolyElement(space, {tuple((t == i) + (t == j) for t in range(n)):
+                               s[i][j] / 4 if i == j else s[i][j] / 2
+                               for i in range(n) for j in range(i, n)})
+
+
+def fraction_casimir_image(rep: SymplecticRep, lifts) -> tuple[PolyElement, Fraction]:
+    """(sum_i lift_i . lift^i, sum_i (lift_i, lift^i)) with the dual lifts
+    formed by ``Fraction`` linear combinations."""
+    zero = PolyElement.zero(rep.space)
+    duals = [linear_combination(dual, lifts, zero) for dual in casimir_pairs(rep.algebra)]
+    return (casimir_obstruction(rep.space, lifts, duals),
+            sum(map(quadratic_pairing, lifts, duals), Fraction(0)))
+
+
+# the problem files, not the reports, outputs or manifest
+GOLDEN_PROBLEMS = sorted(path.name for path in GOLDEN.glob("*.json")
+                         if len(path.suffixes) == 1 and path.name != "manifest.json")
+
+
+@pytest.mark.parametrize("name", GOLDEN_PROBLEMS)
+def test_casimir_image_equals_the_fraction_reference_on_golden_problems(name):
+    rep = load_problem(str(GOLDEN / name))
+    lifts = [fraction_lift(rep.space, m) for m in rep.matrices]
+    assert [sp_to_quadratic(rep.space, m) for m in rep.matrices] == lifts
+    assert casimir_image(rep) == fraction_casimir_image(rep, lifts)
+
+
+def test_golden_problems_include_the_conjugated_ones():
+    assert {"conj-osp_even-2-1.json", "conj-spin-3.json", "spin-7.json"} <= set(GOLDEN_PROBLEMS)
+
+
+def _is_prime(p: int) -> bool:
+    return all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+# distinct primes below 10^6: denominators drawn from them without
+# repetition are pairwise coprime, so a common denominator is their product
+PRIMES = [p for p in range(10 ** 6, 999_000, -1) if _is_prime(p)]
+
+
+@st.composite
+def large_denominator_reps(draw):
+    """An abelian g0 of dimension k <= 3 with a symmetric form B acting on a
+    space of dimension 2 or 4 by nu_i = omega^-1 T_i for symmetric T_i, so
+    nu_i is in sp(omega).  Every nonzero entry of omega, B and T_i has its
+    own prime denominator near 10^6.  With B symmetric the degree-two part
+    sum_li (B^-1)_li [nu_l, nu_i] vanishes, so ``casimir_image`` answers."""
+    n, k = 2 * draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    primes = iter(draw(st.permutations(PRIMES)))
+
+    def entry(zero_allowed: bool) -> Fraction:
+        if zero_allowed and draw(st.booleans()):
+            return Fraction(0)
+        return Fraction(draw(st.integers(1, 999)) * draw(st.sampled_from([1, -1])), next(primes))
+
+    def symmetric(size: int, sparse: bool) -> Matrix:
+        """Nonzero on the diagonal; off it, zero half the time if ``sparse``."""
+        upper = {(i, j): entry(sparse and i != j) for i in range(size) for j in range(i, size)}
+        return Matrix([[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)])
+
+    upper = {(i, j): entry(False) for i in range(n) for j in range(i + 1, n)}
+    omega = Matrix([[upper[i, j] if i < j else -upper[j, i] if i > j else 0 for j in range(n)]
+                    for i in range(n)])
+    form = symmetric(k, sparse=False)
+    try:
+        invert(form)
+    except SingularMatrix:
+        assume(False)
+    omega_inverse = invert(omega)
+    nus = tuple(omega_inverse * symmetric(n, sparse=True) for _ in range(k))
+    return SymplecticRep(QuadraticLieAlgebra.abelian(k, form), SymplecticSpace(n, omega), nus)
+
+
+@given(large_denominator_reps())
+@settings(max_examples=15, deadline=None)
+def test_casimir_image_is_exact_beyond_64_bit_denominators(rep):
+    assert integer_columns([*rep.matrices, rep.algebra.form, rep.space.omega]).scale > 2 ** 60
+    lifts = [fraction_lift(rep.space, m) for m in rep.matrices]
+    assert [sp_to_quadratic(rep.space, m) for m in rep.matrices] == lifts
+    obstruction, scalar = casimir_image(rep)
+    assert (obstruction, scalar) == fraction_casimir_image(rep, lifts)
+    # the Weyl path, on the Gram-solve lifts of the oracle
+    lifts = [oracle_sp_to_quadratic(rep.space, m) for m in rep.matrices]
+    zero = PolyElement.zero(rep.space)
+    duals = [linear_combination(dual, lifts, zero) for dual in casimir_pairs(rep.algebra)]
+    image = grade(sum(map(weyl_product, lifts, duals), zero))
+    assert set(image) <= {0, 4}
+    assert obstruction == image.get(4, zero)
+    assert scalar == constant_term(image.get(0, zero))
+
+
+@given(large_denominator_reps(), st.data())
+@settings(max_examples=15, deadline=None)
+def test_lift_refuses_an_asymmetry_of_one_step_at_the_common_denominator(rep, data):
+    space, n = rep.space, rep.space.dim
+    s = rep.matrices[0] * invert(space.omega)
+    d = integer_columns([s]).scale
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    step = Matrix([[Fraction(int((r, c) == (i, j)), d) for c in range(n)] for r in range(n)])
+    asymmetric = s + step
+    assert integer_columns([asymmetric]).scale == d
+    assert asymmetric[i, j] - asymmetric[j, i] == Fraction(1, d)
+    sp_to_quadratic(space, s * space.omega)
+    with pytest.raises(NotSymplectic):
+        sp_to_quadratic(space, asymmetric * space.omega)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_is_nonsingular_agrees_with_invert(m, dependent):
+    n = m.rows
+    if dependent and n:
+        # the last row the sum of the others, so m is singular
+        rows = [list(row) for row in m.data]
+        rows[-1] = [sum(col[:-1]) for col in zip(*rows)]
+        m = Matrix(rows, cols=n)
+    try:
+        invert(m)
+        invertible = True
+    except SingularMatrix:
+        invertible = False
+    assert is_nonsingular(integer_columns([m]).columns[0], n) == invertible
