@@ -39,20 +39,23 @@ When the degree-four obstruction is nonzero, the candidate bracket still
 exists but fails the odd-odd-odd super Jacobi identity, and the failure is
 measured exactly by contracting the obstruction three times
 (``jacobiator_from_obstruction``).
+
+The checks of a ``SuperAlgebraData`` read its ``adjoint_columns``, integer
+columns taken off its tables alone, never off a value the engine cached.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
 from .exactla import (Column, IntegerColumns, Matrix, Scalar, add_product, as_scalar,
-                      integer_columns, integer_vectors, invariance_violation, is_nonsingular,
-                      record)
+                      integer_columns, integer_tables, integer_vectors, invariance_violation,
+                      is_nonsingular, record)
 from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
-from .spbridge import NotSymplectic, quadratic_monomials, sp_to_quadratic, trace_ratio_constant
+from .spbridge import (NotSymplectic, quadratic_factors, quadratic_monomials, sp_to_quadratic,
+                       trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
 from .weyl import PolyElement, SpaceMismatch, contract, linear_coordinates
 
@@ -161,11 +164,6 @@ def _dual_commutator_sum(rep: SymplecticRep) -> bool:
     return any(any(col.values()) for col in total)
 
 
-def _quadratic_factors(exp) -> tuple[int, int]:
-    i, j = (t for t, e in enumerate(exp) for _ in range(e))
-    return i, j
-
-
 def quadratic_lift_adjoint(rep: SymplecticRep, w: PolyElement) -> tuple[Scalar, ...]:
     """The element t = sum_i (lift(x_i), w) x^i of g0, so that
     B(x_i, t) = (lift(x_i), w) for all i.
@@ -186,7 +184,7 @@ def quadratic_lift_adjoint(rep: SymplecticRep, w: PolyElement) -> tuple[Scalar, 
     d_mu, mus = rep.dual_columns
     t = [0] * rep.algebra.dim
     for exp, c in coeffs.items():
-        p, q = _quadratic_factors(exp)
+        p, q = quadratic_factors(exp)
         row = omega_rows[p]
         for l, mu in enumerate(mus):
             t[l] += c * sum(x * row[r] for r, x in mu[q].items() if r in row)
@@ -219,7 +217,7 @@ def casimir_image(rep: SymplecticRep) -> tuple[PolyElement, Scalar]:
     # a quadratic y_i y_j is keyed by its factors (i, j), i <= j, and packed
     # into an int with 4 bits per exponent, so that a sum of packed keys is
     # the packed key of the product (every exponent stays below 16)
-    factors = {exp: _quadratic_factors(exp) for lift in lifts for exp in lift.terms}
+    factors = {exp: quadratic_factors(exp) for lift in lifts for exp in lift.terms}
     integer_lifts = [{factors[exp]: c for exp, c in lift.items()} for lift in terms]
     packed = {(i, j): (1 << 4 * i) + (1 << 4 * j) for i, j in factors.values()}
     d_omega, (omega, _) = rep.space.omega_columns
@@ -307,8 +305,8 @@ class SuperAlgebraData:
     ``odd_odd`` maps unordered index pairs (a <= b) to coordinates in g0 of
     the symmetric odd bracket; a missing pair is zero.  Construction checks
     its keys and lengths; ``verify_superalgebra`` checks the axioms on the
-    derived view ``adjoint()`` and ``gram()``, whose basis is
-    x_0..x_{k-1}, y_0..y_{n-1}.
+    derived view ``adjoint_columns``, whose basis is x_0..x_{k-1},
+    y_0..y_{n-1}, and on the Gram blocks B and omega.
     """
 
     rep: SymplecticRep
@@ -335,28 +333,25 @@ class SuperAlgebraData:
         key = (a, b) if a <= b else (b, a)
         return self.odd_odd.get(key, tuple([_ZERO] * self.rep.algebra.dim))
 
-    def adjoint(self) -> list[Matrix]:
-        """The matrices ad_t of all basis elements: column u of ad_t holds
-        the coordinates of [e_t, e_u].  Read off the bracket tables alone;
-        for even t it is the block sum of the even ad_t and nu_t."""
+    @cached_property
+    def adjoint_columns(self) -> IntegerColumns:
+        """The matrices ad_t of all basis elements on the fraction-free
+        kernel, once per structure: column u of ad_t holds the coordinates
+        of [e_t, e_u].  Read off ``rep.algebra.brackets``, ``rep.matrices``
+        and ``odd_odd`` alone, never off a cache of the validators or the
+        engine: even ad_t is the block sum of the even ad_t and nu_t; odd
+        ad_{k+a} has the columns -nu_u e_a (u < k) and [y_a, y_b]."""
         algebra, nus = self.rep.algebra, self.rep.matrices
         k, n = algebra.dim, self.rep.space.dim
-        zero_k, zero_n = (_ZERO,) * k, (_ZERO,) * n
-        ad = [_block_diagonal(ad_t, nu) for ad_t, nu in zip(algebra.adjoint(), nus)]
-        ad += [Matrix.from_columns([(*zero_k, *(-c for c in nu.col(a))) for nu in nus]
-                                   + [(*self.odd_bracket(a, b), *zero_n) for b in range(n)],
-                                   rows=k + n)
+        # nu_t e_a for every t and a, on the odd rows k..k+n-1
+        images = [[{k + i: row[a] for i, row in enumerate(nu.data) if row[a]} for a in range(n)]
+                  for nu in nus]
+        even = [[{l: x for l, x in enumerate(col) if x} for col in row] + image
+                for row, image in zip(algebra.brackets, images)]
+        odd = [[{i: -x for i, x in image[a].items()} for image in images]
+               + [{l: x for l, x in enumerate(self.odd_bracket(a, b)) if x} for b in range(n)]
                for a in range(n)]
-        return ad
-
-    def gram(self) -> Matrix:
-        """Block-diagonal Gram matrix of the form on g0 + v."""
-        return _block_diagonal(self.rep.algebra.form, self.rep.space.omega)
-
-
-def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix([row + (_ZERO,) * b.cols for row in a.data]
-                  + [(_ZERO,) * a.cols + row for row in b.data], cols=a.cols + b.cols)
+        return integer_tables(even + odd)
 
 
 def construct_superalgebra_unchecked(rep: SymplecticRep) -> SuperAlgebraData:
@@ -403,13 +398,13 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     before odd), with indices counted within their parity.  Only the bracket
     tables and Gram blocks are read, never the engine's lifts.
 
-    The identities are tested on the integer columns of ``integer_columns``,
-    with no ``Fraction`` product.  Once graded antisymmetry holds, the Jacobi
-    defect D of ``defect_columns`` satisfies D(y, x) = -(-1)^{|x||y|} D(x, y),
-    so it is computed only for x <= y and its nonzero columns are read back
-    for (y, x); when antisymmetry fails, every ordered pair is computed."""
-    ad, k, basis = s.adjoint(), s.rep.algebra.dim, range(s.dim)
-    cols = integer_columns(ad)
+    The identities are tested on ``s.adjoint_columns`` and the integer
+    columns of B and omega, with no ``Fraction`` product.  Once graded
+    antisymmetry holds, the Jacobi defect D of ``defect_columns`` satisfies
+    D(y, x) = -(-1)^{|x||y|} D(x, y), so it is computed only for x <= y and
+    its nonzero columns are read back for (y, x); when antisymmetry fails,
+    every ordered pair is computed."""
+    cols, k, basis = s.adjoint_columns, s.rep.algebra.dim, range(s.dim)
     c = cols.columns
     checks: list[CheckResult] = []
 
@@ -435,7 +430,7 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
                            sector not in witnesses, witnesses.get(sector))
                for sector in product((0, 1), repeat=3)]
 
-    witness = _invariance_witness(s, c)
+    witness = form_invariance_witness(s)
     checks.append(CheckResult("form_invariance", witness is None, witness))
 
     form, omega = s.rep.algebra.form, s.rep.space.omega
@@ -459,15 +454,15 @@ def _located(s: SuperAlgebraData, *basis: int) -> str:
 
 def form_invariance_witness(s: SuperAlgebraData) -> str | None:
     """First basis triple violating ([x,y], z) = -(-1)^{|x||y|} (y, [x,z]),
-    read off ad_x^T G + S_x G ad_x on integer columns, or None."""
-    return _invariance_witness(s, integer_columns(s.adjoint()).columns)
-
-
-def _invariance_witness(s: SuperAlgebraData, ad: Sequence[Sequence[Column]]) -> str | None:
-    g, k, n = s.gram(), s.rep.algebra.dim, s.rep.space.dim
-    _, (gram, gram_t) = integer_columns([g, g.transpose()])
+    read off ad_x^T G + S_x G ad_x on integer columns, or None; the columns
+    of the block-diagonal G = B + omega and of G^T are those of the blocks."""
+    k, n = s.rep.algebra.dim, s.rep.space.dim
+    form, omega = s.rep.algebra.form, s.rep.space.omega
+    _, (b, b_t, w, w_t) = integer_columns([form, form.transpose(), omega, omega.transpose()])
+    gram, gram_t = ([*even, *({k + i: x for i, x in col.items()} for col in odd)]
+                    for even, odd in ((b, w), (b_t, w_t)))
     odd_signs = [1] * k + [-1] * n
-    for x, ad_x in enumerate(ad):
+    for x, ad_x in enumerate(s.adjoint_columns.columns):
         hit = invariance_violation(ad_x, gram, gram_t, odd_signs if x >= k else None)
         if hit is not None:
             return _located(s, x, *hit)
@@ -479,10 +474,11 @@ def jacobiator(s: SuperAlgebraData, a: int, b: int, c: int) -> Vector:
     basis elements; the inner bracket lands in g0 and the outer one acts
     back on the odd space, so the result is an odd coordinate vector.
     Zero for every triple exactly when the odd-odd-odd Jacobi sector holds."""
-    ad, k = s.adjoint(), s.rep.algebra.dim
-    images = [ad[k + p].apply(ad[k + q].col(k + r))
-              for p, q, r in ((a, b, c), (b, c, a), (c, a, b))]
-    return tuple(sum(entries, _ZERO) for entries in zip(*images))[k:]
+    (d, ad), k = s.adjoint_columns, s.rep.algebra.dim
+    total: Column = {}
+    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+        add_product(total, ad[k + p], ad[k + q][k + r])
+    return tuple(Fraction(total.get(k + i, 0), d * d) for i in range(s.rep.space.dim))
 
 
 def jacobiator_from_obstruction(rep: SymplecticRep, obstruction: PolyElement,

@@ -9,7 +9,9 @@ a heuristic.
 
 Those vanishing tests run on a fraction-free kernel: ``integer_columns``
 clears the denominators of a list of matrices with one exact common
-denominator and keeps each column as a sparse {row: int} map.  A zero test
+denominator and keeps each column as a sparse {row: int} map;
+``integer_tables`` does the same for matrices read column by column off a
+table, such as the adjoint matrices of a bracket table.  A zero test
 of an identity that is homogeneous in each scaled operand then needs only
 integer arithmetic, and it is still exact.  The same scaling serves exact
 sums of products: ``integer_vectors`` does it for sparse vectors such as
@@ -321,6 +323,14 @@ def integer_vectors(vectors: Sequence[Mapping]) -> tuple[int, list[dict]]:
     scale = lcm(*{x.denominator for v in vectors for x in v.values()})
     return scale, [{key: x.numerator * (scale // x.denominator) for key, x in v.items() if x}
                    for v in vectors]
+
+
+def integer_tables(tables: Sequence[Sequence[Mapping[int, Scalar]]]) -> IntegerColumns:
+    """``integer_columns`` for matrices given column by column, each column a
+    map from row to ``Fraction``, with no dense ``Matrix`` in between."""
+    scale, flat = integer_vectors([col for table in tables for col in table])
+    columns = iter(flat)
+    return IntegerColumns(scale, [[next(columns) for _ in table] for table in tables])
 
 
 def is_nonsingular(columns: Sequence[Column], n: int) -> bool:

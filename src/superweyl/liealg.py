@@ -7,7 +7,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar,
-                      SingularMatrix, add_product, as_scalar, integer_columns,
+                      SingularMatrix, add_product, as_scalar, integer_columns, integer_tables,
                       invariance_violation, invert, record)
 
 _ZERO = as_scalar(0)
@@ -89,19 +89,13 @@ class QuadraticLieAlgebra:
     def bracket(self, i: int, j: int) -> tuple[Scalar, ...]:
         return self.brackets[i][j]
 
-    def adjoint(self) -> tuple[Matrix, ...]:
-        """The matrices ad_i: column j of ad_i holds the coordinates of
-        the bracket of basis elements i and j.  Built once per algebra."""
-        return self._adjoint
-
-    @cached_property
-    def _adjoint(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix.from_columns(row, rows=self.dim) for row in self.brackets)
-
     @cached_property
     def adjoint_columns(self) -> IntegerColumns:
-        """``adjoint()`` on the fraction-free kernel, built once per algebra."""
-        return integer_columns(self.adjoint())
+        """The matrices ad_i on the fraction-free kernel, read off ``brackets``:
+        column j of ad_i holds the coordinates of the bracket of basis
+        elements i and j.  Built once per algebra."""
+        return integer_tables([[{l: x for l, x in enumerate(col) if x} for col in row]
+                               for row in self.brackets])
 
     @cached_property
     def form_inverse(self) -> Matrix:

@@ -19,12 +19,14 @@ is outside sp(omega), and ``quadratic_to_sp`` refuses a non-quadratic.
 
 There is also a scalar worth recording: on quadratics the pairing is
 proportional to the matrix trace form, and ``trace_ratio_constant`` fits
-the proportionality constant with one Weyl-product pairing and verifies it
-on the full monomial set through the closed forms of both.  For the
+the proportionality constant with one Weyl-product pairing, on one anchor
+pair of monomials where it also checks the closed forms of both.  For the
 conventions of this package the constant is -1/8 in every dimension: since
-omega is alternating, tr(A(p) A(q)) = -8 (p, q) on the monomial basis.  The
-sign is forced by the permanent expansion of the pairing, under which the
-square of a mixed quadratic monomial such as e.f is negative.
+omega is alternating, tr(A(p) A(q)) = -8 (p, q) holds identically on the
+monomial basis, so the anchor is the only pair compared.  The sign is forced
+by the permanent expansion of the pairing, under which the square of a mixed
+quadratic monomial such as e.f is negative.  ``quadratic_factors`` reads the
+factors (i, j) off a quadratic monomial, for this module and ``engine``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ def quadratic_monomials(space: SymplecticSpace) -> list[PolyElement]:
     n = space.dim
     return [PolyElement.monomial(space, [(t == i) + (t == j) for t in range(n)], 1)
             for i in range(n) for j in range(i, n)]
+
+
+def quadratic_factors(exp) -> tuple[int, int]:
+    """The factors (i, j), i <= j, of the quadratic monomial with exponents ``exp``."""
+    i, j = (t for t, e in enumerate(exp) for _ in range(e))
+    return i, j
 
 
 def ad_vector(w: PolyElement, u) -> Vector:
@@ -99,10 +107,6 @@ def sp_to_quadratic(space: SymplecticSpace, alpha: Matrix) -> PolyElement:
     return PolyElement(space, terms)
 
 
-def _factors(exp) -> list[int]:
-    return [i for i, k in enumerate(exp) for _ in range(k)]
-
-
 def quadratic_pairing(a: PolyElement, b: PolyElement) -> Scalar:
     """The pairing of two quadratics, equal to ``weyl.bilinear_form`` but
     read off the form matrix w: (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja."""
@@ -111,10 +115,10 @@ def quadratic_pairing(a: PolyElement, b: PolyElement) -> Scalar:
     if not (a.is_homogeneous(2) and b.is_homogeneous(2)):
         raise ValueError("quadratic_pairing needs homogeneous quadratics")
     w = a.space.omega.data
-    right = [(_factors(e), c) for e, c in b.terms.items()]
+    right = [(quadratic_factors(e), c) for e, c in b.terms.items()]
     total = _ZERO
     for e, c1 in a.terms.items():
-        i, j = _factors(e)
+        i, j = quadratic_factors(e)
         for (p, q), c2 in right:
             total += c1 * c2 * (w[i][p] * w[j][q] + w[i][q] * w[j][p])
     return total
@@ -122,20 +126,18 @@ def quadratic_pairing(a: PolyElement, b: PolyElement) -> Scalar:
 
 def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     """The constant c with (w, z) = c tr(A(w) A(z)) for all quadratics w, z,
-    where A is ``quadratic_to_sp``.
-
-    On the monomial basis both forms are read off the form matrix w:
-    (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja, as in ``quadratic_pairing``,
-    and tr(A(x_i x_j) A(x_a x_b)) = 4 (w_ja w_bi + w_jb w_ai + w_ia w_bj + w_ib w_aj).
-    The constant is fitted with ``weyl.bilinear_form`` and the matrices of
-    ``quadratic_to_sp`` on the first monomial pair with nonzero trace, where
-    the closed-form trace must agree with those matrices; then the two
-    closed forms are compared on every monomial pair, in integers on d w for
-    the common denominator d of w.  Raises ``InconsistentRatio``
-    if any pair disagrees, which would mean the two bilinear forms are not
-    proportional or a closed form has left the Weyl-product model.  For an
-    alternating w the trace form is -8 times the pairing, so c = -1/8.
-    """
+    where A is ``quadratic_to_sp``, on a ``space`` taken as validated
+    (``validate_space``).  On the monomial basis both forms are read off the
+    form matrix w: (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja, as in
+    ``quadratic_pairing``, and
+    tr(A(x_i x_j) A(x_a x_b)) = 4 (w_ja w_bi + w_jb w_ai + w_ia w_bj + w_ib w_aj).
+    For an alternating w the trace is -8 times the pairing on every pair, so
+    c = -1/8, and only one anchor is compared, the first monomial pair with
+    nonzero trace, in integers on d w for the common denominator d of w: the
+    closed-form trace against the matrices of ``quadratic_to_sp``, and the
+    closed-form pairing against ``weyl.bilinear_form``, which fits c.  Raises
+    ``InconsistentRatio`` if either disagrees: a closed form has left the
+    Weyl-product model."""
     if space.dim < 2:
         raise ValueError("the trace ratio needs a space of dimension at least 2")
     n = space.dim
@@ -144,26 +146,23 @@ def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     # the factors (i, j) of the monomials, in the order of quadratic_monomials
     factors = [(i, j) for i in range(n) for j in range(i, n)]
 
-    def pairing(p: int, q: int) -> int:
-        (i, j), (a, b) = factors[p], factors[q]
-        return w[i][a] * w[j][b] + w[i][b] * w[j][a]
-
-    def trace(p: int, q: int) -> int:
-        (i, j), (a, b) = factors[p], factors[q]
+    def trace(p: tuple[int, int], q: tuple[int, int]) -> int:
+        (i, j), (a, b) = p, q
         return 4 * (w[j][a] * w[b][i] + w[j][b] * w[a][i] + w[i][a] * w[b][j] + w[i][b] * w[a][j])
 
-    pairs = list(product(range(len(factors)), repeat=2))
-    anchor = next(((p, q) for p, q in pairs if trace(p, q)), None)
+    anchor = next((pair for pair in product(factors, repeat=2) if trace(*pair)), None)
     if anchor is None:
         raise InconsistentRatio("trace pairing vanishes identically")
-    monomials = quadratic_monomials(space)
-    left, right = (quadratic_to_sp(monomials[p]) for p in anchor)
-    anchor_trace = sum((left[i, j] * right[j, i] for i in range(n) for j in range(n)), _ZERO)
+    (i, j), (a, b) = anchor
+    left, right = (PolyElement.monomial(space, [(t == u) + (t == v) for t in range(n)], 1)
+                   for u, v in anchor)
+    m_left, m_right = quadratic_to_sp(left), quadratic_to_sp(right)
+    anchor_trace = sum((m_left[r, c] * m_right[c, r] for r in range(n) for c in range(n)), _ZERO)
     if anchor_trace * scale ** 2 != trace(*anchor):
         raise InconsistentRatio("the closed-form trace disagrees with quadratic_to_sp "
                                 f"on monomial pair {anchor}")
-    constant = bilinear_form(monomials[anchor[0]], monomials[anchor[1]]) / anchor_trace
-    for p, q in pairs:
-        if pairing(p, q) * constant.denominator != constant.numerator * trace(p, q):
-            raise InconsistentRatio(f"pairing and trace form disagree on monomial pair ({p}, {q})")
-    return constant
+    pairing = bilinear_form(left, right)
+    if pairing * scale ** 2 != w[i][a] * w[j][b] + w[i][b] * w[j][a]:
+        raise InconsistentRatio("the closed-form pairing disagrees with bilinear_form "
+                                f"on monomial pair {anchor}")
+    return pairing / anchor_trace

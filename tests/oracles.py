@@ -15,9 +15,9 @@ and the engine is the backbone of the suite.
 
 The first section holds the plain ``Fraction`` helpers that only the tests
 use: linear combinations, form values, brackets of coordinate vectors, the
-representation defect as a matrix, the degree-four part of the Casimir
-image as a sum of commutative products, and the derivation extending a
-matrix to polynomials.
+representation defect as a matrix, the dense adjoint matrices of a
+superalgebra, the degree-four part of the Casimir image as a sum of
+commutative products, and the derivation extending a matrix to polynomials.
 """
 
 from collections.abc import Sequence
@@ -98,6 +98,14 @@ def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
     supercommutator = xy + yx if x >= k and y >= k else xy - yx
     return supercommutator - linear_combination(ad[x].col(y), rho,
                                                 Matrix.zeros(xy.rows, xy.cols))
+
+
+def dense_adjoint(s) -> list[Matrix]:
+    """The matrices ad_t of ``s.adjoint_columns`` as dense ``Fraction``
+    matrices, for tests that multiply them."""
+    d, ad = s.adjoint_columns
+    return [Matrix.from_columns([[Fraction(col.get(i, 0), d) for i in range(s.dim)]
+                                 for col in cols], rows=s.dim) for cols in ad]
 
 
 def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],

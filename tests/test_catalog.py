@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import representation_defect
+from oracles import dense_adjoint, representation_defect
 from superweyl.catalog import (CATALOG_INSTANCES, CalibrationFailed, InvalidInput, TooLarge,
                                UnknownInstance, abelian_superalgebra, build_double,
                                build_gl11_even, build_instance, build_osp_even, build_spin_rep,
@@ -225,7 +225,7 @@ def _gram_of_supertrace(mats, d0):
 def test_adjoint_supertrace_of_simple_superalgebra():
     # both blocks come out exactly three times the defining-normalized form
     s = double_base("osp12")
-    ad, k = s.adjoint(), s.rep.algebra.dim
+    ad, k = dense_adjoint(s), s.rep.algebra.dim
     assert _gram_of_supertrace(ad[:k], k) == 3 * s.rep.algebra.form
     assert _gram_of_supertrace(ad[k:], k) == 3 * s.rep.space.omega
 
@@ -236,7 +236,7 @@ def test_defining_supertrace_of_gl11():
     s = double_base("gl11")
     rho = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]]),
            Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])]
-    ad, k = s.adjoint(), s.rep.algebra.dim
+    ad, k = dense_adjoint(s), s.rep.algebra.dim
     assert all(representation_defect(ad, rho, k, x, y).is_zero()
                for x in range(s.dim) for y in range(s.dim))
     assert _gram_of_supertrace(rho[:k], 1) == s.rep.algebra.form == Matrix.diagonal([1, -1])

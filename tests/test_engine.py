@@ -9,7 +9,7 @@ import superweyl.engine
 import superweyl.exactla
 import superweyl.spbridge
 import superweyl.symplectic
-from oracles import bracket_vectors, form_value, linear_combination
+from oracles import bracket_vectors, dense_adjoint, form_value, linear_combination
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               NotSuperLieType, SuperAlgebraData, SymplecticRep,
@@ -253,7 +253,8 @@ def test_construct_matches_hand_tables_for_gl11():
     assert s.odd_bracket(1, 0) == (1, 1)
     assert s.odd_bracket(0, 0) == (0, 0)
     assert s.odd_bracket(1, 1) == (0, 0)
-    assert s.gram() == Matrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    assert s.rep.algebra.form == Matrix([[1, 0], [0, -1]])
+    assert s.rep.space.omega == Matrix([[0, 1], [-1, 0]])
 
 
 def test_construct_matches_hand_tables_for_sl2_action():
@@ -309,10 +310,11 @@ def test_superalgebra_shape_checks():
         replace(s, odd_odd={**s.odd_odd, (0, 1): (0, 0)})
 
 
-def test_adjoint_and_gram_read_the_tables():
+def test_adjoint_columns_read_the_tables():
     s = construct_superalgebra(osp11())
-    algebra, nus, omega = s.rep.algebra, s.rep.matrices, s.rep.space.omega
-    k, n, ad, g = algebra.dim, s.rep.space.dim, s.adjoint(), s.gram()
+    algebra, nus = s.rep.algebra, s.rep.matrices
+    k, n, ad = algebra.dim, s.rep.space.dim, dense_adjoint(s)
+    assert s.adjoint_columns is s.adjoint_columns
     assert len(ad) == s.dim == k + n
     for t in range(k):
         for u in range(k):
@@ -323,8 +325,6 @@ def test_adjoint_and_gram_read_the_tables():
     for a in range(n):
         for b in range(n):
             assert ad[k + a].col(k + b) == s.odd_bracket(a, b) + (0,) * n
-    assert g == Matrix([algebra.form.row(i) + (0,) * n for i in range(k)]
-                       + [(0,) * k + omega.row(a) for a in range(n)])
 
 
 # -- the jacobiator --------------------------------------------------------

@@ -1,7 +1,8 @@
 """The fraction-free check kernel against the ``Fraction`` formulas it replaces.
 
 ``exactla.integer_columns`` scales a list of matrices by one common
-denominator into sparse integer columns.  On random matrices with mixed
+denominator into sparse integer columns, and ``integer_tables`` does so for
+matrices given column by column.  On random matrices with mixed
 denominators from 1 to 12, the nonzero columns of ``liealg.defect_columns``
 must be those of ``oracles.representation_defect``, scaled exactly, and
 ``exactla.invariance_violation`` and ``symplectic.is_in_sp`` must find what
@@ -9,7 +10,8 @@ a^T G + S G a finds.  ``verify_superalgebra`` must agree with the
 triple-by-triple oracle on random tables, antisymmetric or not, so the
 (y, x) shortcut it takes after graded antisymmetry passes never changes a
 result.  Finally, the checks must not form a single ``Fraction`` matrix
-product.
+product, nor any dense ``Matrix`` with more rows than the larger of the two
+Gram blocks.
 
 The same kernel computes the Casimir image: the lifts of
 ``sp_to_quadratic``, the dual matrices and ``casimir_image`` sum in
@@ -34,9 +36,10 @@ from oracles import (casimir_obstruction, linear_combination, oracle_sp_to_quadr
                      oracle_verify_superalgebra, representation_defect)
 from superweyl.catalog import build_instance
 from superweyl.engine import (SuperAlgebraData, SymplecticRep, casimir_image,
-                              construct_superalgebra_unchecked, validate_rep, verify_superalgebra)
-from superweyl.exactla import (Matrix, SingularMatrix, integer_columns, invariance_violation,
-                               invert, is_nonsingular)
+                              construct_superalgebra_unchecked, form_invariance_witness,
+                              jacobiator, validate_rep, verify_superalgebra)
+from superweyl.exactla import (Matrix, SingularMatrix, integer_columns, integer_tables,
+                               invariance_violation, invert, is_nonsingular)
 from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns, validate_lie
 from superweyl.spbridge import NotSymplectic, quadratic_pairing, sp_to_quadratic
@@ -61,6 +64,11 @@ def test_integer_columns_clear_one_common_denominator():
     assert a == [{0: 3}, {1: -8}]
     assert b == [{0: 60}, {0: 2}]
     assert integer_columns([]) == (1, [])
+    # the same matrices given column by column; a zero entry is dropped
+    tables = [[{0: Fraction(1, 4), 1: Fraction(0)}, {1: Fraction(-2, 3)}],
+              [{0: Fraction(5)}, {0: Fraction(1, 6)}]]
+    assert integer_tables(tables) == (12, [a, b])
+    assert integer_tables([]) == (1, [])
 
 
 @st.composite
@@ -200,6 +208,36 @@ def test_checks_form_no_fraction_products(monkeypatch):
         assert verify_superalgebra(s) == checks
     with pytest.raises(AssertionError, match="Fraction matrix product"):
         Matrix.identity(1) * Matrix.identity(1)
+
+
+def _check_results(s):
+    n = s.rep.space.dim
+    triples = [(a, b, c) for a in range(n) for b in range(a, n) for c in range(b, n)]
+    return (verify_superalgebra(s), form_invariance_witness(s),
+            [jacobiator(s, *triple) for triple in triples])
+
+
+def test_checks_build_no_dense_matrix_that_grows_with_k_plus_n(monkeypatch):
+    # the checks read the tables straight into integer columns: no Matrix
+    # with more rows than max(k, n), such as a (k+n) x (k+n) adjoint
+    # matrix or Gram matrix, is formed
+    expected = [_check_results(construct_superalgebra_unchecked(rep)) for rep in _problems()]
+    # fresh objects, so no view cached before the patch is reused
+    structures = [construct_superalgebra_unchecked(rep) for rep in _problems()]
+    limit = 0
+    init = Matrix.__init__
+
+    def bounded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.rows > limit:
+            raise AssertionError(f"a Matrix with {self.rows} rows was formed")
+
+    monkeypatch.setattr(Matrix, "__init__", bounded)
+    for s, results in zip(structures, expected, strict=True):
+        limit = max(s.rep.algebra.dim, s.rep.space.dim)
+        assert _check_results(s) == results
+    with pytest.raises(AssertionError, match="Matrix with"):
+        Matrix.identity(limit + 1)
 
 
 def test_casimir_image_forms_no_fraction_products(monkeypatch):

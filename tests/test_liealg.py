@@ -33,12 +33,12 @@ def test_adjoint_is_built_once_per_algebra(monkeypatch):
         raise AssertionError("the adjoint was built again")
 
     monkeypatch.setattr(Matrix, "from_columns", refuse)
-    monkeypatch.setattr(liealg, "integer_columns", refuse)
-    assert g.adjoint() is g.adjoint()
-    assert g.adjoint()[1].col(0) == (0, -2, 0)
+    monkeypatch.setattr(liealg, "integer_tables", refuse)
+    assert g.adjoint_columns is g.adjoint_columns
+    assert g.adjoint_columns.scale == 1
     assert g.adjoint_columns.columns[1][0] == {1: -2}
     with pytest.raises(AssertionError):
-        sl2().adjoint()
+        sl2().adjoint_columns
 
 
 def test_bracket_vectors_bilinear():
