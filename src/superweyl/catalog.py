@@ -107,12 +107,14 @@ def trace_gram(basis: Sequence[Matrix]) -> Matrix:
     return Matrix([[(a * b).trace() for b in basis] for a in basis], cols=len(basis))
 
 
-def matrix_structure_constants(basis: Sequence[Matrix]) -> list[list[tuple[Scalar, ...]]]:
-    """Expand commutators of basis matrices back in the basis; the basis
-    must be closed under commutators and linearly independent.  All k^2
+def matrix_structure_constants(basis: Sequence[Matrix]
+                               ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
+    """Expand commutators of basis matrices back in the basis, as the
+    sparse table of ``QuadraticLieAlgebra.brackets``; the basis must be
+    closed under commutators and linearly independent.  All k^2
     commutators are expanded by one row reduction, as right-hand columns."""
     if not basis:
-        return []
+        return ()
     k = len(basis)
 
     def flat(m: Matrix) -> tuple[Scalar, ...]:
@@ -121,27 +123,26 @@ def matrix_structure_constants(basis: Sequence[Matrix]) -> list[list[tuple[Scala
     commutators = [flat(a * b - b * a) for a in basis for b in basis]
     coords = solve_overdetermined(Matrix.from_columns([flat(b) for b in basis]),
                                   Matrix.from_columns(commutators))
-    return [[coords.col(i * k + j) for j in range(k)] for i in range(k)]
+    return tuple(tuple({l: c for l, c in enumerate(coords.col(i * k + j)) if c} for j in range(k))
+                 for i in range(k))
 
 
 def _summand(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
     """The matrix Lie algebra spanned by ``basis``, with its trace form."""
-    table = tuple(map(tuple, matrix_structure_constants(basis)))
-    return QuadraticLieAlgebra(len(basis), table, trace_gram(basis))
+    return QuadraticLieAlgebra(len(basis), matrix_structure_constants(basis), trace_gram(basis))
 
 
 def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
                 scales: Sequence[Scalar]) -> QuadraticLieAlgebra:
     """Direct sum with the block-diagonal form sum_s scales[s] B_s; cross
-    brackets are zero."""
+    brackets are zero, and each summand's bracket keys move by its offset."""
     total, offset = sum(g.dim for g in summands), 0
-    brackets = [[(_ZERO,) * total] * total for _ in range(total)]
+    brackets = [[{} for _ in range(total)] for _ in range(total)]
     form = [[_ZERO] * total for _ in range(total)]
     for g, scale in zip(summands, scales):
         end = offset + g.dim
-        before, after = (_ZERO,) * offset, (_ZERO,) * (total - end)
-        for i in range(g.dim):
-            brackets[offset + i][offset:end] = [before + v + after for v in g.brackets[i]]
+        for i, row in enumerate(g.brackets):
+            brackets[offset + i][offset:end] = [{offset + l: c for l, c in v.items()} for v in row]
             form[offset + i][offset:end] = [scale * x for x in g.form.row(i)]
         offset = end
     return QuadraticLieAlgebra(total, tuple(map(tuple, brackets)), Matrix(form, cols=total))
@@ -267,22 +268,18 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
     kk = 2 * k
     nn = 2 * n
 
-    # even brackets: [x_i, x_j] from s, [x_i, w_j] the contragredient action
-    brackets = [[[_ZERO] * kk for _ in range(kk)] for _ in range(kk)]
-    for i in range(k):
-        for j in range(k):
-            for l, c in enumerate(base.bracket(i, j)):
-                brackets[i][j][l] = c
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                c = -base.bracket(i, l)[j]
-                brackets[i][k + j][k + l] = c
-                brackets[k + j][i][k + l] = -c
-    frozen = tuple(tuple(tuple(v) for v in row) for row in brackets)
+    # even brackets: [x_i, x_l] from s, and [x_i, w_j] = -sum_l c_il^j w_l,
+    # the contragredient action, for [x_i, x_l] = sum_j c_il^j x_j
+    brackets = [[{} for _ in range(kk)] for _ in range(kk)]
+    for i, row in enumerate(base.brackets):
+        for l, col in enumerate(row):
+            brackets[i][l] = dict(col)
+            for j, c in col.items():
+                brackets[i][k + j][k + l] = -c
+                brackets[k + j][i][k + l] = c
     form_even = Matrix([[_ONE if abs(i - j) == k else _ZERO for j in range(kk)]
                         for i in range(kk)], cols=kk)
-    even = QuadraticLieAlgebra(kk, frozen, form_even)
+    even = QuadraticLieAlgebra(kk, tuple(map(tuple, brackets)), form_even)
 
     # odd form on basis (y_0..y_{n-1}, z_0..z_{n-1}): (y_b, z_a) = -delta
     form_odd = Matrix([[-_ONE if j == i + n else _ONE if i == j + n else _ZERO

@@ -339,15 +339,15 @@ class SuperAlgebraData:
         kernel, once per structure: column u of ad_t holds the coordinates
         of [e_t, e_u].  Read off ``rep.algebra.brackets``, ``rep.matrices``
         and ``odd_odd`` alone, never off a cache of the validators or the
-        engine: even ad_t is the block sum of the even ad_t and nu_t; odd
-        ad_{k+a} has the columns -nu_u e_a (u < k) and [y_a, y_b]."""
+        engine: even ad_t is the block sum of ``rep.algebra.brackets[t]``,
+        as it is, and nu_t; odd ad_{k+a} has the columns -nu_u e_a (u < k)
+        and [y_a, y_b]."""
         algebra, nus = self.rep.algebra, self.rep.matrices
         k, n = algebra.dim, self.rep.space.dim
         # nu_t e_a for every t and a, on the odd rows k..k+n-1
         images = [[{k + i: row[a] for i, row in enumerate(nu.data) if row[a]} for a in range(n)]
                   for nu in nus]
-        even = [[{l: x for l, x in enumerate(col) if x} for col in row] + image
-                for row, image in zip(algebra.brackets, images)]
+        even = [list(row) + image for row, image in zip(algebra.brackets, images)]
         odd = [[{i: -x for i, x in image[a].items()} for image in images]
                + [{l: x for l, x in enumerate(self.odd_bracket(a, b)) if x} for b in range(n)]
                for a in range(n)]

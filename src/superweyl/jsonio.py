@@ -108,12 +108,8 @@ def space_from_json(obj) -> SymplecticSpace:
 
 
 def algebra_to_json(g: QuadraticLieAlgebra) -> dict:
-    entries = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for l, c in enumerate(g.bracket(i, j)):
-                if c != 0:
-                    entries.append([i, j, l, scalar_to_str(c)])
+    entries = [[i, j, l, scalar_to_str(c)] for i in range(g.dim) for j in range(i + 1, g.dim)
+               for l, c in sorted(g.brackets[i][j].items())]
     return {"dim": g.dim, "brackets": entries, "form": matrix_to_json(g.form)}
 
 

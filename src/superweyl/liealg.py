@@ -44,21 +44,25 @@ class FormNotInvariant(LieAlgebraError):
 class QuadraticLieAlgebra:
     """Structure constants and a symmetric bilinear form on a fixed basis.
 
-    ``brackets[i][j]`` holds the coordinates of the bracket of basis
-    elements i and j.  Construction normalizes shapes only; the
-    mathematical axioms are checked by ``validate_lie``.
+    ``brackets[i][j]`` maps l to the nonzero coefficients on x_l of the
+    bracket of basis elements i and j: sparse column j of ad_i, in any k x k
+    table, antisymmetric or not.  Construction checks shapes and refuses a
+    zero coefficient, so equal algebras have equal tables; the mathematical
+    axioms are checked by ``validate_lie``.
     """
 
     dim: int
-    brackets: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    brackets: tuple[tuple[dict[int, Scalar], ...], ...]
     form: Matrix
 
     def __post_init__(self):
         k = self.dim
         if len(self.brackets) != k or any(len(row) != k for row in self.brackets):
             raise DimensionMismatch("bracket table must be dim x dim")
-        if any(len(v) != k for row in self.brackets for v in row):
-            raise DimensionMismatch("bracket coordinates must have length dim")
+        if any(l not in range(k) for row in self.brackets for col in row for l in col):
+            raise DimensionMismatch("bracket coordinates must lie in range(dim)")
+        if not all(c for row in self.brackets for col in row for c in col.values()):
+            raise ValueError("bracket table stores a zero coefficient")
         if self.form.rows != k or self.form.cols != k:
             raise DimensionMismatch("form matrix must be dim x dim")
 
@@ -66,18 +70,19 @@ class QuadraticLieAlgebra:
     def from_sparse(cls, dim: int, entries: Sequence[tuple[int, int, int, object]],
                     form: Matrix) -> "QuadraticLieAlgebra":
         """Build from sparse entries (i, j, l, value) with i < j meaning the
-        bracket of x_i and x_j has coefficient value on x_l.  The
+        bracket of x_i and x_j has coefficient value on x_l.  Repeated
+        entries add up, and those that cancel are dropped.  The
         antisymmetric completion is automatic."""
-        table = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        table = [[{} for _ in range(dim)] for _ in range(dim)]
         for i, j, l, value in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= l < dim):
                 raise IndexError(f"bracket entry ({i}, {j}, {l}) out of range")
             if i >= j:
                 raise ValueError(f"sparse bracket entries need i < j, got ({i}, {j})")
             c = as_scalar(value)
-            table[i][j][l] += c
-            table[j][i][l] -= c
-        frozen = tuple(tuple(tuple(v) for v in row) for row in table)
+            table[i][j][l] = table[i][j].get(l, _ZERO) + c
+            table[j][i][l] = table[j][i].get(l, _ZERO) - c
+        frozen = tuple(tuple({l: c for l, c in col.items() if c} for col in row) for row in table)
         return cls(dim, frozen, form)
 
     @classmethod
@@ -86,16 +91,11 @@ class QuadraticLieAlgebra:
             form = Matrix.identity(dim)
         return cls.from_sparse(dim, [], form)
 
-    def bracket(self, i: int, j: int) -> tuple[Scalar, ...]:
-        return self.brackets[i][j]
-
     @cached_property
     def adjoint_columns(self) -> IntegerColumns:
-        """The matrices ad_i on the fraction-free kernel, read off ``brackets``:
-        column j of ad_i holds the coordinates of the bracket of basis
-        elements i and j.  Built once per algebra."""
-        return integer_tables([[{l: x for l, x in enumerate(col) if x} for col in row]
-                               for row in self.brackets])
+        """The matrices ad_i on the fraction-free kernel: ``brackets`` with
+        its denominators cleared.  Built once per algebra."""
+        return integer_tables(self.brackets)
 
     @cached_property
     def form_inverse(self) -> Matrix:

@@ -14,9 +14,10 @@ adjoint-matrix identities.  Agreement between these
 and the engine is the backbone of the suite.
 
 The first section holds the plain ``Fraction`` helpers that only the tests
-use: linear combinations, form values, brackets of coordinate vectors, the
-representation defect as a matrix, the dense adjoint matrices of a
-superalgebra, the degree-four part of the Casimir image as a sum of
+use: the dense coordinates of a basis bracket, an algebra from a dense
+bracket table, linear combinations, form values, brackets of coordinate
+vectors, the representation defect as a matrix, the dense adjoint matrices
+of a superalgebra, the degree-four part of the Casimir image as a sum of
 commutative products, and the derivation extending a matrix to polynomials.
 """
 
@@ -64,6 +65,20 @@ def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
     return bilinear(space.omega, as_vector(space, u), as_vector(space, v))
 
 
+def bracket(g: QuadraticLieAlgebra, i: int, j: int) -> tuple[Scalar, ...]:
+    """The coordinates of [x_i, x_j] as a dense tuple."""
+    col = g.brackets[i][j]
+    return tuple(col.get(l, _ZERO) for l in range(g.dim))
+
+
+def algebra_from_table(table: Sequence[Sequence[Sequence]], form: Matrix) -> QuadraticLieAlgebra:
+    """The algebra whose bracket [x_i, x_j] has the dense coordinates
+    ``table[i][j]``; the table need not be antisymmetric."""
+    return QuadraticLieAlgebra(len(table), tuple(
+        tuple({l: Fraction(c) for l, c in enumerate(coords) if c} for coords in row)
+        for row in table), form)
+
+
 def bracket_vectors(g: QuadraticLieAlgebra, x: Sequence[Scalar],
                     y: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Bilinear extension of the bracket of g to coordinate vectors."""
@@ -74,9 +89,8 @@ def bracket_vectors(g: QuadraticLieAlgebra, x: Sequence[Scalar],
         for j, yj in enumerate(y):
             if yj == 0:
                 continue
-            for l, c in enumerate(g.brackets[i][j]):
-                if c != 0:
-                    out[l] += xi * yj * c
+            for l, c in g.brackets[i][j].items():
+                out[l] += xi * yj * c
     return tuple(out)
 
 
@@ -266,7 +280,7 @@ def oracle_validate_lie(g) -> None:
     k = g.dim
     for i in range(k):
         for j in range(k):
-            if any(a != -b for a, b in zip(g.brackets[i][j], g.brackets[j][i])):
+            if any(a != -b for a, b in zip(bracket(g, i, j), bracket(g, j, i))):
                 raise NotAntisymmetric(i, j)
     units = [tuple(Fraction(int(t == l)) for t in range(k)) for l in range(k)]
     for i in range(k):
@@ -274,7 +288,7 @@ def oracle_validate_lie(g) -> None:
             for l in range(j + 1, k):
                 total = [Fraction(0)] * k
                 for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-                    outer = bracket_vectors(g, g.bracket(a, b), units[c])
+                    outer = bracket_vectors(g, bracket(g, a, b), units[c])
                     total = [x + y for x, y in zip(total, outer)]
                 if any(x != 0 for x in total):
                     raise JacobiFails(i, j, l)
@@ -287,8 +301,8 @@ def oracle_validate_lie(g) -> None:
     for i in range(k):
         for j in range(k):
             for l in range(k):
-                lhs = form_value(g, g.bracket(i, j), units[l])
-                rhs = form_value(g, units[j], g.bracket(i, l))
+                lhs = form_value(g, bracket(g, i, j), units[l])
+                rhs = form_value(g, units[j], bracket(g, i, l))
                 if lhs + rhs != 0:
                     raise FormNotInvariant(i, j, l)
 
@@ -303,7 +317,7 @@ def oracle_validate_rep(rep) -> None:
     for i in range(k):
         for j in range(i + 1, k):
             commutator = rep.matrices[i] * rep.matrices[j] - rep.matrices[j] * rep.matrices[i]
-            expected = linear_combination(rep.algebra.bracket(i, j), rep.matrices,
+            expected = linear_combination(bracket(rep.algebra, i, j), rep.matrices,
                                           Matrix.zeros(rep.space.dim, rep.space.dim))
             if commutator != expected:
                 raise NotARepresentation(i, j)

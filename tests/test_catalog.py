@@ -63,10 +63,10 @@ def test_trace_gram_sl2():
 
 def test_structure_constants_sl2():
     table = matrix_structure_constants(sp_basis(1))
-    assert table[0][1] == (0, 2, 0)
-    assert table[0][2] == (0, 0, -2)
-    assert table[1][2] == (1, 0, 0)
-    assert table[2][1] == (-1, 0, 0)
+    assert table[0][1] == {1: 2}
+    assert table[0][2] == {2: -2}
+    assert table[1][2] == {0: 1}
+    assert table[2][1] == {0: -1}
 
 
 def test_structure_constants_refuse_open_or_dependent_bases():

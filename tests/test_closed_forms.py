@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bracket_vectors, casimir_obstruction, form_value, linear_combination,
-                     oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
+from oracles import (algebra_from_table, bracket_vectors, casimir_obstruction, form_value,
+                     linear_combination, oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
                      oracle_trace_ratio_constant)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
@@ -265,9 +265,9 @@ def _change_basis(rep: SymplecticRep, p: Matrix, q: Matrix) -> SymplecticRep:
     y'_a = sum_c Q_ca y_c of v: B' = P^T B P, brackets re-expanded through
     P^-1, nu'_i = sum_j P_ji Q^-1 nu_j Q and omega' = Q^T omega Q."""
     k, p_inv = rep.algebra.dim, invert(p)
-    brackets = tuple(tuple(p_inv.apply(bracket_vectors(rep.algebra, p.col(i), p.col(j)))
-                           for j in range(k)) for i in range(k))
-    algebra = QuadraticLieAlgebra(k, brackets, p.transpose() * rep.algebra.form * p)
+    table = [[p_inv.apply(bracket_vectors(rep.algebra, p.col(i), p.col(j))) for j in range(k)]
+             for i in range(k)]
+    algebra = algebra_from_table(table, p.transpose() * rep.algebra.form * p)
     conjugated = _conjugate_space(rep, q)
     zero = Matrix.zeros(rep.space.dim, rep.space.dim)
     return SymplecticRep(algebra, conjugated.space,

@@ -32,8 +32,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (casimir_obstruction, linear_combination, oracle_sp_to_quadratic,
-                     oracle_verify_superalgebra, representation_defect)
+from oracles import (algebra_from_table, casimir_obstruction, linear_combination,
+                     oracle_sp_to_quadratic, oracle_verify_superalgebra, representation_defect)
 from superweyl.catalog import build_instance
 from superweyl.engine import (SuperAlgebraData, SymplecticRep, casimir_image,
                               construct_superalgebra_unchecked, form_invariance_witness,
@@ -158,9 +158,8 @@ def small_superalgebras(draw):
                    for l in range(k)]
         algebra = QuadraticLieAlgebra.from_sparse(k, entries, draw(matrices(k, k)))
     else:
-        table = tuple(tuple(tuple(draw(ENTRIES) for _ in range(k)) for _ in range(k))
-                      for _ in range(k))
-        algebra = QuadraticLieAlgebra(k, table, draw(matrices(k, k)))
+        table = [[[draw(ENTRIES) for _ in range(k)] for _ in range(k)] for _ in range(k)]
+        algebra = algebra_from_table(table, draw(matrices(k, k)))
     space = SymplecticSpace(n, draw(matrices(n, n)))
     rep = SymplecticRep(algebra, space, tuple(draw(matrices(n, n)) for _ in range(k)))
     odd_odd = {(a, b): tuple(draw(ENTRIES) for _ in range(k))
@@ -177,8 +176,7 @@ def test_verify_matches_oracle_on_random_tables(s):
 def test_verify_reads_mirrored_pairs_only_after_antisymmetry():
     # [x0, x1] = x0 but [x1, x0] = 0: the table is not antisymmetric, and the
     # Jacobi witness must come from computing (1, 0) itself
-    table = (((0, 0), (1, 0)), ((0, 0), (0, 0)))
-    algebra = QuadraticLieAlgebra(2, table, Matrix.identity(2))
+    algebra = algebra_from_table((((0, 0), (1, 0)), ((0, 0), (0, 0))), Matrix.identity(2))
     rep = SymplecticRep(algebra, SymplecticSpace(0, Matrix([], cols=0)), (Matrix([], cols=0),) * 2)
     s = SuperAlgebraData(rep, {})
     checks = verify_superalgebra(s)

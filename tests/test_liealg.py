@@ -1,14 +1,18 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import bracket_vectors, form_value
+from oracles import algebra_from_table, bracket, bracket_vectors, form_value
 from superweyl import liealg
 from superweyl.exactla import DimensionMismatch, Matrix
+from superweyl.jsonio import load_problem
 from superweyl.liealg import (FormNotInvariant, FormSingular, JacobiFails,
                               NotAntisymmetric, QuadraticLieAlgebra,
                               casimir_pairs, validate_lie)
 
+GOLDEN = Path(__file__).parent / "golden"
 SL2_FORM = Matrix([[2, 0, 0], [0, 0, 1], [0, 1, 0]])
 SL2_ENTRIES = [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)]
 
@@ -19,9 +23,9 @@ def sl2():
 
 def test_sl2_structure():
     g = sl2()
-    assert g.bracket(0, 1) == (0, 2, 0)
-    assert g.bracket(1, 0) == (0, -2, 0)
-    assert g.bracket(1, 2) == (1, 0, 0)
+    assert bracket(g, 0, 1) == (0, 2, 0)
+    assert bracket(g, 1, 0) == (0, -2, 0)
+    assert bracket(g, 1, 2) == (1, 0, 0)
     validate_lie(g)
 
 
@@ -76,13 +80,28 @@ def test_from_sparse_requires_lower_index_first():
 def test_from_sparse_accumulates_duplicates():
     g = QuadraticLieAlgebra.from_sparse(
         2, [(0, 1, 0, 1), (0, 1, 0, 2)], Matrix.identity(2))
-    assert g.bracket(0, 1) == (3, 0)
+    assert bracket(g, 0, 1) == (3, 0)
+
+
+def test_table_stores_exactly_the_nonzero_entries():
+    problems = [p for p in sorted(GOLDEN.glob("*.json"))
+                if p.name.count(".") == 1 and p.name != "manifest.json"]
+    assert len(problems) >= 10
+    for path in problems:
+        g = load_problem(str(path)).algebra
+        entries = json.loads(path.read_text())["g0"]["brackets"]
+        assert sum(len(col) for row in g.brackets for col in row) == 2 * len(entries), path.name
+    g = QuadraticLieAlgebra.from_sparse(2, [(0, 1, 0, 1), (0, 1, 0, -1)], Matrix.identity(2))
+    assert g.brackets[0][1] == {} and g.brackets[1][0] == {}
+    assert g == QuadraticLieAlgebra.abelian(2)
+    with pytest.raises(ValueError):
+        QuadraticLieAlgebra(2, (({}, {0: Fraction(0)}), ({}, {})), Matrix.identity(2))
+    with pytest.raises(DimensionMismatch):
+        QuadraticLieAlgebra(2, (({}, {2: Fraction(1)}), ({}, {})), Matrix.identity(2))
 
 
 def test_antisymmetry_violation_detected():
-    table = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
-    frozen = tuple(tuple(tuple(Fraction(x) for x in v) for v in row) for row in table)
-    g = QuadraticLieAlgebra(2, frozen, Matrix.identity(2))
+    g = algebra_from_table([[[0, 0], [1, 0]], [[1, 0], [0, 0]]], Matrix.identity(2))
     with pytest.raises(NotAntisymmetric):
         validate_lie(g)
 

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from oracles import oracle_validate_lie, oracle_validate_rep
+from oracles import algebra_from_table, bracket, oracle_validate_lie, oracle_validate_rep
 from superweyl.catalog import build_double, build_osp_even, build_spin_rep, double_base
 from superweyl.engine import NotARepresentation, SymplecticRep, validate_rep
 from superweyl.exactla import Matrix
@@ -44,16 +44,16 @@ def algebra_perturbations(g: QuadraticLieAlgebra):
     of entries, +1 on one entry of the form, and +1 on a symmetric pair."""
     k = g.dim
 
-    def table(*changes):
-        t = [[list(v) for v in row] for row in g.brackets]
+    def perturbed(*changes):
+        t = [[list(bracket(g, i, j)) for j in range(k)] for i in range(k)]
         for i, j, l, c in changes:
             t[i][j][l] += c
-        return tuple(tuple(tuple(v) for v in row) for row in t)
+        return algebra_from_table(t, g.form)
 
     for i, j, l in product(range(k), repeat=3):
-        yield QuadraticLieAlgebra(k, table((i, j, l, 1)), g.form)
+        yield perturbed((i, j, l, 1))
         if i < j:
-            yield QuadraticLieAlgebra(k, table((i, j, l, 1), (j, i, l, -1)), g.form)
+            yield perturbed((i, j, l, 1), (j, i, l, -1))
     for p, q in product(range(k), repeat=2):
         yield QuadraticLieAlgebra(k, g.brackets, bumped(g.form, (p, q)))
         if p < q:
