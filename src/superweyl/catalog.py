@@ -19,7 +19,7 @@ from collections.abc import Callable, Sequence
 
 from .engine import (SuperAlgebraData, SymplecticRep, casimir_image, construct_superalgebra,
                      verify_superalgebra)
-from .exactla import Matrix, Scalar, as_scalar, kernel_basis, record, solve_overdetermined
+from .exactla import Matrix, Scalar, as_scalar, kernel_basis, solve_overdetermined
 from .liealg import QuadraticLieAlgebra
 from .spbridge import NotSymplectic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
@@ -295,52 +295,27 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
                 data[p][q] = nu_i[p, q]
                 data[n + p][n + q] = -nu_i[q, p]
         matrices.append(Matrix(data, cols=nn))
-    for j in range(k):
-        data = [[_ZERO] * nn for _ in range(nn)]
-        for b in range(n):
-            for c_idx in range(n):
-                data[n + c_idx][b] = s.odd_bracket(b, c_idx)[j]
-        matrices.append(Matrix(data, cols=nn))
+    # x_{k+j} sends y_b to sum_c [y_b, y_c]_j z_c, scattered from the stored maps
+    duals = [[[_ZERO] * nn for _ in range(nn)] for _ in range(k)]
+    for (b, c), col in s.odd_odd.items():
+        for j, x in col.items():
+            duals[j][n + c][b] = duals[j][n + b][c] = x
+    matrices += [Matrix(data, cols=nn) for data in duals]
     rep = SymplecticRep(even, SymplecticSpace(nn, form_odd), tuple(matrices))
 
-    # explicit odd-odd table of the double
-    odd_odd: dict[tuple[int, int], tuple[Scalar, ...]] = {}
-    for p in range(nn):
-        for q in range(p, nn):
-            coords = [_ZERO] * kk
-            if p < n and q < n:
-                for l, c in enumerate(s.odd_bracket(p, q)):
-                    coords[l] = c
-            elif p < n <= q:
-                a = q - n
-                for l in range(k):
-                    coords[k + l] = -s.rep.matrices[l][a, p]
-            odd_odd[(p, q)] = tuple(coords)
+    # explicit odd-odd table of the double: [y_p, y_q] from s, and
+    # [y_p, z_a] = -sum_l nu_l[a, p] w_l
+    odd_odd = dict(s.odd_odd)
+    for p in range(n):
+        for a in range(n):
+            col = {k + l: -x for l, nu in enumerate(s.rep.matrices) if (x := nu[a, p])}
+            if col:
+                odd_odd[(p, n + a)] = col
     return SuperAlgebraData(rep, odd_odd)
 
 
 # -- registry --------------------------------------------------------------
 
-
-@record
-class InstanceDescriptor:
-    name: str
-    parameters: tuple
-    expected_verdict: bool
-    expected_scalar: Scalar | None = None
-
-
-CATALOG_INSTANCES: tuple[InstanceDescriptor, ...] = (
-    InstanceDescriptor("gl11", (), True, as_scalar(0)),
-    InstanceDescriptor("osp_even", (1, 1), True, as_scalar("-3/8")),
-    InstanceDescriptor("osp_even", (2, 1), True),
-    InstanceDescriptor("osp_even", (1, 2), True),
-    InstanceDescriptor("spin", (1,), True, as_scalar("-3/8")),
-    InstanceDescriptor("spin", (3,), False),
-    InstanceDescriptor("double", ("abelian1",), True, as_scalar(0)),
-    InstanceDescriptor("double", ("gl11",), True),
-    InstanceDescriptor("double", ("osp12",), True),
-)
 
 _DOUBLE_BASES: dict[str, Callable[[], SuperAlgebraData]] = {
     "abelian1": lambda: abelian_superalgebra(1),

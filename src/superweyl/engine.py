@@ -40,8 +40,11 @@ exists but fails the odd-odd-odd super Jacobi identity, and the failure is
 measured exactly by contracting the obstruction three times
 (``jacobiator_from_obstruction``).
 
-The checks of a ``SuperAlgebraData`` read its ``adjoint_columns``, integer
-columns taken off its tables alone, never off a value the engine cached.
+Both brackets of a ``SuperAlgebraData`` are stored in one sparse format,
+the nonzero coordinates {l: c} of one bracket: ``rep.algebra.brackets[i][j]``
+for [x_i, x_j] and ``odd_odd[(a, b)]`` for [y_a, y_b], a pair whose bracket
+is zero being absent.  Its checks read its ``adjoint_columns``, integer
+columns taken off those tables alone, never off a value the engine cached.
 """
 
 from __future__ import annotations
@@ -50,16 +53,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
-from .exactla import (Column, IntegerColumns, Matrix, Scalar, add_product, as_scalar,
-                      integer_columns, integer_tables, integer_vectors, invariance_violation,
-                      is_nonsingular, record)
+from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar, add_product,
+                      as_scalar, integer_columns, integer_tables, integer_vectors,
+                      invariance_violation, is_nonsingular, record)
 from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
 from .spbridge import (NotSymplectic, quadratic_factors, quadratic_monomials, sp_to_quadratic,
                        trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
 from .weyl import PolyElement, SpaceMismatch, contract, linear_coordinates
-
-_ZERO = as_scalar(0)
 
 
 class NotARepresentation(Exception):
@@ -302,23 +303,28 @@ class SuperAlgebraData:
     which holds the even brackets, nu and the forms B and omega, plus the
     odd bracket.
 
-    ``odd_odd`` maps unordered index pairs (a <= b) to coordinates in g0 of
-    the symmetric odd bracket; a missing pair is zero.  Construction checks
-    its keys and lengths; ``verify_superalgebra`` checks the axioms on the
-    derived view ``adjoint_columns``, whose basis is x_0..x_{k-1},
-    y_0..y_{n-1}, and on the Gram blocks B and omega.
+    ``odd_odd[(a, b)]``, for a <= b, maps l to the nonzero coefficients on
+    x_l of the symmetric odd bracket [y_a, y_b], in the format of
+    ``rep.algebra.brackets``: sparse column k + b of ad_{k+a}.  A pair whose
+    bracket is zero is absent.  Construction checks the keys and refuses a
+    zero coefficient or an empty map, so equal superalgebras have equal
+    records; ``verify_superalgebra`` checks the axioms on the derived view
+    ``adjoint_columns``, whose basis is x_0..x_{k-1}, y_0..y_{n-1}, and on
+    the Gram blocks B and omega.
     """
 
     rep: SymplecticRep
-    odd_odd: dict[tuple[int, int], tuple[Scalar, ...]]
+    odd_odd: dict[tuple[int, int], dict[int, Scalar]]
 
     def __post_init__(self):
         k, n = self.rep.algebra.dim, self.rep.space.dim
-        for key, coords in self.odd_odd.items():
+        for key, col in self.odd_odd.items():
             if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] <= key[1] < n):
                 raise ValueError(f"odd bracket key {key!r} is not a pair a <= b < {n}")
-            if len(coords) != k:
-                raise ValueError(f"odd bracket {key} needs {k} coordinates, got {len(coords)}")
+            if any(l not in range(k) for l in col):
+                raise DimensionMismatch(f"odd bracket {key} has a coordinate outside range({k})")
+            if not col or not all(col.values()):
+                raise ValueError(f"odd bracket {key} stores a zero coefficient or an empty map")
 
     @property
     def dim(self) -> int:
@@ -329,9 +335,9 @@ class SuperAlgebraData:
         k = self.rep.algebra.dim
         return (0, u) if u < k else (1, u - k)
 
-    def odd_bracket(self, a: int, b: int) -> tuple[Scalar, ...]:
-        key = (a, b) if a <= b else (b, a)
-        return self.odd_odd.get(key, tuple([_ZERO] * self.rep.algebra.dim))
+    def odd_bracket(self, a: int, b: int) -> dict[int, Scalar]:
+        """The nonzero coordinates {l: c} of [y_a, y_b] = [y_b, y_a]."""
+        return self.odd_odd.get((a, b) if a <= b else (b, a), {})
 
     @cached_property
     def adjoint_columns(self) -> IntegerColumns:
@@ -341,7 +347,7 @@ class SuperAlgebraData:
         and ``odd_odd`` alone, never off a cache of the validators or the
         engine: even ad_t is the block sum of ``rep.algebra.brackets[t]``,
         as it is, and nu_t; odd ad_{k+a} has the columns -nu_u e_a (u < k)
-        and [y_a, y_b]."""
+        and the maps [y_a, y_b] of ``odd_odd``, as they are."""
         algebra, nus = self.rep.algebra, self.rep.matrices
         k, n = algebra.dim, self.rep.space.dim
         # nu_t e_a for every t and a, on the odd rows k..k+n-1
@@ -349,22 +355,23 @@ class SuperAlgebraData:
                   for nu in nus]
         even = [list(row) + image for row, image in zip(algebra.brackets, images)]
         odd = [[{i: -x for i, x in image[a].items()} for image in images]
-               + [{l: x for l, x in enumerate(self.odd_bracket(a, b)) if x} for b in range(n)]
+               + [self.odd_bracket(a, b) for b in range(n)]
                for a in range(n)]
         return integer_tables(even + odd)
 
 
 def construct_superalgebra_unchecked(rep: SymplecticRep) -> SuperAlgebraData:
-    """Assemble the candidate structure with [y_a, y_b] = 2 lift^t(y_a y_b)
-    without testing the obstruction.  Diagnostic tool: on a negative
-    instance the result fails exactly the odd-odd-odd Jacobi sector.  ``rep``
-    must have passed ``validate_space``, ``validate_lie`` and ``validate_rep``."""
+    """Assemble the candidate structure with [y_a, y_b] = 2 lift^t(y_a y_b),
+    keeping its nonzero coordinates, without testing the obstruction.
+    Diagnostic tool: on a negative instance the result fails exactly the
+    odd-odd-odd Jacobi sector.  ``rep`` must have passed ``validate_space``,
+    ``validate_lie`` and ``validate_rep``."""
     n = rep.space.dim
     # quadratic_monomials lists the y_i y_j (i <= j) in this order
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    odd_odd = {pair: tuple(2 * x for x in quadratic_lift_adjoint(rep, mono))
-               for pair, mono in zip(pairs, quadratic_monomials(rep.space))}
-    return SuperAlgebraData(rep, odd_odd)
+    columns = ({l: 2 * x for l, x in enumerate(quadratic_lift_adjoint(rep, mono)) if x}
+               for mono in quadratic_monomials(rep.space))
+    return SuperAlgebraData(rep, {pair: col for pair, col in zip(pairs, columns) if col})
 
 
 def construct_superalgebra(rep: SymplecticRep) -> SuperAlgebraData:

@@ -443,10 +443,3 @@ def record(cls):
         setattr(cls, method.__name__, method)
     cls._record_fields = names
     return cls
-
-
-def replace(obj, **changes):
-    """A copy of the record ``obj`` with the named fields changed; the
-    copy's ``__post_init__`` checks it as any new record."""
-    return type(obj)(**{**{name: getattr(obj, name) for name in obj._record_fields},
-                        **changes})

@@ -190,13 +190,16 @@ def checks_to_json(checks: Sequence[CheckResult]) -> list[dict]:
     return [{"name": c.name, "pass": c.passed, "witness": c.witness} for c in checks]
 
 
+def _odd_entry(s: SuperAlgebraData, a: int, b: int) -> list:
+    """[a, b, coordinates]: the file format writes all k coordinates of
+    [y_a, y_b], zeros included."""
+    col = s.odd_bracket(a, b)
+    return [a, b, [scalar_to_str(col.get(l, 0)) for l in range(s.rep.algebra.dim)]]
+
+
 def odd_brackets_to_json(s: SuperAlgebraData) -> list:
-    out = []
-    for (a, b) in sorted(s.odd_odd):
-        coords = s.odd_odd[(a, b)]
-        if any(c != 0 for c in coords):
-            out.append([a, b, [scalar_to_str(c) for c in coords]])
-    return out
+    """The nonzero odd brackets, the stored pairs of ``s.odd_odd`` in order."""
+    return [_odd_entry(s, a, b) for a, b in sorted(s.odd_odd)]
 
 
 def report_to_json(report: TestReport, checks: Sequence[CheckResult],
@@ -215,14 +218,15 @@ def report_to_json(report: TestReport, checks: Sequence[CheckResult],
 
 def superalgebra_to_json(s: SuperAlgebraData, checks: Sequence[CheckResult],
                          version: str, digest: str) -> dict:
+    """The structure as a file; its odd bracket lists every pair a <= b < n."""
+    n = s.rep.space.dim
     return {
         "tool_version": version,
         "input_digest": digest,
         "even": algebra_to_json(s.rep.algebra),
-        "odd_dim": s.rep.space.dim,
+        "odd_dim": n,
         "even_odd": [matrix_to_json(m) for m in s.rep.matrices],
-        "odd_brackets": [[a, b, [scalar_to_str(c) for c in s.odd_odd[(a, b)]]]
-                         for (a, b) in sorted(s.odd_odd)],
+        "odd_brackets": [_odd_entry(s, a, b) for a in range(n) for b in range(a, n)],
         "form_even": matrix_to_json(s.rep.algebra.form),
         "form_odd": matrix_to_json(s.rep.space.omega),
         "checks": checks_to_json(checks),

@@ -14,18 +14,20 @@ adjoint-matrix identities.  Agreement between these
 and the engine is the backbone of the suite.
 
 The first section holds the plain ``Fraction`` helpers that only the tests
-use: the dense coordinates of a basis bracket, an algebra from a dense
-bracket table, linear combinations, form values, brackets of coordinate
+use: a changed copy of a record, the dense coordinates of an even or odd
+basis bracket, the dense odd table, an algebra or a superalgebra from a
+dense bracket table,
+linear combinations, form values, brackets of coordinate
 vectors, the representation defect as a matrix, the dense adjoint matrices
 of a superalgebra, the degree-four part of the Casimir image as a sum of
 commutative products, and the derivation extending a matrix to polynomials.
 """
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import permutations, product
 
-from superweyl.engine import CheckResult, NotARepresentation
+from superweyl.engine import CheckResult, NotARepresentation, SuperAlgebraData
 from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix, invert,
                                solve_linear)
 from superweyl.liealg import (FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric,
@@ -65,6 +67,13 @@ def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
     return bilinear(space.omega, as_vector(space, u), as_vector(space, v))
 
 
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with the named fields changed; the
+    copy's ``__post_init__`` checks it as any new record."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._record_fields},
+                        **changes})
+
+
 def bracket(g: QuadraticLieAlgebra, i: int, j: int) -> tuple[Scalar, ...]:
     """The coordinates of [x_i, x_j] as a dense tuple."""
     col = g.brackets[i][j]
@@ -77,6 +86,27 @@ def algebra_from_table(table: Sequence[Sequence[Sequence]], form: Matrix) -> Qua
     return QuadraticLieAlgebra(len(table), tuple(
         tuple({l: Fraction(c) for l, c in enumerate(coords) if c} for coords in row)
         for row in table), form)
+
+
+def odd_bracket(s: SuperAlgebraData, a: int, b: int) -> tuple[Scalar, ...]:
+    """The coordinates of [y_a, y_b] as a dense tuple."""
+    col = s.odd_bracket(a, b)
+    return tuple(col.get(l, _ZERO) for l in range(s.rep.algebra.dim))
+
+
+def odd_table(s: SuperAlgebraData) -> dict[tuple[int, int], tuple[Scalar, ...]]:
+    """``odd_bracket`` on every pair a <= b, zero brackets included."""
+    n = s.rep.space.dim
+    return {(a, b): odd_bracket(s, a, b) for a in range(n) for b in range(a, n)}
+
+
+def superalgebra_from_table(rep, table: Mapping[tuple[int, int], Sequence]) -> SuperAlgebraData:
+    """The superalgebra on ``rep`` whose odd bracket [y_a, y_b], a <= b, has
+    the dense coordinates ``table[(a, b)]``, which may hold zeros; a pair
+    left out of ``table`` has a zero bracket.  The inverse of ``odd_table``."""
+    columns = {key: {l: Fraction(c) for l, c in enumerate(coords) if c}
+               for key, coords in table.items()}
+    return SuperAlgebraData(rep, {key: col for key, col in columns.items() if col})
 
 
 def bracket_vectors(g: QuadraticLieAlgebra, x: Sequence[Scalar],
@@ -349,7 +379,7 @@ def _super_bracket(s, x, y):
     for a, ca in enumerate(vx):
         for b, cb in enumerate(vy):
             if ca != 0 and cb != 0:
-                for l, c in enumerate(s.odd_bracket(a, b)):
+                for l, c in enumerate(odd_bracket(s, a, b)):
                     out_even[l] += ca * cb * c
     return (0, tuple(out_even))
 

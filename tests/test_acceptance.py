@@ -13,8 +13,8 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from oracles import (derivation_action, oracle_weyl_product, pair, permanent_pairing,
-                     sl2_casimir_trace)
+from oracles import (derivation_action, odd_bracket, odd_table, oracle_weyl_product, pair,
+                     permanent_pairing, sl2_casimir_trace)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base, sp_basis)
 from superweyl.cli import main
@@ -181,10 +181,10 @@ def test_criterion_06_abelian_two_parameter_instance():
     for a in range(2):
         for b in range(2):
             anti = y[a] * y[b] + y[b] * y[a]
-            coords = s.odd_bracket(a, b)
+            coords = odd_bracket(s, a, b)
             combo = coords[0] * h[0] + coords[1] * h[1]
             assert combo == anti
-    assert s.odd_bracket(0, 1) == (1, 1)
+    assert odd_bracket(s, 0, 1) == (1, 1)
     announce(6, "two-parameter abelian instance: scalar 0 and odd brackets "
                 "matching the matrix anticommutator oracle")
 
@@ -250,8 +250,8 @@ def test_criterion_10_scale_equivariance():
             assert report.verdict == base_report.verdict
             assert report.casimir_scalar == base_report.casimir_scalar / lam
             s = construct_superalgebra(scaled)
-            for key, coords in base_s.odd_odd.items():
-                assert s.odd_odd[key] == tuple(x / lam for x in coords)
+            assert odd_table(s) == {key: tuple(x / lam for x in coords)
+                                    for key, coords in odd_table(base_s).items()}
     announce(10, "rescaling the even form by 2, -3, 1/5 preserves the verdict "
                  "and scales the scalar and odd brackets inversely")
 

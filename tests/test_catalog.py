@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_adjoint, representation_defect
-from superweyl.catalog import (CATALOG_INSTANCES, CalibrationFailed, InvalidInput, TooLarge,
+from oracles import dense_adjoint, odd_table, representation_defect, superalgebra_from_table
+from superweyl.catalog import (CalibrationFailed, InvalidInput, TooLarge,
                                UnknownInstance, abelian_superalgebra, build_double,
                                build_gl11_even, build_instance, build_osp_even, build_spin_rep,
                                calibrate_scales, double_base, kron, matrix_structure_constants,
                                so_basis, sp_basis, trace_gram)
-from superweyl.engine import (SuperAlgebraData, construct_superalgebra, decide,
-                              validate_rep, verify_superalgebra)
-from superweyl.exactla import LinAlgError, Matrix, SingularMatrix
+from superweyl.engine import construct_superalgebra, decide, validate_rep, verify_superalgebra
+from superweyl.exactla import LinAlgError, Matrix, Scalar, SingularMatrix, as_scalar, record
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
 from superweyl.symplectic import is_in_sp, standard_space, validate_space
@@ -205,9 +204,7 @@ def test_double_of_purely_even_input():
 
 def test_double_rejects_broken_input():
     base = double_base("gl11")
-    broken = dict(base.odd_odd)
-    broken[(0, 0)] = (Fraction(1), Fraction(0))
-    bad = SuperAlgebraData(base.rep, broken)
+    bad = superalgebra_from_table(base.rep, {**odd_table(base), (0, 0): (1, 0)})
     with pytest.raises(InvalidInput):
         build_double(bad)
 
@@ -244,6 +241,27 @@ def test_defining_supertrace_of_gl11():
 
 
 # -- registry --------------------------------------------------------------
+
+
+@record
+class InstanceDescriptor:
+    name: str
+    parameters: tuple
+    expected_verdict: bool
+    expected_scalar: Scalar | None = None
+
+
+CATALOG_INSTANCES: tuple[InstanceDescriptor, ...] = (
+    InstanceDescriptor("gl11", (), True, as_scalar(0)),
+    InstanceDescriptor("osp_even", (1, 1), True, as_scalar("-3/8")),
+    InstanceDescriptor("osp_even", (2, 1), True),
+    InstanceDescriptor("osp_even", (1, 2), True),
+    InstanceDescriptor("spin", (1,), True, as_scalar("-3/8")),
+    InstanceDescriptor("spin", (3,), False),
+    InstanceDescriptor("double", ("abelian1",), True, as_scalar(0)),
+    InstanceDescriptor("double", ("gl11",), True),
+    InstanceDescriptor("double", ("osp12",), True),
+)
 
 
 def test_registry_expectations():

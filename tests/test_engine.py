@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -9,7 +10,8 @@ import superweyl.engine
 import superweyl.exactla
 import superweyl.spbridge
 import superweyl.symplectic
-from oracles import bracket, bracket_vectors, dense_adjoint, form_value, linear_combination
+from oracles import (bracket, bracket_vectors, dense_adjoint, form_value, linear_combination,
+                     odd_bracket, odd_table, replace, superalgebra_from_table)
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               NotSuperLieType, SuperAlgebraData, SymplecticRep,
@@ -18,7 +20,7 @@ from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               jacobiator, jacobiator_from_obstruction,
                               quadratic_lift, quadratic_lift_adjoint,
                               validate_rep, verify_superalgebra)
-from superweyl.exactla import Matrix, invert, replace
+from superweyl.exactla import DimensionMismatch, Matrix, invert
 from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
@@ -249,19 +251,19 @@ def test_construct_matches_hand_tables_for_gl11():
     rep = build_gl11_even()
     s = construct_superalgebra(rep)
     assert s.rep is rep
-    assert s.odd_bracket(0, 1) == (1, 1)
-    assert s.odd_bracket(1, 0) == (1, 1)
-    assert s.odd_bracket(0, 0) == (0, 0)
-    assert s.odd_bracket(1, 1) == (0, 0)
+    assert odd_bracket(s, 0, 1) == (1, 1)
+    assert odd_bracket(s, 1, 0) == (1, 1)
+    assert odd_bracket(s, 0, 0) == (0, 0)
+    assert odd_bracket(s, 1, 1) == (0, 0)
     assert s.rep.algebra.form == Matrix([[1, 0], [0, -1]])
     assert s.rep.space.omega == Matrix([[0, 1], [-1, 0]])
 
 
 def test_construct_matches_hand_tables_for_sl2_action():
     s = construct_superalgebra(osp11())
-    assert s.odd_bracket(0, 0) == (0, -1, 0)
-    assert s.odd_bracket(0, 1) == (Fraction(1, 2), 0, 0)
-    assert s.odd_bracket(1, 1) == (0, 0, 1)
+    assert odd_bracket(s, 0, 0) == (0, -1, 0)
+    assert odd_bracket(s, 0, 1) == (Fraction(1, 2), 0, 0)
+    assert odd_bracket(s, 1, 1) == (0, 0, 1)
 
 
 def test_construct_refuses_negative_instance():
@@ -285,17 +287,20 @@ def test_unchecked_construction_fails_only_odd_jacobi():
 
 
 def test_odd_bracket_is_rigid():
-    # perturbing any single odd-bracket entry must break some axiom
+    # perturbing any single odd-bracket coordinate, stored or zero, must
+    # break some axiom
     rep = osp11()
     base = construct_superalgebra(rep)
-    for key in sorted(base.odd_odd):
+    table = odd_table(base)
+    trials = 0
+    for key, coords in table.items():
         for l in range(3):
-            perturbed = dict(base.odd_odd)
-            coords = list(perturbed[key])
-            coords[l] += 1
-            perturbed[key] = tuple(coords)
-            trial = SuperAlgebraData(base.rep, perturbed)
+            perturbed = list(coords)
+            perturbed[l] += 1
+            trial = superalgebra_from_table(base.rep, {**table, key: perturbed})
             assert any(not c.passed for c in verify_superalgebra(trial))
+            trials += 1
+    assert trials == 9
 
 
 # -- shape checks and the adjoint view ---------------------------------------
@@ -305,9 +310,33 @@ def test_superalgebra_shape_checks():
     s = construct_superalgebra(osp11())  # k = 3, n = 2
     for key in [(1, 0), (0, 2), (-1, 0), (0,)]:
         with pytest.raises(ValueError, match="odd bracket key"):
-            replace(s, odd_odd={**s.odd_odd, key: (0, 0, 0)})
-    with pytest.raises(ValueError, match="coordinates"):
-        replace(s, odd_odd={**s.odd_odd, (0, 1): (0, 0)})
+            replace(s, odd_odd={**s.odd_odd, key: {0: Fraction(1)}})
+    with pytest.raises(DimensionMismatch, match="coordinate"):
+        replace(s, odd_odd={**s.odd_odd, (0, 1): {3: Fraction(1)}})
+
+
+def test_odd_table_stores_exactly_the_nonzero_entries():
+    # the construct file writes every pair with all k coordinates; the
+    # record keeps only the nonzero ones, and the report lists its pairs
+    structures = sorted(GOLDEN.glob("*.super.json"))
+    assert len(structures) >= 8
+    for path in structures:
+        stem = path.name.removesuffix(".super.json")
+        s = construct_superalgebra(load_problem(str(GOLDEN / f"{stem}.json")))
+        written = json.loads(path.read_text())["odd_brackets"]
+        nonzero = {(a, b): {l: Fraction(c) for l, c in enumerate(coords) if c != "0"}
+                   for a, b, coords in written}
+        assert s.odd_odd == {key: col for key, col in nonzero.items() if col}, stem
+        report = json.loads((GOLDEN / f"{stem}.report.json").read_text())
+        assert [(a, b) for a, b, _ in report["odd_brackets"]] == sorted(s.odd_odd), stem
+    s = construct_superalgebra(build_gl11_even())
+    assert s.odd_odd == {(0, 1): {0: 1, 1: 1}}
+    assert s.odd_bracket(1, 0) == {0: 1, 1: 1} and s.odd_bracket(1, 1) == {}
+    for col in ({0: Fraction(0)}, {}, {0: Fraction(1), 1: Fraction(0)}):
+        with pytest.raises(ValueError, match="zero coefficient or an empty map"):
+            SuperAlgebraData(s.rep, {(0, 0): col})
+    with pytest.raises(DimensionMismatch):
+        SuperAlgebraData(s.rep, {(0, 0): {2: Fraction(1)}})
 
 
 def test_adjoint_columns_read_the_tables():
@@ -324,7 +353,7 @@ def test_adjoint_columns_read_the_tables():
             assert ad[k + a].col(t) == tuple(-x for x in ad[t].col(k + a))
     for a in range(n):
         for b in range(n):
-            assert ad[k + a].col(k + b) == s.odd_bracket(a, b) + (0,) * n
+            assert ad[k + a].col(k + b) == odd_bracket(s, a, b) + (0,) * n
 
 
 # -- the jacobiator --------------------------------------------------------
@@ -368,8 +397,8 @@ def test_even_form_rescaling(factor):
         assert scaled.casimir_scalar == base.casimir_scalar / factor
         s0 = construct_superalgebra(rep)
         s1 = construct_superalgebra(_rescale_even_form(rep, factor))
-        for key, coords in s0.odd_odd.items():
-            assert s1.odd_odd[key] == tuple(x / factor for x in coords)
+        assert odd_table(s1) == {key: tuple(x / factor for x in coords)
+                                 for key, coords in odd_table(s0).items()}
 
 
 @pytest.mark.parametrize("factor", [Fraction(2), Fraction(-1), Fraction(1, 3)])
@@ -383,8 +412,8 @@ def test_omega_rescaling(factor):
     assert scaled.casimir_scalar == base.casimir_scalar
     s0 = construct_superalgebra(rep)
     s1 = construct_superalgebra(scaled_rep)
-    for key, coords in s0.odd_odd.items():
-        assert s1.odd_odd[key] == tuple(factor * x for x in coords)
+    assert odd_table(s1) == {key: tuple(factor * x for x in coords)
+                             for key, coords in odd_table(s0).items()}
 
 
 def test_obstruction_scales_but_verdict_does_not():
@@ -439,5 +468,4 @@ def test_basis_independence():
         assert r.verdict and r.casimir_scalar == base.casimir_scalar
         assert casimir_image(changed) == casimir_image(rep)
         s1 = construct_superalgebra(changed)
-        for key, coords in s0.odd_odd.items():
-            assert s1.odd_odd[key] == pinv.apply(coords)
+        assert odd_table(s1) == {key: pinv.apply(coords) for key, coords in odd_table(s0).items()}

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import replace
 from superweyl.exactla import (DimensionMismatch, LinAlgError, Matrix,
                                SingularMatrix, as_scalar, invert,
-                               kernel_basis, record, replace,
+                               kernel_basis, record,
                                solve_linear, solve_overdetermined)
 
 

@@ -33,7 +33,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (algebra_from_table, casimir_obstruction, linear_combination,
-                     oracle_sp_to_quadratic, oracle_verify_superalgebra, representation_defect)
+                     oracle_sp_to_quadratic, oracle_verify_superalgebra, representation_defect,
+                     superalgebra_from_table)
 from superweyl.catalog import build_instance
 from superweyl.engine import (SuperAlgebraData, SymplecticRep, casimir_image,
                               construct_superalgebra_unchecked, form_invariance_witness,
@@ -162,9 +163,9 @@ def small_superalgebras(draw):
         algebra = algebra_from_table(table, draw(matrices(k, k)))
     space = SymplecticSpace(n, draw(matrices(n, n)))
     rep = SymplecticRep(algebra, space, tuple(draw(matrices(n, n)) for _ in range(k)))
-    odd_odd = {(a, b): tuple(draw(ENTRIES) for _ in range(k))
-               for a in range(n) for b in range(a, n)}
-    return SuperAlgebraData(rep, odd_odd)
+    table = {(a, b): tuple(draw(ENTRIES) for _ in range(k))
+             for a in range(n) for b in range(a, n)}
+    return superalgebra_from_table(rep, table)
 
 
 @given(small_superalgebras())

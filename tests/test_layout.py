@@ -97,13 +97,13 @@ def test_unused_import_detector(tmp_path):
 
 def uncalled_functions(paths: list[Path], exempt: set[str]) -> list[str]:
     """Module-level functions of ``paths`` (``__init__.py`` aside) whose name
-    no file of ``paths`` references, as a name or an attribute, unless
-    ``exempt`` holds the name or ``<module>.<name>``."""
+    no file of ``paths`` references as a plain name, unless ``exempt`` holds
+    the name or ``<module>.<name>``.  An attribute does not count: ``os.replace``
+    is no call of a module's own ``replace``."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in paths}
-    referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for tree in trees.values() for node in ast.walk(tree)
-                  if isinstance(node, ast.Name | ast.Attribute)}
+    referenced = {node.id for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
     return [f"{path.name}:{node.lineno} defines {node.name} and nothing calls it"
             for path, tree in trees.items() if path.name != "__init__.py"
             for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -112,11 +112,15 @@ def uncalled_functions(paths: list[Path], exempt: set[str]) -> list[str]:
 
 def test_caller_detector(tmp_path):
     (tmp_path / "a.py").write_text("def used():\n    pass\n\ndef traced():\n    pass\n\n"
-                                   "def exported():\n    pass\n\ndef dead():\n    pass\n")
-    (tmp_path / "b.py").write_text("from . import a\n\ndef f():\n    return a.used()\n")
+                                   "def exported():\n    pass\n\ndef dead():\n    pass\n\n"
+                                   "def replace():\n    pass\n")
+    (tmp_path / "b.py").write_text("import os\nfrom .a import used\n\n"
+                                   "def f():\n    os.replace('x', 'y')\n    return used()\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert uncalled_functions(paths, {"a.traced", "exported"}) == [
-        "a.py:10 defines dead and nothing calls it", "b.py:3 defines f and nothing calls it"]
+        "a.py:10 defines dead and nothing calls it",
+        "a.py:13 defines replace and nothing calls it",
+        "b.py:4 defines f and nothing calls it"]
 
 
 def perfbench_constant(filename: str, name: str):

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from oracles import oracle_verify_superalgebra
+from oracles import odd_table, oracle_verify_superalgebra, replace, superalgebra_from_table
 from superweyl.catalog import build_instance
 from superweyl.engine import construct_superalgebra_unchecked, verify_superalgebra
-from superweyl.exactla import Matrix, replace
+from superweyl.exactla import Matrix
 from superweyl.jsonio import load_problem
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,13 +59,14 @@ def _bumped(m: Matrix, i: int, j: int) -> Matrix:
 
 
 def _perturbations(s):
-    """Every copy of ``s`` with one table or Gram entry increased by one."""
-    for key, coords in sorted(s.odd_odd.items()):
-        for l in range(len(coords)):
-            odd_odd = dict(s.odd_odd)
-            odd_odd[key] = tuple(x + (t == l) for t, x in enumerate(coords))
-            yield replace(s, odd_odd=odd_odd)
-    rep = s.rep
+    """Every copy of ``s`` with one table or Gram entry increased by one:
+    each odd coordinate of every pair a <= b, stored or zero, and each
+    entry of nu, B and omega."""
+    rep, table = s.rep, odd_table(s)
+    for key, coords in table.items():
+        for l in range(rep.algebra.dim):
+            bumped = tuple(x + (t == l) for t, x in enumerate(coords))
+            yield superalgebra_from_table(rep, {**table, key: bumped})
     for i, m in enumerate(rep.matrices):
         for p in range(m.rows):
             for q in range(m.cols):
@@ -79,12 +80,18 @@ def _perturbations(s):
         yield replace(s, rep=replace(rep, space=space))
 
 
-@pytest.mark.parametrize("instance", [("osp_even", 1, 1), ("double", "gl11")],
-                         ids=lambda t: "-".join(map(str, t)))
-def test_single_entry_perturbations_match_oracle(instance):
-    failing = 0
-    for trial in _perturbations(_catalog_structure(*instance)):
+@pytest.mark.parametrize("instance, trials, odd", [(("osp_even", 1, 1), 34, 9),
+                                                   (("double", "gl11"), 136, 40)],
+                         ids=["osp_even-1-1", "double-gl11"])
+def test_single_entry_perturbations_match_oracle(instance, trials, odd):
+    s = _catalog_structure(*instance)
+    failing = count = odd_count = 0
+    for trial in _perturbations(s):
         checks = verify_superalgebra(trial)
         assert checks == oracle_verify_superalgebra(trial)
         failing += any(not c.passed for c in checks)
+        count += 1
+        odd_count += trial.rep is s.rep
     assert failing > 0
+    # every coordinate of every odd pair, not only the stored ones
+    assert (count, odd_count) == (trials, odd)
