@@ -10,22 +10,32 @@ three-dimensional simple algebra (symplectic exactly for odd highest
 weight, with the smallest negative instance at weight three), and the
 double of any verified superalgebra on the sum of the algebra and its dual
 space.
+
+Every builder lists the nonzero entries {(row, col): value} of its
+matrices and forms, and ``_matrix`` is the one place where they become a
+dense ``Matrix``.  A summand spanned by basis matrices takes its trace form
+G as its invariant form, and G gives the structure constants too:
+coordinate l of [b_i, b_j] is sum_m (G^-1)_lm tr([b_i, b_j] b_m), summed
+in integers on the fraction-free kernel of the validators
+(``matrix_structure_constants``).
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 from .engine import (SuperAlgebraData, SymplecticRep, casimir_image, construct_superalgebra,
                      verify_superalgebra)
-from .exactla import Matrix, Scalar, as_scalar, kernel_basis, solve_overdetermined
-from .liealg import QuadraticLieAlgebra
+from .exactla import (LinAlgError, Matrix, Scalar, add_product, as_scalar, integer_columns,
+                      integer_tables, invert, kernel_basis)
+from .liealg import QuadraticLieAlgebra, defect_columns
 from .spbridge import NotSymplectic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
 
 _ZERO = as_scalar(0)
-_ONE = as_scalar(1)
 
 
 class TooLarge(Exception):
@@ -49,82 +59,85 @@ class InvalidInput(ValueError):
 # -- matrix Lie algebra helpers --------------------------------------------
 
 
+def _entries(m: Matrix) -> dict[tuple[int, int], Scalar]:
+    """The nonzero entries of ``m`` as {(row, col): value}."""
+    return {(i, j): x for i, row in enumerate(m.data) for j, x in enumerate(row) if x}
+
+
+def _matrix(entries: Mapping[tuple[int, int], Scalar | int], rows: int,
+            cols: int | None = None) -> Matrix:
+    """The matrix, square unless ``cols`` is given, with these nonzero entries."""
+    cols = rows if cols is None else cols
+    data = [[_ZERO] * cols for _ in range(rows)]
+    for (i, j), x in entries.items():
+        data[i][j] = x
+    return Matrix(data, cols=cols)
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, with the index convention (i, p) -> i * b.rows + p."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    data = [[_ZERO] * cols for _ in range(rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] == 0:
-                continue
-            for p in range(b.rows):
-                for q in range(b.cols):
-                    data[i * b.rows + p][j * b.cols + q] = a[i, j] * b[p, q]
-    return Matrix(data, cols=cols)
+    return _matrix({(i * b.rows + p, j * b.cols + q): x * y
+                    for (i, j), x in _entries(a).items() for (p, q), y in _entries(b).items()},
+                   a.rows * b.rows, a.cols * b.cols)
 
 
 def so_basis(m: int) -> list[Matrix]:
     """Antisymmetric matrices E_ij - E_ji (i < j); empty for m = 1."""
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            data = [[_ZERO] * m for _ in range(m)]
-            data[i][j] = _ONE
-            data[j][i] = -_ONE
-            out.append(Matrix(data, cols=m))
-    return out
+    return [_matrix({(i, j): 1, (j, i): -1}, m) for i, j in combinations(range(m), 2)]
 
 
 def sp_basis(n: int) -> list[Matrix]:
     """Basis of the matrices preserving the standard alternating form in
     dimension 2n, in blocks [[A, B], [C, -A^T]] with B, C symmetric.
     For n = 1 the order is the usual (H, E, F)."""
-    out = []
-    dim = 2 * n
-    for i in range(n):
-        for j in range(n):
-            data = [[_ZERO] * dim for _ in range(dim)]
-            data[i][j] = _ONE
-            data[n + j][n + i] = -_ONE
-            out.append(Matrix(data, cols=dim))
-    for i in range(n):
-        for j in range(i, n):
-            data = [[_ZERO] * dim for _ in range(dim)]
-            data[i][n + j] = _ONE
-            data[j][n + i] = _ONE
-            out.append(Matrix(data, cols=dim))
-    for i in range(n):
-        for j in range(i, n):
-            data = [[_ZERO] * dim for _ in range(dim)]
-            data[n + i][j] = _ONE
-            data[n + j][i] = _ONE
-            out.append(Matrix(data, cols=dim))
-    return out
+    dim, upper = 2 * n, list(combinations_with_replacement(range(n), 2))
+    return ([_matrix({(i, j): 1, (n + j, n + i): -1}, dim) for i, j in product(range(n), repeat=2)]
+            + [_matrix({(i, n + j): 1, (j, n + i): 1}, dim) for i, j in upper]
+            + [_matrix({(n + i, j): 1, (n + j, i): 1}, dim) for i, j in upper])
 
 
 def trace_gram(basis: Sequence[Matrix]) -> Matrix:
-    return Matrix([[(a * b).trace() for b in basis] for a in basis], cols=len(basis))
+    """[tr(a b)] over the basis, summed over the nonzero entries of a."""
+    entries = [_entries(m) for m in basis]
+    return Matrix([[sum((x * b[j, i] for (i, j), x in a.items() if (j, i) in b), _ZERO)
+                    for b in entries] for a in entries], cols=len(basis))
 
 
 def matrix_structure_constants(basis: Sequence[Matrix]
                                ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
     """Expand commutators of basis matrices back in the basis, as the
-    sparse table of ``QuadraticLieAlgebra.brackets``; the basis must be
-    closed under commutators and linearly independent.  All k^2
-    commutators are expanded by one row reduction, as right-hand columns."""
+    sparse table of ``QuadraticLieAlgebra.brackets``.  The basis must be
+    closed under commutators and its trace form G nonsingular: coordinate
+    l of [b_i, b_j] is sum_m (G^-1)_lm tr([b_i, b_j] b_m).
+
+    On the integer columns of d b_i, the commutators d^2 [b_i, b_j], for
+    i < j, and their traces against d b_m are ints, and each coordinate is
+    one division.  A singular G raises ``SingularMatrix``, as every
+    dependent basis does.  The table is then checked as the representation
+    defect of the basis (``liealg.defect_columns``); a basis that is not
+    closed raises ``LinAlgError``."""
     if not basis:
         return ()
-    k = len(basis)
-
-    def flat(m: Matrix) -> tuple[Scalar, ...]:
-        return tuple(x for row in m.data for x in row)
-
-    commutators = [flat(a * b - b * a) for a in basis for b in basis]
-    coords = solve_overdetermined(Matrix.from_columns([flat(b) for b in basis]),
-                                  Matrix.from_columns(commutators))
-    return tuple(tuple({l: c for l, c in enumerate(coords.col(i * k + j)) if c} for j in range(k))
-                 for i in range(k))
+    k, size = len(basis), basis[0].rows
+    d, b = integer_columns(basis)
+    e, (inverse,) = integer_columns([invert(trace_gram(basis))])
+    # against[r * size + z] maps m to d (b_m)_zr, the factor of C_rz in tr(C b_m)
+    against: list[dict[int, int]] = [{} for _ in range(size * size)]
+    for m, cols in enumerate(b):
+        for r, col in enumerate(cols):
+            for z, x in col.items():
+                against[r * size + z][m] = x
+    table = [[{} for _ in range(k)] for _ in range(k)]
+    for i, j in combinations(range(k), 2):
+        commutator = {r * size + z: c for z in range(size) for r, c in
+                      add_product(add_product({}, b[i], b[j][z]), b[j], b[i][z], -1).items() if c}
+        coords = add_product({}, inverse, add_product({}, against, commutator))
+        table[i][j] = {l: Fraction(x, e * d ** 3) for l, x in coords.items() if x}
+        table[j][i] = {l: -c for l, c in table[i][j].items()}
+    ad = integer_tables(table)
+    if any(defect_columns(ad, (d, b), k, i, j, range(size)) for i, j in combinations(range(k), 2)):
+        raise LinAlgError("the basis is not closed under commutators")
+    return tuple(map(tuple, table))
 
 
 def _summand(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
@@ -138,14 +151,14 @@ def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
     brackets are zero, and each summand's bracket keys move by its offset."""
     total, offset = sum(g.dim for g in summands), 0
     brackets = [[{} for _ in range(total)] for _ in range(total)]
-    form = [[_ZERO] * total for _ in range(total)]
+    form = {}
     for g, scale in zip(summands, scales):
         end = offset + g.dim
         for i, row in enumerate(g.brackets):
             brackets[offset + i][offset:end] = [{offset + l: c for l, c in v.items()} for v in row]
-            form[offset + i][offset:end] = [scale * x for x in g.form.row(i)]
+        form |= {(offset + i, offset + j): scale * x for (i, j), x in _entries(g.form).items()}
         offset = end
-    return QuadraticLieAlgebra(total, tuple(map(tuple, brackets)), Matrix(form, cols=total))
+    return QuadraticLieAlgebra(total, tuple(map(tuple, brackets)), _matrix(form, total))
 
 
 def calibrate_scales(space: SymplecticSpace,
@@ -222,23 +235,12 @@ def build_spin_rep(two_j: int) -> SymplecticRep:
         raise NotSymplectic("the invariant form is symmetric for even two_j")
     if two_j > 7:
         raise TooLarge("two_j above 7 is out of scope")
-    algebra = QuadraticLieAlgebra.from_sparse(
-        3, [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)],
-        Matrix([[2, 0, 0], [0, 0, 1], [0, 1, 0]]))
     size = two_j + 1
-    h = [[_ZERO] * size for _ in range(size)]
-    e = [[_ZERO] * size for _ in range(size)]
-    f = [[_ZERO] * size for _ in range(size)]
-    for k in range(size):
-        h[k][k] = as_scalar(two_j - 2 * k)
-        if k + 1 < size:
-            e[k][k + 1] = as_scalar((k + 1) * (two_j - k))
-            f[k + 1][k] = _ONE
-    omega = [[_ZERO] * size for _ in range(size)]
-    for i in range(size):
-        omega[i][two_j - i] = as_scalar((-1) ** i)
-    space = SymplecticSpace(size, Matrix(omega, cols=size))
-    return SymplecticRep(algebra, space, (Matrix(h), Matrix(e), Matrix(f)))
+    h = _matrix({(r, r): two_j - 2 * r for r in range(size)}, size)
+    e = _matrix({(r, r + 1): (r + 1) * (two_j - r) for r in range(two_j)}, size)
+    f = _matrix({(r + 1, r): 1 for r in range(two_j)}, size)
+    omega = _matrix({(r, two_j - r): (-1) ** r for r in range(size)}, size)
+    return SymplecticRep(_summand(sp_basis(1)), SymplecticSpace(size, omega), (h, e, f))
 
 
 def abelian_superalgebra(dim: int) -> SuperAlgebraData:
@@ -277,30 +279,24 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
             for j, c in col.items():
                 brackets[i][k + j][k + l] = -c
                 brackets[k + j][i][k + l] = c
-    form_even = Matrix([[_ONE if abs(i - j) == k else _ZERO for j in range(kk)]
-                        for i in range(kk)], cols=kk)
+    form_even = _matrix({(i, k + i): 1 for i in range(k)} | {(k + i, i): 1 for i in range(k)}, kk)
     even = QuadraticLieAlgebra(kk, tuple(map(tuple, brackets)), form_even)
 
     # odd form on basis (y_0..y_{n-1}, z_0..z_{n-1}): (y_b, z_a) = -delta
-    form_odd = Matrix([[-_ONE if j == i + n else _ONE if i == j + n else _ZERO
-                        for j in range(nn)] for i in range(nn)], cols=nn)
+    form_odd = _matrix({(i, n + i): -1 for i in range(n)} | {(n + i, i): 1 for i in range(n)}, nn)
 
-    # action of the doubled even part on the doubled odd space
-    matrices: list[Matrix] = []
-    for i in range(k):
-        nu_i = s.rep.matrices[i]
-        data = [[_ZERO] * nn for _ in range(nn)]
-        for p in range(n):
-            for q in range(n):
-                data[p][q] = nu_i[p, q]
-                data[n + p][n + q] = -nu_i[q, p]
-        matrices.append(Matrix(data, cols=nn))
+    # action of the doubled even part on the doubled odd space: nu_i and -nu_i^T
+    matrices = []
+    for nu_i in s.rep.matrices:
+        entries = _entries(nu_i)
+        entries |= {(n + q, n + p): -x for (p, q), x in entries.items()}
+        matrices.append(_matrix(entries, nn))
     # x_{k+j} sends y_b to sum_c [y_b, y_c]_j z_c, scattered from the stored maps
-    duals = [[[_ZERO] * nn for _ in range(nn)] for _ in range(k)]
+    duals = [{} for _ in range(k)]
     for (b, c), col in s.odd_odd.items():
         for j, x in col.items():
-            duals[j][n + c][b] = duals[j][n + b][c] = x
-    matrices += [Matrix(data, cols=nn) for data in duals]
+            duals[j][n + c, b] = duals[j][n + b, c] = x
+    matrices += [_matrix(entries, nn) for entries in duals]
     rep = SymplecticRep(even, SymplecticSpace(nn, form_odd), tuple(matrices))
 
     # explicit odd-odd table of the double: [y_p, y_q] from s, and

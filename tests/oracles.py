@@ -7,8 +7,10 @@ linear elements via the permanent formula, the quadratic lift of a matrix
 by solving against the Gram matrix of the Weyl-product pairing,
 representation-theoretic trace values from closed-form weight sums, the
 trace ratio from the matrices of every pair of quadratic monomials, the
-transpose of the lift by pairing every polynomial lift with a quadratic, and
-the Lie algebra, representation and superalgebra axioms by explicit
+transpose of the lift by pairing every polynomial lift with a quadratic,
+the structure constants of a matrix Lie algebra by flattening every
+commutator and solving against the flattened basis, and the Lie algebra,
+representation and superalgebra axioms by explicit
 brackets of basis elements, pair by pair and triple by triple, in place of
 adjoint-matrix identities.  Agreement between these
 and the engine is the backbone of the suite.
@@ -29,7 +31,7 @@ from itertools import permutations, product
 
 from superweyl.engine import CheckResult, NotARepresentation, SuperAlgebraData
 from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix, invert,
-                               solve_linear)
+                               solve_linear, solve_overdetermined)
 from superweyl.liealg import (FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric,
                               QuadraticLieAlgebra)
 from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_monomials,
@@ -300,6 +302,26 @@ def oracle_quadratic_lift_adjoint(rep, w: PolyElement) -> tuple[Fraction, ...]:
 
 
 # -- the Lie algebra and representation axioms, tuple by tuple --------------
+
+
+def oracle_structure_constants(basis: Sequence[Matrix]
+                               ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
+    """The sparse bracket table of the matrix Lie algebra spanned by
+    ``basis``: all k^2 commutators, flattened to columns, solved at once
+    against the flattened basis.  Needs a closed, linearly independent
+    basis, but no nonsingular trace form."""
+    if not basis:
+        return ()
+    k = len(basis)
+
+    def flat(m: Matrix) -> tuple[Scalar, ...]:
+        return tuple(x for row in m.data for x in row)
+
+    commutators = [flat(a * b - b * a) for a in basis for b in basis]
+    coords = solve_overdetermined(Matrix.from_columns([flat(b) for b in basis]),
+                                  Matrix.from_columns(commutators))
+    return tuple(tuple({l: c for l, c in enumerate(coords.col(i * k + j)) if c} for j in range(k))
+                 for i in range(k))
 
 
 def oracle_validate_lie(g) -> None:

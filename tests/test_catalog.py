@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_adjoint, odd_table, representation_defect, superalgebra_from_table
+import superweyl.catalog
+import superweyl.exactla
+from oracles import (dense_adjoint, linear_combination, odd_table, oracle_structure_constants,
+                     representation_defect, superalgebra_from_table)
 from superweyl.catalog import (CalibrationFailed, InvalidInput, TooLarge,
                                UnknownInstance, abelian_superalgebra, build_double,
                                build_gl11_even, build_instance, build_osp_even, build_spin_rep,
@@ -75,6 +78,43 @@ def test_structure_constants_refuse_open_or_dependent_bases():
     assert not isinstance(info.value, SingularMatrix)
     with pytest.raises(SingularMatrix):
         matrix_structure_constants([e12, 2 * e12])
+
+
+def _recombined(basis):
+    """b'_i = sum_j P_ij b_j for a rational unit lower-triangular P."""
+    rows = [[Fraction(1) if j == i else Fraction(i - 2 * j, j + 2) if j < i else Fraction(0)
+             for j in range(len(basis))] for i in range(len(basis))]
+    return [linear_combination(row, basis, Matrix.zeros(basis[0].rows, basis[0].cols))
+            for row in rows]
+
+
+def test_structure_constants_match_flatten_and_solve_oracle():
+    bases = ([so_basis(m) for m in range(1, 6)] + [sp_basis(n) for n in range(1, 4)]
+             + [_recombined(sp_basis(2)), _recombined(so_basis(4))])
+    for basis in bases:
+        assert matrix_structure_constants(basis) == oracle_structure_constants(basis)
+
+
+def test_structure_constants_refuse_a_degenerate_trace_form():
+    # the Heisenberg algebra: closed and independent, [e12, e23] = e13, but
+    # every product of two basis matrices is nilpotent, so its trace form is zero
+    e12, e23, e13 = (Matrix([[int((r, c) == pos) for c in range(3)] for r in range(3)])
+                     for pos in ((0, 1), (1, 2), (0, 2)))
+    assert oracle_structure_constants([e12, e23, e13])[0][1] == {2: 1}
+    with pytest.raises(SingularMatrix):
+        matrix_structure_constants([e12, e23, e13])
+
+
+def test_catalog_builds_without_the_overdetermined_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_overdetermined called")
+
+    monkeypatch.setattr(superweyl.exactla, "solve_overdetermined", refuse)
+    if hasattr(superweyl.catalog, "solve_overdetermined"):
+        monkeypatch.setattr(superweyl.catalog, "solve_overdetermined", refuse)
+    rep = build_osp_even(2, 2)
+    validate_lie(rep.algebra)
+    validate_rep(rep)
 
 
 # -- instance builders -----------------------------------------------------
