@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar, add_product,
                       as_scalar, integer_columns, integer_tables, integer_vectors,
@@ -407,10 +407,12 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
 
     The identities are tested on ``s.adjoint_columns`` and the integer
     columns of B and omega, with no ``Fraction`` product.  Once graded
-    antisymmetry holds, the Jacobi defect D of ``defect_columns`` satisfies
-    D(y, x) = -(-1)^{|x||y|} D(x, y), so it is computed only for x <= y and
-    its nonzero columns are read back for (y, x); when antisymmetry fails,
-    every ordered pair is computed."""
+    antisymmetry holds, the Jacobi defect J(x, y, z) (column z of
+    ``defect_columns`` on (x, y)) is totally graded-antisymmetric: swapping
+    two neighbouring arguments u, w multiplies it by -(-1)^{|u||w|}.  So J
+    is computed once per sorted triple x <= y <= z, a nonzero one stands for
+    all its permutations, and a sector's witness is the first of these in
+    basis order; when antisymmetry fails, every ordered triple is computed."""
     cols, k, basis = s.adjoint_columns, s.rep.algebra.dim, range(s.dim)
     c = cols.columns
     checks: list[CheckResult] = []
@@ -422,17 +424,18 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     checks.append(CheckResult("graded_antisymmetry", antisymmetric, witness))
 
     parity = [s.label(u)[0] for u in basis]
-    witnesses: dict[tuple[int, int, int], str] = {}
-    defects: dict[tuple[int, int], dict[int, Column]] = {}
-    for x, y in product(basis, repeat=2):
-        if antisymmetric and x > y:
-            nonzero = defects[y, x]
-        else:
-            nonzero = defects[x, y] = defect_columns(cols, cols, k, x, y, basis)
-        for z in nonzero:
-            sector = (parity[x], parity[y], parity[z])
-            if sector not in witnesses:
-                witnesses[sector] = f"indices {tuple(s.label(u)[1] for u in (x, y, z))}"
+    if antisymmetric:
+        violations = (t for x in basis for y in range(x, s.dim)
+                      for z in defect_columns(cols, cols, k, x, y, range(y, s.dim))
+                      for t in permutations((x, y, z)))
+    else:
+        violations = ((x, y, z) for x, y in product(basis, repeat=2)
+                      for z in defect_columns(cols, cols, k, x, y, basis))
+    first: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for t in violations:
+        sector = tuple(parity[u] for u in t)
+        first[sector] = min(first.get(sector, t), t)
+    witnesses = {sec: f"indices {tuple(s.label(u)[1] for u in t)}" for sec, t in first.items()}
     checks += [CheckResult("jacobi_" + "".join("eo"[p] for p in sector),
                            sector not in witnesses, witnesses.get(sector))
                for sector in product((0, 1), repeat=3)]

@@ -1,11 +1,13 @@
 """Exact rational scalars and dense linear algebra over the rationals.
 
 Everything downstream reduces to linear algebra over Q: expanding a matrix
-in a basis, inverting a Gram matrix, solving for dual bases.  All of it is
-done with ``fractions.Fraction`` entries and naive Gaussian elimination.
-There is deliberately no floating point anywhere; the decision procedure
-rests on exact vanishing tests, and a tolerance would turn a theorem into
-a heuristic.
+in a basis, inverting a Gram matrix, solving for dual bases.  Entries are
+``fractions.Fraction``s, and one elimination serves every solve, inverse,
+kernel and rank test: ``_echelon``, a fraction-free Gauss-Jordan on rows
+cleared to integers, after which one ``Fraction`` is formed per nonzero
+entry of the result.  There is deliberately no floating point anywhere;
+the decision procedure rests on exact vanishing tests, and a tolerance
+would turn a theorem into a heuristic.
 
 Those vanishing tests run on a fraction-free kernel: ``integer_columns``
 clears the denominators of a list of matrices with one exact common
@@ -17,8 +19,8 @@ integer arithmetic, and it is still exact.  The same scaling serves exact
 sums of products: ``integer_vectors`` does it for sparse vectors such as
 polynomial coefficients, the sum is accumulated in ``int``, and one
 ``Fraction`` is formed per output entry, dividing by the product of the
-scales.  ``is_nonsingular`` decides invertibility on integer columns by
-fraction-free elimination.
+scales.  ``is_nonsingular`` decides invertibility on integer columns with
+the same elimination.
 
 ``record`` makes the frozen value classes of every module: a small class
 decorator, so that importing the package does not load ``dataclasses``.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Scalar = Fraction
 
@@ -212,12 +214,12 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix:
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side has wrong number of rows")
     n = a.rows
-    m, pivots = _rref(Matrix([a.row(i) + b.row(i) for i in range(n)], cols=n + b.cols))
-    if pivots[:n] != list(range(n)):
-        # the first column of ``a`` without a pivot
-        col = next(c for c in range(n) if c >= len(pivots) or pivots[c] != c)
-        raise SingularMatrix(f"no pivot available in column {col}")
-    return Matrix([row[n:] for row in m], cols=b.cols)
+    rows, pivots = _echelon([_cleared(a.row(i) + b.row(i)) for i in range(n)])
+    missing = set(range(n)).difference(pivots)
+    if missing:
+        raise SingularMatrix(f"no pivot available in column {min(missing)}")
+    return Matrix([[Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
+                   for i, row in enumerate(rows)], cols=b.cols)
 
 
 def invert(a: Matrix) -> Matrix:
@@ -227,26 +229,38 @@ def invert(a: Matrix) -> Matrix:
     return solve_linear(a, Matrix.identity(a.rows))
 
 
-def _rref(a: Matrix) -> tuple[list[list[Scalar]], list[int]]:
-    m = [list(a.row(i)) for i in range(a.rows)]
+def _cleared(row: Sequence[Scalar]) -> list[int]:
+    """The rational row times the lcm of its denominators, as ints."""
+    scale = lcm(*{x.denominator for x in row})
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, in place.
+
+    The pivot p of column c is the first nonzero entry at or below the next
+    pivot row; every other row with a nonzero f there becomes p row - f
+    pivot_row over its gcd, and rows with a zero there are not touched.  A
+    row changes only by nonzero factors and multiples of the others, so row r
+    of the rational reduced echelon form is ``rows[r]`` over ``rows[r][pivots[r]]``."""
     pivots: list[int] = []
-    r = 0
-    for c in range(a.cols):
-        if r == a.rows:
-            break
-        pr = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(a.rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(top[c], f)
+                p, f = top[c] // g, f // g
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-    return m, pivots
+    return rows, pivots
 
 
 def kernel_basis(a: Matrix) -> list[Matrix]:
@@ -255,14 +269,13 @@ def kernel_basis(a: Matrix) -> list[Matrix]:
     Deterministic: one basis column per free variable, in increasing
     column order, with a unit entry in the free position.
     """
-    m, pivots = _rref(a)
-    free = [c for c in range(a.cols) if c not in pivots]
+    rows, pivots = _echelon([_cleared(a.row(i)) for i in range(a.rows)])
     basis = []
-    for f in free:
+    for f in (c for c in range(a.cols) if c not in pivots):
         vec = [_ZERO] * a.cols
         vec[f] = _ONE
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][f]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = Fraction(-row[f], row[pc]) if row[f] else _ZERO
         basis.append(Matrix.column(vec))
     return basis
 
@@ -275,17 +288,13 @@ def solve_overdetermined(a: Matrix, b: Matrix) -> Matrix:
     """
     if b.rows != a.rows:
         raise DimensionMismatch("right-hand side has wrong number of rows")
-    aug = Matrix([list(a.row(i)) + list(b.row(i)) for i in range(a.rows)],
-                 cols=a.cols + b.cols)
-    m, pivots = _rref(aug)
+    rows, pivots = _echelon([_cleared(a.row(i) + b.row(i)) for i in range(a.rows)])
     if any(p >= a.cols for p in pivots):
         raise LinAlgError("inconsistent system: no exact solution")
     if len(pivots) < a.cols:
         raise SingularMatrix("coefficient columns are linearly dependent")
-    sol = [[_ZERO] * b.cols for _ in range(a.cols)]
-    for row_idx, pc in enumerate(pivots):
-        sol[pc] = m[row_idx][a.cols:]
-    return Matrix(sol, cols=b.cols)
+    return Matrix([[Fraction(x, row[pc]) if x else _ZERO for x in row[a.cols:]]
+                   for row, pc in zip(rows, pivots)], cols=b.cols)
 
 
 # -- the fraction-free check kernel ------------------------------------------
@@ -335,21 +344,8 @@ def integer_tables(tables: Sequence[Sequence[Mapping[int, Scalar]]]) -> IntegerC
 
 def is_nonsingular(columns: Sequence[Column], n: int) -> bool:
     """Whether the n x n integer matrix with these sparse columns is
-    invertible, by fraction-free (Bareiss) elimination on its transpose:
-    each division is exact, so only ints are formed."""
-    m = [[col.get(i, 0) for i in range(n)] for col in columns]
-    previous = 1
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return False
-        m[c], m[pivot] = m[pivot], m[c]
-        top, head = m[c], m[c][c]
-        for r in range(c + 1, n):
-            row, factor = m[r], m[r][c]
-            m[r] = [(x * head - factor * y) // previous for x, y in zip(row, top)]
-        previous = head
-    return True
+    invertible: whether the elimination of its transpose finds n pivots."""
+    return len(_echelon([[col.get(i, 0) for i in range(n)] for col in columns])[1]) == n
 
 
 def add_product(out: Column, a: Sequence[Column], v: Mapping[int, int], c: int = 1) -> Column:

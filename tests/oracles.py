@@ -9,7 +9,8 @@ representation-theoretic trace values from closed-form weight sums, the
 trace ratio from the matrices of every pair of quadratic monomials, the
 transpose of the lift by pairing every polynomial lift with a quadratic,
 the structure constants of a matrix Lie algebra by flattening every
-commutator and solving against the flattened basis, and the Lie algebra,
+commutator and solving against the flattened basis, the reduced echelon
+form by Gauss-Jordan elimination on ``Fraction`` rows, and the Lie algebra,
 representation and superalgebra axioms by explicit
 brackets of basis elements, pair by pair and triple by triple, in place of
 adjoint-matrix identities.  Agreement between these
@@ -181,6 +182,35 @@ def derivation_action(alpha: Matrix, a: PolyElement) -> PolyElement:
             rest = exp[:i] + (k - 1,) + exp[i + 1:]
             total = total + (coeff * k) * sym_product(images[i], PolyElement.monomial(space, rest, 1))
     return total
+
+
+# -- exact linear algebra, by Gauss-Jordan on Fraction rows -----------------
+
+
+def oracle_rref(a: Matrix) -> tuple[list[list[Scalar]], list[int]]:
+    """The reduced row echelon form of ``a`` and its pivot columns, by
+    Gauss-Jordan elimination on ``Fraction`` rows: each pivot row is divided
+    by its pivot and subtracted from every other row.  The zero rows stay at
+    the bottom."""
+    m = [list(a.row(i)) for i in range(a.rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(a.cols):
+        if r == a.rows:
+            break
+        pr = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 # -- the Weyl product, the lift and the trace ratio, the slow way ------------

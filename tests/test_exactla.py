@@ -1,15 +1,20 @@
+import json
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import replace
+from oracles import oracle_rref, replace
 from superweyl.exactla import (DimensionMismatch, LinAlgError, Matrix,
-                               SingularMatrix, as_scalar, invert,
-                               kernel_basis, record,
+                               SingularMatrix, as_scalar, integer_columns, invert,
+                               is_nonsingular, kernel_basis, record,
                                solve_linear, solve_overdetermined)
+from superweyl.jsonio import load_problem
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_as_scalar_accepts_exact_inputs():
@@ -127,6 +132,145 @@ def test_solve_reproduces_rhs(a, rhs):
         assert a.cols - len(kernel_basis(a)) < a.rows
         return
     assert a * x == b
+
+
+# -- one elimination against the Fraction Gauss-Jordan ------------------------
+
+
+def _augmented(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix([a.row(i) + b.row(i) for i in range(a.rows)], cols=a.cols + b.cols)
+
+
+def _ref_solve(a: Matrix, b: Matrix):
+    """``solve_linear`` read off the oracle's reduced form of [a | b]."""
+    n = a.rows
+    m, pivots = oracle_rref(_augmented(a, b))
+    if pivots[:n] != list(range(n)):
+        col = next(c for c in range(n) if c not in pivots)
+        return SingularMatrix, f"no pivot available in column {col}"
+    return Matrix([row[n:] for row in m], cols=b.cols)
+
+
+def _ref_overdetermined(a: Matrix, b: Matrix):
+    m, pivots = oracle_rref(_augmented(a, b))
+    if any(p >= a.cols for p in pivots):
+        return LinAlgError, "inconsistent system: no exact solution"
+    if len(pivots) < a.cols:
+        return SingularMatrix, "coefficient columns are linearly dependent"
+    return Matrix([row[a.cols:] for row in m[:a.cols]], cols=b.cols)
+
+
+def _ref_kernel(a: Matrix) -> list[Matrix]:
+    m, pivots = oracle_rref(a)
+    basis = []
+    for f in (c for c in range(a.cols) if c not in pivots):
+        vec = [Fraction(0)] * a.cols
+        vec[f] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            vec[pc] = -row[f]
+        basis.append(Matrix.column(vec))
+    return basis
+
+
+def _outcome(fn, *args):
+    """What the call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+def _elimination_outcomes(a: Matrix, b: Matrix) -> list:
+    """Every elimination entry point on (a, b); the square ones only for square a."""
+    out = [kernel_basis(a), _outcome(solve_overdetermined, a, b)]
+    if a.is_square():
+        out += [_outcome(solve_linear, a, b), _outcome(invert, a),
+                is_nonsingular(integer_columns([a]).columns[0], a.rows)]
+    return out
+
+
+def _elimination_references(a: Matrix, b: Matrix) -> list:
+    out = [_ref_kernel(a), _ref_overdetermined(a, b)]
+    if a.is_square():
+        out += [_ref_solve(a, b), _ref_solve(a, Matrix.identity(a.rows)),
+                len(oracle_rref(a)[1]) == a.rows]
+    return out
+
+
+# zero-heavy and signed, with some denominators above 2^64
+_ELIMINATION_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-2**70, 2**70), st.sampled_from([2**64 + 13, 3**41])))
+
+
+@st.composite
+def systems(draw):
+    """(a, b): square, wide or tall a with zero rows and columns and maybe a
+    dependent last row, and b with 0..3 columns, consistent (b = a x) or
+    drawn freely."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 5))
+    zero_rows = draw(st.sets(st.integers(0, 4), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 4), max_size=2))
+    data = [[Fraction(0) if i in zero_rows or j in zero_cols else draw(_ELIMINATION_ENTRIES)
+             for j in range(cols)] for i in range(rows)]
+    if rows > 2 and draw(st.booleans()):
+        c = draw(_ELIMINATION_ENTRIES)
+        data[-1] = [x - c * y for x, y in zip(data[0], data[1])]
+    a = Matrix(data, cols=cols)
+    rhs = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return a, a * Matrix([[draw(_ELIMINATION_ENTRIES) for _ in range(rhs)]
+                              for _ in range(cols)], cols=rhs)
+    return a, Matrix([[draw(_ELIMINATION_ENTRIES) for _ in range(rhs)]
+                      for _ in range(rows)], cols=rhs)
+
+
+_HUGE = Fraction(2**70 + 1, 2**64 + 13)
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+@example((Matrix([], cols=0), Matrix([], cols=2)))  # the 0 x 0 form of double abelian1
+@example((Matrix([[0, -3, 1], [-2, 1, 0], [4, 0, -5]]),  # negative pivots
+          Matrix([[1, 0], [0, 1], ["-1/2", 2]])))
+@example((Matrix([[_HUGE, 1], [1, -_HUGE]]), Matrix.column([1, _HUGE])))  # above 2^64
+@example((Matrix([[1, 2, 0, -1], [2, 4, 0, -2]]), Matrix.column([1, 2])))  # wide, dependent
+@example((Matrix([[1, 2, 0, -1], [2, 4, 0, -2]]), Matrix.column([1, 3])))  # inconsistent
+@example((Matrix([[0, 1], [0, 0], [0, -2]]), Matrix.column([1, 0, -2])))  # zero column
+@example((Matrix([[1, "1/3"], [0, 0], [-2, 1]]), Matrix.column([2, 0, 1])))  # tall, zero row
+def test_elimination_matches_fraction_gauss_jordan(system):
+    a, b = system
+    assert _elimination_outcomes(a, b) == _elimination_references(a, b)
+
+
+def test_elimination_forms_no_fraction_arithmetic(monkeypatch):
+    """solve_linear, invert, kernel_basis, solve_overdetermined and
+    is_nonsingular on every golden form and on a rank-deficient matrix, with
+    Fraction products, differences and quotients refused: only the output
+    entries are formed."""
+    forms = []
+    for entry in json.loads((GOLDEN / "manifest.json").read_text()):
+        rep = load_problem(str(GOLDEN / f"{entry['stem']}.json"))
+        forms += [rep.algebra.form, rep.space.omega]
+    forms.append(Matrix([[1, "1/2", 3], [2, 1, 6], ["-1/3", 0, "7/5"]]))
+    assert any(m.rows == 0 for m in forms)
+    cases = [(m, Matrix.identity(m.rows)) for m in forms]
+    cases.append((forms[-1], Matrix.column([1, 2, 3])))
+    expected = [_elimination_references(a, b) for a, b in cases]
+    # only the two cases of the rank-deficient matrix are singular
+    assert [results[-1] for results in expected].count(False) == 2
+
+    def refuse(self, other):
+        raise AssertionError("the elimination formed Fraction arithmetic")
+
+    for name in ("__mul__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    for (a, b), results in zip(cases, expected, strict=True):
+        assert _elimination_outcomes(a, b) == results
+    with pytest.raises(AssertionError, match="Fraction arithmetic"):
+        Fraction(1, 2) * Fraction(1, 3)
 
 
 @st.composite

@@ -8,10 +8,10 @@ must be those of ``oracles.representation_defect``, scaled exactly, and
 ``exactla.invariance_violation`` and ``symplectic.is_in_sp`` must find what
 a^T G + S G a finds.  ``verify_superalgebra`` must agree with the
 triple-by-triple oracle on random tables, antisymmetric or not, so the
-(y, x) shortcut it takes after graded antisymmetry passes never changes a
-result.  Finally, the checks must not form a single ``Fraction`` matrix
-product, nor any dense ``Matrix`` with more rows than the larger of the two
-Gram blocks.
+sorted-triple shortcut it takes after graded antisymmetry passes never
+changes a result.  Finally, the checks must not form a single ``Fraction``
+matrix product, nor any dense ``Matrix`` with more rows than the larger of
+the two Gram blocks.
 
 The same kernel computes the Casimir image: the lifts of
 ``sp_to_quadratic``, the dual matrices and ``casimir_image`` sum in

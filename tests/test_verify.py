@@ -4,9 +4,14 @@ The library checks the axioms as identities of adjoint matrices; the
 oracle brackets basis elements one triple at a time.  Both must return the
 same twelve ``CheckResult`` values, witness strings included, on passing
 structures, on candidates that fail the odd Jacobi sector, on dense
-conjugated data, and on every single-entry perturbation of small tables.
+conjugated data, on every single-entry perturbation of small tables, and on
+odd-bracket perturbations of the positive golden structures.  The odd
+bracket is stored once per pair a <= b, so those keep graded antisymmetry,
+and verify takes the path that computes each Jacobi triple once, sorted,
+and reads the violations of every permutation off it.
 """
 
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -95,3 +100,23 @@ def test_single_entry_perturbations_match_oracle(instance, trials, odd):
     assert failing > 0
     # every coordinate of every odd pair, not only the stored ones
     assert (count, odd_count) == (trials, odd)
+
+
+POSITIVE_GOLDEN = [path.name.removesuffix(".super.json")
+                   for path in sorted(GOLDEN.glob("*.super.json"))]
+
+
+@pytest.mark.parametrize("stem", [stem for stem in POSITIVE_GOLDEN if stem != "double-abelian1"])
+def test_odd_bracket_perturbations_keep_antisymmetry_and_match_oracle(stem):
+    s = construct_superalgebra_unchecked(load_problem(str(GOLDEN / f"{stem}.json")))
+    k, n, table = s.rep.algebra.dim, s.rep.space.dim, odd_table(s)
+    failed = set()
+    for key, l, step in [((0, 0), 0, Fraction(1, 3)), ((0, n - 1), k - 1, -2)]:
+        bumped = tuple(x + step * (t == l) for t, x in enumerate(table[key]))
+        trial = superalgebra_from_table(s.rep, {**table, key: bumped})
+        checks = verify_superalgebra(trial)
+        assert checks[0].name == "graded_antisymmetry" and checks[0].passed
+        assert checks == oracle_verify_superalgebra(trial)
+        failed |= {c.name for c in checks if not c.passed}
+    # the sectors with an odd element before an even one hold no sorted triple
+    assert {"jacobi_oeo", "jacobi_ooe"} <= failed
