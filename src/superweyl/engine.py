@@ -43,8 +43,8 @@ measured exactly by contracting the obstruction three times
 Both brackets of a ``SuperAlgebraData`` are stored in one sparse format,
 the nonzero coordinates {l: c} of one bracket: ``rep.algebra.brackets[i][j]``
 for [x_i, x_j] and ``odd_odd[(a, b)]`` for [y_a, y_b], a pair whose bracket
-is zero being absent.  Its checks read its ``adjoint_columns``, integer
-columns taken off those tables alone, never off a value the engine cached.
+is zero being absent.  Its checks read ``adjoint_columns`` and ``gram_columns``,
+taken off those tables and B and omega alone, never off a cached value.
 """
 
 from __future__ import annotations
@@ -56,11 +56,13 @@ from itertools import combinations, permutations, product
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar, add_product,
                       as_scalar, integer_columns, integer_tables, integer_vectors,
                       invariance_violation, is_nonsingular, record)
-from .liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns
+from .liealg import QuadraticLieAlgebra, defect_columns
 from .spbridge import (NotSymplectic, quadratic_factors, quadratic_monomials, sp_to_quadratic,
                        trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector, is_in_sp
 from .weyl import PolyElement, SpaceMismatch, contract, linear_coordinates
+
+_ZERO = as_scalar(0)
 
 
 class NotARepresentation(Exception):
@@ -118,10 +120,10 @@ class SymplecticRep:
     def dual_columns(self) -> IntegerColumns:
         """The matrices mu_l = sum_i (B^-1)_li nu_i, so nu(x^l) for the dual
         basis x^i of B when B is symmetric, as integer columns at the scale
-        d_nu d_B, for the scale d_nu of ``matrix_columns`` and d_B of B^-1;
-        once per representation."""
+        d_nu d_B, for the scale d_nu of ``matrix_columns`` and d_B of
+        ``algebra.form_inverse_columns``; once per representation."""
         d_nu, nus = self.matrix_columns
-        d_b, (b_inverse,) = integer_columns([self.algebra.form_inverse])
+        d_b, (b_inverse,) = self.algebra.form_inverse_columns
         mus: list[list[Column]] = [[{} for _ in range(self.space.dim)]
                                    for _ in range(self.algebra.dim)]
         for nu, column in zip(nus, b_inverse):
@@ -190,7 +192,7 @@ def quadratic_lift_adjoint(rep: SymplecticRep, w: PolyElement) -> tuple[Scalar, 
         for l, mu in enumerate(mus):
             t[l] += c * sum(x * row[r] for r, x in mu[q].items() if r in row)
     scale = -2 * d_w * d_omega * d_mu
-    return tuple(Fraction(x, scale) for x in t)
+    return tuple(Fraction(x, scale) if x else _ZERO for x in t)
 
 
 def casimir_image(rep: SymplecticRep) -> tuple[PolyElement, Scalar]:
@@ -209,7 +211,7 @@ def casimir_image(rep: SymplecticRep) -> tuple[PolyElement, Scalar]:
     then one division, by d_L^2 d_B for the obstruction and by
     d_L^2 d_B d_omega^2 for the scalar."""
     lifts = tuple(quadratic_lift(rep, i) for i in range(rep.algebra.dim))
-    d_b, duals = integer_vectors([dict(enumerate(dual)) for dual in casimir_pairs(rep.algebra)])
+    d_b, (duals,) = rep.algebra.form_inverse_columns
     # the degree-two part 1/2 sum_i [lift_i, lift^i] lifts sum_i [nu_i, nu(x^i)]
     if _dual_commutator_sum(rep):
         raise InternalDegreeLeak(2)
@@ -308,9 +310,9 @@ class SuperAlgebraData:
     ``rep.algebra.brackets``: sparse column k + b of ad_{k+a}.  A pair whose
     bracket is zero is absent.  Construction checks the keys and refuses a
     zero coefficient or an empty map, so equal superalgebras have equal
-    records; ``verify_superalgebra`` checks the axioms on the derived view
-    ``adjoint_columns``, whose basis is x_0..x_{k-1}, y_0..y_{n-1}, and on
-    the Gram blocks B and omega.
+    records; ``verify_superalgebra`` checks the axioms on the derived views
+    ``adjoint_columns``, whose basis is x_0..x_{k-1}, y_0..y_{n-1}, and
+    ``gram_columns``, the Gram blocks B and omega.
     """
 
     rep: SymplecticRep
@@ -359,6 +361,14 @@ class SuperAlgebraData:
                for a in range(n)]
         return integer_tables(even + odd)
 
+    @cached_property
+    def gram_columns(self) -> IntegerColumns:
+        """B, B^T, omega and omega^T on the fraction-free kernel, once per
+        structure; read off ``rep.algebra.form`` and ``rep.space.omega``
+        alone, never off a view that the algebra or the space caches."""
+        form, omega = self.rep.algebra.form, self.rep.space.omega
+        return integer_columns([form, form.transpose(), omega, omega.transpose()])
+
 
 def construct_superalgebra_unchecked(rep: SymplecticRep) -> SuperAlgebraData:
     """Assemble the candidate structure with [y_a, y_b] = 2 lift^t(y_a y_b),
@@ -366,12 +376,10 @@ def construct_superalgebra_unchecked(rep: SymplecticRep) -> SuperAlgebraData:
     Diagnostic tool: on a negative instance the result fails exactly the
     odd-odd-odd Jacobi sector.  ``rep`` must have passed ``validate_space``,
     ``validate_lie`` and ``validate_rep``."""
-    n = rep.space.dim
-    # quadratic_monomials lists the y_i y_j (i <= j) in this order
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    columns = ({l: 2 * x for l, x in enumerate(quadratic_lift_adjoint(rep, mono)) if x}
-               for mono in quadratic_monomials(rep.space))
-    return SuperAlgebraData(rep, {pair: col for pair, col in zip(pairs, columns) if col})
+    columns = {quadratic_factors(exp): quadratic_lift_adjoint(rep, mono)
+               for mono in quadratic_monomials(rep.space) for exp in mono.terms}
+    return SuperAlgebraData(rep, {pair: {l: 2 * x for l, x in enumerate(col) if x}
+                                  for pair, col in columns.items() if any(col)})
 
 
 def construct_superalgebra(rep: SymplecticRep) -> SuperAlgebraData:
@@ -405,8 +413,8 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     before odd), with indices counted within their parity.  Only the bracket
     tables and Gram blocks are read, never the engine's lifts.
 
-    The identities are tested on ``s.adjoint_columns`` and the integer
-    columns of B and omega, with no ``Fraction`` product.  Once graded
+    The identities are tested on ``s.adjoint_columns`` and ``s.gram_columns``,
+    with no ``Fraction`` product or ``Matrix`` comparison.  Once graded
     antisymmetry holds, the Jacobi defect J(x, y, z) (column z of
     ``defect_columns`` on (x, y)) is totally graded-antisymmetric: swapping
     two neighbouring arguments u, w multiplies it by -(-1)^{|u||w|}.  So J
@@ -443,14 +451,13 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     witness = form_invariance_witness(s)
     checks.append(CheckResult("form_invariance", witness is None, witness))
 
-    form, omega = s.rep.algebra.form, s.rep.space.omega
-    sym_ok = form.transpose() == form
-    alt_ok = omega.transpose() == -omega
+    _, (b, b_t, w, w_t) = s.gram_columns
+    sym_ok = b == b_t
+    alt_ok = all(col == {i: -x for i, x in col_t.items()} for col, col_t in zip(w, w_t))
     checks.append(CheckResult("form_supersymmetry", sym_ok and alt_ok,
                               None if sym_ok and alt_ok else "Gram symmetry pattern broken"))
 
-    nonsingular = all(is_nonsingular(integer_columns([m]).columns[0], m.rows)
-                      for m in (form, omega))
+    nonsingular = is_nonsingular(b, k) and is_nonsingular(w, s.rep.space.dim)
     checks.append(CheckResult("form_nonsingular", nonsingular,
                               None if nonsingular else "a Gram block is singular"))
     return checks
@@ -465,10 +472,10 @@ def _located(s: SuperAlgebraData, *basis: int) -> str:
 def form_invariance_witness(s: SuperAlgebraData) -> str | None:
     """First basis triple violating ([x,y], z) = -(-1)^{|x||y|} (y, [x,z]),
     read off ad_x^T G + S_x G ad_x on integer columns, or None; the columns
-    of the block-diagonal G = B + omega and of G^T are those of the blocks."""
+    of the block-diagonal G = B + omega and of G^T are those of the blocks
+    in ``s.gram_columns``."""
     k, n = s.rep.algebra.dim, s.rep.space.dim
-    form, omega = s.rep.algebra.form, s.rep.space.omega
-    _, (b, b_t, w, w_t) = integer_columns([form, form.transpose(), omega, omega.transpose()])
+    _, (b, b_t, w, w_t) = s.gram_columns
     gram, gram_t = ([*even, *({k + i: x for i, x in col.items()} for col in odd)]
                     for even, odd in ((b, w), (b_t, w_t)))
     odd_signs = [1] * k + [-1] * n

@@ -9,18 +9,18 @@ entry of the result.  There is deliberately no floating point anywhere;
 the decision procedure rests on exact vanishing tests, and a tolerance
 would turn a theorem into a heuristic.
 
-Those vanishing tests run on a fraction-free kernel: ``integer_columns``
-clears the denominators of a list of matrices with one exact common
-denominator and keeps each column as a sparse {row: int} map;
-``integer_tables`` does the same for matrices read column by column off a
-table, such as the adjoint matrices of a bracket table.  A zero test
-of an identity that is homogeneous in each scaled operand then needs only
-integer arithmetic, and it is still exact.  The same scaling serves exact
-sums of products: ``integer_vectors`` does it for sparse vectors such as
-polynomial coefficients, the sum is accumulated in ``int``, and one
-``Fraction`` is formed per output entry, dividing by the product of the
-scales.  ``is_nonsingular`` decides invertibility on integer columns with
-the same elimination.
+Those vanishing tests run on a fraction-free kernel.  One routine clears
+denominators: ``integer_vectors`` scales sparse rational vectors by their
+one exact common denominator.  ``integer_tables`` applies it to matrices
+read column by column off a table, such as the adjoint matrices of a
+bracket table, and ``integer_columns`` to dense matrices; both keep each
+column as a sparse {row: int} map.  A zero test of an identity that is
+homogeneous in each scaled operand then needs only integer arithmetic, and
+it is still exact.  The same scaling serves exact sums of products, such
+as those over polynomial coefficients: the sum is accumulated in ``int``,
+and one ``Fraction`` is formed per output entry, dividing by the product
+of the scales.  ``is_nonsingular`` decides invertibility on integer columns
+with the same elimination.
 
 ``record`` makes the frozen value classes of every module: a small class
 decorator, so that importing the package does not load ``dataclasses``.
@@ -312,17 +312,10 @@ class IntegerColumns(namedtuple("IntegerColumns", "scale columns")):
 
 def integer_columns(matrices: Sequence[Matrix]) -> IntegerColumns:
     """Clear denominators: d is the lcm of the denominators of every entry
-    of every matrix, so d M is integral for each of them."""
-    scale = lcm(*{x.denominator for m in matrices for row in m.data for x in row})
-    columns = []
-    for m in matrices:
-        cols: list[Column] = [{} for _ in range(m.cols)]
-        for i, row in enumerate(m.data):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j][i] = x.numerator * (scale // x.denominator)
-        columns.append(cols)
-    return IntegerColumns(scale, columns)
+    of every matrix, so d M is integral for each of them; ``integer_tables``
+    on the nonzero entries of each column."""
+    return integer_tables([[{i: row[j] for i, row in enumerate(m.data) if row[j]}
+                            for j in range(m.cols)] for m in matrices])
 
 
 def integer_vectors(vectors: Sequence[Mapping]) -> tuple[int, list[dict]]:

@@ -75,8 +75,6 @@ def matrix_from_json(obj, rows: int | None = None, cols: int | None = None) -> M
         raise ParseError(f"bad matrix: {exc}") from exc
     if rows is not None and m.rows != rows:
         raise ParseError(f"expected {rows} rows, got {m.rows}")
-    if cols is not None and m.cols != cols:
-        raise ParseError(f"expected {cols} columns, got {m.cols}")
     return m
 
 

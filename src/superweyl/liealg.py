@@ -1,4 +1,5 @@
-"""Finite-dimensional Lie algebras over Q with an invariant nonsingular form."""
+"""Finite-dimensional Lie algebras over Q with an invariant nonsingular form;
+an algebra caches its brackets and inverse form only as integer columns."""
 
 from __future__ import annotations
 
@@ -98,12 +99,11 @@ class QuadraticLieAlgebra:
         return integer_tables(self.brackets)
 
     @cached_property
-    def form_inverse(self) -> Matrix:
-        """The inverse of ``form``, once per algebra; raises ``FormSingular``."""
-        try:
-            return invert(self.form)
-        except SingularMatrix as exc:
-            raise FormSingular(str(exc)) from exc
+    def form_inverse_columns(self) -> IntegerColumns:
+        """The inverse of ``form`` on the fraction-free kernel, column i the
+        dual vector x^i of ``casimir_pairs``; once per algebra.  Raises
+        ``FormSingular``."""
+        return integer_tables([[dict(enumerate(dual)) for dual in casimir_pairs(self)]])
 
 
 def defect_columns(ad: IntegerColumns, rho: IntegerColumns, k: int, x: int, y: int,
@@ -139,8 +139,9 @@ def validate_lie(g: QuadraticLieAlgebra) -> None:
     symmetric, nonsingular and ad-invariant, as identities of the adjoint
     matrices on the integer columns of ``g.adjoint_columns``:
     ad_i e_j = -ad_j e_i, ``defect_columns(ad, ad, ...)`` is empty, and
-    ad_i^T B + B ad_i = 0 (``invariance_violation``).  No ``Fraction``
-    product is formed.  Raises the first violation."""
+    ad_i^T B + B ad_i = 0 (``invariance_violation``), B being symmetric on
+    its integer columns and ``g.form_inverse_columns`` existing.  No
+    ``Fraction`` product is formed.  Raises the first violation."""
     ad, k = g.adjoint_columns, g.dim
     cols = ad.columns
     for i, j in product(range(k), repeat=2):
@@ -152,10 +153,10 @@ def validate_lie(g: QuadraticLieAlgebra) -> None:
         defect = defect_columns(ad, ad, k, i, j, range(j + 1, k))
         if defect:
             raise JacobiFails(i, j, min(defect))
-    if g.form.transpose() != g.form:
-        raise FormSingular("form matrix is not symmetric")
-    g.form_inverse
     _, (form,) = integer_columns([g.form])
+    if any(form[i].get(j, 0) != x for j, col in enumerate(form) for i, x in col.items()):
+        raise FormSingular("form matrix is not symmetric")
+    g.form_inverse_columns
     for i, ad_i in enumerate(cols):
         hit = invariance_violation(ad_i, form, form)  # B is symmetric here
         if hit is not None:
@@ -163,6 +164,9 @@ def validate_lie(g: QuadraticLieAlgebra) -> None:
 
 
 def casimir_pairs(g: QuadraticLieAlgebra) -> tuple[tuple[Scalar, ...], ...]:
-    """Dual basis against the form: the coordinates of the i-th dual vector
-    x^i are column i of the inverse form matrix, so that form(x_i, x^j) = delta_ij."""
-    return tuple(g.form_inverse.col(i) for i in range(g.dim))
+    """Dual basis against the form: the coordinates of the i-th dual vector x^i
+    are column i of the inverse form, so that form(x_i, x^j) = delta_ij, if any."""
+    try:
+        return tuple(invert(g.form).columns())
+    except SingularMatrix as exc:
+        raise FormSingular(str(exc)) from exc

@@ -1,4 +1,5 @@
-"""Even-dimensional rational vector spaces with a nonsingular alternating form."""
+"""Even-dimensional rational vector spaces with a nonsingular alternating
+form, which a space caches only as integer columns, its inverse included."""
 
 from __future__ import annotations
 
@@ -57,20 +58,15 @@ class SymplecticSpace:
         return tuple(as_scalar(1 if j == i else 0) for j in range(self.dim))
 
     @cached_property
-    def omega_inverse(self) -> Matrix:
-        """The inverse of ``omega``, computed once per space; raises
-        ``SingularMatrix`` when there is none."""
-        return invert(self.omega)
-
-    @cached_property
     def omega_columns(self) -> IntegerColumns:
         """``omega`` and its transpose on the fraction-free kernel, once per space."""
         return integer_columns([self.omega, self.omega.transpose()])
 
     @cached_property
     def omega_inverse_columns(self) -> IntegerColumns:
-        """``omega_inverse`` on the fraction-free kernel, once per space."""
-        return integer_columns([self.omega_inverse])
+        """The inverse of ``omega`` on the fraction-free kernel, once per
+        space; raises ``SingularMatrix`` when there is none."""
+        return integer_columns([invert(self.omega)])
 
 
 def as_vector(space: SymplecticSpace, coords: Sequence) -> Vector:
@@ -91,13 +87,14 @@ def standard_space(m: int) -> SymplecticSpace:
 
 
 def validate_space(space: SymplecticSpace) -> None:
-    """Check that ``omega`` is alternating and nonsingular on an even-dimensional space."""
+    """Check that ``omega`` is alternating and nonsingular on an even-dimensional
+    space, on ``space.omega_columns`` and ``space.omega_inverse_columns``."""
     if space.dim % 2 != 0:
         raise OddDimension(space.dim)
-    if space.omega.transpose() != -space.omega:
+    if any(c != {i: -x for i, x in t.items()} for c, t in zip(*space.omega_columns.columns)):
         raise NotAlternating()
     try:
-        space.omega_inverse
+        space.omega_inverse_columns
     except SingularMatrix as exc:
         raise Singular(str(exc)) from exc
 

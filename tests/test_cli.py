@@ -332,6 +332,19 @@ def test_validation_error_names_surface(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("NotSymplectic:")
 
 
+def test_too_wide_matrix_rows_exit_one_with_one_line(tmp_path, capsys):
+    # every row of nu has three entries on a space of dimension 2
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "space": {"dim": 2, "omega": "standard"},
+        "g0": {"dim": 1, "brackets": [], "form": [["1"]]},
+        "nu": [[["0", "0", "0"], ["0", "0", "0"]]]}))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ParseError: bad matrix: declared column count does not match rows\n"
+
+
 def test_invalid_catalog_parameters_exit_one_with_one_line(capsys):
     # int() would read the last four as 3: parameters are ASCII digits only
     for argv in (["catalog", "osp_even", "0", "1"], ["catalog", "spin", "0"],

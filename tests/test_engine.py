@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -198,6 +199,57 @@ def test_one_analysis_per_representation(monkeypatch):
     assert rep.algebra.dim == 10
     assert counts == {"sp_to_quadratic": 10, "solve_linear": 2, "is_in_sp": 10,
                       "linear_combination": 0}
+
+
+def _patch_everywhere(monkeypatch, name, original, replacement):
+    """Replace ``original`` by ``replacement`` in every module of the package
+    that holds it under ``name``."""
+    modules = [module for key, module in sorted(sys.modules.items())
+               if key.startswith("superweyl.") and getattr(module, name, None) is original]
+    assert superweyl.exactla in modules
+    for module in modules:
+        monkeypatch.setattr(module, name, replacement)
+
+
+def _nonzero(columns):
+    return [frozenset((key, x) for key, x in col.items() if x) for col in columns]
+
+
+def test_forms_and_inverses_are_cleared_once_per_side(monkeypatch):
+    # every clearing of denominators ends in exactla.integer_vectors; B and
+    # omega are cleared once for the validators and the engine and once for
+    # verify, which reads none of their views, and B^-1 and omega^-1 once each
+    rep = load_problem(str(GOLDEN / "conj-osp_even-2-1.json"))
+    form, omega = rep.algebra.form, rep.space.omega
+    targets = {name: _nonzero(dict(enumerate(col)) for col in m.columns())
+               for name, m in (("B", form), ("omega", omega), ("B^-1", invert(form)),
+                               ("omega^-1", invert(omega)))}
+    cleared = dict.fromkeys(targets, 0)
+    inverted = []
+    vectors, inverse = superweyl.exactla.integer_vectors, superweyl.exactla.invert
+
+    def counted_vectors(arg):
+        seen = _nonzero(arg)
+        for name, target in targets.items():
+            if any(seen[i:i + len(target)] == target for i in range(len(seen))):
+                cleared[name] += 1
+        return vectors(arg)
+
+    def counted_invert(a):
+        inverted.append(a.rows)
+        return inverse(a)
+
+    _patch_everywhere(monkeypatch, "integer_vectors", vectors, counted_vectors)
+    _patch_everywhere(monkeypatch, "invert", inverse, counted_invert)
+    validate_space(rep.space)
+    validate_lie(rep.algebra)
+    validate_rep(rep)
+    assert decide(rep).verdict
+    s = construct_superalgebra_unchecked(rep)
+    assert cleared == {"B": 1, "omega": 1, "B^-1": 1, "omega^-1": 1}
+    assert all(check.passed for check in verify_superalgebra(s))
+    assert cleared == {"B": 2, "omega": 2, "B^-1": 1, "omega^-1": 1}
+    assert sorted(inverted) == [rep.space.dim, rep.algebra.dim]
 
 
 def test_decide_positive_instances():

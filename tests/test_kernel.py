@@ -10,8 +10,8 @@ a^T G + S G a finds.  ``verify_superalgebra`` must agree with the
 triple-by-triple oracle on random tables, antisymmetric or not, so the
 sorted-triple shortcut it takes after graded antisymmetry passes never
 changes a result.  Finally, the checks must not form a single ``Fraction``
-matrix product, nor any dense ``Matrix`` with more rows than the larger of
-the two Gram blocks.
+matrix product, compare or negate a ``Matrix``, nor form any dense
+``Matrix`` with more rows than the larger of the two Gram blocks.
 
 The same kernel computes the Casimir image: the lifts of
 ``sp_to_quadratic``, the dual matrices and ``casimir_image`` sum in
@@ -37,14 +37,15 @@ from oracles import (algebra_from_table, casimir_obstruction, linear_combination
                      superalgebra_from_table)
 from superweyl.catalog import build_instance
 from superweyl.engine import (SuperAlgebraData, SymplecticRep, casimir_image,
-                              construct_superalgebra_unchecked, form_invariance_witness,
-                              jacobiator, validate_rep, verify_superalgebra)
+                              construct_superalgebra_unchecked, decide,
+                              form_invariance_witness, jacobiator, validate_rep,
+                              verify_superalgebra)
 from superweyl.exactla import (Matrix, SingularMatrix, integer_columns, integer_tables,
                                invariance_violation, invert, is_nonsingular)
 from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns, validate_lie
 from superweyl.spbridge import NotSymplectic, quadratic_pairing, sp_to_quadratic
-from superweyl.symplectic import SymplecticSpace, is_in_sp
+from superweyl.symplectic import SymplecticSpace, is_in_sp, validate_space
 from superweyl.weyl import PolyElement, constant_term, grade, weyl_product
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,23 +191,36 @@ def _problems():
         load_problem(str(path)) for path in sorted(GOLDEN.glob("conj-*[0-9].json"))]
 
 
+def _outcomes(rep):
+    """What the validators, decide, construction and verify give on ``rep``,
+    in terms that compare no ``Matrix``."""
+    validate_space(rep.space)
+    validate_lie(rep.algebra)
+    validate_rep(rep)
+    report = decide(rep)
+    s = construct_superalgebra_unchecked(rep)
+    return (report.verdict, report.casimir_scalar, report.obstruction.terms,
+            report.diagnostics, s.odd_odd, verify_superalgebra(s))
+
+
 def test_checks_form_no_fraction_products(monkeypatch):
-    expected = [verify_superalgebra(construct_superalgebra_unchecked(rep)) for rep in _problems()]
+    # no check multiplies, compares or negates a dense Matrix: every form
+    # property is decided on integer columns
+    expected = [_outcomes(rep) for rep in _problems()]
     # fresh objects, so nothing cached before the patch is reused
     reps = _problems()
     assert len(reps) >= 3
-    structures = [construct_superalgebra_unchecked(rep) for rep in _problems()]
 
-    def refuse(self, other):
-        raise AssertionError("a check formed a Fraction matrix product")
+    def refuse(self, *other):
+        raise AssertionError("a check multiplied, compared or negated a Matrix")
 
-    monkeypatch.setattr(Matrix, "__mul__", refuse)
-    for rep, s, checks in zip(reps, structures, expected, strict=True):
-        validate_lie(rep.algebra)
-        validate_rep(rep)
-        assert verify_superalgebra(s) == checks
-    with pytest.raises(AssertionError, match="Fraction matrix product"):
+    for name in ("__mul__", "__eq__", "__neg__"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    assert [_outcomes(rep) for rep in reps] == expected
+    with pytest.raises(AssertionError, match="multiplied, compared or negated"):
         Matrix.identity(1) * Matrix.identity(1)
+    with pytest.raises(AssertionError, match="multiplied, compared or negated"):
+        Matrix.identity(1) != Matrix.identity(1)
 
 
 def _check_results(s):

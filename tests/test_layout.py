@@ -10,7 +10,8 @@ exists, once, and every other module uses each name it imports.  Every
 module-level function has a caller in the package, is exported, or is
 traced by the benchmark: a helper that only tests use lives in
 ``tests/oracles.py``.  Importing the command line loads only what its verbs
-run.
+run.  Every value a record caches is a view on the fraction-free kernel:
+each ``cached_property`` returns ``IntegerColumns``.
 """
 
 import ast
@@ -93,6 +94,31 @@ def test_unused_import_detector(tmp_path):
                       "def f(x: check) -> None:\n    return os.sep\n")
     assert unused_imports(sample) == ["sample.py:3 imports re and never uses it",
                                       "sample.py:4 imports decide and never uses it"]
+
+
+def cached_views(path: Path) -> list[tuple[str, str]]:
+    """(name, return annotation) of every ``cached_property`` in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.name, ast.unparse(node.returns) if node.returns else "")
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for decorator in node.decorator_list
+            if ast.unparse(decorator) in ("cached_property", "functools.cached_property")]
+
+
+def test_records_cache_only_integer_views():
+    views = {path.name: cached_views(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert ("omega_columns", "IntegerColumns") in views["symplectic.py"]
+    assert [f"{name}: {view} -> {returns or 'no annotation'}" for name, found in views.items()
+            for view, returns in found if returns != "IntegerColumns"] == []
+
+
+def test_cached_view_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import functools\nfrom functools import cached_property\n\n"
+                      "class A:\n    @cached_property\n    def a(self) -> IntegerColumns:\n"
+                      "        pass\n\n    @functools.cached_property\n    def b(self) -> Matrix:\n"
+                      "        pass\n\n    @property\n    def c(self) -> Matrix:\n        pass\n")
+    assert cached_views(sample) == [("a", "IntegerColumns"), ("b", "Matrix")]
 
 
 def uncalled_functions(paths: list[Path], exempt: set[str]) -> list[str]:

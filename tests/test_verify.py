@@ -8,7 +8,9 @@ conjugated data, on every single-entry perturbation of small tables, and on
 odd-bracket perturbations of the positive golden structures.  The odd
 bracket is stored once per pair a <= b, so those keep graded antisymmetry,
 and verify takes the path that computes each Jacobi triple once, sorted,
-and reads the violations of every permutation off it.
+and reads the violations of every permutation off it.  Verify reads the
+forms off the records themselves, so wrong views cached on the space and
+the algebra change none of its results.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ import pytest
 from oracles import odd_table, oracle_verify_superalgebra, replace, superalgebra_from_table
 from superweyl.catalog import build_instance
 from superweyl.engine import construct_superalgebra_unchecked, verify_superalgebra
-from superweyl.exactla import Matrix
+from superweyl.exactla import IntegerColumns, Matrix
 from superweyl.jsonio import load_problem
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,3 +122,16 @@ def test_odd_bracket_perturbations_keep_antisymmetry_and_match_oracle(stem):
         failed |= {c.name for c in checks if not c.passed}
     # the sectors with an odd element before an even one hold no sorted triple
     assert {"jacobi_oeo", "jacobi_ooe"} <= failed
+
+
+@pytest.mark.parametrize("stem", POSITIVE_GOLDEN)
+def test_checks_read_no_view_cached_for_the_validators_or_engine(stem):
+    problem = str(GOLDEN / f"{stem}.json")
+    expected = verify_superalgebra(construct_superalgebra_unchecked(load_problem(problem)))
+    assert all(c.passed for c in expected)
+    s = construct_superalgebra_unchecked(load_problem(problem))
+    space, algebra = s.rep.space, s.rep.algebra
+    # zero views in place of omega, omega^T and B^-1, written past the cache
+    space.__dict__["omega_columns"] = IntegerColumns(1, [[{}] * space.dim] * 2)
+    algebra.__dict__["form_inverse_columns"] = IntegerColumns(1, [[{}] * algebra.dim])
+    assert verify_superalgebra(s) == expected
