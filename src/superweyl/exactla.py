@@ -1,8 +1,10 @@
 """Exact rational scalars and dense linear algebra over the rationals.
 
 Everything downstream reduces to linear algebra over Q: expanding a matrix
-in a basis, inverting a Gram matrix, solving for dual bases.  Entries are
-``fractions.Fraction``s, and one elimination serves every solve, inverse,
+in a basis, inverting a Gram matrix, solving for dual bases.  ``Matrix`` is
+an immutable container of ``fractions.Fraction`` entries with no arithmetic
+of its own (sums, products, ``apply`` and ``trace`` are references in
+``tests/oracles.py``), and one elimination serves every solve, inverse,
 kernel and rank test: ``_echelon``, a fraction-free Gauss-Jordan on rows
 cleared to integers, after which one ``Fraction`` is formed per nonzero
 entry of the result.  There is deliberately no floating point anywhere;
@@ -66,7 +68,8 @@ def as_scalar(value: Scalar | int | str) -> Scalar:
 
 
 class Matrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix with exact rational entries: construction,
+    indexing, rows, columns, transpose, equality and hash, and no arithmetic."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -131,60 +134,9 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
     def transpose(self) -> "Matrix":
         return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
                       cols=self.rows)
-
-    def trace(self) -> Scalar:
-        if not self.is_square():
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
-
-    def apply(self, vec: Sequence) -> tuple[Scalar, ...]:
-        """Matrix-vector product, returning a coordinate tuple."""
-        v = [as_scalar(x) for x in vec]
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"cannot apply {self.rows}x{self.cols} matrix to length-{len(v)} vector")
-        return tuple(sum((self.data[i][j] * v[j] for j in range(self.cols)), _ZERO)
-                     for i in range(self.rows))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([[a + b if b else a for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)], cols=self.cols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([[a - b if b else a for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)], cols=self.cols)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data], cols=self.cols)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            out = []
-            for row in self.data:
-                acc = [_ZERO] * other.cols
-                for a, other_row in zip(row, other.data):
-                    if a != 0:
-                        acc = [x + a * b if b else x for x, b in zip(acc, other_row)]
-                out.append(acc)
-            return Matrix(out, cols=other.cols)
-        return self._scaled(as_scalar(other))
-
-    def __rmul__(self, other):
-        return self._scaled(as_scalar(other))
-
-    def _scaled(self, c: Scalar) -> "Matrix":
-        """c M, multiplying only the nonzero entries."""
-        return Matrix([[c * a if a else a for a in row] for row in self.data], cols=self.cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -196,11 +148,6 @@ class Matrix:
     def __repr__(self) -> str:
         rows = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data)
         return f"Matrix([{rows}])"
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix:

@@ -31,12 +31,16 @@ def scalar_to_str(x: Scalar) -> str:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_ZERO = as_scalar(0)
 
 
 def scalar_from_str(text) -> Scalar:
     """A JSON integer or a string ``"p"`` or ``"p/q"`` of decimal digits with
     an optional leading minus; decimals, exponents, spaces and ``+`` are
-    refused before any arithmetic."""
+    refused before any arithmetic.  The string ``"0"``, most entries of a
+    dense matrix, is one shared zero."""
+    if text == "0":
+        return _ZERO
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ParseError(f"expected a rational string, got {text!r}")
     if isinstance(text, str) and not _RATIONAL.fullmatch(text):

@@ -20,7 +20,10 @@ The first section holds the plain ``Fraction`` helpers that only the tests
 use: a changed copy of a record, the dense coordinates of an even or odd
 basis bracket, the dense odd table, an algebra or a superalgebra from a
 dense bracket table,
-linear combinations, form values, brackets of coordinate
+linear combinations, the dense ``Matrix`` arithmetic that the package does
+not define (sums, differences, negation, products, scalar multiples,
+``mat_apply``, ``mat_trace`` and ``mat_is_zero``, with the shape errors
+``DimensionMismatch`` gives), form values, brackets of coordinate
 vectors, the representation defect as a matrix, the dense adjoint matrices
 of a superalgebra, the degree-four part of the Casimir image as a sum of
 commutative products, and the derivation extending a matrix to polynomials.
@@ -31,8 +34,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from superweyl.engine import CheckResult, NotARepresentation, SuperAlgebraData
-from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix, invert,
-                               solve_linear, solve_overdetermined)
+from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix, as_scalar,
+                               invert, solve_linear, solve_overdetermined)
 from superweyl.liealg import (FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric,
                               QuadraticLieAlgebra)
 from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_monomials,
@@ -52,7 +55,8 @@ def linear_combination(coeffs: Sequence[Scalar], items: Sequence, zero):
     total = zero
     for c, item in zip(coeffs, items):
         if c != 0:
-            total = total + c * item
+            total = (mat_add(total, mat_scale(c, item)) if isinstance(item, Matrix)
+                     else total + c * item)
     return total
 
 
@@ -63,6 +67,70 @@ def bilinear(m: Matrix, x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
         if xi != 0:
             total += xi * sum((r * yj for r, yj in zip(row, y)), _ZERO)
     return total
+
+
+def _same_shape(a: Matrix, b: Matrix) -> None:
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatch(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    """a + b."""
+    _same_shape(a, b)
+    return Matrix([[x + y if y else x for x, y in zip(r1, r2)]
+                   for r1, r2 in zip(a.data, b.data)], cols=a.cols)
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    """a - b."""
+    _same_shape(a, b)
+    return Matrix([[x - y if y else x for x, y in zip(r1, r2)]
+                   for r1, r2 in zip(a.data, b.data)], cols=a.cols)
+
+
+def mat_neg(a: Matrix) -> Matrix:
+    """-a."""
+    return Matrix([[-x for x in row] for row in a.data], cols=a.cols)
+
+
+def mat_mul(a: Matrix, *factors: Matrix) -> Matrix:
+    """The product a b c ... of ``a`` and ``factors``, from the left."""
+    for b in factors:
+        if a.cols != b.rows:
+            raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+        out = []
+        for row in a.data:
+            acc = [_ZERO] * b.cols
+            for x, b_row in zip(row, b.data):
+                if x != 0:
+                    acc = [t + x * y if y else t for t, y in zip(acc, b_row)]
+            out.append(acc)
+        a = Matrix(out, cols=b.cols)
+    return a
+
+
+def mat_scale(c, a: Matrix) -> Matrix:
+    """c a for a scalar c, multiplying only the nonzero entries."""
+    c = as_scalar(c)
+    return Matrix([[c * x if x else x for x in row] for row in a.data], cols=a.cols)
+
+
+def mat_apply(a: Matrix, vec: Sequence) -> tuple[Scalar, ...]:
+    """The matrix-vector product a v as a coordinate tuple."""
+    v = [as_scalar(x) for x in vec]
+    if len(v) != a.cols:
+        raise DimensionMismatch(f"cannot apply {a.rows}x{a.cols} matrix to length-{len(v)} vector")
+    return tuple(sum((x * y for x, y in zip(row, v)), _ZERO) for row in a.data)
+
+
+def mat_trace(a: Matrix) -> Scalar:
+    if not a.is_square():
+        raise DimensionMismatch("trace of a non-square matrix")
+    return sum((a.data[i][i] for i in range(a.rows)), _ZERO)
+
+
+def mat_is_zero(a: Matrix) -> bool:
+    return all(x == 0 for row in a.data for x in row)
 
 
 def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
@@ -140,11 +208,11 @@ def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
     [x,[y,z]] - (-1)^{|x||y|} [y,[x,z]] - [[x,y],z].
 
     This is the ``Fraction`` reference of ``liealg.defect_columns``."""
-    yx = rho[y] * rho[x]
-    xy = rho[x] * rho[y]
-    supercommutator = xy + yx if x >= k and y >= k else xy - yx
-    return supercommutator - linear_combination(ad[x].col(y), rho,
-                                                Matrix.zeros(xy.rows, xy.cols))
+    yx = mat_mul(rho[y], rho[x])
+    xy = mat_mul(rho[x], rho[y])
+    supercommutator = mat_add(xy, yx) if x >= k and y >= k else mat_sub(xy, yx)
+    return mat_sub(supercommutator, linear_combination(ad[x].col(y), rho,
+                                                       Matrix.zeros(xy.rows, xy.cols)))
 
 
 def dense_adjoint(s) -> list[Matrix]:
@@ -347,7 +415,7 @@ def oracle_structure_constants(basis: Sequence[Matrix]
     def flat(m: Matrix) -> tuple[Scalar, ...]:
         return tuple(x for row in m.data for x in row)
 
-    commutators = [flat(a * b - b * a) for a in basis for b in basis]
+    commutators = [flat(mat_sub(mat_mul(a, b), mat_mul(b, a))) for a in basis for b in basis]
     coords = solve_overdetermined(Matrix.from_columns([flat(b) for b in basis]),
                                   Matrix.from_columns(commutators))
     return tuple(tuple({l: c for l, c in enumerate(coords.col(i * k + j)) if c} for j in range(k))
@@ -398,7 +466,8 @@ def oracle_validate_rep(rep) -> None:
     k = rep.algebra.dim
     for i in range(k):
         for j in range(i + 1, k):
-            commutator = rep.matrices[i] * rep.matrices[j] - rep.matrices[j] * rep.matrices[i]
+            commutator = mat_sub(mat_mul(rep.matrices[i], rep.matrices[j]),
+                                 mat_mul(rep.matrices[j], rep.matrices[i]))
             expected = linear_combination(bracket(rep.algebra, i, j), rep.matrices,
                                           Matrix.zeros(rep.space.dim, rep.space.dim))
             if commutator != expected:
@@ -421,7 +490,7 @@ def _super_bracket(s, x, y):
         out = [Fraction(0)] * s.rep.space.dim
         for i, c in enumerate(vx):
             if c != 0:
-                image = s.rep.matrices[i].apply(vy)
+                image = mat_apply(s.rep.matrices[i], vy)
                 out = [o + c * t for o, t in zip(out, image)]
         return (1, tuple(out))
     if px == 1 and py == 0:
@@ -507,7 +576,7 @@ def oracle_verify_superalgebra(s) -> list[CheckResult]:
     checks.append(CheckResult("form_invariance", witness is None, witness))
 
     supersymmetric = (s.rep.algebra.form.transpose() == s.rep.algebra.form
-                      and s.rep.space.omega.transpose() == -s.rep.space.omega)
+                      and s.rep.space.omega.transpose() == mat_neg(s.rep.space.omega))
     checks.append(CheckResult("form_supersymmetry", supersymmetric,
                               None if supersymmetric else "Gram symmetry pattern broken"))
     try:

@@ -13,8 +13,8 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from oracles import (derivation_action, odd_bracket, odd_table, oracle_weyl_product, pair,
-                     permanent_pairing, sl2_casimir_trace)
+from oracles import (derivation_action, mat_add, mat_mul, mat_scale, mat_sub, odd_bracket,
+                     odd_table, oracle_weyl_product, pair, permanent_pairing, sl2_casimir_trace)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base, sp_basis)
 from superweyl.cli import main
@@ -113,7 +113,7 @@ def test_criterion_03_quadratic_matrix_correspondence():
         for i, wi in enumerate(quads):
             for j, wj in enumerate(quads):
                 comm = weyl_commutator(wi, wj)
-                expected = basis[i] * basis[j] - basis[j] * basis[i]
+                expected = mat_sub(mat_mul(basis[i], basis[j]), mat_mul(basis[j], basis[i]))
                 assert quadratic_to_sp(comm) == expected
         # the derivation extension acts as the commutator in all degrees
         for _ in range(5):
@@ -180,9 +180,9 @@ def test_criterion_06_abelian_two_parameter_instance():
     y = [Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])]
     for a in range(2):
         for b in range(2):
-            anti = y[a] * y[b] + y[b] * y[a]
+            anti = mat_add(mat_mul(y[a], y[b]), mat_mul(y[b], y[a]))
             coords = odd_bracket(s, a, b)
-            combo = coords[0] * h[0] + coords[1] * h[1]
+            combo = mat_add(mat_scale(coords[0], h[0]), mat_scale(coords[1], h[1]))
             assert combo == anti
     assert odd_bracket(s, 0, 1) == (1, 1)
     announce(6, "two-parameter abelian instance: scalar 0 and odd brackets "
@@ -244,7 +244,7 @@ def test_criterion_10_scale_equivariance():
         base_s = construct_superalgebra(rep)
         for lam in factors:
             g = rep.algebra
-            scaled_alg = QuadraticLieAlgebra(g.dim, g.brackets, lam * g.form)
+            scaled_alg = QuadraticLieAlgebra(g.dim, g.brackets, mat_scale(lam, g.form))
             scaled = type(rep)(scaled_alg, rep.space, rep.matrices)
             report = decide(scaled)
             assert report.verdict == base_report.verdict

@@ -4,8 +4,9 @@ import pytest
 
 import superweyl.catalog
 import superweyl.exactla
-from oracles import (dense_adjoint, linear_combination, odd_table, oracle_structure_constants,
-                     representation_defect, superalgebra_from_table)
+from oracles import (dense_adjoint, linear_combination, mat_is_zero, mat_mul, mat_neg,
+                     mat_scale, odd_table, oracle_structure_constants, representation_defect,
+                     superalgebra_from_table)
 from superweyl.catalog import (CalibrationFailed, InvalidInput, TooLarge,
                                UnknownInstance, abelian_superalgebra, build_double,
                                build_gl11_even, build_instance, build_osp_even, build_spin_rep,
@@ -34,7 +35,7 @@ def test_kron_values_and_mixed_product():
     assert k.rows == 4 and k[0, 1] == 1 and k[0, 3] == 2 and k[2, 1] == 3
     c = Matrix([[1, 0], [1, 1]])
     d = Matrix([[2, 0], [0, 3]])
-    assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
+    assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
     assert kron(Matrix.identity(2), Matrix.identity(3)) == Matrix.identity(6)
 
 
@@ -43,7 +44,7 @@ def test_so_basis():
     assert len(so_basis(2)) == 1
     assert len(so_basis(4)) == 6
     for mat in so_basis(3):
-        assert mat.transpose() == -mat
+        assert mat.transpose() == mat_neg(mat)
 
 
 def test_sp_basis():
@@ -77,7 +78,7 @@ def test_structure_constants_refuse_open_or_dependent_bases():
         matrix_structure_constants([e12, e21])  # [E12, E21] = diag(1, -1) is outside
     assert not isinstance(info.value, SingularMatrix)
     with pytest.raises(SingularMatrix):
-        matrix_structure_constants([e12, 2 * e12])
+        matrix_structure_constants([e12, mat_scale(2, e12)])
 
 
 def _recombined(basis):
@@ -146,7 +147,7 @@ def test_osp_even_calibration_recovers_supertrace_normalization():
     assert build_osp_even(1, 2).algebra.form == trace_gram(sp_basis(2))
     # in general: the trace form on so(m) and minus the trace form on sp(2n)
     for m, n in ((3, 1), (2, 2), (4, 1), (3, 2), (2, 3)):
-        so_gram, sp_gram = trace_gram(so_basis(m)), -trace_gram(sp_basis(n))
+        so_gram, sp_gram = trace_gram(so_basis(m)), mat_neg(trace_gram(sp_basis(n)))
         expected = Matrix([row + (0,) * sp_gram.cols for row in so_gram.data]
                           + [(0,) * so_gram.cols + row for row in sp_gram.data])
         assert build_osp_even(m, n).algebra.form == expected, (m, n)
@@ -159,7 +160,7 @@ def test_calibration_scales_inversely_with_the_summand_forms():
     sl2 = build_spin_rep(1).algebra
     for c_so, c_sp, expected in ((1, 1, [1, -1]), (3, 1, [1, -3]), (1, 2, [1, Fraction(-1, 2)])):
         so2 = QuadraticLieAlgebra.abelian(1, Matrix([[-2 * c_so]]))
-        sp2 = QuadraticLieAlgebra(3, sl2.brackets, c_sp * sl2.form)
+        sp2 = QuadraticLieAlgebra(3, sl2.brackets, mat_scale(c_sp, sl2.form))
         summands = [(so2, rep.matrices[:1]), (sp2, rep.matrices[1:])]
         assert calibrate_scales(rep.space, summands) == expected
 
@@ -256,15 +257,15 @@ def _gram_of_supertrace(mats, d0):
     """[str(M_i M_j)] with str(M) = sum_{u<d0} M_uu - sum_{u>=d0} M_uu."""
     def supertrace(m):
         return sum(m[u, u] for u in range(d0)) - sum(m[u, u] for u in range(d0, m.rows))
-    return Matrix([[supertrace(a * b) for b in mats] for a in mats], cols=len(mats))
+    return Matrix([[supertrace(mat_mul(a, b)) for b in mats] for a in mats], cols=len(mats))
 
 
 def test_adjoint_supertrace_of_simple_superalgebra():
     # both blocks come out exactly three times the defining-normalized form
     s = double_base("osp12")
     ad, k = dense_adjoint(s), s.rep.algebra.dim
-    assert _gram_of_supertrace(ad[:k], k) == 3 * s.rep.algebra.form
-    assert _gram_of_supertrace(ad[k:], k) == 3 * s.rep.space.omega
+    assert _gram_of_supertrace(ad[:k], k) == mat_scale(3, s.rep.algebra.form)
+    assert _gram_of_supertrace(ad[k:], k) == mat_scale(3, s.rep.space.omega)
 
 
 def test_defining_supertrace_of_gl11():
@@ -274,7 +275,7 @@ def test_defining_supertrace_of_gl11():
     rho = [Matrix([[1, 0], [0, 0]]), Matrix([[0, 0], [0, 1]]),
            Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])]
     ad, k = dense_adjoint(s), s.rep.algebra.dim
-    assert all(representation_defect(ad, rho, k, x, y).is_zero()
+    assert all(mat_is_zero(representation_defect(ad, rho, k, x, y))
                for x in range(s.dim) for y in range(s.dim))
     assert _gram_of_supertrace(rho[:k], 1) == s.rep.algebra.form == Matrix.diagonal([1, -1])
     assert _gram_of_supertrace(rho[k:], 1) == s.rep.space.omega == Matrix([[0, 1], [-1, 0]])

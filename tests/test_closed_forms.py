@@ -24,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (algebra_from_table, bracket_vectors, casimir_obstruction, form_value,
-                     linear_combination, odd_bracket, oracle_quadratic_lift_adjoint,
-                     oracle_sp_to_quadratic, oracle_trace_ratio_constant)
+                     linear_combination, mat_add, mat_apply, mat_mul, mat_scale, odd_bracket,
+                     oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
+                     oracle_trace_ratio_constant)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
 from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra, decide,
@@ -51,7 +52,7 @@ def changes_of_basis(draw, n):
                     for i in range(n)])
     upper = Matrix([[draw(NONZERO) if i == j else draw(ENTRIES) if j > i else 0
                      for j in range(n)] for i in range(n)])
-    return lower * upper
+    return mat_mul(lower, upper)
 
 
 @st.composite
@@ -61,7 +62,7 @@ def spaces(draw, max_half=2):
     if not draw(st.booleans()):
         return base
     q = draw(changes_of_basis(base.dim))
-    return SymplecticSpace(base.dim, q.transpose() * base.omega * q)
+    return SymplecticSpace(base.dim, mat_mul(q.transpose(), base.omega, q))
 
 
 @st.composite
@@ -70,7 +71,7 @@ def sp_elements(draw, space):
     n = space.dim
     upper = [[draw(ENTRIES) if j >= i else 0 for j in range(n)] for i in range(n)]
     sym = Matrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
-    return invert(space.omega) * sym
+    return mat_mul(invert(space.omega), sym)
 
 
 @st.composite
@@ -108,8 +109,9 @@ def space_with_any_matrix(draw):
         alpha = draw(sp_elements(space))
         if kind == "moved":
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-            alpha = alpha + draw(NONZERO) * Matrix([[int((r, c) == (i, j)) for c in range(n)]
-                                                    for r in range(n)])
+            alpha = mat_add(alpha, mat_scale(draw(NONZERO),
+                                             Matrix([[int((r, c) == (i, j)) for c in range(n)]
+                                                     for r in range(n)])))
         return space, alpha
     rows, cols = {"square": (n, n), "wide": (n, n + 1), "tall": (n + 1, n)}[kind]
     return space, Matrix([[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)], cols=cols)
@@ -189,8 +191,8 @@ def _conjugate_space(rep: SymplecticRep, q: Matrix) -> SymplecticRep:
     """The same representation in the basis given by the columns of Q:
     omega -> Q^T omega Q and nu -> Q^-1 nu Q."""
     q_inv = invert(q)
-    space = SymplecticSpace(rep.space.dim, q.transpose() * rep.space.omega * q)
-    return SymplecticRep(rep.algebra, space, tuple(q_inv * m * q for m in rep.matrices))
+    space = SymplecticSpace(rep.space.dim, mat_mul(q.transpose(), rep.space.omega, q))
+    return SymplecticRep(rep.algebra, space, tuple(mat_mul(q_inv, m, q) for m in rep.matrices))
 
 
 BASE_REPS = {
@@ -265,9 +267,9 @@ def _change_basis(rep: SymplecticRep, p: Matrix, q: Matrix) -> SymplecticRep:
     y'_a = sum_c Q_ca y_c of v: B' = P^T B P, brackets re-expanded through
     P^-1, nu'_i = sum_j P_ji Q^-1 nu_j Q and omega' = Q^T omega Q."""
     k, p_inv = rep.algebra.dim, invert(p)
-    table = [[p_inv.apply(bracket_vectors(rep.algebra, p.col(i), p.col(j))) for j in range(k)]
-             for i in range(k)]
-    algebra = algebra_from_table(table, p.transpose() * rep.algebra.form * p)
+    table = [[mat_apply(p_inv, bracket_vectors(rep.algebra, p.col(i), p.col(j)))
+              for j in range(k)] for i in range(k)]
+    algebra = algebra_from_table(table, mat_mul(p.transpose(), rep.algebra.form, p))
     conjugated = _conjugate_space(rep, q)
     zero = Matrix.zeros(rep.space.dim, rep.space.dim)
     return SymplecticRep(algebra, conjugated.space,
@@ -316,4 +318,4 @@ def test_answers_are_covariant_under_change_of_basis(data):
             old = [sum((q[c, a] * q[d, b] * odd_bracket(base_s, c, d)[l]
                         for c in range(n) for d in range(n)), Fraction(0))
                    for l in range(rep.algebra.dim)]
-            assert odd_bracket(s, a, b) == p_inv.apply(old)
+            assert odd_bracket(s, a, b) == mat_apply(p_inv, old)

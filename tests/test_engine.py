@@ -12,7 +12,8 @@ import superweyl.exactla
 import superweyl.spbridge
 import superweyl.symplectic
 from oracles import (bracket, bracket_vectors, dense_adjoint, form_value, linear_combination,
-                     odd_bracket, odd_table, replace, superalgebra_from_table)
+                     mat_add, mat_apply, mat_mul, mat_scale, odd_bracket, odd_table, replace,
+                     superalgebra_from_table)
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               NotSuperLieType, SuperAlgebraData, SymplecticRep,
@@ -431,12 +432,12 @@ def test_jacobiator_matches_obstruction_contraction():
 
 def _rescale_even_form(rep, factor):
     g = rep.algebra
-    scaled = QuadraticLieAlgebra(g.dim, g.brackets, factor * g.form)
+    scaled = QuadraticLieAlgebra(g.dim, g.brackets, mat_scale(factor, g.form))
     return SymplecticRep(scaled, rep.space, rep.matrices)
 
 
 def _rescale_omega(rep, factor):
-    space = SymplecticSpace(rep.space.dim, factor * rep.space.omega)
+    space = SymplecticSpace(rep.space.dim, mat_scale(factor, rep.space.omega))
     return SymplecticRep(rep.algebra, space, rep.matrices)
 
 
@@ -485,17 +486,17 @@ def _change_even_basis(rep, p):
     for i in range(k):
         for j in range(i + 1, k):
             old = bracket_vectors(g, p.col(i), p.col(j))
-            for l, c in enumerate(pinv.apply(old)):
+            for l, c in enumerate(mat_apply(pinv, old)):
                 if c != 0:
                     entries.append((i, j, l, c))
-    new_form = p.transpose() * g.form * p
+    new_form = mat_mul(p.transpose(), g.form, p)
     new_alg = QuadraticLieAlgebra.from_sparse(k, entries, new_form)
     new_mats = []
     for i in range(k):
         m = Matrix.zeros(rep.space.dim, rep.space.dim)
         for j in range(k):
             if p[j, i] != 0:
-                m = m + p[j, i] * rep.matrices[j]
+                m = mat_add(m, mat_scale(p[j, i], rep.matrices[j]))
         new_mats.append(m)
     return SymplecticRep(new_alg, rep.space, tuple(new_mats)), pinv
 
@@ -520,4 +521,5 @@ def test_basis_independence():
         assert r.verdict and r.casimir_scalar == base.casimir_scalar
         assert casimir_image(changed) == casimir_image(rep)
         s1 = construct_superalgebra(changed)
-        assert odd_table(s1) == {key: pinv.apply(coords) for key, coords in odd_table(s0).items()}
+        assert odd_table(s1) == {key: mat_apply(pinv, coords)
+                                 for key, coords in odd_table(s0).items()}

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_rref, replace
+from oracles import (mat_add, mat_apply, mat_is_zero, mat_mul, mat_neg, mat_scale, mat_sub,
+                     mat_trace, oracle_rref, replace)
+from superweyl import jsonio
 from superweyl.exactla import (DimensionMismatch, LinAlgError, Matrix,
                                SingularMatrix, as_scalar, integer_columns, invert,
                                is_nonsingular, kernel_basis, record,
@@ -53,38 +55,39 @@ def test_empty_matrix_needs_explicit_width():
 def test_matrix_arithmetic():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[0, 1], [1, 0]])
-    assert a + b == Matrix([[1, 3], [4, 4]])
-    assert a - a == Matrix.zeros(2, 2)
-    assert -a == Matrix([[-1, -2], [-3, -4]])
-    assert a * b == Matrix([[2, 1], [4, 3]])
-    assert 2 * a == a * 2 == Matrix([[2, 4], [6, 8]])
-    assert a.trace() == 5
+    assert mat_add(a, b) == Matrix([[1, 3], [4, 4]])
+    assert mat_sub(a, a) == Matrix.zeros(2, 2)
+    assert mat_neg(a) == Matrix([[-1, -2], [-3, -4]])
+    assert mat_mul(a, b) == Matrix([[2, 1], [4, 3]])
+    assert mat_mul(a, b, a) == Matrix([[5, 8], [13, 20]])
+    assert mat_scale(2, a) == Matrix([[2, 4], [6, 8]])
+    assert mat_trace(a) == 5
 
 
 def test_matrix_shape_errors():
     a = Matrix([[1, 2]])
-    with pytest.raises(DimensionMismatch):
-        a + Matrix([[1], [2]])
-    with pytest.raises(DimensionMismatch):
-        a * a
-    with pytest.raises(DimensionMismatch):
-        a.trace()
+    with pytest.raises(DimensionMismatch, match="shape mismatch: 1x2 vs 2x1"):
+        mat_add(a, Matrix([[1], [2]]))
+    with pytest.raises(DimensionMismatch, match="cannot multiply 1x2 by 1x2"):
+        mat_mul(a, a)
+    with pytest.raises(DimensionMismatch, match="trace of a non-square matrix"):
+        mat_trace(a)
 
 
 def test_apply():
     a = Matrix([[1, 2], [3, 4]])
-    assert a.apply([1, 0]) == (1, 3)
-    assert a.apply(["1/2", 1]) == (Fraction(5, 2), Fraction(11, 2))
+    assert mat_apply(a, [1, 0]) == (1, 3)
+    assert mat_apply(a, ["1/2", 1]) == (Fraction(5, 2), Fraction(11, 2))
     with pytest.raises(DimensionMismatch):
-        a.apply([1, 2, 3])
+        mat_apply(a, [1, 2, 3])
 
 
 def test_solve_and_invert():
     a = Matrix([[2, 1], [1, 1]])
     x = solve_linear(a, Matrix.column([3, 2]))
-    assert a * x == Matrix.column([3, 2])
-    assert a * invert(a) == Matrix.identity(2)
-    assert invert(a) * a == Matrix.identity(2)
+    assert mat_mul(a, x) == Matrix.column([3, 2])
+    assert mat_mul(a, invert(a)) == Matrix.identity(2)
+    assert mat_mul(invert(a), a) == Matrix.identity(2)
 
 
 def test_singular_detected():
@@ -97,7 +100,7 @@ def test_rank_and_kernel():
     assert a.cols - len(kernel_basis(a)) == 2  # rank by nullity
     ker = kernel_basis(a)
     assert len(ker) == 1
-    assert (a * ker[0]).is_zero()
+    assert mat_is_zero(mat_mul(a, ker[0]))
     assert 4 - len(kernel_basis(Matrix.identity(4))) == 4
     assert kernel_basis(Matrix.identity(3)) == []
     # kernel of the zero map is everything
@@ -131,7 +134,7 @@ def test_solve_reproduces_rhs(a, rhs):
     except SingularMatrix:
         assert a.cols - len(kernel_basis(a)) < a.rows
         return
-    assert a * x == b
+    assert mat_mul(a, x) == b
 
 
 # -- one elimination against the Fraction Gauss-Jordan ------------------------
@@ -221,8 +224,8 @@ def systems(draw):
     a = Matrix(data, cols=cols)
     rhs = draw(st.integers(0, 3))
     if draw(st.booleans()):
-        return a, a * Matrix([[draw(_ELIMINATION_ENTRIES) for _ in range(rhs)]
-                              for _ in range(cols)], cols=rhs)
+        return a, mat_mul(a, Matrix([[draw(_ELIMINATION_ENTRIES) for _ in range(rhs)]
+                                     for _ in range(cols)], cols=rhs))
     return a, Matrix([[draw(_ELIMINATION_ENTRIES) for _ in range(rhs)]
                       for _ in range(rows)], cols=rhs)
 
@@ -288,8 +291,41 @@ def matrices_with_zero_lines(draw):
 @settings(max_examples=60, deadline=None)
 def test_scalar_product_is_entrywise(m, c):
     expected = Matrix([[as_scalar(c) * a for a in row] for row in m.data], cols=m.cols)
-    assert c * m == expected
-    assert m * c == expected
+    assert mat_scale(c, m) == expected
+
+
+# -- parsing rationals -----------------------------------------------------
+
+
+def _strings(obj) -> list[str]:
+    if isinstance(obj, str):
+        return [obj]
+    values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return [text for value in values for text in _strings(value)]
+
+
+class _RecordingPattern:
+    """A compiled pattern that records the text of every ``fullmatch``."""
+
+    def __init__(self, pattern):
+        self.pattern, self.seen = pattern, []
+
+    def fullmatch(self, text):
+        self.seen.append(text)
+        return self.pattern.fullmatch(text)
+
+
+@pytest.mark.parametrize("name", ["osp_even-1-2.json", "conj-osp_even-2-1.json"])
+def test_problem_files_parse_zeros_without_the_rational_regex(monkeypatch, name):
+    # every string of these files is a rational entry; "0" is the shared zero
+    path = GOLDEN / name
+    strings = _strings(json.loads(path.read_text()))
+    assert "0" in strings
+    expected = load_problem(str(path))
+    recorder = _RecordingPattern(jsonio._RATIONAL)
+    monkeypatch.setattr(jsonio, "_RATIONAL", recorder)
+    assert load_problem(str(path)) == expected
+    assert sorted(recorder.seen) == sorted(text for text in strings if text != "0")
 
 
 # -- frozen records --------------------------------------------------------

@@ -9,12 +9,16 @@ every function its checker requires.  Every name the package exports
 exists, once, and every other module uses each name it imports.  Every
 module-level function has a caller in the package, is exported, or is
 traced by the benchmark: a helper that only tests use lives in
-``tests/oracles.py``.  Importing the command line loads only what its verbs
-run.  Every value a record caches is a view on the fraction-free kernel:
-each ``cached_property`` returns ``IntegerColumns``.
+``tests/oracles.py``.  ``Matrix`` is a container: each of its methods is a
+value-type dunder or has a caller in the package, so it defines no
+arithmetic, which the tests take from ``tests/oracles.py``.  Importing the
+command line loads only what its verbs run.  Every value a record caches is
+a view on the fraction-free kernel: each ``cached_property`` returns
+``IntegerColumns``.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
 import os
@@ -121,19 +125,50 @@ def test_cached_view_detector(tmp_path):
     assert cached_views(sample) == [("a", "IntegerColumns"), ("b", "Matrix")]
 
 
-def uncalled_functions(paths: list[Path], exempt: set[str]) -> list[str]:
+# what a value type may define with no caller: construction, indexing,
+# equality, hash and repr
+VALUE_DUNDERS = {"__init__", "__getitem__", "__eq__", "__hash__", "__repr__"}
+
+
+def _attributes(node: ast.AST) -> collections.Counter:
+    return collections.Counter(sub.attr for sub in ast.walk(node)
+                               if isinstance(sub, ast.Attribute))
+
+
+def uncalled_functions(paths: list[Path], exempt: set[str], classes: set[str] = frozenset()
+                       ) -> list[str]:
     """Module-level functions of ``paths`` (``__init__.py`` aside) whose name
     no file of ``paths`` references as a plain name, unless ``exempt`` holds
     the name or ``<module>.<name>``.  An attribute does not count: ``os.replace``
-    is no call of a module's own ``replace``."""
+    is no call of a module's own ``replace``.
+
+    The methods of each class ``<module>.<class>`` in ``classes`` are checked
+    too: a method other than a ``VALUE_DUNDERS`` one needs its name as an
+    attribute somewhere in ``paths`` outside its own body, and any other
+    dunder, such as an arithmetic operator, fails.  A method is matched by
+    name alone, so another type's method of the same name counts as a call."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in paths}
     referenced = {node.id for tree in trees.values() for node in ast.walk(tree)
                   if isinstance(node, ast.Name)}
-    return [f"{path.name}:{node.lineno} defines {node.name} and nothing calls it"
+    attributes = sum(map(_attributes, trees.values()), collections.Counter())
+    dead = [f"{path.name}:{node.lineno} defines {node.name} and nothing calls it"
             for path, tree in trees.items() if path.name != "__init__.py"
             for node in tree.body if isinstance(node, ast.FunctionDef)
             and not {node.name, f"{path.stem}.{node.name}"} & (referenced | exempt)]
+    for path, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and f"{path.stem}.{cls.name}" in classes):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name in VALUE_DUNDERS:
+                    continue
+                where = f"{path.name}:{node.lineno} defines {cls.name}.{node.name}"
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    dead.append(f"{where}, which is no value-type dunder")
+                elif attributes[node.name] <= _attributes(node)[node.name]:
+                    dead.append(f"{where} and nothing calls it")
+    return dead
 
 
 def test_caller_detector(tmp_path):
@@ -147,6 +182,22 @@ def test_caller_detector(tmp_path):
         "a.py:10 defines dead and nothing calls it",
         "a.py:13 defines replace and nothing calls it",
         "b.py:4 defines f and nothing calls it"]
+
+
+def test_caller_detector_on_methods(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class M:\n    def __init__(self):\n        pass\n\n    def __eq__(self, other):\n"
+        "        pass\n\n    def __add__(self, other):\n        pass\n\n"
+        "    def used(self):\n        pass\n\n    def recursive(self):\n"
+        "        return self.recursive()\n\n    def only_here(self):\n        pass\n\n"
+        "class Other:\n    def __add__(self, other):\n        pass\n")
+    (tmp_path / "b.py").write_text("def f(m):\n    return m.used(), m.only_here\n\n"
+                                   "def g(m):\n    return f(m)\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert uncalled_functions(paths, {"g"}, {"a.M"}) == [
+        "a.py:8 defines M.__add__, which is no value-type dunder",
+        "a.py:14 defines M.recursive and nothing calls it"]
+    assert uncalled_functions(paths, {"g"}) == []
 
 
 def perfbench_constant(filename: str, name: str):
@@ -176,7 +227,7 @@ def test_traced_functions_exist():
 def test_every_function_has_a_caller():
     exempt = set(superweyl.__all__) | {f"{module}.{name}" for module, names
                                        in traced_targets().items() for name in names}
-    assert uncalled_functions(sorted(PACKAGE.glob("*.py")), exempt) == []
+    assert uncalled_functions(sorted(PACKAGE.glob("*.py")), exempt, {"exactla.Matrix"}) == []
 
 
 def _load_tracer_module():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import algebra_from_table, bracket, bracket_vectors, form_value
+from oracles import algebra_from_table, bracket, bracket_vectors, form_value, mat_scale
 from superweyl import liealg
 from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.jsonio import load_problem
@@ -151,7 +151,7 @@ def test_casimir_pairs_sl2():
 
 def test_casimir_pairs_scale_inversely_with_form():
     g = sl2()
-    scaled = QuadraticLieAlgebra(g.dim, g.brackets, 3 * g.form)
+    scaled = QuadraticLieAlgebra(g.dim, g.brackets, mat_scale(3, g.form))
     validate_lie(scaled)
     for dual, sdual in zip(casimir_pairs(g), casimir_pairs(scaled)):
         assert tuple(3 * x for x in sdual) == dual

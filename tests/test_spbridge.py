@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import derivation_action
+from oracles import derivation_action, mat_mul, mat_sub
 from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.spbridge import (NotSymplectic, ad_vector,
                                 quadratic_monomials, quadratic_to_sp,
@@ -74,7 +74,7 @@ def test_map_is_lie_homomorphism():
         lhs = quadratic_to_sp(comm)
         aw = quadratic_to_sp(w)
         az = quadratic_to_sp(z)
-        assert lhs == aw * az - az * aw
+        assert lhs == mat_sub(mat_mul(aw, az), mat_mul(az, aw))
 
 
 def test_roundtrips_both_ways():
