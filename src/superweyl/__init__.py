@@ -24,7 +24,7 @@ from .engine import (
     validate_rep,
     verify_superalgebra,
 )
-from .exactla import Matrix, Scalar, as_scalar
+from .exactla import Matrix, Scalar, SuperweylError, as_scalar
 from .liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
 from .spbridge import (
     quadratic_pairing,
@@ -49,6 +49,7 @@ __all__ = [
     "QuadraticLieAlgebra",
     "Scalar",
     "SuperAlgebraData",
+    "SuperweylError",
     "SymplecticRep",
     "SymplecticSpace",
     "TestReport",

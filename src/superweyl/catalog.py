@@ -29,8 +29,8 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .engine import (SuperAlgebraData, SymplecticRep, casimir_image, construct_superalgebra,
                      verify_superalgebra)
-from .exactla import (LinAlgError, Matrix, Scalar, add_product, as_scalar, integer_columns,
-                      integer_tables, invert, kernel_basis)
+from .exactla import (LinAlgError, Matrix, Scalar, SuperweylError, add_product, as_scalar,
+                      integer_columns, integer_tables, invert, kernel_basis)
 from .liealg import QuadraticLieAlgebra, defect_columns
 from .spbridge import NotSymplectic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
@@ -38,21 +38,21 @@ from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
 _ZERO = as_scalar(0)
 
 
-class TooLarge(Exception):
+class TooLarge(SuperweylError):
     """Requested instance exceeds the supported size."""
 
 
-class CalibrationFailed(Exception):
+class CalibrationFailed(SuperweylError):
     """No rational scaling of the summand forms cancels the obstruction."""
 
 
-class UnknownInstance(Exception):
+class UnknownInstance(SuperweylError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"no catalog instance named {name!r}")
 
 
-class InvalidInput(ValueError):
+class InvalidInput(SuperweylError, ValueError):
     """Builder input does not satisfy its precondition."""
 
 
@@ -103,12 +103,13 @@ def trace_gram(basis: Sequence[Matrix]) -> Matrix:
                     for b in entries] for a in entries], cols=len(basis))
 
 
-def matrix_structure_constants(basis: Sequence[Matrix]
+def matrix_structure_constants(basis: Sequence[Matrix], gram: Matrix
                                ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
     """Expand commutators of basis matrices back in the basis, as the
     sparse table of ``QuadraticLieAlgebra.brackets``.  The basis must be
-    closed under commutators and its trace form G nonsingular: coordinate
-    l of [b_i, b_j] is sum_m (G^-1)_lm tr([b_i, b_j] b_m).
+    closed under commutators and its trace form G, given as ``gram``
+    (``trace_gram``), nonsingular: coordinate l of [b_i, b_j] is
+    sum_m (G^-1)_lm tr([b_i, b_j] b_m).
 
     On the integer columns of d b_i, the commutators d^2 [b_i, b_j], for
     i < j, and their traces against d b_m are ints, and each coordinate is
@@ -120,7 +121,7 @@ def matrix_structure_constants(basis: Sequence[Matrix]
         return ()
     k, size = len(basis), basis[0].rows
     d, b = integer_columns(basis)
-    e, (inverse,) = integer_columns([invert(trace_gram(basis))])
+    e, (inverse,) = integer_columns([invert(gram)])
     # against[r * size + z] maps m to d (b_m)_zr, the factor of C_rz in tr(C b_m)
     against: list[dict[int, int]] = [{} for _ in range(size * size)]
     for m, cols in enumerate(b):
@@ -142,7 +143,8 @@ def matrix_structure_constants(basis: Sequence[Matrix]
 
 def _summand(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
     """The matrix Lie algebra spanned by ``basis``, with its trace form."""
-    return QuadraticLieAlgebra(len(basis), matrix_structure_constants(basis), trace_gram(basis))
+    gram = trace_gram(basis)
+    return QuadraticLieAlgebra(len(basis), matrix_structure_constants(basis, gram), gram)
 
 
 def _direct_sum(summands: Sequence[QuadraticLieAlgebra],

@@ -6,9 +6,10 @@ Verbs:
   construct build the superalgebra, write it as JSON (exit 2 if obstructed)
   catalog   emit a built-in instance as a problem file
 
-All mathematical failures exit with status 1 and a single line naming the
-exception type, e.g. ``JacobiFails: ...``.  An obstructed construction is
-not an error in that sense and gets its own exit status.
+Every error the package raises derives from ``exactla.SuperweylError``; it
+and every failure to read or write a file exit with status 1 and a single
+line naming the exception type, e.g. ``JacobiFails: ...``.  An obstructed
+construction is not an error in that sense and gets its own exit status.
 """
 
 from __future__ import annotations
@@ -17,25 +18,16 @@ import argparse
 import sys
 
 from . import __version__
-from .engine import (InternalDegreeLeak, NotARepresentation, NotSuperLieType,
-                     construct_superalgebra_unchecked, decide, first_failing_triple,
-                     validate_rep, verify_superalgebra)
-from .exactla import LinAlgError
-from .jsonio import (ParseError, canonical_dumps, file_digest, load_problem,
-                     odd_brackets_to_json, problem_to_json, report_to_json,
-                     superalgebra_to_json, write_json_atomic)
-from .liealg import LieAlgebraError, validate_lie
-from .spbridge import InconsistentRatio, NotSymplectic
-from .symplectic import SymplecticError, validate_space
-from .weyl import SpaceMismatch
-
-_DOMAIN_ERRORS = (
-    ParseError, LinAlgError, SymplecticError, SpaceMismatch, NotSymplectic,
-    InconsistentRatio, LieAlgebraError, NotARepresentation, InternalDegreeLeak, OSError,
-)
+from .engine import (NotSuperLieType, construct_superalgebra_unchecked, decide,
+                     first_failing_triple, validate_rep, verify_superalgebra)
+from .exactla import SuperweylError
+from .jsonio import (canonical_dumps, file_digest, load_problem, odd_brackets_to_json,
+                     problem_to_json, report_to_json, superalgebra_to_json, write_json_atomic)
+from .liealg import validate_lie
+from .symplectic import validate_space
 
 
-def _fail(exc: Exception, status: int) -> int:
+def _fail(exc: SuperweylError | OSError, status: int) -> int:
     print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return status
 
@@ -97,14 +89,9 @@ def cmd_construct(args) -> int:
 
 def cmd_catalog(args) -> int:
     # only this verb loads the catalog, so the others do not pay for importing it
-    from .catalog import (CalibrationFailed, InvalidInput, TooLarge, UnknownInstance,
-                          build_instance)
+    from .catalog import build_instance
 
-    try:
-        rep = build_instance(args.name, args.parameters)
-    except (TooLarge, CalibrationFailed, UnknownInstance, InvalidInput) as exc:
-        return _fail(exc, 1)
-    obj = problem_to_json(rep)
+    obj = problem_to_json(build_instance(args.name, args.parameters))
     if args.out:
         write_json_atomic(args.out, obj)
         print(f"instance {args.name} written to {args.out}")
@@ -150,7 +137,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except NotSuperLieType as exc:
         return _fail(exc, 2)
-    except _DOMAIN_ERRORS as exc:
+    except (SuperweylError, OSError) as exc:
         return _fail(exc, 1)
 
 

@@ -30,7 +30,7 @@ of ``exactla``: operands scaled to integers by their common denominators,
 int accumulation, and one ``Fraction`` per output term.
 
 Every entry point takes its representation as validated (``validate_space``,
-``validate_lie``, and ``validate_rep``, the one ``is_in_sp`` test of nu).
+``validate_lie``, and ``validate_rep``, the one sp(omega) test of nu).
 Unvalidated, a matrix outside sp(omega) still raises ``NotSymplectic`` in the
 lift, and a degree-two part of the Casimir image ``InternalDegreeLeak(2)``;
 any other defect goes unseen.
@@ -53,25 +53,25 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 
-from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar, add_product,
-                      as_scalar, integer_columns, integer_tables, integer_vectors,
+from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar, SuperweylError,
+                      add_product, as_scalar, integer_columns, integer_tables, integer_vectors,
                       invariance_violation, is_nonsingular, record)
 from .liealg import QuadraticLieAlgebra, defect_columns
 from .spbridge import (NotSymplectic, quadratic_factors, quadratic_monomials, sp_to_quadratic,
                        trace_ratio_constant)
-from .symplectic import SymplecticSpace, Vector, is_in_sp
+from .symplectic import SymplecticSpace, Vector
 from .weyl import PolyElement, SpaceMismatch, contract, linear_coordinates
 
 _ZERO = as_scalar(0)
 
 
-class NotARepresentation(Exception):
+class NotARepresentation(SuperweylError):
     def __init__(self, i: int, j: int):
         self.pair = (i, j)
         super().__init__(f"matrix commutator disagrees with the bracket on basis pair ({i}, {j})")
 
 
-class InternalDegreeLeak(Exception):
+class InternalDegreeLeak(SuperweylError):
     """The Casimir image acquired a component in degree 1, 2 or 3.
 
     This cannot happen for valid input; it signals a bug, not bad data.
@@ -82,7 +82,7 @@ class InternalDegreeLeak(Exception):
         super().__init__(f"Casimir image has an impossible degree-{degree} component")
 
 
-class NotSuperLieType(Exception):
+class NotSuperLieType(SuperweylError):
     """Construction was requested but the degree-four obstruction is nonzero."""
 
     def __init__(self, obstruction: PolyElement):
@@ -136,14 +136,15 @@ class SymplecticRep:
 
 
 def validate_rep(rep: SymplecticRep) -> None:
-    """Check that every matrix preserves the form (``is_in_sp``) and that
-    the representation defect of the matrices against the adjoint matrices
-    of the algebra vanishes on every basis pair, on the integer columns of
-    ``defect_columns``."""
-    for i, m in enumerate(rep.matrices):
-        if not is_in_sp(rep.space, m):
-            raise NotSymplectic(index=i)
+    """Check that every matrix preserves the form, nu^T omega + omega nu = 0
+    (``invariance_violation``), and that the representation defect of the
+    matrices against the adjoint matrices of the algebra vanishes on every
+    basis pair (``defect_columns``), both on ``rep.matrix_columns``."""
     ad, rho, k = rep.algebra.adjoint_columns, rep.matrix_columns, rep.algebra.dim
+    _, (omega, omega_t) = rep.space.omega_columns
+    for i, nu in enumerate(rho.columns):
+        if invariance_violation(nu, omega, omega_t) is not None:
+            raise NotSymplectic(index=i)
     for i, j in combinations(range(k), 2):
         if defect_columns(ad, rho, k, i, j, range(rep.space.dim)):
             raise NotARepresentation(i, j)

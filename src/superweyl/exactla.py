@@ -26,6 +26,7 @@ with the same elimination.
 
 ``record`` makes the frozen value classes of every module: a small class
 decorator, so that importing the package does not load ``dataclasses``.
+``SuperweylError`` is the root of every exception class of the package.
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class LinAlgError(Exception):
+class SuperweylError(Exception):
+    """Base class of every error the package raises on purpose; the command
+    line reports these as one line of stderr, never as a traceback."""
+
+
+class LinAlgError(SuperweylError):
     """Base class for exact linear algebra failures."""
 
 

@@ -16,13 +16,13 @@ import re
 from collections.abc import Sequence
 
 from .engine import (CheckResult, SuperAlgebraData, SymplecticRep, TestReport)
-from .exactla import DimensionMismatch, Matrix, Scalar, as_scalar
+from .exactla import DimensionMismatch, Matrix, Scalar, SuperweylError, as_scalar
 from .liealg import QuadraticLieAlgebra
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
 from .weyl import PolyElement
 
 
-class ParseError(Exception):
+class ParseError(SuperweylError):
     """Malformed input file or object."""
 
 

@@ -8,13 +8,13 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar,
-                      SingularMatrix, add_product, as_scalar, integer_columns, integer_tables,
-                      invariance_violation, invert, record)
+                      SingularMatrix, SuperweylError, add_product, as_scalar, integer_columns,
+                      integer_tables, invariance_violation, invert, record)
 
 _ZERO = as_scalar(0)
 
 
-class LieAlgebraError(Exception):
+class LieAlgebraError(SuperweylError):
     """Base class for defective Lie algebra data."""
 
 

@@ -34,14 +34,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .exactla import DimensionMismatch, Matrix, Scalar, add_product, as_scalar, integer_columns
+from .exactla import (DimensionMismatch, Matrix, Scalar, SuperweylError, add_product, as_scalar,
+                      integer_columns)
 from .symplectic import SymplecticSpace, Vector, as_vector
 from .weyl import PolyElement, SpaceMismatch, bilinear_form, contract, linear_coordinates
 
 _ZERO = as_scalar(0)
 
 
-class NotSymplectic(Exception):
+class NotSymplectic(SuperweylError):
     """A matrix fails the infinitesimal symmetry condition."""
 
     def __init__(self, detail: str = "matrix does not preserve the form", index: int | None = None):
@@ -51,7 +52,7 @@ class NotSymplectic(Exception):
         super().__init__(detail)
 
 
-class InconsistentRatio(Exception):
+class InconsistentRatio(SuperweylError):
     """The quadratic pairing failed to be a single multiple of the trace form."""
 
 

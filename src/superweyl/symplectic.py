@@ -7,7 +7,8 @@ from collections.abc import Sequence
 from functools import cached_property
 
 from .exactla import (DimensionMismatch, IntegerColumns, Matrix, Scalar, SingularMatrix,
-                      as_scalar, integer_columns, invariance_violation, invert, record)
+                      SuperweylError, as_scalar, integer_columns, invariance_violation, invert,
+                      record)
 
 Vector = tuple[Scalar, ...]
 
@@ -16,7 +17,7 @@ Vector = tuple[Scalar, ...]
 MAX_STANDARD_DIM = 16
 
 
-class SymplecticError(Exception):
+class SymplecticError(SuperweylError):
     """Base class for defective symplectic data."""
 
 

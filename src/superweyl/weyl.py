@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .exactla import Scalar, as_scalar
+from .exactla import Scalar, SuperweylError, as_scalar
 from .symplectic import SymplecticSpace, Vector, as_vector
 
 _ZERO = as_scalar(0)
@@ -39,7 +39,7 @@ _ZERO = as_scalar(0)
 Exponent = tuple[int, ...]
 
 
-class SpaceMismatch(Exception):
+class SpaceMismatch(SuperweylError):
     """Operands live on different symplectic spaces."""
 
 

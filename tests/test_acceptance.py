@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 from oracles import (derivation_action, mat_add, mat_mul, mat_scale, mat_sub, odd_bracket,
                      odd_table, oracle_weyl_product, pair, permanent_pairing, sl2_casimir_trace)
@@ -265,7 +266,7 @@ def test_criterion_11_deterministic_reports(tmp_path):
     for p in paths:
         with contextlib.redirect_stdout(quiet):
             assert main(["test", problem, "--report", p]) == 0
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     assert blobs[0] == blobs[1]
     parsed = json.loads(blobs[0])
     assert parsed["verdict"] is True and parsed["casimir_scalar"] == "-3/8"

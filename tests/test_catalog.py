@@ -65,7 +65,8 @@ def test_trace_gram_sl2():
 
 
 def test_structure_constants_sl2():
-    table = matrix_structure_constants(sp_basis(1))
+    basis = sp_basis(1)
+    table = matrix_structure_constants(basis, trace_gram(basis))
     assert table[0][1] == {1: 2}
     assert table[0][2] == {2: -2}
     assert table[1][2] == {0: 1}
@@ -74,11 +75,13 @@ def test_structure_constants_sl2():
 
 def test_structure_constants_refuse_open_or_dependent_bases():
     e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    dependent = [e12, mat_scale(2, e12)]
     with pytest.raises(LinAlgError) as info:
-        matrix_structure_constants([e12, e21])  # [E12, E21] = diag(1, -1) is outside
+        # [E12, E21] = diag(1, -1) is outside
+        matrix_structure_constants([e12, e21], trace_gram([e12, e21]))
     assert not isinstance(info.value, SingularMatrix)
     with pytest.raises(SingularMatrix):
-        matrix_structure_constants([e12, mat_scale(2, e12)])
+        matrix_structure_constants(dependent, trace_gram(dependent))
 
 
 def _recombined(basis):
@@ -93,7 +96,8 @@ def test_structure_constants_match_flatten_and_solve_oracle():
     bases = ([so_basis(m) for m in range(1, 6)] + [sp_basis(n) for n in range(1, 4)]
              + [_recombined(sp_basis(2)), _recombined(so_basis(4))])
     for basis in bases:
-        assert matrix_structure_constants(basis) == oracle_structure_constants(basis)
+        assert (matrix_structure_constants(basis, trace_gram(basis))
+                == oracle_structure_constants(basis))
 
 
 def test_structure_constants_refuse_a_degenerate_trace_form():
@@ -103,7 +107,7 @@ def test_structure_constants_refuse_a_degenerate_trace_form():
                      for pos in ((0, 1), (1, 2), (0, 2)))
     assert oracle_structure_constants([e12, e23, e13])[0][1] == {2: 1}
     with pytest.raises(SingularMatrix):
-        matrix_structure_constants([e12, e23, e13])
+        matrix_structure_constants([e12, e23, e13], trace_gram([e12, e23, e13]))
 
 
 def test_catalog_builds_without_the_overdetermined_solve(monkeypatch):

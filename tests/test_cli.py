@@ -178,8 +178,8 @@ def test_test_flow_writes_deterministic_report(tmp_path):
     r2 = str(tmp_path / "r2.json")
     assert main(["test", path, "--report", r1]) == 0
     assert main(["test", path, "--report", r2]) == 0
-    b1 = open(r1, "rb").read()
-    b2 = open(r2, "rb").read()
+    b1 = Path(r1).read_bytes()
+    b2 = Path(r2).read_bytes()
     assert b1 == b2
     report = json.loads(b1)
     assert report["verdict"] is True
@@ -197,7 +197,7 @@ def test_test_flow_negative_instance(tmp_path):
     path = _write_instance(tmp_path, "spin", "3")
     report_path = str(tmp_path / "r.json")
     assert main(["test", path, "--report", report_path]) == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["verdict"] is False
     assert report["casimir_scalar"] is None
     assert report["odd_brackets"] is None
@@ -208,7 +208,7 @@ def test_construct_flow(tmp_path):
     path = _write_instance(tmp_path, "gl11")
     out = str(tmp_path / "s.json")
     assert main(["construct", path, "--out", out]) == 0
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     assert [0, 1, ["1", "1"]] in data["odd_brackets"]
     assert data["even"]["dim"] == 2
     assert all(c["pass"] for c in data["checks"])

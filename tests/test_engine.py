@@ -15,6 +15,7 @@ from oracles import (bracket, bracket_vectors, dense_adjoint, form_value, linear
                      mat_add, mat_apply, mat_mul, mat_scale, odd_bracket, odd_table, replace,
                      superalgebra_from_table)
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
+from superweyl.cli import main
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               NotSuperLieType, SuperAlgebraData, SymplecticRep,
                               casimir_image, construct_superalgebra,
@@ -172,9 +173,9 @@ def test_decide_takes_its_input_as_validated():
 def test_one_analysis_per_representation(monkeypatch):
     # the lifts run once, in casimir_image, and omega and B are inverted
     # once each, however many of the validators and entry points read them;
-    # only validate_rep tests nu against sp(omega), not the lift in spbridge,
-    # and the dual lifts and dual matrices are integer sums, with no
-    # Fraction linear combination
+    # nothing calls is_in_sp, since validate_rep tests nu against sp(omega)
+    # on rep.matrix_columns, and the dual lifts and dual matrices are
+    # integer sums, with no Fraction linear combination
     originals = {"sp_to_quadratic": superweyl.spbridge.sp_to_quadratic,
                  "solve_linear": superweyl.exactla.solve_linear,
                  "is_in_sp": superweyl.symplectic.is_in_sp,
@@ -198,7 +199,7 @@ def test_one_analysis_per_representation(monkeypatch):
     assert decide(rep).verdict
     construct_superalgebra_unchecked(rep)
     assert rep.algebra.dim == 10
-    assert counts == {"sp_to_quadratic": 10, "solve_linear": 2, "is_in_sp": 10,
+    assert counts == {"sp_to_quadratic": 10, "solve_linear": 2, "is_in_sp": 0,
                       "linear_combination": 0}
 
 
@@ -251,6 +252,35 @@ def test_forms_and_inverses_are_cleared_once_per_side(monkeypatch):
     assert all(check.passed for check in verify_superalgebra(s))
     assert cleared == {"B": 2, "omega": 2, "B^-1": 1, "omega^-1": 1}
     assert sorted(inverted) == [rep.space.dim, rep.algebra.dim]
+
+
+@pytest.mark.parametrize("name", ["conj-osp_even-2-1", "conj-spin-3"])
+def test_each_nu_is_cleared_once_to_validate_and_twice_to_test(monkeypatch, tmp_path, capsys,
+                                                               name):
+    # validate_rep tests nu against sp(omega) on rep.matrix_columns, the one
+    # clearing of nu outside the lift; the lift in sp_to_quadratic clears each
+    # nu_i once more.  verify clears nu again, on purpose, only as the odd
+    # block of its own adjoint matrices, at other rows, which this does not count
+    path = str(GOLDEN / f"{name}.json")
+    targets = [_nonzero(dict(enumerate(col)) for col in m.columns())
+               for m in load_problem(path).matrices]
+    cleared = [0] * len(targets)
+    vectors = superweyl.exactla.integer_vectors
+
+    def counted_vectors(arg):
+        seen = _nonzero(arg)
+        for t, target in enumerate(targets):
+            if any(seen[i:i + len(target)] == target for i in range(len(seen))):
+                cleared[t] += 1
+        return vectors(arg)
+
+    _patch_everywhere(monkeypatch, "integer_vectors", vectors, counted_vectors)
+    assert main(["validate", path]) == 0
+    assert cleared == [1] * len(targets)
+    cleared[:] = [0] * len(targets)
+    assert main(["test", path, "--report", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert cleared == [2] * len(targets)
 
 
 def test_decide_positive_instances():

@@ -7,6 +7,8 @@ function that the benchmark's tracer wraps must stay a module-level
 callable of its module, and the benchmark's traced CLI calls must reach
 every function its checker requires.  Every name the package exports
 exists, once, and every other module uses each name it imports.  Every
+exception class of the package derives from ``exactla.SuperweylError``, the
+one class the command line catches for exit status 1.  Every
 module-level function has a caller in the package, is exported, or is
 traced by the benchmark: a helper that only tests use lives in
 ``tests/oracles.py``.  ``Matrix`` is a container: each of its methods is a
@@ -18,6 +20,7 @@ a view on the fraction-free kernel: each ``cached_property`` returns
 """
 
 import ast
+import builtins
 import collections
 import importlib
 import importlib.util
@@ -30,6 +33,7 @@ import pytest
 
 import superweyl
 from superweyl import cli
+from superweyl.exactla import SuperweylError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "superweyl"
@@ -71,6 +75,43 @@ def test_public_names_exist_once():
     names = superweyl.__all__
     assert [name for name in names if not hasattr(superweyl, name)] == []
     assert len(set(names)) == len(names)
+
+
+def error_classes(module) -> dict[str, bool]:
+    """Each exception class defined in ``module``, and whether it derives
+    from ``SuperweylError``."""
+    return {name: issubclass(obj, SuperweylError) for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__}
+
+
+def test_every_error_derives_from_superweyl_error():
+    modules = [importlib.import_module("superweyl" if path.stem == "__init__"
+                                       else f"superweyl.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    errors = {f"{module.__name__}.{name}": ours for module in modules
+              for name, ours in error_classes(module).items()}
+    assert {"superweyl.exactla.SuperweylError", "superweyl.catalog.InvalidInput"} <= set(errors)
+    assert [name for name, ours in errors.items() if not ours] == []
+    # so the command line names no error of its own but the one with its own exit status
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    named = {node.id: getattr(cli, node.id, getattr(builtins, node.id, None))
+             for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name for name, obj in named.items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)} == {
+        "SuperweylError", "NotSuperLieType", "OSError"}
+
+
+def test_error_root_detector(tmp_path):
+    sample = tmp_path / "sample_errors.py"
+    sample.write_text("from superweyl.exactla import LinAlgError, SuperweylError\n\n"
+                      "class Oops(Exception):\n    pass\n\nclass Sub(Oops):\n    pass\n\n"
+                      "class Fine(SuperweylError, ValueError):\n    pass\n\n"
+                      "class Linear(LinAlgError):\n    pass\n")
+    spec = importlib.util.spec_from_file_location("sample_errors", sample)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert error_classes(module) == {"Oops": False, "Sub": False, "Fine": True, "Linear": True}
 
 
 def unused_imports(path: Path) -> list[str]:
