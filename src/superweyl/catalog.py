@@ -31,7 +31,7 @@ from .engine import (SuperAlgebraData, SymplecticRep, casimir_image, construct_s
                      verify_superalgebra)
 from .exactla import (LinAlgError, Matrix, Scalar, SuperweylError, add_product, as_scalar,
                       integer_columns, integer_tables, invert, kernel_basis)
-from .liealg import QuadraticLieAlgebra, defect_columns
+from .liealg import QuadraticLieAlgebra, bracket_table, defect_columns
 from .spbridge import NotSymplectic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
 
@@ -104,9 +104,9 @@ def trace_gram(basis: Sequence[Matrix]) -> Matrix:
 
 
 def matrix_structure_constants(basis: Sequence[Matrix], gram: Matrix
-                               ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
+                               ) -> dict[tuple[int, int], dict[int, Scalar]]:
     """Expand commutators of basis matrices back in the basis, as the
-    sparse table of ``QuadraticLieAlgebra.brackets``.  The basis must be
+    pair map of ``QuadraticLieAlgebra.brackets``.  The basis must be
     closed under commutators and its trace form G, given as ``gram``
     (``trace_gram``), nonsingular: coordinate l of [b_i, b_j] is
     sum_m (G^-1)_lm tr([b_i, b_j] b_m).
@@ -114,11 +114,11 @@ def matrix_structure_constants(basis: Sequence[Matrix], gram: Matrix
     On the integer columns of d b_i, the commutators d^2 [b_i, b_j], for
     i < j, and their traces against d b_m are ints, and each coordinate is
     one division.  A singular G raises ``SingularMatrix``, as every
-    dependent basis does.  The table is then checked as the representation
+    dependent basis does.  The map is then checked as the representation
     defect of the basis (``liealg.defect_columns``); a basis that is not
     closed raises ``LinAlgError``."""
     if not basis:
-        return ()
+        return {}
     k, size = len(basis), basis[0].rows
     d, b = integer_columns(basis)
     e, (inverse,) = integer_columns([invert(gram)])
@@ -128,17 +128,17 @@ def matrix_structure_constants(basis: Sequence[Matrix], gram: Matrix
         for r, col in enumerate(cols):
             for z, x in col.items():
                 against[r * size + z][m] = x
-    table = [[{} for _ in range(k)] for _ in range(k)]
+    brackets = {}
     for i, j in combinations(range(k), 2):
         commutator = {r * size + z: c for z in range(size) for r, c in
                       add_product(add_product({}, b[i], b[j][z]), b[j], b[i][z], -1).items() if c}
         coords = add_product({}, inverse, add_product({}, against, commutator))
-        table[i][j] = {l: Fraction(x, e * d ** 3) for l, x in coords.items() if x}
-        table[j][i] = {l: -c for l, c in table[i][j].items()}
-    ad = integer_tables(table)
+        if col := {l: Fraction(x, e * d ** 3) for l, x in coords.items() if x}:
+            brackets[i, j] = col
+    ad = integer_tables(bracket_table(brackets, k))
     if any(defect_columns(ad, (d, b), k, i, j, range(size)) for i, j in combinations(range(k), 2)):
         raise LinAlgError("the basis is not closed under commutators")
-    return tuple(map(tuple, table))
+    return brackets
 
 
 def _summand(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
@@ -152,15 +152,13 @@ def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
     """Direct sum with the block-diagonal form sum_s scales[s] B_s; cross
     brackets are zero, and each summand's bracket keys move by its offset."""
     total, offset = sum(g.dim for g in summands), 0
-    brackets = [[{} for _ in range(total)] for _ in range(total)]
-    form = {}
+    brackets, form = {}, {}
     for g, scale in zip(summands, scales):
-        end = offset + g.dim
-        for i, row in enumerate(g.brackets):
-            brackets[offset + i][offset:end] = [{offset + l: c for l, c in v.items()} for v in row]
+        brackets |= {(offset + i, offset + j): {offset + l: c for l, c in col.items()}
+                     for (i, j), col in g.brackets.items()}
         form |= {(offset + i, offset + j): scale * x for (i, j), x in _entries(g.form).items()}
-        offset = end
-    return QuadraticLieAlgebra(total, tuple(map(tuple, brackets)), _matrix(form, total))
+        offset += g.dim
+    return QuadraticLieAlgebra(total, brackets, _matrix(form, total))
 
 
 def calibrate_scales(space: SymplecticSpace,
@@ -272,17 +270,15 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
     kk = 2 * k
     nn = 2 * n
 
-    # even brackets: [x_i, x_l] from s, and [x_i, w_j] = -sum_l c_il^j w_l,
-    # the contragredient action, for [x_i, x_l] = sum_j c_il^j x_j
-    brackets = [[{} for _ in range(kk)] for _ in range(kk)]
-    for i, row in enumerate(base.brackets):
-        for l, col in enumerate(row):
-            brackets[i][l] = dict(col)
-            for j, c in col.items():
-                brackets[i][k + j][k + l] = -c
-                brackets[k + j][i][k + l] = c
+    # even brackets: [x_i, x_l] = sum_j c_il^j x_j from s, and the contragredient
+    # action [x_i, w_j] = -sum_l c_il^j w_l, a pair i < l giving c_il and c_li = -c_il
+    brackets = dict(base.brackets)
+    for (i, l), col in base.brackets.items():
+        for j, c in col.items():
+            brackets.setdefault((i, k + j), {})[k + l] = -c
+            brackets.setdefault((l, k + j), {})[k + i] = c
     form_even = _matrix({(i, k + i): 1 for i in range(k)} | {(k + i, i): 1 for i in range(k)}, kk)
-    even = QuadraticLieAlgebra(kk, tuple(map(tuple, brackets)), form_even)
+    even = QuadraticLieAlgebra(kk, brackets, form_even)
 
     # odd form on basis (y_0..y_{n-1}, z_0..z_{n-1}): (y_b, z_a) = -delta
     form_odd = _matrix({(i, n + i): -1 for i in range(n)} | {(n + i, i): 1 for i in range(n)}, nn)

@@ -40,11 +40,11 @@ exists but fails the odd-odd-odd super Jacobi identity, and the failure is
 measured exactly by contracting the obstruction three times
 (``jacobiator_from_obstruction``).
 
-Both brackets of a ``SuperAlgebraData`` are stored in one sparse format,
-the nonzero coordinates {l: c} of one bracket: ``rep.algebra.brackets[i][j]``
-for [x_i, x_j] and ``odd_odd[(a, b)]`` for [y_a, y_b], a pair whose bracket
-is zero being absent.  Its checks read ``adjoint_columns`` and ``gram_columns``,
-taken off those tables and B and omega alone, never off a cached value.
+Both brackets of a ``SuperAlgebraData`` are stored once per pair, as the
+nonzero coordinates {l: c}: ``rep.algebra.brackets[(i, j)]`` of [x_i, x_j],
+i < j, and ``odd_odd[(a, b)]`` of [y_a, y_b], a <= b, a zero bracket being
+absent.  Its checks read ``adjoint_columns`` and ``gram_columns``, taken
+off those maps and B and omega alone, never off a cached value.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from itertools import combinations, permutations, product
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar, SuperweylError,
                       add_product, as_scalar, integer_columns, integer_tables, integer_vectors,
                       invariance_violation, is_nonsingular, record)
-from .liealg import QuadraticLieAlgebra, defect_columns
+from .liealg import QuadraticLieAlgebra, bracket_table, defect_columns
 from .spbridge import (NotSymplectic, quadratic_factors, quadratic_monomials, sp_to_quadratic,
                        trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector
@@ -348,15 +348,15 @@ class SuperAlgebraData:
         kernel, once per structure: column u of ad_t holds the coordinates
         of [e_t, e_u].  Read off ``rep.algebra.brackets``, ``rep.matrices``
         and ``odd_odd`` alone, never off a cache of the validators or the
-        engine: even ad_t is the block sum of ``rep.algebra.brackets[t]``,
-        as it is, and nu_t; odd ad_{k+a} has the columns -nu_u e_a (u < k)
-        and the maps [y_a, y_b] of ``odd_odd``, as they are."""
+        engine: even ad_t is the block sum of row t of ``bracket_table``
+        and nu_t; odd ad_{k+a} has the columns -nu_u e_a (u < k) and the
+        maps [y_a, y_b] of ``odd_odd``, as they are."""
         algebra, nus = self.rep.algebra, self.rep.matrices
         k, n = algebra.dim, self.rep.space.dim
         # nu_t e_a for every t and a, on the odd rows k..k+n-1
         images = [[{k + i: row[a] for i, row in enumerate(nu.data) if row[a]} for a in range(n)]
                   for nu in nus]
-        even = [list(row) + image for row, image in zip(algebra.brackets, images)]
+        even = [row + image for row, image in zip(bracket_table(algebra.brackets, k), images)]
         odd = [[{i: -x for i, x in image[a].items()} for image in images]
                + [self.odd_bracket(a, b) for b in range(n)]
                for a in range(n)]
@@ -415,13 +415,14 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     tables and Gram blocks are read, never the engine's lifts.
 
     The identities are tested on ``s.adjoint_columns`` and ``s.gram_columns``,
-    with no ``Fraction`` product or ``Matrix`` comparison.  Once graded
-    antisymmetry holds, the Jacobi defect J(x, y, z) (column z of
-    ``defect_columns`` on (x, y)) is totally graded-antisymmetric: swapping
-    two neighbouring arguments u, w multiplies it by -(-1)^{|u||w|}.  So J
-    is computed once per sorted triple x <= y <= z, a nonzero one stands for
-    all its permutations, and a sector's witness is the first of these in
-    basis order; when antisymmetry fails, every ordered triple is computed."""
+    with no ``Fraction`` product or ``Matrix`` comparison.  Graded
+    antisymmetry holds by construction, the brackets being stored once per
+    pair; its check guards the expansion in ``adjoint_columns``.  So the
+    Jacobi defect J(x, y, z) (column z of ``defect_columns`` on (x, y)) is
+    totally graded-antisymmetric: swapping two neighbouring arguments u, w
+    multiplies it by -(-1)^{|u||w|}, and J is computed once per sorted
+    triple x <= y <= z, a nonzero one standing for all its permutations; a
+    sector's witness is the first of these in basis order."""
     cols, k, basis = s.adjoint_columns, s.rep.algebra.dim, range(s.dim)
     c = cols.columns
     checks: list[CheckResult] = []
@@ -429,17 +430,12 @@ def verify_superalgebra(s: SuperAlgebraData) -> list[CheckResult]:
     witness = next((_located(s, x, y) for x, y in product(basis, repeat=2)
                     if c[x][y] != {r: v if x >= k and y >= k else -v
                                    for r, v in c[y][x].items()}), None)
-    antisymmetric = witness is None
-    checks.append(CheckResult("graded_antisymmetry", antisymmetric, witness))
+    checks.append(CheckResult("graded_antisymmetry", witness is None, witness))
 
     parity = [s.label(u)[0] for u in basis]
-    if antisymmetric:
-        violations = (t for x in basis for y in range(x, s.dim)
-                      for z in defect_columns(cols, cols, k, x, y, range(y, s.dim))
-                      for t in permutations((x, y, z)))
-    else:
-        violations = ((x, y, z) for x, y in product(basis, repeat=2)
-                      for z in defect_columns(cols, cols, k, x, y, basis))
+    violations = (t for x in basis for y in range(x, s.dim)
+                  for z in defect_columns(cols, cols, k, x, y, range(y, s.dim))
+                  for t in permutations((x, y, z)))
     first: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for t in violations:
         sector = tuple(parity[u] for u in t)

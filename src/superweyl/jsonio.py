@@ -110,8 +110,8 @@ def space_from_json(obj) -> SymplecticSpace:
 
 
 def algebra_to_json(g: QuadraticLieAlgebra) -> dict:
-    entries = [[i, j, l, scalar_to_str(c)] for i in range(g.dim) for j in range(i + 1, g.dim)
-               for l, c in sorted(g.brackets[i][j].items())]
+    entries = [[i, j, l, scalar_to_str(c)] for (i, j), col in sorted(g.brackets.items())
+               for l, c in sorted(col.items())]
     return {"dim": g.dim, "brackets": entries, "form": matrix_to_json(g.form)}
 
 
@@ -242,18 +242,22 @@ def canonical_dumps(obj) -> str:
 def write_json_atomic(path: str, obj) -> None:
     """Serialize canonically into a new file of mode 0600 beside ``path``
     and rename it into place, so readers never see a partial file; on any
-    failure the temporary file is removed and ``path`` is left as it was."""
+    failure the temporary file is removed and ``path`` is left as it was;
+    an ``OSError`` names ``path`` as given, never the temporary file."""
     text = canonical_dumps(obj)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) if exc.filename is not None else exc
 
 
 def file_digest(path: str) -> str:

@@ -1,11 +1,12 @@
-"""Finite-dimensional Lie algebras over Q with an invariant nonsingular form;
+"""Finite-dimensional Lie algebras over Q with an invariant nonsingular form,
+each bracket stored once per pair i < j, so antisymmetric by construction;
 an algebra caches its brackets and inverse form only as integer columns."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar,
                       SingularMatrix, SuperweylError, add_product, as_scalar, integer_columns,
@@ -16,12 +17,6 @@ _ZERO = as_scalar(0)
 
 class LieAlgebraError(SuperweylError):
     """Base class for defective Lie algebra data."""
-
-
-class NotAntisymmetric(LieAlgebraError):
-    def __init__(self, i: int, j: int):
-        self.pair = (i, j)
-        super().__init__(f"bracket table is not antisymmetric at basis pair ({i}, {j})")
 
 
 class JacobiFails(LieAlgebraError):
@@ -45,25 +40,26 @@ class FormNotInvariant(LieAlgebraError):
 class QuadraticLieAlgebra:
     """Structure constants and a symmetric bilinear form on a fixed basis.
 
-    ``brackets[i][j]`` maps l to the nonzero coefficients on x_l of the
-    bracket of basis elements i and j: sparse column j of ad_i, in any k x k
-    table, antisymmetric or not.  Construction checks shapes and refuses a
-    zero coefficient, so equal algebras have equal tables; the mathematical
-    axioms are checked by ``validate_lie``.
+    ``brackets[(i, j)]``, for i < j, maps l to the nonzero coefficients on
+    x_l of [x_i, x_j], in the format of ``engine.SuperAlgebraData.odd_odd``;
+    a zero bracket is absent, [x_j, x_i] is the negative and [x_i, x_i] zero.
+    Construction checks the keys and refuses a zero coefficient or an empty
+    map, so equal algebras have equal records; ``validate_lie`` does the rest.
     """
 
     dim: int
-    brackets: tuple[tuple[dict[int, Scalar], ...], ...]
+    brackets: dict[tuple[int, int], dict[int, Scalar]]
     form: Matrix
 
     def __post_init__(self):
         k = self.dim
-        if len(self.brackets) != k or any(len(row) != k for row in self.brackets):
-            raise DimensionMismatch("bracket table must be dim x dim")
-        if any(l not in range(k) for row in self.brackets for col in row for l in col):
-            raise DimensionMismatch("bracket coordinates must lie in range(dim)")
-        if not all(c for row in self.brackets for col in row for c in col.values()):
-            raise ValueError("bracket table stores a zero coefficient")
+        for key, col in self.brackets.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] < key[1] < k):
+                raise ValueError(f"bracket key {key!r} is not a pair i < j < {k}")
+            if any(l not in range(k) for l in col):
+                raise DimensionMismatch(f"bracket {key} has a coordinate outside range({k})")
+            if not col or not all(col.values()):
+                raise ValueError(f"bracket {key} stores a zero coefficient or an empty map")
         if self.form.rows != k or self.form.cols != k:
             raise DimensionMismatch("form matrix must be dim x dim")
 
@@ -72,19 +68,17 @@ class QuadraticLieAlgebra:
                     form: Matrix) -> "QuadraticLieAlgebra":
         """Build from sparse entries (i, j, l, value) with i < j meaning the
         bracket of x_i and x_j has coefficient value on x_l.  Repeated
-        entries add up, and those that cancel are dropped.  The
-        antisymmetric completion is automatic."""
-        table = [[{} for _ in range(dim)] for _ in range(dim)]
+        entries add up, and those that cancel are dropped."""
+        sums: dict[tuple[int, int], dict[int, Scalar]] = {}
         for i, j, l, value in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= l < dim):
                 raise IndexError(f"bracket entry ({i}, {j}, {l}) out of range")
             if i >= j:
                 raise ValueError(f"sparse bracket entries need i < j, got ({i}, {j})")
-            c = as_scalar(value)
-            table[i][j][l] = table[i][j].get(l, _ZERO) + c
-            table[j][i][l] = table[j][i].get(l, _ZERO) - c
-        frozen = tuple(tuple({l: c for l, c in col.items() if c} for col in row) for row in table)
-        return cls(dim, frozen, form)
+            col = sums.setdefault((i, j), {})
+            col[l] = col.get(l, _ZERO) + as_scalar(value)
+        return cls(dim, {key: nonzero for key, col in sums.items()
+                         if (nonzero := {l: c for l, c in col.items() if c})}, form)
 
     @classmethod
     def abelian(cls, dim: int, form: Matrix | None = None) -> "QuadraticLieAlgebra":
@@ -94,9 +88,9 @@ class QuadraticLieAlgebra:
 
     @cached_property
     def adjoint_columns(self) -> IntegerColumns:
-        """The matrices ad_i on the fraction-free kernel: ``brackets`` with
-        its denominators cleared.  Built once per algebra."""
-        return integer_tables(self.brackets)
+        """The matrices ad_i on the fraction-free kernel: ``bracket_table``
+        with its denominators cleared.  Built once per algebra."""
+        return integer_tables(bracket_table(self.brackets, self.dim))
 
     @cached_property
     def form_inverse_columns(self) -> IntegerColumns:
@@ -104,6 +98,18 @@ class QuadraticLieAlgebra:
         dual vector x^i of ``casimir_pairs``; once per algebra.  Raises
         ``FormSingular``."""
         return integer_tables([[dict(enumerate(dual)) for dual in casimir_pairs(self)]])
+
+
+def bracket_table(brackets: Mapping[tuple[int, int], dict[int, Scalar]], k: int
+                  ) -> list[list[dict[int, Scalar]]]:
+    """The k x k table of ad columns of the pair map ``brackets``: entry
+    [i][j] holds the nonzero coordinates of [x_i, x_j], the stored map for
+    i < j, its negative for i > j, and none on the diagonal."""
+    table: list[list[dict[int, Scalar]]] = [[{} for _ in range(k)] for _ in range(k)]
+    for (i, j), col in brackets.items():
+        table[i][j] = col
+        table[j][i] = {l: -c for l, c in col.items()}
+    return table
 
 
 def defect_columns(ad: IntegerColumns, rho: IntegerColumns, k: int, x: int, y: int,
@@ -135,19 +141,14 @@ def defect_columns(ad: IntegerColumns, rho: IntegerColumns, k: int, x: int, y: i
 
 
 def validate_lie(g: QuadraticLieAlgebra) -> None:
-    """Check antisymmetry, the Jacobi identity, and that the form is
-    symmetric, nonsingular and ad-invariant, as identities of the adjoint
-    matrices on the integer columns of ``g.adjoint_columns``:
-    ad_i e_j = -ad_j e_i, ``defect_columns(ad, ad, ...)`` is empty, and
-    ad_i^T B + B ad_i = 0 (``invariance_violation``), B being symmetric on
-    its integer columns and ``g.form_inverse_columns`` existing.  No
-    ``Fraction`` product is formed.  Raises the first violation."""
+    """Check the Jacobi identity, and that the form is symmetric, nonsingular
+    and ad-invariant, as identities of the adjoint matrices on the integer
+    columns of ``g.adjoint_columns``: ``defect_columns(ad, ad, ...)`` is
+    empty, and ad_i^T B + B ad_i = 0 (``invariance_violation``), B being
+    symmetric on its integer columns and ``g.form_inverse_columns`` existing.
+    No ``Fraction`` product is formed.  Raises the first violation."""
     ad, k = g.adjoint_columns, g.dim
-    cols = ad.columns
-    for i, j in product(range(k), repeat=2):
-        if cols[i][j] != {r: -c for r, c in cols[j][i].items()}:
-            raise NotAntisymmetric(i, j)
-    # with antisymmetry, column l of the defect on (i, j) is minus the
+    # by antisymmetry, column l of the defect on (i, j) is minus the
     # cyclic sum [[i,j],l] + [[j,l],i] + [[l,i],j]
     for i, j in combinations(range(k - 1), 2):
         defect = defect_columns(ad, ad, k, i, j, range(j + 1, k))
@@ -157,7 +158,7 @@ def validate_lie(g: QuadraticLieAlgebra) -> None:
     if any(form[i].get(j, 0) != x for j, col in enumerate(form) for i, x in col.items()):
         raise FormSingular("form matrix is not symmetric")
     g.form_inverse_columns
-    for i, ad_i in enumerate(cols):
+    for i, ad_i in enumerate(ad.columns):
         hit = invariance_violation(ad_i, form, form)  # B is symmetric here
         if hit is not None:
             raise FormNotInvariant(i, *hit)

@@ -18,8 +18,8 @@ and the engine is the backbone of the suite.
 
 The first section holds the plain ``Fraction`` helpers that only the tests
 use: a changed copy of a record, the dense coordinates of an even or odd
-basis bracket, the dense odd table, an algebra or a superalgebra from a
-dense bracket table,
+basis bracket, the dense odd table, an algebra or a superalgebra from
+dense brackets given once per pair,
 linear combinations, the dense ``Matrix`` arithmetic that the package does
 not define (sums, differences, negation, products, scalar multiples,
 ``mat_apply``, ``mat_trace`` and ``mat_is_zero``, with the shape errors
@@ -36,8 +36,7 @@ from itertools import permutations, product
 from superweyl.engine import CheckResult, NotARepresentation, SuperAlgebraData
 from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix, as_scalar,
                                invert, solve_linear, solve_overdetermined)
-from superweyl.liealg import (FormNotInvariant, FormSingular, JacobiFails, NotAntisymmetric,
-                              QuadraticLieAlgebra)
+from superweyl.liealg import FormNotInvariant, FormSingular, JacobiFails, QuadraticLieAlgebra
 from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_monomials,
                                 quadratic_pairing, quadratic_to_sp)
 from superweyl.symplectic import SymplecticSpace, as_vector, is_in_sp
@@ -146,17 +145,22 @@ def replace(obj, **changes):
 
 
 def bracket(g: QuadraticLieAlgebra, i: int, j: int) -> tuple[Scalar, ...]:
-    """The coordinates of [x_i, x_j] as a dense tuple."""
-    col = g.brackets[i][j]
+    """The coordinates of [x_i, x_j] as a dense tuple: the stored pair for
+    i < j, its negative for i > j, and zero for i = j."""
+    if i > j:
+        return tuple(-c for c in bracket(g, j, i))
+    col = g.brackets.get((i, j), {})
     return tuple(col.get(l, _ZERO) for l in range(g.dim))
 
 
-def algebra_from_table(table: Sequence[Sequence[Sequence]], form: Matrix) -> QuadraticLieAlgebra:
-    """The algebra whose bracket [x_i, x_j] has the dense coordinates
-    ``table[i][j]``; the table need not be antisymmetric."""
-    return QuadraticLieAlgebra(len(table), tuple(
-        tuple({l: Fraction(c) for l, c in enumerate(coords) if c} for coords in row)
-        for row in table), form)
+def algebra_from_table(table: Mapping[tuple[int, int], Sequence], form: Matrix
+                       ) -> QuadraticLieAlgebra:
+    """The algebra of dimension ``form.rows`` whose bracket [x_i, x_j],
+    i < j, has the dense coordinates ``table[(i, j)]``, which may hold
+    zeros; a pair left out of ``table`` has a zero bracket."""
+    columns = {key: {l: Fraction(c) for l, c in enumerate(coords) if c}
+               for key, coords in table.items()}
+    return QuadraticLieAlgebra(form.rows, {key: col for key, col in columns.items() if col}, form)
 
 
 def odd_bracket(s: SuperAlgebraData, a: int, b: int) -> tuple[Scalar, ...]:
@@ -182,16 +186,14 @@ def superalgebra_from_table(rep, table: Mapping[tuple[int, int], Sequence]) -> S
 
 def bracket_vectors(g: QuadraticLieAlgebra, x: Sequence[Scalar],
                     y: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """Bilinear extension of the bracket of g to coordinate vectors."""
+    """Bilinear extension of the bracket of g to coordinate vectors: each
+    stored pair i < j weighs [x_i, x_j] by x_i y_j - x_j y_i."""
     out = [_ZERO] * g.dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            for l, c in g.brackets[i][j].items():
-                out[l] += xi * yj * c
+    for (i, j), col in g.brackets.items():
+        weight = x[i] * y[j] - x[j] * y[i]
+        if weight:
+            for l, c in col.items():
+                out[l] += weight * c
     return tuple(out)
 
 
@@ -403,35 +405,33 @@ def oracle_quadratic_lift_adjoint(rep, w: PolyElement) -> tuple[Fraction, ...]:
 
 
 def oracle_structure_constants(basis: Sequence[Matrix]
-                               ) -> tuple[tuple[dict[int, Scalar], ...], ...]:
-    """The sparse bracket table of the matrix Lie algebra spanned by
-    ``basis``: all k^2 commutators, flattened to columns, solved at once
-    against the flattened basis.  Needs a closed, linearly independent
-    basis, but no nonsingular trace form."""
-    if not basis:
-        return ()
-    k = len(basis)
+                               ) -> dict[tuple[int, int], dict[int, Scalar]]:
+    """The pair map of brackets of the matrix Lie algebra spanned by
+    ``basis``: the commutators of the pairs i < j, flattened to columns,
+    solved at once against the flattened basis.  Needs a closed, linearly
+    independent basis, but no nonsingular trace form."""
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    if not pairs:
+        return {}
 
     def flat(m: Matrix) -> tuple[Scalar, ...]:
         return tuple(x for row in m.data for x in row)
 
-    commutators = [flat(mat_sub(mat_mul(a, b), mat_mul(b, a))) for a in basis for b in basis]
+    commutators = [flat(mat_sub(mat_mul(basis[i], basis[j]), mat_mul(basis[j], basis[i])))
+                   for i, j in pairs]
     coords = solve_overdetermined(Matrix.from_columns([flat(b) for b in basis]),
                                   Matrix.from_columns(commutators))
-    return tuple(tuple({l: c for l, c in enumerate(coords.col(i * k + j)) if c} for j in range(k))
-                 for i in range(k))
+    columns = {pair: {l: c for l, c in enumerate(coords.col(t)) if c}
+               for t, pair in enumerate(pairs)}
+    return {pair: col for pair, col in columns.items() if col}
 
 
 def oracle_validate_lie(g) -> None:
-    """``validate_lie`` through brackets of coordinate vectors: antisymmetry
-    on every pair, the cyclic Jacobi sum on every triple i < j < l, and
-    ([x_i, x_j], x_l) + (x_j, [x_i, x_l]) = 0 on every triple, raising the
-    first violation in that order."""
+    """``validate_lie`` through brackets of coordinate vectors: the cyclic
+    Jacobi sum on every triple i < j < l, and ([x_i, x_j], x_l) +
+    (x_j, [x_i, x_l]) = 0 on every triple, raising the first violation in
+    that order."""
     k = g.dim
-    for i in range(k):
-        for j in range(k):
-            if any(a != -b for a, b in zip(bracket(g, i, j), bracket(g, j, i))):
-                raise NotAntisymmetric(i, j)
     units = [tuple(Fraction(int(t == l)) for t in range(k)) for l in range(k)]
     for i in range(k):
         for j in range(i + 1, k):

@@ -66,11 +66,8 @@ def test_trace_gram_sl2():
 
 def test_structure_constants_sl2():
     basis = sp_basis(1)
-    table = matrix_structure_constants(basis, trace_gram(basis))
-    assert table[0][1] == {1: 2}
-    assert table[0][2] == {2: -2}
-    assert table[1][2] == {0: 1}
-    assert table[2][1] == {0: -1}
+    assert matrix_structure_constants(basis, trace_gram(basis)) == {
+        (0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
 
 
 def test_structure_constants_refuse_open_or_dependent_bases():
@@ -105,7 +102,7 @@ def test_structure_constants_refuse_a_degenerate_trace_form():
     # every product of two basis matrices is nilpotent, so its trace form is zero
     e12, e23, e13 = (Matrix([[int((r, c) == pos) for c in range(3)] for r in range(3)])
                      for pos in ((0, 1), (1, 2), (0, 2)))
-    assert oracle_structure_constants([e12, e23, e13])[0][1] == {2: 1}
+    assert oracle_structure_constants([e12, e23, e13]) == {(0, 1): {2: 1}}
     with pytest.raises(SingularMatrix):
         matrix_structure_constants([e12, e23, e13], trace_gram([e12, e23, e13]))
 

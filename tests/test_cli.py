@@ -147,13 +147,20 @@ def test_atomic_write(tmp_path, monkeypatch, capsys):
     assert target.read_text() == canonical_dumps({"x": 1})
     monkeypatch.undo()
 
-    # a target in a missing directory is an OSError: exit 1, one line
-    report = tmp_path / "missing" / "report.json"
-    assert main(["test", str(GOLDEN / "gl11.json"), "--report", str(report)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("FileNotFoundError:") and captured.err.count("\n") == 1
-    assert not report.parent.exists()
+    # a target in a missing directory, or one that is a directory, is an
+    # OSError: exit 1 and one line that names the path as given, the same
+    # on every run, never the random temporary file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    expected = {"missing/report.json": "FileNotFoundError: [Errno 2] No such file or directory: "
+                                       "'missing/report.json'\n",
+                "adir": "IsADirectoryError: [Errno 21] Is a directory: 'adir'\n"}
+    for report, line in expected.items():
+        for _ in range(2):
+            assert main(["test", str(GOLDEN / "gl11.json"), "--report", report]) == 1
+            assert capsys.readouterr() == ("", line)
+    assert sorted(os.listdir(tmp_path)) == ["adir", "out.json"]
+    assert os.listdir(tmp_path / "adir") == []
 
 
 # -- command-line flows ----------------------------------------------------

@@ -267,8 +267,8 @@ def _change_basis(rep: SymplecticRep, p: Matrix, q: Matrix) -> SymplecticRep:
     y'_a = sum_c Q_ca y_c of v: B' = P^T B P, brackets re-expanded through
     P^-1, nu'_i = sum_j P_ji Q^-1 nu_j Q and omega' = Q^T omega Q."""
     k, p_inv = rep.algebra.dim, invert(p)
-    table = [[mat_apply(p_inv, bracket_vectors(rep.algebra, p.col(i), p.col(j)))
-              for j in range(k)] for i in range(k)]
+    table = {(i, j): mat_apply(p_inv, bracket_vectors(rep.algebra, p.col(i), p.col(j)))
+             for i in range(k) for j in range(i + 1, k)}
     algebra = algebra_from_table(table, mat_mul(p.transpose(), rep.algebra.form, p))
     conjugated = _conjugate_space(rep, q)
     zero = Matrix.zeros(rep.space.dim, rep.space.dim)

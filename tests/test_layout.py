@@ -16,7 +16,9 @@ value-type dunder or has a caller in the package, so it defines no
 arithmetic, which the tests take from ``tests/oracles.py``.  Importing the
 command line loads only what its verbs run.  Every value a record caches is
 a view on the fraction-free kernel: each ``cached_property`` returns
-``IntegerColumns``.
+``IntegerColumns``.  The even and the odd bracket have one format: the
+fields ``QuadraticLieAlgebra.brackets`` and ``SuperAlgebraData.odd_odd``
+carry the same annotation.
 """
 
 import ast
@@ -33,7 +35,9 @@ import pytest
 
 import superweyl
 from superweyl import cli
+from superweyl.engine import SuperAlgebraData
 from superweyl.exactla import SuperweylError
+from superweyl.liealg import QuadraticLieAlgebra
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "superweyl"
@@ -155,6 +159,12 @@ def test_records_cache_only_integer_views():
     assert ("omega_columns", "IntegerColumns") in views["symplectic.py"]
     assert [f"{name}: {view} -> {returns or 'no annotation'}" for name, found in views.items()
             for view, returns in found if returns != "IntegerColumns"] == []
+
+
+def test_both_brackets_have_one_format():
+    even = QuadraticLieAlgebra.__annotations__["brackets"]
+    assert even == SuperAlgebraData.__annotations__["odd_odd"]
+    assert even == "dict[tuple[int, int], dict[int, Scalar]]"
 
 
 def test_cached_view_detector(tmp_path):

@@ -5,10 +5,11 @@ oracle brackets basis elements one triple at a time.  Both must return the
 same twelve ``CheckResult`` values, witness strings included, on passing
 structures, on candidates that fail the odd Jacobi sector, on dense
 conjugated data, on every single-entry perturbation of small tables, and on
-odd-bracket perturbations of the positive golden structures.  The odd
-bracket is stored once per pair a <= b, so those keep graded antisymmetry,
-and verify takes the path that computes each Jacobi triple once, sorted,
-and reads the violations of every permutation off it.  Verify reads the
+odd-bracket perturbations of the positive golden structures.  Both
+brackets are stored once per pair, the even one for i < j and the odd one
+for a <= b, so every perturbation keeps graded antisymmetry, and verify
+computes each Jacobi triple once, sorted, and reads the violations of
+every permutation off it.  Verify reads the
 forms off the records themselves, so wrong views cached on the space and
 the algebra change none of its results.
 """
