@@ -135,7 +135,7 @@ def matrix_structure_constants(basis: Sequence[Matrix], gram: Matrix
         coords = add_product({}, inverse, add_product({}, against, commutator))
         if col := {l: Fraction(x, e * d ** 3) for l, x in coords.items() if x}:
             brackets[i, j] = col
-    ad = integer_tables(bracket_table(brackets, k))
+    ad = integer_tables(bracket_table(brackets, k, -1))
     if any(defect_columns(ad, (d, b), k, i, j, range(size)) for i, j in combinations(range(k), 2)):
         raise LinAlgError("the basis is not closed under commutators")
     return brackets

@@ -43,8 +43,9 @@ measured exactly by contracting the obstruction three times
 Both brackets of a ``SuperAlgebraData`` are stored once per pair, as the
 nonzero coordinates {l: c}: ``rep.algebra.brackets[(i, j)]`` of [x_i, x_j],
 i < j, and ``odd_odd[(a, b)]`` of [y_a, y_b], a <= b, a zero bracket being
-absent.  Its checks read ``adjoint_columns`` and ``gram_columns``, taken
-off those maps and B and omega alone, never off a cached value.
+absent; ``liealg.check_pairs`` checks both maps and ``liealg.bracket_table``
+expands both.  Its checks read ``adjoint_columns`` and ``gram_columns``,
+taken off those maps and B and omega alone, never off a cached value.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 
-from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar, SuperweylError,
-                      add_product, as_scalar, integer_columns, integer_tables, integer_vectors,
+from .exactla import (Column, IntegerColumns, Matrix, Scalar, SuperweylError, add_product,
+                      as_scalar, integer_columns, integer_tables, integer_vectors,
                       invariance_violation, is_nonsingular, record)
-from .liealg import QuadraticLieAlgebra, bracket_table, defect_columns
+from .liealg import QuadraticLieAlgebra, bracket_table, check_pairs, defect_columns
 from .spbridge import (NotSymplectic, quadratic_factors, quadratic_monomials, sp_to_quadratic,
                        trace_ratio_constant)
 from .symplectic import SymplecticSpace, Vector
@@ -309,9 +310,9 @@ class SuperAlgebraData:
     ``odd_odd[(a, b)]``, for a <= b, maps l to the nonzero coefficients on
     x_l of the symmetric odd bracket [y_a, y_b], in the format of
     ``rep.algebra.brackets``: sparse column k + b of ad_{k+a}.  A pair whose
-    bracket is zero is absent.  Construction checks the keys and refuses a
-    zero coefficient or an empty map, so equal superalgebras have equal
-    records; ``verify_superalgebra`` checks the axioms on the derived views
+    bracket is zero is absent.  Construction refuses a malformed map
+    (``check_pairs``), so equal superalgebras have equal records;
+    ``verify_superalgebra`` checks the axioms on the derived views
     ``adjoint_columns``, whose basis is x_0..x_{k-1}, y_0..y_{n-1}, and
     ``gram_columns``, the Gram blocks B and omega.
     """
@@ -320,14 +321,7 @@ class SuperAlgebraData:
     odd_odd: dict[tuple[int, int], dict[int, Scalar]]
 
     def __post_init__(self):
-        k, n = self.rep.algebra.dim, self.rep.space.dim
-        for key, col in self.odd_odd.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] <= key[1] < n):
-                raise ValueError(f"odd bracket key {key!r} is not a pair a <= b < {n}")
-            if any(l not in range(k) for l in col):
-                raise DimensionMismatch(f"odd bracket {key} has a coordinate outside range({k})")
-            if not col or not all(col.values()):
-                raise ValueError(f"odd bracket {key} stores a zero coefficient or an empty map")
+        check_pairs(self.odd_odd, self.rep.space.dim, self.rep.algebra.dim, 1)
 
     @property
     def dim(self) -> int:
@@ -338,28 +332,23 @@ class SuperAlgebraData:
         k = self.rep.algebra.dim
         return (0, u) if u < k else (1, u - k)
 
-    def odd_bracket(self, a: int, b: int) -> dict[int, Scalar]:
-        """The nonzero coordinates {l: c} of [y_a, y_b] = [y_b, y_a]."""
-        return self.odd_odd.get((a, b) if a <= b else (b, a), {})
-
     @cached_property
     def adjoint_columns(self) -> IntegerColumns:
         """The matrices ad_t of all basis elements on the fraction-free
         kernel, once per structure: column u of ad_t holds the coordinates
         of [e_t, e_u].  Read off ``rep.algebra.brackets``, ``rep.matrices``
         and ``odd_odd`` alone, never off a cache of the validators or the
-        engine: even ad_t is the block sum of row t of ``bracket_table``
-        and nu_t; odd ad_{k+a} has the columns -nu_u e_a (u < k) and the
-        maps [y_a, y_b] of ``odd_odd``, as they are."""
+        engine: the diagonal blocks are the rows of ``bracket_table`` on the
+        even and the odd pairs, even ad_t adding nu_t below its row and odd
+        ad_{k+a} the columns -nu_u e_a (u < k) before it."""
         algebra, nus = self.rep.algebra, self.rep.matrices
         k, n = algebra.dim, self.rep.space.dim
         # nu_t e_a for every t and a, on the odd rows k..k+n-1
         images = [[{k + i: row[a] for i, row in enumerate(nu.data) if row[a]} for a in range(n)]
                   for nu in nus]
-        even = [row + image for row, image in zip(bracket_table(algebra.brackets, k), images)]
-        odd = [[{i: -x for i, x in image[a].items()} for image in images]
-               + [self.odd_bracket(a, b) for b in range(n)]
-               for a in range(n)]
+        even = [row + image for row, image in zip(bracket_table(algebra.brackets, k, -1), images)]
+        odd = [[{i: -x for i, x in image[a].items()} for image in images] + row
+               for a, row in enumerate(bracket_table(self.odd_odd, n, 1))]
         return integer_tables(even + odd)
 
     @cached_property

@@ -193,9 +193,9 @@ def checks_to_json(checks: Sequence[CheckResult]) -> list[dict]:
 
 
 def _odd_entry(s: SuperAlgebraData, a: int, b: int) -> list:
-    """[a, b, coordinates]: the file format writes all k coordinates of
-    [y_a, y_b], zeros included."""
-    col = s.odd_bracket(a, b)
+    """[a, b, coordinates] for a <= b: the file format writes all k
+    coordinates of [y_a, y_b], zeros included."""
+    col = s.odd_odd.get((a, b), {})
     return [a, b, [scalar_to_str(col.get(l, 0)) for l in range(s.rep.algebra.dim)]]
 
 

@@ -1,6 +1,8 @@
 """Finite-dimensional Lie algebras over Q with an invariant nonsingular form,
 each bracket stored once per pair i < j, so antisymmetric by construction;
-an algebra caches its brackets and inverse form only as integer columns."""
+an algebra caches its brackets and inverse form only as integer columns.
+``check_pairs`` checks and ``bracket_table`` expands the pair maps of both
+parities, under the sign of [v, u] = -(-1)^{|u||v|} [u, v]."""
 
 from __future__ import annotations
 
@@ -15,22 +17,18 @@ from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar,
 _ZERO = as_scalar(0)
 
 
-class LieAlgebraError(SuperweylError):
-    """Base class for defective Lie algebra data."""
-
-
-class JacobiFails(LieAlgebraError):
+class JacobiFails(SuperweylError):
     def __init__(self, i: int, j: int, l: int):
         self.triple = (i, j, l)
         super().__init__(f"Jacobi identity fails on basis triple ({i}, {j}, {l})")
 
 
-class FormSingular(LieAlgebraError):
+class FormSingular(SuperweylError):
     def __init__(self, detail: str = "invariant form matrix is singular"):
         super().__init__(detail)
 
 
-class FormNotInvariant(LieAlgebraError):
+class FormNotInvariant(SuperweylError):
     def __init__(self, i: int, j: int, l: int):
         self.triple = (i, j, l)
         super().__init__(f"form is not ad-invariant on basis triple ({i}, {j}, {l})")
@@ -43,8 +41,8 @@ class QuadraticLieAlgebra:
     ``brackets[(i, j)]``, for i < j, maps l to the nonzero coefficients on
     x_l of [x_i, x_j], in the format of ``engine.SuperAlgebraData.odd_odd``;
     a zero bracket is absent, [x_j, x_i] is the negative and [x_i, x_i] zero.
-    Construction checks the keys and refuses a zero coefficient or an empty
-    map, so equal algebras have equal records; ``validate_lie`` does the rest.
+    Construction refuses a malformed map (``check_pairs``), so equal
+    algebras have equal records; ``validate_lie`` does the rest.
     """
 
     dim: int
@@ -53,13 +51,7 @@ class QuadraticLieAlgebra:
 
     def __post_init__(self):
         k = self.dim
-        for key, col in self.brackets.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] < key[1] < k):
-                raise ValueError(f"bracket key {key!r} is not a pair i < j < {k}")
-            if any(l not in range(k) for l in col):
-                raise DimensionMismatch(f"bracket {key} has a coordinate outside range({k})")
-            if not col or not all(col.values()):
-                raise ValueError(f"bracket {key} stores a zero coefficient or an empty map")
+        check_pairs(self.brackets, k, k, -1)
         if self.form.rows != k or self.form.cols != k:
             raise DimensionMismatch("form matrix must be dim x dim")
 
@@ -90,7 +82,7 @@ class QuadraticLieAlgebra:
     def adjoint_columns(self) -> IntegerColumns:
         """The matrices ad_i on the fraction-free kernel: ``bracket_table``
         with its denominators cleared.  Built once per algebra."""
-        return integer_tables(bracket_table(self.brackets, self.dim))
+        return integer_tables(bracket_table(self.brackets, self.dim, -1))
 
     @cached_property
     def form_inverse_columns(self) -> IntegerColumns:
@@ -100,15 +92,33 @@ class QuadraticLieAlgebra:
         return integer_tables([[dict(enumerate(dual)) for dual in casimir_pairs(self)]])
 
 
-def bracket_table(brackets: Mapping[tuple[int, int], dict[int, Scalar]], k: int
+def check_pairs(pairs: Mapping[tuple[int, int], dict[int, Scalar]], size: int, k: int,
+                sign: int) -> None:
+    """Refuse a pair map whose key is not a pair a < b < size, or a <= b <
+    size for the symmetric bracket (``sign`` +1), whose map has a coordinate
+    outside range(k), or which stores a zero coefficient or an empty map."""
+    name, order = ("odd bracket", "a <= b") if sign > 0 else ("bracket", "i < j")
+    gap = int(sign < 0)
+    for key, col in pairs.items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and 0 <= key[0] <= key[1] - gap and key[1] < size):
+            raise ValueError(f"{name} key {key!r} is not a pair {order} < {size}")
+        if any(l not in range(k) for l in col):
+            raise DimensionMismatch(f"{name} {key} has a coordinate outside range({k})")
+        if not col or not all(col.values()):
+            raise ValueError(f"{name} {key} stores a zero coefficient or an empty map")
+
+
+def bracket_table(pairs: Mapping[tuple[int, int], dict[int, Scalar]], size: int, sign: int
                   ) -> list[list[dict[int, Scalar]]]:
-    """The k x k table of ad columns of the pair map ``brackets``: entry
-    [i][j] holds the nonzero coordinates of [x_i, x_j], the stored map for
-    i < j, its negative for i > j, and none on the diagonal."""
-    table: list[list[dict[int, Scalar]]] = [[{} for _ in range(k)] for _ in range(k)]
-    for (i, j), col in brackets.items():
-        table[i][j] = col
-        table[j][i] = {l: -c for l, c in col.items()}
+    """The size x size table of ad columns of the pair map ``pairs``: entry
+    [a][b] holds the nonzero coordinates of the bracket of basis elements a
+    and b, the stored map for a stored pair (a, b) and its mirror for (b, a),
+    which is the negative for ``sign`` -1 and the map itself for +1."""
+    table: list[list[dict[int, Scalar]]] = [[{} for _ in range(size)] for _ in range(size)]
+    for (a, b), col in pairs.items():
+        table[a][b] = col
+        table[b][a] = col if sign > 0 else {l: -c for l, c in col.items()}
     return table
 
 

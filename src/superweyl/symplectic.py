@@ -17,22 +17,18 @@ Vector = tuple[Scalar, ...]
 MAX_STANDARD_DIM = 16
 
 
-class SymplecticError(SuperweylError):
-    """Base class for defective symplectic data."""
-
-
-class OddDimension(SymplecticError):
+class OddDimension(SuperweylError):
     def __init__(self, dim: int):
         self.dim = dim
         super().__init__(f"symplectic space must have even dimension, got {dim}")
 
 
-class NotAlternating(SymplecticError):
+class NotAlternating(SuperweylError):
     def __init__(self):
         super().__init__("form matrix is not antisymmetric")
 
 
-class Singular(SymplecticError):
+class Singular(SuperweylError):
     def __init__(self, detail: str = "form matrix is singular"):
         super().__init__(detail)
 

@@ -164,8 +164,8 @@ def algebra_from_table(table: Mapping[tuple[int, int], Sequence], form: Matrix
 
 
 def odd_bracket(s: SuperAlgebraData, a: int, b: int) -> tuple[Scalar, ...]:
-    """The coordinates of [y_a, y_b] as a dense tuple."""
-    col = s.odd_bracket(a, b)
+    """The coordinates of [y_a, y_b] = [y_b, y_a] as a dense tuple."""
+    col = s.odd_odd.get((min(a, b), max(a, b)), {})
     return tuple(col.get(l, _ZERO) for l in range(s.rep.algebra.dim))
 
 

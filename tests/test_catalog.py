@@ -9,7 +9,7 @@ from oracles import (dense_adjoint, linear_combination, mat_is_zero, mat_mul, ma
                      superalgebra_from_table)
 from superweyl.catalog import (CalibrationFailed, InvalidInput, TooLarge,
                                UnknownInstance, abelian_superalgebra, build_double,
-                               build_gl11_even, build_instance, build_osp_even, build_spin_rep,
+                               build_instance, build_osp_even, build_spin_rep,
                                calibrate_scales, double_base, kron, matrix_structure_constants,
                                so_basis, sp_basis, trace_gram)
 from superweyl.engine import construct_superalgebra, decide, validate_rep, verify_superalgebra

@@ -414,7 +414,7 @@ def test_odd_table_stores_exactly_the_nonzero_entries():
         assert [(a, b) for a, b, _ in report["odd_brackets"]] == sorted(s.odd_odd), stem
     s = construct_superalgebra(build_gl11_even())
     assert s.odd_odd == {(0, 1): {0: 1, 1: 1}}
-    assert s.odd_bracket(1, 0) == {0: 1, 1: 1} and s.odd_bracket(1, 1) == {}
+    assert odd_bracket(s, 1, 0) == (1, 1) and odd_bracket(s, 1, 1) == (0, 0)
     for col in ({0: Fraction(0)}, {}, {0: Fraction(1), 1: Fraction(0)}):
         with pytest.raises(ValueError, match="zero coefficient or an empty map"):
             SuperAlgebraData(s.rep, {(0, 0): col})

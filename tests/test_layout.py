@@ -6,7 +6,8 @@ modules is part of the package's interface and must be public.  Every
 function that the benchmark's tracer wraps must stay a module-level
 callable of its module, and the benchmark's traced CLI calls must reach
 every function its checker requires.  Every name the package exports
-exists, once, and every other module uses each name it imports.  Every
+exists, once, and every other module, and every test module, uses each
+name it imports.  Every
 exception class of the package derives from ``exactla.SuperweylError``, the
 one class the command line catches for exit status 1.  Every
 module-level function has a caller in the package, is exported, or is
@@ -18,7 +19,8 @@ command line loads only what its verbs run.  Every value a record caches is
 a view on the fraction-free kernel: each ``cached_property`` returns
 ``IntegerColumns``.  The even and the odd bracket have one format: the
 fields ``QuadraticLieAlgebra.brackets`` and ``SuperAlgebraData.odd_odd``
-carry the same annotation.
+carry the same annotation, and one function, ``liealg.check_pairs``,
+refuses a malformed pair map.
 """
 
 import ast
@@ -133,6 +135,7 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     # __init__ imports to export
     paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
     assert [line for path in paths for line in unused_imports(path)] == []
 
 
@@ -161,10 +164,23 @@ def test_records_cache_only_integer_views():
             for view, returns in found if returns != "IntegerColumns"] == []
 
 
+def pair_checkers(paths: list[Path]) -> list[str]:
+    """``<file>:<function>`` of each function of ``paths`` that raises the
+    error for a key that "is not a pair"."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    return [f"{path.name}:{node.name}" for path, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and any(isinstance(sub, ast.Raise) and "is not a pair" in ast.unparse(sub)
+                    for sub in ast.walk(node))]
+
+
 def test_both_brackets_have_one_format():
     even = QuadraticLieAlgebra.__annotations__["brackets"]
     assert even == SuperAlgebraData.__annotations__["odd_odd"]
     assert even == "dict[tuple[int, int], dict[int, Scalar]]"
+    # and one checker, which both records call
+    assert pair_checkers(sorted(PACKAGE.glob("*.py"))) == ["liealg.py:check_pairs"]
 
 
 def test_cached_view_detector(tmp_path):

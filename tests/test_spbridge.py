@@ -9,8 +9,7 @@ from superweyl.spbridge import (NotSymplectic, ad_vector,
                                 quadratic_monomials, quadratic_to_sp,
                                 sp_to_quadratic, trace_ratio_constant)
 from superweyl.symplectic import SymplecticSpace, standard_space
-from superweyl.weyl import (PolyElement, linear_coordinates, weyl_commutator,
-                            weyl_product)
+from superweyl.weyl import PolyElement, linear_coordinates, weyl_commutator
 
 S1 = standard_space(1)
 E = PolyElement.variable(S1, 0)

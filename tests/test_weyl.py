@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_weyl_product, pair, permanent_pairing
-from superweyl.symplectic import SymplecticSpace, standard_space
+from superweyl.symplectic import standard_space
 from superweyl.weyl import (PolyElement, SpaceMismatch, bilinear_form, constant_term,
                             contract, grade, linear_coordinates, weyl_commutator,
                             weyl_product)
