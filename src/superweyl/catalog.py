@@ -144,7 +144,7 @@ def matrix_structure_constants(basis: Sequence[Matrix], gram: Matrix
 def _summand(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
     """The matrix Lie algebra spanned by ``basis``, with its trace form."""
     gram = trace_gram(basis)
-    return QuadraticLieAlgebra(len(basis), matrix_structure_constants(basis, gram), gram)
+    return QuadraticLieAlgebra(matrix_structure_constants(basis, gram), gram)
 
 
 def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
@@ -158,7 +158,7 @@ def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
                      for (i, j), col in g.brackets.items()}
         form |= {(offset + i, offset + j): scale * x for (i, j), x in _entries(g.form).items()}
         offset += g.dim
-    return QuadraticLieAlgebra(total, brackets, _matrix(form, total))
+    return QuadraticLieAlgebra(brackets, _matrix(form, total))
 
 
 def calibrate_scales(space: SymplecticSpace,
@@ -202,7 +202,7 @@ def build_osp_even(m: int, n: int) -> SymplecticRep:
     if dim > MAX_STANDARD_DIM:
         shown = dim if dim < 10 ** 100 else "above 10^100"  # str() stops at 4,300 digits
         raise TooLarge(f"tensor space dimension {shown} exceeds the supported {MAX_STANDARD_DIM}")
-    space = SymplecticSpace(dim, kron(Matrix.identity(m), standard_space(n).omega))
+    space = SymplecticSpace(kron(Matrix.identity(m), standard_space(n).omega))
     so_b, sp_b = so_basis(m), sp_basis(n)
     actions = ([kron(a, Matrix.identity(2 * n)) for a in so_b],
                [kron(Matrix.identity(m), b) for b in sp_b])
@@ -216,7 +216,7 @@ def build_gl11_even() -> SymplecticRep:
     standard two-dimensional space by diag(1, -1) and diag(-1, 1).  This is
     the even part of the smallest type-I matrix superalgebra under its
     supertrace form."""
-    algebra = QuadraticLieAlgebra.abelian(2, Matrix.diagonal([1, -1]))
+    algebra = QuadraticLieAlgebra({}, Matrix.diagonal([1, -1]))
     space = standard_space(1)
     matrices = (Matrix.diagonal([1, -1]), Matrix.diagonal([-1, 1]))
     return SymplecticRep(algebra, space, matrices)
@@ -240,13 +240,13 @@ def build_spin_rep(two_j: int) -> SymplecticRep:
     e = _matrix({(r, r + 1): (r + 1) * (two_j - r) for r in range(two_j)}, size)
     f = _matrix({(r + 1, r): 1 for r in range(two_j)}, size)
     omega = _matrix({(r, two_j - r): (-1) ** r for r in range(size)}, size)
-    return SymplecticRep(_summand(sp_basis(1)), SymplecticSpace(size, omega), (h, e, f))
+    return SymplecticRep(_summand(sp_basis(1)), SymplecticSpace(omega), (h, e, f))
 
 
 def abelian_superalgebra(dim: int) -> SuperAlgebraData:
     """Purely even abelian superalgebra; the degenerate base case for doubles."""
     point = Matrix.zeros(0, 0)
-    rep = SymplecticRep(QuadraticLieAlgebra.abelian(dim), SymplecticSpace(0, point),
+    rep = SymplecticRep(QuadraticLieAlgebra({}, Matrix.identity(dim)), SymplecticSpace(point),
                         (point,) * dim)
     return SuperAlgebraData(rep, {})
 
@@ -278,7 +278,7 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
             brackets.setdefault((i, k + j), {})[k + l] = -c
             brackets.setdefault((l, k + j), {})[k + i] = c
     form_even = _matrix({(i, k + i): 1 for i in range(k)} | {(k + i, i): 1 for i in range(k)}, kk)
-    even = QuadraticLieAlgebra(kk, brackets, form_even)
+    even = QuadraticLieAlgebra(brackets, form_even)
 
     # odd form on basis (y_0..y_{n-1}, z_0..z_{n-1}): (y_b, z_a) = -delta
     form_odd = _matrix({(i, n + i): -1 for i in range(n)} | {(n + i, i): 1 for i in range(n)}, nn)
@@ -295,7 +295,7 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
         for j, x in col.items():
             duals[j][n + c, b] = duals[j][n + b, c] = x
     matrices += [_matrix(entries, nn) for entries in duals]
-    rep = SymplecticRep(even, SymplecticSpace(nn, form_odd), tuple(matrices))
+    rep = SymplecticRep(even, SymplecticSpace(form_odd), tuple(matrices))
 
     # explicit odd-odd table of the double: [y_p, y_q] from s, and
     # [y_p, z_a] = -sum_l nu_l[a, p] w_l

@@ -69,16 +69,16 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[scalar_to_str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def matrix_from_json(obj, rows: int | None = None, cols: int | None = None) -> Matrix:
+def matrix_from_json(obj, size: int) -> Matrix:
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise ParseError("matrix must be a list of rows")
     entries = [[scalar_from_str(x) for x in row] for row in obj]
     try:
-        m = Matrix(entries, cols=cols)
+        m = Matrix(entries, cols=size)
     except DimensionMismatch as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
-    if rows is not None and m.rows != rows:
-        raise ParseError(f"expected {rows} rows, got {m.rows}")
+    if m.rows != size:
+        raise ParseError(f"expected {size} rows, got {m.rows}")
     return m
 
 
@@ -106,7 +106,7 @@ def space_from_json(obj) -> SymplecticSpace:
             raise ParseError(f"'standard' omega is limited to dimension {MAX_STANDARD_DIM}, "
                              f"got {dim}")
         return standard_space(dim // 2)
-    return SymplecticSpace(dim, matrix_from_json(omega, rows=dim, cols=dim))
+    return SymplecticSpace(matrix_from_json(omega, dim))
 
 
 def algebra_to_json(g: QuadraticLieAlgebra) -> dict:
@@ -131,9 +131,9 @@ def algebra_from_json(obj) -> QuadraticLieAlgebra:
             raise ParseError("each bracket entry must be [i, j, l, value]")
         *indices, value = item
         entries.append((*(_integer(t, "bracket index") for t in indices), scalar_from_str(value)))
-    form = matrix_from_json(obj["form"], rows=dim, cols=dim)
+    form = matrix_from_json(obj["form"], dim)
     try:
-        return QuadraticLieAlgebra.from_sparse(dim, entries, form)
+        return QuadraticLieAlgebra.from_sparse(entries, form)
     except (ValueError, IndexError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -158,7 +158,7 @@ def problem_from_json(obj) -> SymplecticRep:
     nu = obj["nu"]
     if not isinstance(nu, list) or len(nu) != algebra.dim:
         raise ParseError("'nu' must list one matrix per basis element of g0")
-    matrices = tuple(matrix_from_json(m, rows=space.dim, cols=space.dim) for m in nu)
+    matrices = tuple(matrix_from_json(m, space.dim) for m in nu)
     try:
         return SymplecticRep(algebra, space, matrices)
     except ValueError as exc:

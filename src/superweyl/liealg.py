@@ -36,31 +36,35 @@ class FormNotInvariant(SuperweylError):
 
 @record
 class QuadraticLieAlgebra:
-    """Structure constants and a symmetric bilinear form on a fixed basis.
+    """Structure constants and a symmetric bilinear form ``form`` on a fixed
+    basis, whose size is the dimension ``dim``.
 
     ``brackets[(i, j)]``, for i < j, maps l to the nonzero coefficients on
     x_l of [x_i, x_j], in the format of ``engine.SuperAlgebraData.odd_odd``;
     a zero bracket is absent, [x_j, x_i] is the negative and [x_i, x_i] zero.
-    Construction refuses a malformed map (``check_pairs``), so equal
-    algebras have equal records; ``validate_lie`` does the rest.
+    Construction refuses a non-square form or a malformed map (``check_pairs``),
+    so equal algebras have equal records; ``validate_lie`` does the rest.
     """
 
-    dim: int
     brackets: dict[tuple[int, int], dict[int, Scalar]]
     form: Matrix
 
     def __post_init__(self):
-        k = self.dim
-        check_pairs(self.brackets, k, k, -1)
-        if self.form.rows != k or self.form.cols != k:
-            raise DimensionMismatch("form matrix must be dim x dim")
+        if self.form.rows != self.form.cols:
+            raise DimensionMismatch("form matrix must be square")
+        check_pairs(self.brackets, self.dim, self.dim, -1)
+
+    @property
+    def dim(self) -> int:
+        return self.form.rows
 
     @classmethod
-    def from_sparse(cls, dim: int, entries: Sequence[tuple[int, int, int, object]],
+    def from_sparse(cls, entries: Sequence[tuple[int, int, int, object]],
                     form: Matrix) -> "QuadraticLieAlgebra":
-        """Build from sparse entries (i, j, l, value) with i < j meaning the
-        bracket of x_i and x_j has coefficient value on x_l.  Repeated
-        entries add up, and those that cancel are dropped."""
+        """Build from sparse entries (i, j, l, value), each index below the
+        size of ``form`` and i < j, meaning that [x_i, x_j] has coefficient
+        value on x_l.  Repeated entries add up, and those that cancel are dropped."""
+        dim = form.rows
         sums: dict[tuple[int, int], dict[int, Scalar]] = {}
         for i, j, l, value in entries:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= l < dim):
@@ -69,14 +73,8 @@ class QuadraticLieAlgebra:
                 raise ValueError(f"sparse bracket entries need i < j, got ({i}, {j})")
             col = sums.setdefault((i, j), {})
             col[l] = col.get(l, _ZERO) + as_scalar(value)
-        return cls(dim, {key: nonzero for key, col in sums.items()
-                         if (nonzero := {l: c for l, c in col.items() if c})}, form)
-
-    @classmethod
-    def abelian(cls, dim: int, form: Matrix | None = None) -> "QuadraticLieAlgebra":
-        if form is None:
-            form = Matrix.identity(dim)
-        return cls.from_sparse(dim, [], form)
+        return cls({key: nonzero for key, col in sums.items()
+                    if (nonzero := {l: c for l, c in col.items() if c})}, form)
 
     @cached_property
     def adjoint_columns(self) -> IntegerColumns:

@@ -35,19 +35,21 @@ class Singular(SuperweylError):
 
 @record
 class SymplecticSpace:
-    """A coordinate space of dimension ``dim`` with bilinear form matrix ``omega``.
-
-    The form of two coordinate vectors u, v is u^T omega v.  Construction only
-    checks shapes; ``validate_space`` performs the mathematical checks.
+    """A coordinate space with form matrix ``omega``, whose size is the dimension
+    ``dim``: the form of vectors u, v is u^T omega v.  Construction only checks
+    that ``omega`` is square; ``validate_space`` performs the mathematical checks.
     """
 
-    dim: int
     omega: Matrix
 
     def __post_init__(self):
-        if self.omega.rows != self.dim or self.omega.cols != self.dim:
+        if self.omega.rows != self.omega.cols:
             raise DimensionMismatch(
-                f"omega must be {self.dim}x{self.dim}, got {self.omega.rows}x{self.omega.cols}")
+                f"omega must be square, got {self.omega.rows}x{self.omega.cols}")
+
+    @property
+    def dim(self) -> int:
+        return self.omega.rows
 
     def basis_vector(self, i: int) -> Vector:
         if not 0 <= i < self.dim:
@@ -80,7 +82,7 @@ def standard_space(m: int) -> SymplecticSpace:
     n = 2 * m
     omega = Matrix([[as_scalar(1) if j == i + m else as_scalar(-1) if i == j + m else as_scalar(0)
                      for j in range(n)] for i in range(n)], cols=n)
-    return SymplecticSpace(n, omega)
+    return SymplecticSpace(omega)
 
 
 def validate_space(space: SymplecticSpace) -> None:

@@ -160,7 +160,7 @@ def algebra_from_table(table: Mapping[tuple[int, int], Sequence], form: Matrix
     zeros; a pair left out of ``table`` has a zero bracket."""
     columns = {key: {l: Fraction(c) for l, c in enumerate(coords) if c}
                for key, coords in table.items()}
-    return QuadraticLieAlgebra(form.rows, {key: col for key, col in columns.items() if col}, form)
+    return QuadraticLieAlgebra({key: col for key, col in columns.items() if col}, form)
 
 
 def odd_bracket(s: SuperAlgebraData, a: int, b: int) -> tuple[Scalar, ...]:

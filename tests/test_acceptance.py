@@ -245,7 +245,7 @@ def test_criterion_10_scale_equivariance():
         base_s = construct_superalgebra(rep)
         for lam in factors:
             g = rep.algebra
-            scaled_alg = QuadraticLieAlgebra(g.dim, g.brackets, mat_scale(lam, g.form))
+            scaled_alg = QuadraticLieAlgebra(g.brackets, mat_scale(lam, g.form))
             scaled = type(rep)(scaled_alg, rep.space, rep.matrices)
             report = decide(scaled)
             assert report.verdict == base_report.verdict

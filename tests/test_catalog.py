@@ -160,8 +160,8 @@ def test_calibration_scales_inversely_with_the_summand_forms():
     rep = build_osp_even(2, 1)
     sl2 = build_spin_rep(1).algebra
     for c_so, c_sp, expected in ((1, 1, [1, -1]), (3, 1, [1, -3]), (1, 2, [1, Fraction(-1, 2)])):
-        so2 = QuadraticLieAlgebra.abelian(1, Matrix([[-2 * c_so]]))
-        sp2 = QuadraticLieAlgebra(3, sl2.brackets, mat_scale(c_sp, sl2.form))
+        so2 = QuadraticLieAlgebra({}, Matrix([[-2 * c_so]]))
+        sp2 = QuadraticLieAlgebra(sl2.brackets, mat_scale(c_sp, sl2.form))
         summands = [(so2, rep.matrices[:1]), (sp2, rep.matrices[1:])]
         assert calibrate_scales(rep.space, summands) == expected
 
@@ -176,7 +176,7 @@ def test_calibration_refuses_a_kernel_that_is_not_one_line():
     assert calibrate_scales(rep.space, [sp2]) == [1]
     # a line alone has an obstruction: no scale cancels it, and next to
     # sp(2) only a zero inverse scale would
-    line = (QuadraticLieAlgebra.abelian(1), (Matrix.diagonal([1, -1]),))
+    line = (QuadraticLieAlgebra({}, Matrix.identity(1)), (Matrix.diagonal([1, -1]),))
     for summands in ([line], [sp2, line]):
         with pytest.raises(CalibrationFailed):
             calibrate_scales(rep.space, summands)

@@ -41,16 +41,16 @@ def test_scalar_strings():
 
 def test_matrix_round_trip():
     m = Matrix([[1, Fraction(1, 2)], [-3, 0]])
-    assert matrix_from_json(matrix_to_json(m)) == m
+    assert matrix_from_json(matrix_to_json(m), 2) == m
     with pytest.raises(ParseError):
-        matrix_from_json([[0.5]])
+        matrix_from_json([[0.5]], 1)
     with pytest.raises(ParseError):
-        matrix_from_json("nope")
+        matrix_from_json("nope", 1)
     with pytest.raises(ParseError):
-        matrix_from_json([["1", "2"]], rows=2)
+        matrix_from_json([["1", "2"]], 2)
     for bad in ([["1", "2"], ["3"]], [["1.5"]]):
         with pytest.raises(ParseError):
-            matrix_from_json(bad)
+            matrix_from_json(bad, 2)
 
 
 def test_matrix_parse_lets_programming_errors_through(monkeypatch):
@@ -62,7 +62,7 @@ def test_matrix_parse_lets_programming_errors_through(monkeypatch):
 
     monkeypatch.setattr(superweyl.exactla, "as_scalar", broken)
     with pytest.raises(TypeError, match="simulated bug"):
-        matrix_from_json([["1", "2"], ["3", "4"]])
+        matrix_from_json([["1", "2"], ["3", "4"]], 2)
 
 
 def test_poly_round_trip():
@@ -118,7 +118,7 @@ def test_json_booleans_and_non_integer_exponents_are_refused():
         algebra_from_json({"dim": 2, "brackets": [[False, True, 0, "1"]],
                            "form": [["1", "0"], ["0", "1"]]})
     with pytest.raises(ParseError):
-        matrix_from_json([[True]])
+        matrix_from_json([[True]], 1)
 
 
 def test_canonical_dumps_is_stable():

@@ -62,7 +62,7 @@ def spaces(draw, max_half=2):
     if not draw(st.booleans()):
         return base
     q = draw(changes_of_basis(base.dim))
-    return SymplecticSpace(base.dim, mat_mul(q.transpose(), base.omega, q))
+    return SymplecticSpace(mat_mul(q.transpose(), base.omega, q))
 
 
 @st.composite
@@ -191,7 +191,7 @@ def _conjugate_space(rep: SymplecticRep, q: Matrix) -> SymplecticRep:
     """The same representation in the basis given by the columns of Q:
     omega -> Q^T omega Q and nu -> Q^-1 nu Q."""
     q_inv = invert(q)
-    space = SymplecticSpace(rep.space.dim, mat_mul(q.transpose(), rep.space.omega, q))
+    space = SymplecticSpace(mat_mul(q.transpose(), rep.space.omega, q))
     return SymplecticRep(rep.algebra, space, tuple(mat_mul(q_inv, m, q) for m in rep.matrices))
 
 
@@ -251,7 +251,7 @@ def test_lift_adjoint_holds_for_an_asymmetric_form(w):
     # symmetric the dual matrices are not nu(x^l), and the closed form must
     # still give B(x_i, t) = (lift_i, w)
     space = standard_space(2)
-    algebra = QuadraticLieAlgebra.abelian(2, Matrix([[1, 2], [0, 1]]))
+    algebra = QuadraticLieAlgebra({}, Matrix([[1, 2], [0, 1]]))
     rep = SymplecticRep(algebra, space, (Matrix.diagonal([1, 0, -1, 0]),
                                          Matrix.diagonal([1, 2, -1, -2])))
     t = quadratic_lift_adjoint(rep, w)

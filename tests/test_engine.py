@@ -56,7 +56,7 @@ def test_validate_rep_accepts_catalog_instances():
 
 
 def test_validate_rep_rejects_non_symplectic_matrix():
-    g = QuadraticLieAlgebra.abelian(1)
+    g = QuadraticLieAlgebra({}, Matrix.identity(1))
     rep = SymplecticRep(g, S1, (Matrix.identity(2),))
     with pytest.raises(NotSymplectic) as info:
         validate_rep(rep)
@@ -65,14 +65,14 @@ def test_validate_rep_rejects_non_symplectic_matrix():
 
 def test_validate_rep_rejects_wrong_commutator():
     # abelian table but matrices with a nonzero commutator
-    g = QuadraticLieAlgebra.abelian(2, Matrix.diagonal([1, -1]))
+    g = QuadraticLieAlgebra({}, Matrix.diagonal([1, -1]))
     rep = SymplecticRep(g, S1, (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])))
     with pytest.raises(NotARepresentation):
         validate_rep(rep)
 
 
 def test_rep_shape_check():
-    g = QuadraticLieAlgebra.abelian(2)
+    g = QuadraticLieAlgebra({}, Matrix.identity(2))
     with pytest.raises(ValueError, match="one matrix per basis element"):
         SymplecticRep(g, S1, (Matrix.zeros(2, 2),))
     with pytest.raises(ValueError, match="square of the space dimension"):
@@ -153,7 +153,7 @@ def test_casimir_image_values():
 def test_degree_leak_detected_on_corrupt_input():
     # an asymmetric "form" breaks the cancellation that confines the image
     # to degrees zero and four; the engine must refuse loudly
-    g = QuadraticLieAlgebra.abelian(2, Matrix([[1, 1], [0, 1]]))
+    g = QuadraticLieAlgebra({}, Matrix([[1, 1], [0, 1]]))
     rep = SymplecticRep(g, S1, (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])))
     with pytest.raises(InternalDegreeLeak):
         casimir_image(rep)
@@ -163,7 +163,7 @@ def test_decide_takes_its_input_as_validated():
     # two non-commuting sp(omega) matrices on an abelian g0 with B = I: the
     # lifts and the degree-two leak test pass, so decide answers (obstructed),
     # and only validate_rep sees that they do not represent the bracket
-    rep = SymplecticRep(QuadraticLieAlgebra.abelian(2), S1,
+    rep = SymplecticRep(QuadraticLieAlgebra({}, Matrix.identity(2)), S1,
                         (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])))
     assert decide(rep).obstruction == Fraction(1, 16) * (E * E * E * E + F * F * F * F)
     with pytest.raises(NotARepresentation):
@@ -316,8 +316,8 @@ def test_trace_identity():
 
 
 def test_zero_dimensional_odd_space():
-    g = QuadraticLieAlgebra.abelian(2, Matrix.diagonal([1, 1]))
-    space = SymplecticSpace(0, Matrix([], cols=0))
+    g = QuadraticLieAlgebra({}, Matrix.diagonal([1, 1]))
+    space = SymplecticSpace(Matrix([], cols=0))
     rep = SymplecticRep(g, space, (Matrix([], cols=0), Matrix([], cols=0)))
     validate_rep(rep)
     r = decide(rep)
@@ -462,12 +462,12 @@ def test_jacobiator_matches_obstruction_contraction():
 
 def _rescale_even_form(rep, factor):
     g = rep.algebra
-    scaled = QuadraticLieAlgebra(g.dim, g.brackets, mat_scale(factor, g.form))
+    scaled = QuadraticLieAlgebra(g.brackets, mat_scale(factor, g.form))
     return SymplecticRep(scaled, rep.space, rep.matrices)
 
 
 def _rescale_omega(rep, factor):
-    space = SymplecticSpace(rep.space.dim, mat_scale(factor, rep.space.omega))
+    space = SymplecticSpace(mat_scale(factor, rep.space.omega))
     return SymplecticRep(rep.algebra, space, rep.matrices)
 
 
@@ -520,7 +520,7 @@ def _change_even_basis(rep, p):
                 if c != 0:
                     entries.append((i, j, l, c))
     new_form = mat_mul(p.transpose(), g.form, p)
-    new_alg = QuadraticLieAlgebra.from_sparse(k, entries, new_form)
+    new_alg = QuadraticLieAlgebra.from_sparse(entries, new_form)
     new_mats = []
     for i in range(k):
         m = Matrix.zeros(rep.space.dim, rep.space.dim)

@@ -146,7 +146,7 @@ def form_and_matrix(draw):
 @settings(max_examples=60, deadline=None)
 def test_is_in_sp_matches_the_fraction_identity(data):
     omega, alpha = data
-    space = SymplecticSpace(omega.rows, omega)
+    space = SymplecticSpace(omega)
     assert is_in_sp(space, alpha) == mat_is_zero(mat_add(mat_mul(alpha.transpose(), omega),
                                                          mat_mul(omega, alpha)))
 
@@ -159,8 +159,8 @@ def small_superalgebras(draw):
     k, n = draw(st.integers(1, 2)), draw(st.sampled_from([0, 2]))
     entries = [(i, j, l, draw(ENTRIES)) for i in range(k) for j in range(i + 1, k)
                for l in range(k)]
-    algebra = QuadraticLieAlgebra.from_sparse(k, entries, draw(matrices(k, k)))
-    space = SymplecticSpace(n, draw(matrices(n, n)))
+    algebra = QuadraticLieAlgebra.from_sparse(entries, draw(matrices(k, k)))
+    space = SymplecticSpace(draw(matrices(n, n)))
     rep = SymplecticRep(algebra, space, tuple(draw(matrices(n, n)) for _ in range(k)))
     table = {(a, b): tuple(draw(ENTRIES) for _ in range(k))
              for a in range(n) for b in range(a, n)}
@@ -334,7 +334,7 @@ def large_denominator_reps(draw):
         assume(False)
     omega_inverse = invert(omega)
     nus = tuple(mat_mul(omega_inverse, symmetric(n, sparse=True)) for _ in range(k))
-    return SymplecticRep(QuadraticLieAlgebra.abelian(k, form), SymplecticSpace(n, omega), nus)
+    return SymplecticRep(QuadraticLieAlgebra({}, form), SymplecticSpace(omega), nus)
 
 
 @given(large_denominator_reps())

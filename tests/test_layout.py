@@ -20,7 +20,9 @@ a view on the fraction-free kernel: each ``cached_property`` returns
 ``IntegerColumns``.  The even and the odd bracket have one format: the
 fields ``QuadraticLieAlgebra.brackets`` and ``SuperAlgebraData.odd_odd``
 carry the same annotation, and one function, ``liealg.check_pairs``,
-refuses a malformed pair map.
+refuses a malformed pair map.  No record stores its size: a dimension is
+read off the record's matrix, so no ``@record`` class annotates a field
+``dim``.
 """
 
 import ast
@@ -181,6 +183,32 @@ def test_both_brackets_have_one_format():
     assert even == "dict[tuple[int, int], dict[int, Scalar]]"
     # and one checker, which both records call
     assert pair_checkers(sorted(PACKAGE.glob("*.py"))) == ["liealg.py:check_pairs"]
+
+
+def record_fields(path: Path) -> dict[str, list[str]]:
+    """The annotated fields, in order, of each ``@record`` class of ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.name: [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(decorator) == "record" for decorator in node.decorator_list)}
+
+
+def test_records_read_their_size_off_their_matrices():
+    fields = {f"{path.stem}.{name}": names for path in sorted(PACKAGE.glob("*.py"))
+              for name, names in record_fields(path).items()}
+    assert fields["symplectic.SymplecticSpace"] == ["omega"]
+    assert fields["liealg.QuadraticLieAlgebra"] == ["brackets", "form"]
+    assert [name for name, names in fields.items() if "dim" in names] == []
+    # an abelian algebra is QuadraticLieAlgebra({}, form), whose size is that of form
+    assert not hasattr(QuadraticLieAlgebra, "abelian")
+
+
+def test_record_field_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("@record\nclass A:\n    dim: int\n    omega: Matrix = None\n\n"
+                      "    @property\n    def size(self) -> int:\n        pass\n\n"
+                      "class B:\n    dim: int\n")
+    assert record_fields(sample) == {"A": ["dim", "omega"]}
 
 
 def test_cached_view_detector(tmp_path):

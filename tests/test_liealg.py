@@ -17,7 +17,7 @@ SL2_ENTRIES = [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)]
 
 
 def sl2():
-    return QuadraticLieAlgebra.from_sparse(3, SL2_ENTRIES, SL2_FORM)
+    return QuadraticLieAlgebra.from_sparse(SL2_ENTRIES, SL2_FORM)
 
 
 def test_sl2_structure():
@@ -64,21 +64,20 @@ def test_form_value():
 
 
 def test_abelian_validates():
-    validate_lie(QuadraticLieAlgebra.abelian(3))
-    validate_lie(QuadraticLieAlgebra.abelian(0))
-    validate_lie(QuadraticLieAlgebra.abelian(2, Matrix.diagonal([1, -1])))
+    validate_lie(QuadraticLieAlgebra({}, Matrix.identity(3)))
+    validate_lie(QuadraticLieAlgebra({}, Matrix.identity(0)))
+    validate_lie(QuadraticLieAlgebra({}, Matrix.diagonal([1, -1])))
 
 
 def test_from_sparse_requires_lower_index_first():
     with pytest.raises(ValueError):
-        QuadraticLieAlgebra.from_sparse(2, [(1, 0, 0, 1)], Matrix.identity(2))
+        QuadraticLieAlgebra.from_sparse([(1, 0, 0, 1)], Matrix.identity(2))
     with pytest.raises(IndexError):
-        QuadraticLieAlgebra.from_sparse(2, [(0, 1, 5, 1)], Matrix.identity(2))
+        QuadraticLieAlgebra.from_sparse([(0, 1, 5, 1)], Matrix.identity(2))
 
 
 def test_from_sparse_accumulates_duplicates():
-    g = QuadraticLieAlgebra.from_sparse(
-        2, [(0, 1, 0, 1), (0, 1, 0, 2)], Matrix.identity(2))
+    g = QuadraticLieAlgebra.from_sparse([(0, 1, 0, 1), (0, 1, 0, 2)], Matrix.identity(2))
     assert bracket(g, 0, 1) == (3, 0)
 
 
@@ -91,48 +90,47 @@ def test_table_stores_exactly_the_nonzero_entries():
         entries = json.loads(path.read_text())["g0"]["brackets"]
         # each bracket is stored once per pair i < j, as the file lists it
         assert sum(len(col) for col in g.brackets.values()) == len(entries), path.name
-    g = QuadraticLieAlgebra.from_sparse(2, [(0, 1, 0, 1), (0, 1, 0, -1)], Matrix.identity(2))
+    g = QuadraticLieAlgebra.from_sparse([(0, 1, 0, 1), (0, 1, 0, -1)], Matrix.identity(2))
     assert g.brackets == {}
-    assert g == QuadraticLieAlgebra.abelian(2)
+    assert g == QuadraticLieAlgebra({}, Matrix.identity(2))
     one = {0: Fraction(1)}
     for key in [(1, 0), (0, 0), (0, 2)]:
         with pytest.raises(ValueError, match="is not a pair"):
-            QuadraticLieAlgebra(2, {key: one}, Matrix.identity(2))
+            QuadraticLieAlgebra({key: one}, Matrix.identity(2))
     for col in [{}, {0: Fraction(0)}]:
         with pytest.raises(ValueError, match="zero coefficient or an empty map"):
-            QuadraticLieAlgebra(2, {(0, 1): col}, Matrix.identity(2))
+            QuadraticLieAlgebra({(0, 1): col}, Matrix.identity(2))
     with pytest.raises(DimensionMismatch):
-        QuadraticLieAlgebra(2, {(0, 1): {2: Fraction(1)}}, Matrix.identity(2))
+        QuadraticLieAlgebra({(0, 1): {2: Fraction(1)}}, Matrix.identity(2))
 
 
 def test_jacobi_violation_detected():
-    g = QuadraticLieAlgebra.from_sparse(
-        3, [(0, 1, 2, 1), (0, 2, 0, 1)], Matrix.identity(3))
+    g = QuadraticLieAlgebra.from_sparse([(0, 1, 2, 1), (0, 2, 0, 1)], Matrix.identity(3))
     with pytest.raises(JacobiFails) as info:
         validate_lie(g)
     assert info.value.triple == (0, 1, 2)
 
 
 def test_asymmetric_or_singular_form_detected():
-    g = QuadraticLieAlgebra.abelian(2, Matrix([[0, 1], [0, 0]]))
+    g = QuadraticLieAlgebra({}, Matrix([[0, 1], [0, 0]]))
     with pytest.raises(FormSingular):
         validate_lie(g)
-    g = QuadraticLieAlgebra.abelian(2, Matrix.zeros(2, 2))
+    g = QuadraticLieAlgebra({}, Matrix.zeros(2, 2))
     with pytest.raises(FormSingular):
         validate_lie(g)
 
 
 def test_noninvariant_form_detected():
-    g = QuadraticLieAlgebra.from_sparse(3, SL2_ENTRIES, Matrix.identity(3))
+    g = QuadraticLieAlgebra.from_sparse(SL2_ENTRIES, Matrix.identity(3))
     with pytest.raises(FormNotInvariant):
         validate_lie(g)
 
 
 def test_shape_errors():
-    with pytest.raises(DimensionMismatch):
-        QuadraticLieAlgebra(2, {}, Matrix.identity(3))
-    with pytest.raises(DimensionMismatch):
-        QuadraticLieAlgebra.from_sparse(2, [], Matrix.identity(3))
+    with pytest.raises(DimensionMismatch, match="form matrix must be square"):
+        QuadraticLieAlgebra({}, Matrix.zeros(2, 3))
+    with pytest.raises(DimensionMismatch, match="form matrix must be square"):
+        QuadraticLieAlgebra.from_sparse([], Matrix.zeros(3, 2))
 
 
 def test_casimir_pairs_sl2():
@@ -150,7 +148,7 @@ def test_casimir_pairs_sl2():
 
 def test_casimir_pairs_scale_inversely_with_form():
     g = sl2()
-    scaled = QuadraticLieAlgebra(g.dim, g.brackets, mat_scale(3, g.form))
+    scaled = QuadraticLieAlgebra(g.brackets, mat_scale(3, g.form))
     validate_lie(scaled)
     for dual, sdual in zip(casimir_pairs(g), casimir_pairs(scaled)):
         assert tuple(3 * x for x in sdual) == dual
@@ -158,4 +156,4 @@ def test_casimir_pairs_scale_inversely_with_form():
 
 def test_casimir_pairs_need_nonsingular_form():
     with pytest.raises(FormSingular):
-        casimir_pairs(QuadraticLieAlgebra.abelian(2, Matrix.zeros(2, 2)))
+        casimir_pairs(QuadraticLieAlgebra({}, Matrix.zeros(2, 2)))

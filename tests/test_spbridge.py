@@ -90,14 +90,14 @@ def test_roundtrips_both_ways():
 
 
 def test_sp_to_quadratic_nonstandard_form():
-    s = SymplecticSpace(2, Matrix([[0, 3], [-3, 0]]))
+    s = SymplecticSpace(Matrix([[0, 3], [-3, 0]]))
     alpha = Matrix.diagonal([5, -5])
     w = sp_to_quadratic(s, alpha)
     assert quadratic_to_sp(w) == alpha
 
 
 def test_sp_to_quadratic_dimension_zero():
-    s = SymplecticSpace(0, Matrix([], cols=0))
+    s = SymplecticSpace(Matrix([], cols=0))
     w = sp_to_quadratic(s, Matrix([], cols=0))
     assert w.is_zero()
 
@@ -133,7 +133,7 @@ def test_trace_ratio_is_minus_one_eighth():
 
 def test_trace_ratio_rejects_tiny_space():
     with pytest.raises(ValueError):
-        trace_ratio_constant(SymplecticSpace(0, Matrix([], cols=0)))
+        trace_ratio_constant(SymplecticSpace(Matrix([], cols=0)))
 
 
 def test_quadratics_closed_under_commutator():

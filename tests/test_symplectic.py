@@ -31,28 +31,28 @@ def test_pair_is_alternating_and_bilinear():
 
 def test_validate_rejects_odd_dimension():
     with pytest.raises(OddDimension):
-        validate_space(SymplecticSpace(1, Matrix([[0]])))
+        validate_space(SymplecticSpace(Matrix([[0]])))
 
 
 def test_validate_rejects_symmetric_form():
     with pytest.raises(NotAlternating):
-        validate_space(SymplecticSpace(2, Matrix.identity(2)))
+        validate_space(SymplecticSpace(Matrix.identity(2)))
 
 
 def test_validate_rejects_singular_form():
     with pytest.raises(Singular):
-        validate_space(SymplecticSpace(2, Matrix.zeros(2, 2)))
+        validate_space(SymplecticSpace(Matrix.zeros(2, 2)))
 
 
 def test_zero_dimensional_space_is_fine():
-    s = SymplecticSpace(0, Matrix([], cols=0))
+    s = SymplecticSpace(Matrix([], cols=0))
     validate_space(s)
 
 
 def test_omega_shape_is_checked_on_construction():
-    for omega in (Matrix.identity(3), Matrix.zeros(2, 3), Matrix([], cols=0)):
-        with pytest.raises(DimensionMismatch, match="omega must be 2x2"):
-            SymplecticSpace(2, omega)
+    for omega in (Matrix.zeros(2, 3), Matrix.zeros(3, 2), Matrix([], cols=2)):
+        with pytest.raises(DimensionMismatch, match="omega must be square"):
+            SymplecticSpace(omega)
 
 
 def test_is_in_sp():
@@ -66,7 +66,7 @@ def test_is_in_sp():
 
 def test_is_in_sp_nonstandard_form():
     omega = Matrix([[0, 2], [-2, 0]])
-    s = SymplecticSpace(2, omega)
+    s = SymplecticSpace(omega)
     validate_space(s)
     assert is_in_sp(s, Matrix.diagonal([3, -3]))
     assert not is_in_sp(s, Matrix.diagonal([1, 1]))

@@ -50,9 +50,9 @@ def algebra_perturbations(g: QuadraticLieAlgebra):
             changed = tuple(x + (t == l) for t, x in enumerate(coords))
             yield algebra_from_table({**table, (i, j): changed}, g.form)
     for p, q in product(range(k), repeat=2):
-        yield QuadraticLieAlgebra(k, g.brackets, bumped(g.form, (p, q)))
+        yield QuadraticLieAlgebra(g.brackets, bumped(g.form, (p, q)))
         if p < q:
-            yield QuadraticLieAlgebra(k, g.brackets, bumped(g.form, (p, q), (q, p)))
+            yield QuadraticLieAlgebra(g.brackets, bumped(g.form, (p, q), (q, p)))
 
 
 def test_validate_lie_agrees_with_oracle():
