@@ -1,13 +1,14 @@
 """Constructions of known families of instances.
 
 Builders return ready-to-test representations: the orthogonal-symplectic
-even pairs acting on a tensor product, whose summand forms are scaled to
-cancel the obstruction (``calibrate_scales``: ``casimir_image`` on each
-summand, then ``exactla.kernel_basis``), the two-dimensional diagonal
+even pairs acting on a tensor product, under the supertrace form, which
+cancels the degree-four obstruction (the trace form on the orthogonal
+summand and minus the trace form on the symplectic one; Kac, "Lie
+superalgebras", Adv. Math. 26, 1977); the two-dimensional diagonal
 instance whose extension is the smallest nontrivial superalgebra with a
-one-dimensional odd-odd image, the irreducible representations of the
+one-dimensional odd-odd image; the irreducible representations of the
 three-dimensional simple algebra (symplectic exactly for odd highest
-weight, with the smallest negative instance at weight three), and the
+weight, with the smallest negative instance at weight three); and the
 double of any verified superalgebra on the sum of the algebra and its dual
 space.
 
@@ -27,10 +28,9 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from .engine import (SuperAlgebraData, SymplecticRep, casimir_image, construct_superalgebra,
-                     verify_superalgebra)
+from .engine import SuperAlgebraData, SymplecticRep, construct_superalgebra, verify_superalgebra
 from .exactla import (LinAlgError, Matrix, Scalar, SuperweylError, add_product, as_scalar,
-                      integer_columns, integer_tables, invert, kernel_basis)
+                      integer_columns, integer_tables, invert)
 from .liealg import QuadraticLieAlgebra, bracket_table, defect_columns
 from .spbridge import NotSymplectic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
@@ -40,10 +40,6 @@ _ZERO = as_scalar(0)
 
 class TooLarge(SuperweylError):
     """Requested instance exceeds the supported size."""
-
-
-class CalibrationFailed(SuperweylError):
-    """No rational scaling of the summand forms cancels the obstruction."""
 
 
 class UnknownInstance(SuperweylError):
@@ -148,12 +144,13 @@ def _summand(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
 
 
 def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
-                scales: Sequence[Scalar]) -> QuadraticLieAlgebra:
-    """Direct sum with the block-diagonal form sum_s scales[s] B_s; cross
-    brackets are zero, and each summand's bracket keys move by its offset."""
+                scales: Sequence[int]) -> QuadraticLieAlgebra:
+    """Direct sum with the block-diagonal form sum_s scales[s] B_s, one scale
+    per summand; cross brackets are zero, and each summand's bracket keys
+    move by its offset."""
     total, offset = sum(g.dim for g in summands), 0
     brackets, form = {}, {}
-    for g, scale in zip(summands, scales):
+    for g, scale in zip(summands, scales, strict=True):
         brackets |= {(offset + i, offset + j): {offset + l: c for l, c in col.items()}
                      for (i, j), col in g.brackets.items()}
         form |= {(offset + i, offset + j): scale * x for (i, j), x in _entries(g.form).items()}
@@ -161,40 +158,20 @@ def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
     return QuadraticLieAlgebra(brackets, _matrix(form, total))
 
 
-def calibrate_scales(space: SymplecticSpace,
-                     summands: Sequence[tuple[QuadraticLieAlgebra, Sequence[Matrix]]]
-                     ) -> list[Scalar]:
-    """Scales lambda_s, the first 1, of the summand forms B_s such that the
-    direct sum, each summand acting on ``space`` by its matrices, has no
-    degree-four obstruction.  That obstruction is sum_s P_s / lambda_s for
-    the obstructions P_s of ``casimir_image`` on each summand alone, so the
-    1/lambda_s span the kernel (``kernel_basis``) of the matrix with columns
-    P_s.  Raises ``CalibrationFailed`` unless the kernel is one line with no
-    zero coordinate, which would make the form singular."""
-    obstructions = [casimir_image(SymplecticRep(g, space, tuple(nus)))[0]
-                    for g, nus in summands]
-    monomials = sorted({exp for p in obstructions for exp in p.terms})
-    kernel = kernel_basis(Matrix([[p.coefficient(exp) for p in obstructions]
-                                  for exp in monomials], cols=len(obstructions)))
-    if len(kernel) != 1:
-        raise CalibrationFailed(f"the cancelling inverse scales span {len(kernel)} dimensions")
-    inverse_scales = kernel[0].col(0)
-    if not all(inverse_scales):
-        raise CalibrationFailed("cancelling the obstruction needs a zero summand form")
-    return [inverse_scales[0] / t for t in inverse_scales]
-
-
 # -- instance builders -----------------------------------------------------
 
 
 def build_osp_even(m: int, n: int) -> SymplecticRep:
     """Orthogonal summand of size m and symplectic summand of size 2n acting
-    on the tensor product of their defining spaces.
+    on the tensor product of their defining spaces, under the supertrace
+    form: the plain trace form on the first summand and minus the trace
+    form on the second (Kac 1977), so that the degree-four obstruction
+    cancels.
 
-    Each nonempty summand carries its trace form, scaled by
-    ``calibrate_scales`` so that the degree-four obstruction cancels; the
-    first keeps the plain trace form.  For m = 1 the orthogonal summand is
-    zero-dimensional and is dropped.
+    For m = 1 the orthogonal summand is zero-dimensional and is dropped, so
+    the symplectic summand comes first and keeps its plain trace form: the
+    supertrace form is fixed only up to an overall sign, and the first
+    summand fixes it.
     """
     if m < 1 or n < 1:
         raise InvalidInput("need m >= 1 and n >= 1")
@@ -204,11 +181,11 @@ def build_osp_even(m: int, n: int) -> SymplecticRep:
         raise TooLarge(f"tensor space dimension {shown} exceeds the supported {MAX_STANDARD_DIM}")
     space = SymplecticSpace(kron(Matrix.identity(m), standard_space(n).omega))
     so_b, sp_b = so_basis(m), sp_basis(n)
-    actions = ([kron(a, Matrix.identity(2 * n)) for a in so_b],
-               [kron(Matrix.identity(m), b) for b in sp_b])
-    summands = [(_summand(basis), nus) for basis, nus in zip((so_b, sp_b), actions) if basis]
-    algebra = _direct_sum([g for g, _ in summands], calibrate_scales(space, summands))
-    return SymplecticRep(algebra, space, tuple(nu for _, nus in summands for nu in nus))
+    matrices = ([kron(a, Matrix.identity(2 * n)) for a in so_b]
+                + [kron(Matrix.identity(m), b) for b in sp_b])
+    summands = [_summand(basis) for basis in (so_b, sp_b) if basis]
+    algebra = _direct_sum(summands, (1, -1)[:len(summands)])
+    return SymplecticRep(algebra, space, tuple(matrices))
 
 
 def build_gl11_even() -> SymplecticRep:

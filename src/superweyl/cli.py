@@ -18,18 +18,13 @@ import argparse
 import sys
 
 from . import __version__
-from .engine import (NotSuperLieType, construct_superalgebra_unchecked, decide,
-                     first_failing_triple, validate_rep, verify_superalgebra)
+from .engine import (construct_superalgebra_unchecked, decide, first_failing_triple,
+                     validate_rep, verify_superalgebra)
 from .exactla import SuperweylError
 from .jsonio import (canonical_dumps, file_digest, load_problem, odd_brackets_to_json,
                      problem_to_json, report_to_json, superalgebra_to_json, write_json_atomic)
 from .liealg import validate_lie
 from .symplectic import validate_space
-
-
-def _fail(exc: SuperweylError | OSError, status: int) -> int:
-    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    return status
 
 
 def _validated_problem(path: str):
@@ -135,10 +130,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotSuperLieType as exc:
-        return _fail(exc, 2)
     except (SuperweylError, OSError) as exc:
-        return _fail(exc, 1)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

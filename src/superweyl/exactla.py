@@ -4,12 +4,14 @@ Everything downstream reduces to linear algebra over Q: expanding a matrix
 in a basis, inverting a Gram matrix, solving for dual bases.  ``Matrix`` is
 an immutable container of ``fractions.Fraction`` entries with no arithmetic
 of its own (sums, products, ``apply`` and ``trace`` are references in
-``tests/oracles.py``), and one elimination serves every solve, inverse,
-kernel and rank test: ``_echelon``, a fraction-free Gauss-Jordan on rows
-cleared to integers, after which one ``Fraction`` is formed per nonzero
-entry of the result.  There is deliberately no floating point anywhere;
-the decision procedure rests on exact vanishing tests, and a tolerance
-would turn a theorem into a heuristic.
+``tests/oracles.py``), and one elimination serves the solve, the inverse,
+the overdetermined solve and the rank test (``solve_linear``, ``invert``,
+``solve_overdetermined``, ``is_nonsingular``): ``_echelon``, a
+fraction-free Gauss-Jordan on rows cleared to integers, after which one
+``Fraction`` is formed per nonzero entry of the result.  There is
+deliberately no floating point anywhere; the decision procedure rests on
+exact vanishing tests, and a tolerance would turn a theorem into a
+heuristic.
 
 Those vanishing tests run on a fraction-free kernel.  One routine clears
 denominators: ``integer_vectors`` scales sparse rational vectors by their
@@ -108,10 +110,6 @@ class Matrix:
         vals = [as_scalar(v) for v in values]
         n = len(vals)
         return cls([[vals[i] if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def column(cls, values: Sequence) -> "Matrix":
-        return cls([[as_scalar(v)] for v in values], cols=1)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
@@ -214,23 +212,6 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
                 rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
     return rows, pivots
-
-
-def kernel_basis(a: Matrix) -> list[Matrix]:
-    """Basis of the null space of ``a`` as column matrices.
-
-    Deterministic: one basis column per free variable, in increasing
-    column order, with a unit entry in the free position.
-    """
-    rows, pivots = _echelon([_cleared(a.row(i)) for i in range(a.rows)])
-    basis = []
-    for f in (c for c in range(a.cols) if c not in pivots):
-        vec = [_ZERO] * a.cols
-        vec[f] = _ONE
-        for row, pc in zip(rows, pivots):
-            vec[pc] = Fraction(-row[f], row[pc]) if row[f] else _ZERO
-        basis.append(Matrix.column(vec))
-    return basis
 
 
 def solve_overdetermined(a: Matrix, b: Matrix) -> Matrix:

@@ -23,7 +23,8 @@ dense brackets given once per pair,
 linear combinations, the dense ``Matrix`` arithmetic that the package does
 not define (sums, differences, negation, products, scalar multiples,
 ``mat_apply``, ``mat_trace`` and ``mat_is_zero``, with the shape errors
-``DimensionMismatch`` gives), form values, brackets of coordinate
+``DimensionMismatch`` gives), column matrices (``mat_column``), form
+values, brackets of coordinate
 vectors, the representation defect as a matrix, the dense adjoint matrices
 of a superalgebra, the degree-four part of the Casimir image as a sum of
 commutative products, and the derivation extending a matrix to polynomials.
@@ -130,6 +131,11 @@ def mat_trace(a: Matrix) -> Scalar:
 
 def mat_is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a.data for x in row)
+
+
+def mat_column(values: Sequence) -> Matrix:
+    """The one-column matrix with these entries."""
+    return Matrix([[v] for v in values], cols=1)
 
 
 def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
@@ -357,7 +363,7 @@ def oracle_sp_to_quadratic(space: SymplecticSpace, alpha: Matrix) -> PolyElement
                   cols=len(monomials))
     rhs = [Fraction(-1, 2) * pair(space, space.basis_vector(i), alpha.col(j))
            for i in range(space.dim) for j in range(i, space.dim)]
-    coeffs = solve_linear(gram, Matrix.column(rhs))
+    coeffs = solve_linear(gram, mat_column(rhs))
     total = PolyElement.zero(space)
     for k, mono in enumerate(monomials):
         total = total + coeffs[k, 0] * mono

@@ -1,18 +1,20 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 import superweyl.catalog
+import superweyl.engine
 import superweyl.exactla
-from oracles import (dense_adjoint, linear_combination, mat_is_zero, mat_mul, mat_neg,
-                     mat_scale, odd_table, oracle_structure_constants, representation_defect,
-                     superalgebra_from_table)
-from superweyl.catalog import (CalibrationFailed, InvalidInput, TooLarge,
-                               UnknownInstance, abelian_superalgebra, build_double,
-                               build_instance, build_osp_even, build_spin_rep,
-                               calibrate_scales, double_base, kron, matrix_structure_constants,
-                               so_basis, sp_basis, trace_gram)
-from superweyl.engine import construct_superalgebra, decide, validate_rep, verify_superalgebra
+from oracles import (dense_adjoint, linear_combination, mat_column, mat_is_zero, mat_mul,
+                     mat_neg, mat_scale, odd_table, oracle_rref, oracle_structure_constants,
+                     representation_defect, superalgebra_from_table)
+from superweyl.catalog import (InvalidInput, TooLarge, UnknownInstance, abelian_superalgebra,
+                               build_double, build_instance, build_osp_even, build_spin_rep,
+                               double_base, kron, matrix_structure_constants, so_basis, sp_basis,
+                               trace_gram)
+from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra, decide,
+                              validate_rep, verify_superalgebra)
 from superweyl.exactla import LinAlgError, Matrix, Scalar, SingularMatrix, as_scalar, record
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
@@ -108,13 +110,31 @@ def test_structure_constants_refuse_a_degenerate_trace_form():
 
 
 def test_catalog_builds_without_the_overdetermined_solve(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("solve_overdetermined called")
+    # a build decides nothing: it never computes a Casimir image, and it
+    # inverts each summand's trace form once, in matrix_structure_constants
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} called")
+        return refused
 
-    monkeypatch.setattr(superweyl.exactla, "solve_overdetermined", refuse)
-    if hasattr(superweyl.catalog, "solve_overdetermined"):
-        monkeypatch.setattr(superweyl.catalog, "solve_overdetermined", refuse)
-    rep = build_osp_even(2, 2)
+    for module in (superweyl.exactla, superweyl.engine, superweyl.catalog):
+        for name in ("solve_overdetermined", "casimir_image"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    inverted, invert = [], superweyl.exactla.invert
+
+    def counted_invert(a):
+        inverted.append(a.rows)
+        return invert(a)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("superweyl.")]:
+        if getattr(module, "invert", None) is invert:
+            monkeypatch.setattr(module, "invert", counted_invert)
+    # the summands of (2, 2) are so(2) and sp(4), those of (4, 1) so(4) and sp(2)
+    for (m, n), sizes in (((2, 2), [1, 10]), ((4, 1), [6, 3])):
+        inverted.clear()
+        rep = build_osp_even(m, n)
+        assert inverted == sizes, (m, n)
     validate_lie(rep.algebra)
     validate_rep(rep)
 
@@ -139,47 +159,49 @@ def test_osp_even_instances_are_valid():
         validate_rep(rep)
 
 
-def test_osp_even_calibration_recovers_supertrace_normalization():
+# every (m, n) with 2mn <= 16, the size guard of the tensor space
+IN_GUARD = [(m, n) for m in range(1, 9) for n in range(1, 9) if 2 * m * n <= 16]
+
+
+def _block_diagonal(blocks):
+    """The block-diagonal matrix of square ``blocks``."""
+    size, rows = sum(b.rows for b in blocks), []
+    for b in blocks:
+        rows += [(0,) * len(rows) + row + (0,) * (size - len(rows) - b.cols) for row in b.data]
+    return Matrix(rows, cols=size)
+
+
+def test_osp_even_carries_the_supertrace_form():
     # orthogonal block keeps the plain trace form, symplectic block gets -1
     rep = build_osp_even(2, 1)
     expected = Matrix([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
     assert rep.algebra.form == expected
-    # with no orthogonal generators there is nothing to calibrate against
-    assert build_osp_even(1, 2).algebra.form == trace_gram(sp_basis(2))
-    # in general: the trace form on so(m) and minus the trace form on sp(2n)
-    for m, n in ((3, 1), (2, 2), (4, 1), (3, 2), (2, 3)):
-        so_gram, sp_gram = trace_gram(so_basis(m)), mat_neg(trace_gram(sp_basis(n)))
-        expected = Matrix([row + (0,) * sp_gram.cols for row in so_gram.data]
-                          + [(0,) * so_gram.cols + row for row in sp_gram.data])
-        assert build_osp_even(m, n).algebra.form == expected, (m, n)
-
-
-def test_calibration_scales_inversely_with_the_summand_forms():
-    # osp_even(2, 1) from its summands: so(2) with trace form -2, and sl2
-    # with its trace form, as built by build_spin_rep(1)
-    rep = build_osp_even(2, 1)
-    sl2 = build_spin_rep(1).algebra
-    for c_so, c_sp, expected in ((1, 1, [1, -1]), (3, 1, [1, -3]), (1, 2, [1, Fraction(-1, 2)])):
-        so2 = QuadraticLieAlgebra({}, Matrix([[-2 * c_so]]))
-        sp2 = QuadraticLieAlgebra(sl2.brackets, mat_scale(c_sp, sl2.form))
-        summands = [(so2, rep.matrices[:1]), (sp2, rep.matrices[1:])]
-        assert calibrate_scales(rep.space, summands) == expected
-
-
-def test_calibration_refuses_a_kernel_that_is_not_one_line():
-    # sp(2) on its standard space has no obstruction, so two copies leave
-    # every pair of inverse scales free
-    rep = build_spin_rep(1)
-    sp2 = (rep.algebra, rep.matrices)
-    with pytest.raises(CalibrationFailed, match="span 2 dimensions"):
-        calibrate_scales(rep.space, [sp2, sp2])
-    assert calibrate_scales(rep.space, [sp2]) == [1]
-    # a line alone has an obstruction: no scale cancels it, and next to
-    # sp(2) only a zero inverse scale would
-    line = (QuadraticLieAlgebra({}, Matrix.identity(1)), (Matrix.diagonal([1, -1]),))
-    for summands in ([line], [sp2, line]):
-        with pytest.raises(CalibrationFailed):
-            calibrate_scales(rep.space, summands)
+    assert len(IN_GUARD) == 20
+    for m, n in IN_GUARD:
+        rep = build_osp_even(m, n)
+        # the trace form on so(m) and minus the trace form on sp(2n); for
+        # m = 1 sp(2n) is the only summand and keeps its plain trace form
+        bases = [basis for basis in (so_basis(m), sp_basis(n)) if basis]
+        scales = (1, -1)[:len(bases)]
+        assert rep.algebra.form == _block_diagonal(
+            [mat_scale(t, trace_gram(basis)) for t, basis in zip(scales, bases)]), (m, n)
+        assert decide(rep).verdict, (m, n)
+        # the certificate: the obstructions P_s of the summands alone, each
+        # under its plain trace form, have a one-line space of relations,
+        # spanned by the inverse scales: sum_s P_s / scale_s = 0
+        obstructions, start = [], 0
+        for basis in bases:
+            gram = trace_gram(basis)
+            summand = QuadraticLieAlgebra(matrix_structure_constants(basis, gram), gram)
+            matrices = rep.matrices[start:start + len(basis)]
+            obstructions.append(casimir_image(SymplecticRep(summand, rep.space, matrices))[0])
+            start += len(basis)
+        monomials = sorted({exp for p in obstructions for exp in p.terms})
+        coefficients = Matrix([[p.coefficient(exp) for p in obstructions] for exp in monomials],
+                              cols=len(bases))
+        assert len(oracle_rref(coefficients)[1]) == len(bases) - 1, (m, n)
+        inverse_scales = mat_column([Fraction(1, t) for t in scales])
+        assert mat_is_zero(mat_mul(coefficients, inverse_scales)), (m, n)
 
 
 def test_osp_even_rejects_bad_parameters():

@@ -8,7 +8,7 @@ by Weyl products; the current command line must reproduce them byte for
 byte.  Two problems (``conj-*``) are catalog instances rewritten in a
 random rational basis of g0 and of v, so the form matrix is dense.
 Catalog problems must also come out of ``superweyl catalog`` unchanged,
-which covers the calibration of ``osp_even``.
+which covers the supertrace form of ``osp_even``.
 """
 
 import contextlib

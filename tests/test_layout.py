@@ -101,13 +101,13 @@ def test_every_error_derives_from_superweyl_error():
               for name, ours in error_classes(module).items()}
     assert {"superweyl.exactla.SuperweylError", "superweyl.catalog.InvalidInput"} <= set(errors)
     assert [name for name, ours in errors.items() if not ours] == []
-    # so the command line names no error of its own but the one with its own exit status
+    # so the command line names no error class but the root and OSError
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     named = {node.id: getattr(cli, node.id, getattr(builtins, node.id, None))
              for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name for name, obj in named.items()
             if isinstance(obj, type) and issubclass(obj, BaseException)} == {
-        "SuperweylError", "NotSuperLieType", "OSError"}
+        "SuperweylError", "OSError"}
 
 
 def test_error_root_detector(tmp_path):
