@@ -19,11 +19,13 @@ is outside sp(omega), and ``quadratic_to_sp`` refuses a non-quadratic.
 
 There is also a scalar worth recording: on quadratics the pairing is
 proportional to the matrix trace form, and ``trace_ratio_constant`` fits
-the proportionality constant with one Weyl-product pairing, on one anchor
-pair of monomials where it also checks the closed forms of both.  For the
-conventions of this package the constant is -1/8 in every dimension: since
-omega is alternating, tr(A(p) A(q)) = -8 (p, q) holds identically on the
-monomial basis, so the anchor is the only pair compared.  The sign is forced
+the proportionality constant with one Weyl-product pairing, on the anchor
+pair (x_0^2, x_q^2), q the first row where column 0 of omega is nonzero,
+and checks the closed forms of both there.  For the conventions of this
+package the constant is -1/8 in every dimension: since omega is alternating,
+tr(A(p) A(q)) = -8 (p, q) holds identically on the monomial basis, so the
+anchor is the only pair compared; it is the first monomial pair with nonzero
+trace, as tr(A(x_0^2) A(x_a x_b)) = -16 omega_0a omega_0b.  The sign is forced
 by the permanent expansion of the pairing, under which the square of a mixed
 quadratic monomial such as e.f is negative.  ``quadratic_factors`` reads the
 factors (i, j) off a quadratic monomial, for this module and ``engine``.
@@ -32,7 +34,6 @@ factors (i, j) off a quadratic monomial, for this module and ``engine``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .exactla import (DimensionMismatch, Matrix, Scalar, SuperweylError, add_product, as_scalar,
                       integer_columns)
@@ -128,42 +129,35 @@ def quadratic_pairing(a: PolyElement, b: PolyElement) -> Scalar:
 def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     """The constant c with (w, z) = c tr(A(w) A(z)) for all quadratics w, z,
     where A is ``quadratic_to_sp``, on a ``space`` taken as validated
-    (``validate_space``).  On the monomial basis both forms are read off the
-    form matrix w: (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja, as in
-    ``quadratic_pairing``, and
-    tr(A(x_i x_j) A(x_a x_b)) = 4 (w_ja w_bi + w_jb w_ai + w_ia w_bj + w_ib w_aj).
-    For an alternating w the trace is -8 times the pairing on every pair, so
-    c = -1/8, and only one anchor is compared, the first monomial pair with
-    nonzero trace, in integers on d w for the common denominator d of w: the
-    closed-form trace against the matrices of ``quadratic_to_sp``, and the
-    closed-form pairing against ``weyl.bilinear_form``, which fits c.  Raises
-    ``InconsistentRatio`` if either disagrees: a closed form has left the
-    Weyl-product model."""
+    (``validate_space``).  Write w = d omega, integral for the common
+    denominator d.  The closed forms on monomials are
+    (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja, as in ``quadratic_pairing``,
+    and tr(A(x_i x_j) A(x_a x_b)) = 4 (w_ja w_bi + w_jb w_ai + w_ia w_bj + w_ib w_aj);
+    for an alternating w the trace is -8 times the pairing, so c = -1/8.
+    Against x_0^2 the trace is -16 w_0a w_0b, so in the order of
+    ``quadratic_monomials`` the first pair with nonzero trace is the anchor
+    (x_0^2, x_q^2), q the first row of column 0 of w with w_q0 nonzero, where
+    the trace is -16 w_q0^2 and the pairing 2 w_q0^2.  Only the anchor is
+    compared, in integers: the trace against the matrices of ``quadratic_to_sp``,
+    and the pairing against ``weyl.bilinear_form``, which fits c.  Raises
+    ``InconsistentRatio`` if either disagrees (a closed form has left the
+    Weyl-product model) or if column 0 is empty, as only a singular w allows."""
     if space.dim < 2:
         raise ValueError("the trace ratio needs a space of dimension at least 2")
     n = space.dim
     scale, (columns, _) = space.omega_columns
-    w = [[col.get(i, 0) for col in columns] for i in range(n)]
-    # the factors (i, j) of the monomials, in the order of quadratic_monomials
-    factors = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def trace(p: tuple[int, int], q: tuple[int, int]) -> int:
-        (i, j), (a, b) = p, q
-        return 4 * (w[j][a] * w[b][i] + w[j][b] * w[a][i] + w[i][a] * w[b][j] + w[i][b] * w[a][j])
-
-    anchor = next((pair for pair in product(factors, repeat=2) if trace(*pair)), None)
-    if anchor is None:
+    if not columns[0]:
         raise InconsistentRatio("trace pairing vanishes identically")
-    (i, j), (a, b) = anchor
-    left, right = (PolyElement.monomial(space, [(t == u) + (t == v) for t in range(n)], 1)
-                   for u, v in anchor)
+    q, w_q0 = min(columns[0].items())
+    anchor = ((0, 0), (q, q))
+    left, right = (PolyElement.monomial(space, [2 * (t == u) for t in range(n)], 1) for u in (0, q))
     m_left, m_right = quadratic_to_sp(left), quadratic_to_sp(right)
     anchor_trace = sum((m_left[r, c] * m_right[c, r] for r in range(n) for c in range(n)), _ZERO)
-    if anchor_trace * scale ** 2 != trace(*anchor):
+    if anchor_trace * scale ** 2 != -16 * w_q0 ** 2:
         raise InconsistentRatio("the closed-form trace disagrees with quadratic_to_sp "
                                 f"on monomial pair {anchor}")
     pairing = bilinear_form(left, right)
-    if pairing * scale ** 2 != w[i][a] * w[j][b] + w[i][b] * w[j][a]:
+    if pairing * scale ** 2 != 2 * w_q0 ** 2:
         raise InconsistentRatio("the closed-form pairing disagrees with bilinear_form "
                                 f"on monomial pair {anchor}")
     return pairing / anchor_trace

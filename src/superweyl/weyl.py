@@ -105,12 +105,6 @@ class PolyElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
 

@@ -38,8 +38,8 @@ from superweyl.engine import CheckResult, NotARepresentation, SuperAlgebraData
 from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix, as_scalar,
                                invert, solve_linear, solve_overdetermined)
 from superweyl.liealg import FormNotInvariant, FormSingular, JacobiFails, QuadraticLieAlgebra
-from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_monomials,
-                                quadratic_pairing, quadratic_to_sp)
+from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_factors,
+                                quadratic_monomials, quadratic_pairing, quadratic_to_sp)
 from superweyl.symplectic import SymplecticSpace, as_vector, is_in_sp
 from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates, sym_product
 
@@ -370,12 +370,14 @@ def oracle_sp_to_quadratic(space: SymplecticSpace, alpha: Matrix) -> PolyElement
     return total
 
 
-def oracle_trace_ratio_constant(space: SymplecticSpace) -> Fraction:
+def oracle_trace_ratio_constant(space: SymplecticSpace
+                                ) -> tuple[Fraction, tuple[tuple[int, int], tuple[int, int]]]:
     """``trace_ratio_constant`` from the matrices: build A(p) with
     ``quadratic_to_sp`` for every quadratic monomial p, fit the constant with
     ``bilinear_form`` on the first pair with nonzero tr(A(p) A(q)), and
     require (p, q) = c tr(A(p) A(q)) through ``quadratic_pairing`` on all N^2
-    pairs."""
+    pairs.  Returns the constant and that anchor pair, each monomial as its
+    factors (i, j), i <= j."""
     monomials = quadratic_monomials(space)
     mats = [quadratic_to_sp(p).data for p in monomials]
     support = [[(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x != 0]
@@ -393,7 +395,7 @@ def oracle_trace_ratio_constant(space: SymplecticSpace) -> Fraction:
     for p, q in pairs:
         if quadratic_pairing(monomials[p], monomials[q]) != constant * trace(p, q):
             raise InconsistentRatio(f"pairing and trace form disagree on monomial pair ({p}, {q})")
-    return constant
+    return constant, tuple(quadratic_factors(*monomials[k].terms) for k in anchor)
 
 
 def oracle_quadratic_lift_adjoint(rep, w: PolyElement) -> tuple[Fraction, ...]:

@@ -18,6 +18,7 @@ bracket covariantly.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
 from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra, decide,
                               quadratic_lift, quadratic_lift_adjoint, validate_rep)
 from superweyl.exactla import DimensionMismatch, Matrix, invert
+from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
 from superweyl.spbridge import (NotSymplectic, quadratic_monomials, quadratic_pairing,
                                 quadratic_to_sp, sp_to_quadratic, trace_ratio_constant)
@@ -146,10 +148,34 @@ def test_quadratic_pairing_matches_bilinear_form(pair_of_quadratics):
     assert quadratic_pairing(a, b) == quadratic_pairing(b, a)
 
 
+def check_trace_ratio_and_anchor(space):
+    # the oracle's brute-force anchor is (x_0^2, x_q^2), q the first row with omega_q0 != 0
+    constant, anchor = oracle_trace_ratio_constant(space)
+    assert trace_ratio_constant(space) == constant == Fraction(-1, 8)
+    q = next(i for i in range(space.dim) if space.omega[i, 0] != 0)
+    assert anchor == ((0, 0), (q, q))
+
+
 @given(spaces(max_half=4))
 @settings(max_examples=12, deadline=None)
 def test_trace_ratio_matches_matrix_oracle(space):
-    assert trace_ratio_constant(space) == oracle_trace_ratio_constant(space) == Fraction(-1, 8)
+    check_trace_ratio_and_anchor(space)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SPACES = {path.name: space for path in sorted(GOLDEN.glob("*.json"))
+                 if len(path.suffixes) == 1 and path.name != "manifest.json"
+                 for space in [load_problem(str(path)).space] if space.dim >= 2}
+
+
+def test_golden_spaces_are_the_twelve_with_n_at_least_two():
+    assert len(GOLDEN_SPACES) == 12
+    assert {"conj-osp_even-2-1.json", "conj-spin-3.json"} <= GOLDEN_SPACES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPACES))
+def test_trace_ratio_anchor_on_golden_spaces(name):
+    check_trace_ratio_and_anchor(GOLDEN_SPACES[name])
 
 
 @st.composite

@@ -1,15 +1,17 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import derivation_action, mat_mul, mat_sub
+from oracles import derivation_action, mat_mul, mat_scale, mat_sub
+from superweyl import spbridge
 from superweyl.exactla import DimensionMismatch, Matrix
-from superweyl.spbridge import (NotSymplectic, ad_vector,
+from superweyl.spbridge import (InconsistentRatio, NotSymplectic, ad_vector,
                                 quadratic_monomials, quadratic_to_sp,
                                 sp_to_quadratic, trace_ratio_constant)
-from superweyl.symplectic import SymplecticSpace, standard_space
-from superweyl.weyl import PolyElement, linear_coordinates, weyl_commutator
+from superweyl.symplectic import SymplecticSpace, standard_space, validate_space
+from superweyl.weyl import PolyElement, bilinear_form, linear_coordinates, weyl_commutator
 
 S1 = standard_space(1)
 E = PolyElement.variable(S1, 0)
@@ -126,14 +128,49 @@ def test_derivation_action_agrees_with_commutator():
         assert derivation_action(alpha, a) == weyl_commutator(w, a)
 
 
+# a dense form with d = 2; its anchor (x_0^2, x_q^2) has q = 1, not m = 2
+H = Fraction(1, 2)
+DENSE = SymplecticSpace(Matrix([[0, H, 2, 3], [-H, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]))
+
+
 def test_trace_ratio_is_minus_one_eighth():
-    for m in (1, 2, 3):
-        assert trace_ratio_constant(standard_space(m)) == Fraction(-1, 8)
+    validate_space(DENSE)
+    for space in (standard_space(1), standard_space(2), standard_space(3), DENSE):
+        assert trace_ratio_constant(space) == Fraction(-1, 8)
 
 
 def test_trace_ratio_rejects_tiny_space():
     with pytest.raises(ValueError):
         trace_ratio_constant(SymplecticSpace(Matrix([], cols=0)))
+
+
+# (space, q): q is the first row of omega's column 0 that is nonzero
+ANCHORED_SPACES = [pytest.param(S1, 1, id="standard-plane"), pytest.param(DENSE, 1, id="dense")]
+
+
+@pytest.mark.parametrize("space, q", ANCHORED_SPACES)
+def test_trace_ratio_refuses_a_wrong_reference_pairing(space, q, monkeypatch):
+    monkeypatch.setattr(spbridge, "bilinear_form", lambda a, b: -bilinear_form(a, b))
+    message = ("closed-form pairing disagrees with bilinear_form "
+               f"on monomial pair ((0, 0), ({q}, {q}))")
+    with pytest.raises(InconsistentRatio, match=re.escape(message)):
+        trace_ratio_constant(space)
+
+
+@pytest.mark.parametrize("space, q", ANCHORED_SPACES)
+def test_trace_ratio_refuses_a_wrong_reference_trace(space, q, monkeypatch):
+    monkeypatch.setattr(spbridge, "quadratic_to_sp", lambda w: mat_scale(2, quadratic_to_sp(w)))
+    message = ("closed-form trace disagrees with quadratic_to_sp "
+               f"on monomial pair ((0, 0), ({q}, {q}))")
+    with pytest.raises(InconsistentRatio, match=re.escape(message)):
+        trace_ratio_constant(space)
+
+
+def test_trace_ratio_refuses_an_empty_first_column():
+    # singular, so never validated: the anchor x_0^2 pairs to zero with everything
+    space = SymplecticSpace(Matrix([[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]))
+    with pytest.raises(InconsistentRatio, match="trace pairing vanishes identically"):
+        trace_ratio_constant(space)
 
 
 def test_quadratics_closed_under_commutator():
