@@ -13,8 +13,8 @@ double of any verified superalgebra on the sum of the algebra and its dual
 space.
 
 Every builder lists the nonzero entries {(row, col): value} of its
-matrices and forms, and ``_matrix`` is the one place where they become a
-dense ``Matrix``.  A summand spanned by basis matrices takes its trace form
+matrices and forms, and ``Matrix.from_entries`` makes each of them a
+``Matrix``.  A summand spanned by basis matrices takes its trace form
 G as its invariant form, and G gives the structure constants too:
 coordinate l of [b_i, b_j] is sum_m (G^-1)_lm tr([b_i, b_j] b_m), summed
 in integers on the fraction-free kernel of the validators
@@ -24,7 +24,7 @@ in integers on the fraction-free kernel of the validators
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -60,36 +60,28 @@ def _entries(m: Matrix) -> dict[tuple[int, int], Scalar]:
     return {(i, j): x for i, row in enumerate(m.data) for j, x in enumerate(row) if x}
 
 
-def _matrix(entries: Mapping[tuple[int, int], Scalar | int], rows: int,
-            cols: int | None = None) -> Matrix:
-    """The matrix, square unless ``cols`` is given, with these nonzero entries."""
-    cols = rows if cols is None else cols
-    data = [[_ZERO] * cols for _ in range(rows)]
-    for (i, j), x in entries.items():
-        data[i][j] = x
-    return Matrix(data, cols=cols)
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, with the index convention (i, p) -> i * b.rows + p."""
-    return _matrix({(i * b.rows + p, j * b.cols + q): x * y
-                    for (i, j), x in _entries(a).items() for (p, q), y in _entries(b).items()},
-                   a.rows * b.rows, a.cols * b.cols)
+    return Matrix.from_entries({(i * b.rows + p, j * b.cols + q): x * y
+                                for (i, j), x in _entries(a).items()
+                                for (p, q), y in _entries(b).items()},
+                               a.rows * b.rows, a.cols * b.cols)
 
 
 def so_basis(m: int) -> list[Matrix]:
     """Antisymmetric matrices E_ij - E_ji (i < j); empty for m = 1."""
-    return [_matrix({(i, j): 1, (j, i): -1}, m) for i, j in combinations(range(m), 2)]
+    return [Matrix.from_entries({(i, j): 1, (j, i): -1}, m) for i, j in combinations(range(m), 2)]
 
 
 def sp_basis(n: int) -> list[Matrix]:
     """Basis of the matrices preserving the standard alternating form in
     dimension 2n, in blocks [[A, B], [C, -A^T]] with B, C symmetric.
     For n = 1 the order is the usual (H, E, F)."""
-    dim, upper = 2 * n, list(combinations_with_replacement(range(n), 2))
-    return ([_matrix({(i, j): 1, (n + j, n + i): -1}, dim) for i, j in product(range(n), repeat=2)]
-            + [_matrix({(i, n + j): 1, (j, n + i): 1}, dim) for i, j in upper]
-            + [_matrix({(n + i, j): 1, (n + j, i): 1}, dim) for i, j in upper])
+    upper = list(combinations_with_replacement(range(n), 2))
+    entries = ([{(i, j): 1, (n + j, n + i): -1} for i, j in product(range(n), repeat=2)]
+               + [{(i, n + j): 1, (j, n + i): 1} for i, j in upper]
+               + [{(n + i, j): 1, (n + j, i): 1} for i, j in upper])
+    return [Matrix.from_entries(e, 2 * n) for e in entries]
 
 
 def trace_gram(basis: Sequence[Matrix]) -> Matrix:
@@ -155,7 +147,7 @@ def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
                      for (i, j), col in g.brackets.items()}
         form |= {(offset + i, offset + j): scale * x for (i, j), x in _entries(g.form).items()}
         offset += g.dim
-    return QuadraticLieAlgebra(brackets, _matrix(form, total))
+    return QuadraticLieAlgebra(brackets, Matrix.from_entries(form, total))
 
 
 # -- instance builders -----------------------------------------------------
@@ -193,10 +185,9 @@ def build_gl11_even() -> SymplecticRep:
     standard two-dimensional space by diag(1, -1) and diag(-1, 1).  This is
     the even part of the smallest type-I matrix superalgebra under its
     supertrace form."""
-    algebra = QuadraticLieAlgebra({}, Matrix.diagonal([1, -1]))
-    space = standard_space(1)
-    matrices = (Matrix.diagonal([1, -1]), Matrix.diagonal([-1, 1]))
-    return SymplecticRep(algebra, space, matrices)
+    form = Matrix.from_entries({(0, 0): 1, (1, 1): -1}, 2)
+    matrices = (form, Matrix.from_entries({(0, 0): -1, (1, 1): 1}, 2))
+    return SymplecticRep(QuadraticLieAlgebra({}, form), standard_space(1), matrices)
 
 
 def build_spin_rep(two_j: int) -> SymplecticRep:
@@ -213,16 +204,16 @@ def build_spin_rep(two_j: int) -> SymplecticRep:
     if two_j > 7:
         raise TooLarge("two_j above 7 is out of scope")
     size = two_j + 1
-    h = _matrix({(r, r): two_j - 2 * r for r in range(size)}, size)
-    e = _matrix({(r, r + 1): (r + 1) * (two_j - r) for r in range(two_j)}, size)
-    f = _matrix({(r + 1, r): 1 for r in range(two_j)}, size)
-    omega = _matrix({(r, two_j - r): (-1) ** r for r in range(size)}, size)
+    h = Matrix.from_entries({(r, r): two_j - 2 * r for r in range(size)}, size)
+    e = Matrix.from_entries({(r, r + 1): (r + 1) * (two_j - r) for r in range(two_j)}, size)
+    f = Matrix.from_entries({(r + 1, r): 1 for r in range(two_j)}, size)
+    omega = Matrix.from_entries({(r, two_j - r): (-1) ** r for r in range(size)}, size)
     return SymplecticRep(_summand(sp_basis(1)), SymplecticSpace(omega), (h, e, f))
 
 
 def abelian_superalgebra(dim: int) -> SuperAlgebraData:
     """Purely even abelian superalgebra; the degenerate base case for doubles."""
-    point = Matrix.zeros(0, 0)
+    point = Matrix.from_entries({}, 0)
     rep = SymplecticRep(QuadraticLieAlgebra({}, Matrix.identity(dim)), SymplecticSpace(point),
                         (point,) * dim)
     return SuperAlgebraData(rep, {})
@@ -244,7 +235,6 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
         raise InvalidInput(f"input fails verification: {failures[0].name}")
     base = s.rep.algebra
     k, n = base.dim, s.rep.space.dim
-    kk = 2 * k
     nn = 2 * n
 
     # even brackets: [x_i, x_l] = sum_j c_il^j x_j from s, and the contragredient
@@ -254,24 +244,26 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
         for j, c in col.items():
             brackets.setdefault((i, k + j), {})[k + l] = -c
             brackets.setdefault((l, k + j), {})[k + i] = c
-    form_even = _matrix({(i, k + i): 1 for i in range(k)} | {(k + i, i): 1 for i in range(k)}, kk)
+    form_even = Matrix.from_entries({(i, k + i): 1 for i in range(k)}
+                                    | {(k + i, i): 1 for i in range(k)}, 2 * k)
     even = QuadraticLieAlgebra(brackets, form_even)
 
     # odd form on basis (y_0..y_{n-1}, z_0..z_{n-1}): (y_b, z_a) = -delta
-    form_odd = _matrix({(i, n + i): -1 for i in range(n)} | {(n + i, i): 1 for i in range(n)}, nn)
+    form_odd = Matrix.from_entries({(i, n + i): -1 for i in range(n)}
+                                   | {(n + i, i): 1 for i in range(n)}, nn)
 
     # action of the doubled even part on the doubled odd space: nu_i and -nu_i^T
     matrices = []
     for nu_i in s.rep.matrices:
         entries = _entries(nu_i)
         entries |= {(n + q, n + p): -x for (p, q), x in entries.items()}
-        matrices.append(_matrix(entries, nn))
+        matrices.append(Matrix.from_entries(entries, nn))
     # x_{k+j} sends y_b to sum_c [y_b, y_c]_j z_c, scattered from the stored maps
     duals = [{} for _ in range(k)]
     for (b, c), col in s.odd_odd.items():
         for j, x in col.items():
             duals[j][n + c, b] = duals[j][n + b, c] = x
-    matrices += [_matrix(entries, nn) for entries in duals]
+    matrices += [Matrix.from_entries(entries, nn) for entries in duals]
     rep = SymplecticRep(even, SymplecticSpace(form_odd), tuple(matrices))
 
     # explicit odd-odd table of the double: [y_p, y_q] from s, and

@@ -4,9 +4,12 @@ Everything downstream reduces to linear algebra over Q: expanding a matrix
 in a basis, inverting a Gram matrix, solving for dual bases.  ``Matrix`` is
 an immutable container of ``fractions.Fraction`` entries with no arithmetic
 of its own (sums, products, ``apply`` and ``trace`` are references in
-``tests/oracles.py``), and one elimination serves the solve, the inverse,
-the overdetermined solve and the rank test (``solve_linear``, ``invert``,
-``solve_overdetermined``, ``is_nonsingular``): ``_echelon``, a
+``tests/oracles.py``).  It has one dense constructor, ``Matrix(rows)``, and
+one sparse one, ``Matrix.from_entries``, from the map {(i, j): value} of
+its nonzero entries, of which ``Matrix.identity`` is a special case.  One
+elimination serves the solve, the inverse, the overdetermined solve and
+the rank test (``solve_linear``, ``invert``, ``solve_overdetermined``,
+``is_nonsingular``): ``_echelon``, a
 fraction-free Gauss-Jordan on rows cleared to integers, after which one
 ``Fraction`` is formed per nonzero entry of the result.  There is
 deliberately no floating point anywhere; the decision procedure rests on
@@ -41,7 +44,6 @@ from math import gcd, lcm
 Scalar = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SuperweylError(Exception):
@@ -66,11 +68,12 @@ def as_scalar(value: Scalar | int | str) -> Scalar:
 
     Accepts Fractions, ints and strings like ``"-3/8"``.  Floats are
     rejected on purpose: converting one silently would smuggle rounding
-    error into computations that rely on exact equality.
+    error into computations that rely on exact equality.  So are bools,
+    which are ints to Python but never a coefficient.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, int | str) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -99,28 +102,22 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
+        return cls.from_entries({(i, i): 1 for i in range(n)}, n)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[_ZERO] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "Matrix":
-        vals = [as_scalar(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        cols = [tuple(as_scalar(v) for v in c) for c in columns]
-        if cols:
-            rows = len(cols[0])
-            if any(len(c) != rows for c in cols):
-                raise DimensionMismatch("columns of unequal length")
-        elif rows is None:
-            rows = 0
-        return cls([[c[i] for c in cols] for i in range(rows)], cols=len(cols))
+    def from_entries(cls, entries: Mapping[tuple[int, int], Scalar | int | str], rows: int,
+                     cols: int | None = None) -> "Matrix":
+        """The matrix, square unless ``cols`` is given, whose nonzero entries
+        are the map {(i, j): value}; an index outside the shape, a negative
+        one included, raises ``IndexError``.  ``__init__`` coerces each value
+        once, through ``as_scalar``."""
+        cols = rows if cols is None else cols
+        data = [[_ZERO] * cols for _ in range(rows)]
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            data[i][j] = x
+        return cls(data, cols=cols)
 
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key

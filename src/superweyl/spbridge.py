@@ -83,7 +83,8 @@ def quadratic_to_sp(w: PolyElement) -> Matrix:
         raise ValueError("quadratic_to_sp needs a homogeneous quadratic")
     space = w.space
     cols = [ad_vector(w, space.basis_vector(j)) for j in range(space.dim)]
-    return Matrix.from_columns(cols, rows=space.dim)
+    return Matrix.from_entries({(i, j): x for j, col in enumerate(cols)
+                                for i, x in enumerate(col) if x}, space.dim)
 
 
 def sp_to_quadratic(space: SymplecticSpace, alpha: Matrix) -> PolyElement:

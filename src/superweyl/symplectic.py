@@ -79,10 +79,8 @@ def standard_space(m: int) -> SymplecticSpace:
     """The 2m-dimensional space with basis e_1..e_m, f_1..f_m and (e_i, f_j) = delta_ij."""
     if m < 1:
         raise ValueError("standard space needs at least one hyperbolic pair")
-    n = 2 * m
-    omega = Matrix([[as_scalar(1) if j == i + m else as_scalar(-1) if i == j + m else as_scalar(0)
-                     for j in range(n)] for i in range(n)], cols=n)
-    return SymplecticSpace(omega)
+    return SymplecticSpace(Matrix.from_entries({(i, m + i): 1 for i in range(m)}
+                                               | {(m + i, i): -1 for i in range(m)}, 2 * m))
 
 
 def validate_space(space: SymplecticSpace) -> None:

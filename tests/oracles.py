@@ -138,6 +138,11 @@ def mat_column(values: Sequence) -> Matrix:
     return Matrix([[v] for v in values], cols=1)
 
 
+def mat_diagonal(values: Sequence) -> Matrix:
+    """The square diagonal matrix with these entries."""
+    return Matrix.from_entries({(i, i): v for i, v in enumerate(values)}, len(values))
+
+
 def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
     """The form value u^T omega v."""
     return bilinear(space.omega, as_vector(space, u), as_vector(space, v))
@@ -220,15 +225,15 @@ def representation_defect(ad: Sequence[Matrix], rho: Sequence[Matrix], k: int,
     xy = mat_mul(rho[x], rho[y])
     supercommutator = mat_add(xy, yx) if x >= k and y >= k else mat_sub(xy, yx)
     return mat_sub(supercommutator, linear_combination(ad[x].col(y), rho,
-                                                       Matrix.zeros(xy.rows, xy.cols)))
+                                                       Matrix.from_entries({}, xy.rows, xy.cols)))
 
 
 def dense_adjoint(s) -> list[Matrix]:
     """The matrices ad_t of ``s.adjoint_columns`` as dense ``Fraction``
     matrices, for tests that multiply them."""
     d, ad = s.adjoint_columns
-    return [Matrix.from_columns([[Fraction(col.get(i, 0), d) for i in range(s.dim)]
-                                 for col in cols], rows=s.dim) for cols in ad]
+    return [Matrix.from_entries({(i, j): Fraction(x, d) for j, col in enumerate(cols)
+                                 for i, x in col.items()}, s.dim) for cols in ad]
 
 
 def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
@@ -427,8 +432,8 @@ def oracle_structure_constants(basis: Sequence[Matrix]
 
     commutators = [flat(mat_sub(mat_mul(basis[i], basis[j]), mat_mul(basis[j], basis[i])))
                    for i, j in pairs]
-    coords = solve_overdetermined(Matrix.from_columns([flat(b) for b in basis]),
-                                  Matrix.from_columns(commutators))
+    coords = solve_overdetermined(Matrix([flat(b) for b in basis]).transpose(),
+                                  Matrix(commutators).transpose())
     columns = {pair: {l: c for l, c in enumerate(coords.col(t)) if c}
                for t, pair in enumerate(pairs)}
     return {pair: col for pair, col in columns.items() if col}
@@ -477,7 +482,7 @@ def oracle_validate_rep(rep) -> None:
             commutator = mat_sub(mat_mul(rep.matrices[i], rep.matrices[j]),
                                  mat_mul(rep.matrices[j], rep.matrices[i]))
             expected = linear_combination(bracket(rep.algebra, i, j), rep.matrices,
-                                          Matrix.zeros(rep.space.dim, rep.space.dim))
+                                          Matrix.from_entries({}, rep.space.dim))
             if commutator != expected:
                 raise NotARepresentation(i, j)
 

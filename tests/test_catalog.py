@@ -6,9 +6,9 @@ import pytest
 import superweyl.catalog
 import superweyl.engine
 import superweyl.exactla
-from oracles import (dense_adjoint, linear_combination, mat_column, mat_is_zero, mat_mul,
-                     mat_neg, mat_scale, odd_table, oracle_rref, oracle_structure_constants,
-                     representation_defect, superalgebra_from_table)
+from oracles import (dense_adjoint, linear_combination, mat_column, mat_diagonal, mat_is_zero,
+                     mat_mul, mat_neg, mat_scale, odd_table, oracle_rref,
+                     oracle_structure_constants, representation_defect, superalgebra_from_table)
 from superweyl.catalog import (InvalidInput, TooLarge, UnknownInstance, abelian_superalgebra,
                                build_double, build_instance, build_osp_even, build_spin_rep,
                                double_base, kron, matrix_structure_constants, so_basis, sp_basis,
@@ -57,7 +57,7 @@ def test_sp_basis():
         for mat in basis:
             assert is_in_sp(space, mat)
     h, e, f = sp_basis(1)
-    assert h == Matrix.diagonal([1, -1])
+    assert h == mat_diagonal([1, -1])
     assert e == Matrix([[0, 1], [0, 0]])
     assert f == Matrix([[0, 0], [1, 0]])
 
@@ -87,7 +87,7 @@ def _recombined(basis):
     """b'_i = sum_j P_ij b_j for a rational unit lower-triangular P."""
     rows = [[Fraction(1) if j == i else Fraction(i - 2 * j, j + 2) if j < i else Fraction(0)
              for j in range(len(basis))] for i in range(len(basis))]
-    return [linear_combination(row, basis, Matrix.zeros(basis[0].rows, basis[0].cols))
+    return [linear_combination(row, basis, Matrix.from_entries({}, basis[0].rows, basis[0].cols))
             for row in rows]
 
 
@@ -300,7 +300,7 @@ def test_defining_supertrace_of_gl11():
     ad, k = dense_adjoint(s), s.rep.algebra.dim
     assert all(mat_is_zero(representation_defect(ad, rho, k, x, y))
                for x in range(s.dim) for y in range(s.dim))
-    assert _gram_of_supertrace(rho[:k], 1) == s.rep.algebra.form == Matrix.diagonal([1, -1])
+    assert _gram_of_supertrace(rho[:k], 1) == s.rep.algebra.form == mat_diagonal([1, -1])
     assert _gram_of_supertrace(rho[k:], 1) == s.rep.space.omega == Matrix([[0, 1], [-1, 0]])
 
 

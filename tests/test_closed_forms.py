@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (algebra_from_table, bracket_vectors, casimir_obstruction, form_value,
-                     linear_combination, mat_add, mat_apply, mat_mul, mat_scale, odd_bracket,
-                     oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
+                     linear_combination, mat_add, mat_apply, mat_diagonal, mat_mul, mat_scale,
+                     odd_bracket, oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
                      oracle_trace_ratio_constant)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
@@ -278,8 +278,8 @@ def test_lift_adjoint_holds_for_an_asymmetric_form(w):
     # still give B(x_i, t) = (lift_i, w)
     space = standard_space(2)
     algebra = QuadraticLieAlgebra({}, Matrix([[1, 2], [0, 1]]))
-    rep = SymplecticRep(algebra, space, (Matrix.diagonal([1, 0, -1, 0]),
-                                         Matrix.diagonal([1, 2, -1, -2])))
+    rep = SymplecticRep(algebra, space, (mat_diagonal([1, 0, -1, 0]),
+                                         mat_diagonal([1, 2, -1, -2])))
     t = quadratic_lift_adjoint(rep, w)
     assert t == oracle_quadratic_lift_adjoint(rep, w)
     for i, nu in enumerate(rep.matrices):
@@ -297,7 +297,7 @@ def _change_basis(rep: SymplecticRep, p: Matrix, q: Matrix) -> SymplecticRep:
              for i in range(k) for j in range(i + 1, k)}
     algebra = algebra_from_table(table, mat_mul(p.transpose(), rep.algebra.form, p))
     conjugated = _conjugate_space(rep, q)
-    zero = Matrix.zeros(rep.space.dim, rep.space.dim)
+    zero = Matrix.from_entries({}, rep.space.dim)
     return SymplecticRep(algebra, conjugated.space,
                          tuple(linear_combination(p.col(i), conjugated.matrices, zero)
                                for i in range(k)))

@@ -12,8 +12,8 @@ import superweyl.exactla
 import superweyl.spbridge
 import superweyl.symplectic
 from oracles import (bracket, bracket_vectors, dense_adjoint, form_value, linear_combination,
-                     mat_add, mat_apply, mat_mul, mat_scale, odd_bracket, odd_table, replace,
-                     superalgebra_from_table)
+                     mat_add, mat_apply, mat_diagonal, mat_mul, mat_scale, odd_bracket, odd_table,
+                     replace, superalgebra_from_table)
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.cli import main
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
@@ -65,7 +65,7 @@ def test_validate_rep_rejects_non_symplectic_matrix():
 
 def test_validate_rep_rejects_wrong_commutator():
     # abelian table but matrices with a nonzero commutator
-    g = QuadraticLieAlgebra({}, Matrix.diagonal([1, -1]))
+    g = QuadraticLieAlgebra({}, mat_diagonal([1, -1]))
     rep = SymplecticRep(g, S1, (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])))
     with pytest.raises(NotARepresentation):
         validate_rep(rep)
@@ -74,11 +74,11 @@ def test_validate_rep_rejects_wrong_commutator():
 def test_rep_shape_check():
     g = QuadraticLieAlgebra({}, Matrix.identity(2))
     with pytest.raises(ValueError, match="one matrix per basis element"):
-        SymplecticRep(g, S1, (Matrix.zeros(2, 2),))
+        SymplecticRep(g, S1, (Matrix.from_entries({}, 2),))
     with pytest.raises(ValueError, match="square of the space dimension"):
-        SymplecticRep(g, S1, (Matrix.zeros(2, 2), Matrix.identity(3)))
+        SymplecticRep(g, S1, (Matrix.from_entries({}, 2), Matrix.identity(3)))
     with pytest.raises(ValueError, match="square of the space dimension"):
-        SymplecticRep(g, S1, (Matrix.zeros(2, 2), Matrix.zeros(2, 3)))
+        SymplecticRep(g, S1, (Matrix.from_entries({}, 2), Matrix.from_entries({}, 2, 3)))
 
 
 # -- quadratic lifts -------------------------------------------------------
@@ -316,7 +316,7 @@ def test_trace_identity():
 
 
 def test_zero_dimensional_odd_space():
-    g = QuadraticLieAlgebra({}, Matrix.diagonal([1, 1]))
+    g = QuadraticLieAlgebra({}, mat_diagonal([1, 1]))
     space = SymplecticSpace(Matrix([], cols=0))
     rep = SymplecticRep(g, space, (Matrix([], cols=0), Matrix([], cols=0)))
     validate_rep(rep)
@@ -523,7 +523,7 @@ def _change_even_basis(rep, p):
     new_alg = QuadraticLieAlgebra.from_sparse(entries, new_form)
     new_mats = []
     for i in range(k):
-        m = Matrix.zeros(rep.space.dim, rep.space.dim)
+        m = Matrix.from_entries({}, rep.space.dim)
         for j in range(k):
             if p[j, i] != 0:
                 m = mat_add(m, mat_scale(p[j, i], rep.matrices[j]))

@@ -31,6 +31,15 @@ def test_as_scalar_rejects_floats():
         as_scalar(1.0)
 
 
+def test_as_scalar_rejects_bools():
+    # a bool is an int to Python, but never a coefficient
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            as_scalar(value)
+    with pytest.raises(TypeError):
+        Matrix([[True]])
+
+
 def test_matrix_construction_and_access():
     m = Matrix([[1, 2], ["1/2", -1]])
     assert m.rows == 2 and m.cols == 2
@@ -48,14 +57,48 @@ def test_matrix_ragged_rows_rejected():
 def test_empty_matrix_needs_explicit_width():
     m = Matrix([], cols=3)
     assert m.rows == 0 and m.cols == 3
-    assert Matrix.from_columns([], rows=2).rows == 2
+
+
+def test_from_entries_fills_zeros():
+    m = Matrix.from_entries({(0, 1): 2, (1, 0): "-1/2"}, 2)
+    assert m == Matrix([[0, 2], ["-1/2", 0]])
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    assert Matrix.from_entries({}, 2) == Matrix([[0, 0], [0, 0]])
+    assert Matrix.identity(3) == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_from_entries_shapes():
+    m = Matrix.from_entries({(1, 2): 5}, 2, 3)
+    assert (m.rows, m.cols) == (2, 3)
+    assert m == Matrix([[0, 0, 0], [0, 0, 5]])
+    empty = Matrix.from_entries({}, 0)
+    assert (empty.rows, empty.cols) == (0, 0) and empty == Matrix([])
+    wide = Matrix.from_entries({}, 0, 3)
+    assert (wide.rows, wide.cols) == (0, 3)
+    assert Matrix.from_entries({}, 2, 0).cols == 0
+
+
+@pytest.mark.parametrize("key, rows, cols", [((-1, 0), 2, 3), ((0, -1), 2, 3), ((2, 0), 2, 3),
+                                            ((0, 3), 2, 3), ((0, 0), 0, 0)],
+                         ids=["negative-row", "negative-col", "row-past-end", "col-past-end",
+                              "empty"])
+def test_from_entries_refuses_indices_outside_the_shape(key, rows, cols):
+    # a negative index is not read from the end, as a list would
+    with pytest.raises(IndexError):
+        Matrix.from_entries({key: 1}, rows, cols)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, False])
+def test_from_entries_refuses_floats_and_bools(value):
+    with pytest.raises(TypeError):
+        Matrix.from_entries({(0, 0): value}, 1)
 
 
 def test_matrix_arithmetic():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[0, 1], [1, 0]])
     assert mat_add(a, b) == Matrix([[1, 3], [4, 4]])
-    assert mat_sub(a, a) == Matrix.zeros(2, 2)
+    assert mat_sub(a, a) == Matrix.from_entries({}, 2)
     assert mat_neg(a) == Matrix([[-1, -2], [-3, -4]])
     assert mat_mul(a, b) == Matrix([[2, 1], [4, 3]])
     assert mat_mul(a, b, a) == Matrix([[5, 8], [13, 20]])

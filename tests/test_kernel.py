@@ -34,9 +34,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (casimir_obstruction, linear_combination, mat_add, mat_is_zero, mat_mul,
-                     oracle_sp_to_quadratic, oracle_verify_superalgebra, representation_defect,
-                     superalgebra_from_table)
+from oracles import (casimir_obstruction, linear_combination, mat_add, mat_diagonal, mat_is_zero,
+                     mat_mul, oracle_sp_to_quadratic, oracle_verify_superalgebra,
+                     representation_defect, superalgebra_from_table)
 from superweyl.catalog import build_instance
 from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra_unchecked,
                               decide, form_invariance_witness, jacobiator, validate_rep,
@@ -117,7 +117,7 @@ def invariance_data(draw):
 @settings(max_examples=80, deadline=None)
 def test_invariance_violation_matches_the_fraction_defect(data):
     a, g, signs = data
-    s = Matrix.identity(a.rows) if signs is None else Matrix.diagonal(signs)
+    s = Matrix.identity(a.rows) if signs is None else mat_diagonal(signs)
     expected = _first_nonzero(mat_add(mat_mul(a.transpose(), g), mat_mul(s, g, a)))
     _, (a_cols, g_cols, gt_cols) = integer_columns([a, g, g.transpose()])
     assert invariance_violation(a_cols, g_cols, gt_cols, signs) == expected

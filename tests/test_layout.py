@@ -22,7 +22,9 @@ fields ``QuadraticLieAlgebra.brackets`` and ``SuperAlgebraData.odd_odd``
 carry the same annotation, and one function, ``liealg.check_pairs``,
 refuses a malformed pair map.  No record stores its size: a dimension is
 read off the record's matrix, so no ``@record`` class annotates a field
-``dim``.
+``dim``.  ``Matrix`` has one dense constructor, ``Matrix(rows)``, and one
+sparse one, ``Matrix.from_entries``: its only class methods are that and
+``identity``.
 """
 
 import ast
@@ -40,7 +42,7 @@ import pytest
 import superweyl
 from superweyl import cli
 from superweyl.engine import SuperAlgebraData
-from superweyl.exactla import SuperweylError
+from superweyl.exactla import Matrix, SuperweylError
 from superweyl.liealg import QuadraticLieAlgebra
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -218,6 +220,41 @@ def test_cached_view_detector(tmp_path):
                       "        pass\n\n    @functools.cached_property\n    def b(self) -> Matrix:\n"
                       "        pass\n\n    @property\n    def c(self) -> Matrix:\n        pass\n")
     assert cached_views(sample) == [("a", "IntegerColumns"), ("b", "Matrix")]
+
+
+def classmethods(cls: type) -> set[str]:
+    """The names of the class methods that ``cls`` defines itself."""
+    return {name for name, value in vars(cls).items() if isinstance(value, classmethod)}
+
+
+def test_matrix_has_one_sparse_constructor():
+    # Matrix(rows) builds dense; every sparse map of entries goes through from_entries
+    assert classmethods(Matrix) == {"identity", "from_entries"}
+
+
+def test_classmethod_detector():
+    class Base:
+        @classmethod
+        def inherited(cls):
+            pass
+
+    class Sample(Base):
+        @classmethod
+        def made(cls):
+            pass
+
+        @staticmethod
+        def helper():
+            pass
+
+        @property
+        def size(self):
+            pass
+
+        def plain(self):
+            pass
+
+    assert classmethods(Sample) == {"made"}
 
 
 # what a value type may define with no caller: construction, indexing,

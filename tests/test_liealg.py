@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import bracket, bracket_vectors, form_value, mat_scale
+from oracles import bracket, bracket_vectors, form_value, mat_diagonal, mat_scale
 from superweyl import liealg
 from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.jsonio import load_problem
@@ -35,7 +35,7 @@ def test_adjoint_is_built_once_per_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the adjoint was built again")
 
-    monkeypatch.setattr(Matrix, "from_columns", refuse)
+    monkeypatch.setattr(Matrix, "from_entries", refuse)
     monkeypatch.setattr(liealg, "integer_tables", refuse)
     assert g.adjoint_columns is g.adjoint_columns
     assert g.adjoint_columns.scale == 1
@@ -66,7 +66,7 @@ def test_form_value():
 def test_abelian_validates():
     validate_lie(QuadraticLieAlgebra({}, Matrix.identity(3)))
     validate_lie(QuadraticLieAlgebra({}, Matrix.identity(0)))
-    validate_lie(QuadraticLieAlgebra({}, Matrix.diagonal([1, -1])))
+    validate_lie(QuadraticLieAlgebra({}, mat_diagonal([1, -1])))
 
 
 def test_from_sparse_requires_lower_index_first():
@@ -115,7 +115,7 @@ def test_asymmetric_or_singular_form_detected():
     g = QuadraticLieAlgebra({}, Matrix([[0, 1], [0, 0]]))
     with pytest.raises(FormSingular):
         validate_lie(g)
-    g = QuadraticLieAlgebra({}, Matrix.zeros(2, 2))
+    g = QuadraticLieAlgebra({}, Matrix.from_entries({}, 2))
     with pytest.raises(FormSingular):
         validate_lie(g)
 
@@ -128,9 +128,9 @@ def test_noninvariant_form_detected():
 
 def test_shape_errors():
     with pytest.raises(DimensionMismatch, match="form matrix must be square"):
-        QuadraticLieAlgebra({}, Matrix.zeros(2, 3))
+        QuadraticLieAlgebra({}, Matrix.from_entries({}, 2, 3))
     with pytest.raises(DimensionMismatch, match="form matrix must be square"):
-        QuadraticLieAlgebra.from_sparse([], Matrix.zeros(3, 2))
+        QuadraticLieAlgebra.from_sparse([], Matrix.from_entries({}, 3, 2))
 
 
 def test_casimir_pairs_sl2():
@@ -156,4 +156,4 @@ def test_casimir_pairs_scale_inversely_with_form():
 
 def test_casimir_pairs_need_nonsingular_form():
     with pytest.raises(FormSingular):
-        casimir_pairs(QuadraticLieAlgebra({}, Matrix.zeros(2, 2)))
+        casimir_pairs(QuadraticLieAlgebra({}, Matrix.from_entries({}, 2)))
