@@ -18,7 +18,6 @@ from .engine import (
     casimir_image,
     construct_superalgebra,
     decide,
-    jacobiator,
     quadratic_lift,
     quadratic_lift_adjoint,
     validate_rep,
@@ -27,7 +26,6 @@ from .engine import (
 from .exactla import Matrix, Scalar, SuperweylError, as_scalar
 from .liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
 from .spbridge import (
-    quadratic_pairing,
     quadratic_to_sp,
     sp_to_quadratic,
     trace_ratio_constant,
@@ -38,7 +36,6 @@ from .weyl import (
     bilinear_form,
     contract,
     grade,
-    weyl_commutator,
     weyl_product,
 )
 
@@ -61,10 +58,8 @@ __all__ = [
     "contract",
     "decide",
     "grade",
-    "jacobiator",
     "quadratic_lift",
     "quadratic_lift_adjoint",
-    "quadratic_pairing",
     "quadratic_to_sp",
     "sp_to_quadratic",
     "standard_space",
@@ -73,7 +68,6 @@ __all__ = [
     "validate_rep",
     "validate_space",
     "verify_superalgebra",
-    "weyl_commutator",
     "weyl_product",
     "__version__",
 ]

@@ -8,9 +8,10 @@ superalgebras", Adv. Math. 26, 1977); the two-dimensional diagonal
 instance whose extension is the smallest nontrivial superalgebra with a
 one-dimensional odd-odd image; the irreducible representations of the
 three-dimensional simple algebra (symplectic exactly for odd highest
-weight, with the smallest negative instance at weight three); and the
-double of any verified superalgebra on the sum of the algebra and its dual
-space.
+weight, with the smallest negative instance at weight three); and, for
+any verified superalgebra, the problem whose extension is its double, the
+sum of the superalgebra and its dual space, with no odd bracket of its own:
+the engine constructs it.
 
 Every builder lists the nonzero entries {(row, col): value} of its
 matrices and forms, and ``Matrix.from_entries`` makes each of them a
@@ -219,16 +220,16 @@ def abelian_superalgebra(dim: int) -> SuperAlgebraData:
     return SuperAlgebraData(rep, {})
 
 
-def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
-    """The double of ``s``: the sum of ``s`` and its dual space, with ``s``
+def build_double(s: SuperAlgebraData) -> SymplecticRep:
+    """The double of ``s``, the sum of ``s`` and its dual space with ``s``
     acting on functionals through the contragredient action, the dual an
-    abelian ideal, and the hyperbolic form pairing the two halves.
+    abelian ideal, and the hyperbolic form pairing the two halves, as the
+    problem whose extension it is: the even part g0 + g0* represented on
+    the odd part v + v*.  The engine constructs the odd bracket.
 
-    The odd bracket is written out by hand, so that the engine's
-    reconstruction from ``.rep`` can be compared against it.  The sign of
-    the odd pairing follows the rule (u, v) = -(v, u) for odd u, v applied
-    to the canonical pairing of functionals against vectors, written in the
-    order (functional, vector).
+    The sign of the odd pairing follows the rule (u, v) = -(v, u) for odd
+    u, v applied to the canonical pairing of functionals against vectors,
+    written in the order (functional, vector).
     """
     failures = [c for c in verify_superalgebra(s) if not c.passed]
     if failures:
@@ -264,17 +265,7 @@ def build_double(s: SuperAlgebraData) -> SuperAlgebraData:
         for j, x in col.items():
             duals[j][n + c, b] = duals[j][n + b, c] = x
     matrices += [Matrix.from_entries(entries, nn) for entries in duals]
-    rep = SymplecticRep(even, SymplecticSpace(form_odd), tuple(matrices))
-
-    # explicit odd-odd table of the double: [y_p, y_q] from s, and
-    # [y_p, z_a] = -sum_l nu_l[a, p] w_l
-    odd_odd = dict(s.odd_odd)
-    for p in range(n):
-        for a in range(n):
-            col = {k + l: -x for l, nu in enumerate(s.rep.matrices) if (x := nu[a, p])}
-            if col:
-                odd_odd[(p, n + a)] = col
-    return SuperAlgebraData(rep, odd_odd)
+    return SymplecticRep(even, SymplecticSpace(form_odd), tuple(matrices))
 
 
 # -- registry --------------------------------------------------------------
@@ -311,7 +302,7 @@ def build_instance(name: str, parameters: Sequence) -> SymplecticRep:
     if name == "double":
         if len(params) != 1:
             raise InvalidInput("double takes the name of a base instance")
-        return build_double(double_base(str(params[0]))).rep
+        return build_double(double_base(str(params[0])))
     raise UnknownInstance(name)
 
 

@@ -63,11 +63,11 @@ def cmd_construct(args) -> int:
     rep = _validated_problem(args.input)
     report = decide(rep)
     if not report.verdict:
-        (a, b, c), jacobiator = first_failing_triple(rep, report.obstruction)
+        (a, b, c), vector = first_failing_triple(rep, report.obstruction)
         print("obstructed: the degree-four component of the Casimir image "
               f"has {len(report.obstruction.terms)} nonzero term(s); the odd "
               f"triple ({a}, {b}, {c}) has jacobiator "
-              f"[{', '.join(str(x) for x in jacobiator)}]")
+              f"[{', '.join(str(x) for x in vector)}]")
         return 2
     s = construct_superalgebra_unchecked(rep)
     checks = verify_superalgebra(s)

@@ -22,8 +22,8 @@ checked against it by the tests, uses closed forms: since the product of
 quadratics a, b is a.b + 1/2 [a, b] + (a, b), ``casimir_image`` turns the
 lifts lift_i of ``sp_to_quadratic`` and the dual lifts lift^i, each formed
 once, into the obstruction sum_i lift_i . lift^i (commutative products)
-and the scalar sum_i (lift_i, lift^i) (the permanent of
-``quadratic_pairing``), which ``decide`` reads directly.  These sums, the
+and the scalar sum_i (lift_i, lift^i) (the permanent pairing
+w_ia w_jb + w_ib w_ja), which ``decide`` reads directly.  These sums, the
 mu_l, the degree-two leak test, the trace sum of the ``trace_identity``
 diagnostic and ``quadratic_lift_adjoint`` run on the fraction-free kernel
 of ``exactla``: operands scaled to integers by their common denominators,
@@ -38,7 +38,8 @@ any other defect goes unseen.
 When the degree-four obstruction is nonzero, the candidate bracket still
 exists but fails the odd-odd-odd super Jacobi identity, and the failure is
 measured exactly by contracting the obstruction three times
-(``jacobiator_from_obstruction``).
+(``jacobiator_from_obstruction``), which the tests compare with the cyclic
+sum of brackets read off the constructed odd table.
 
 Both brackets of a ``SuperAlgebraData`` are stored once per pair, as the
 nonzero coordinates {l: c}: ``rep.algebra.brackets[(i, j)]`` of [x_i, x_j],
@@ -209,7 +210,7 @@ def casimir_image(rep: SymplecticRep) -> tuple[PolyElement, Scalar]:
     the dual lifts D_i = sum_j (d_B B^-1)_ji L_j, and the form w = d_omega
     omega.  A term c_p y_i y_j of L_l times a term c_q y_a y_b of D_l adds
     c_p c_q to the quartic y_i y_j y_a y_b, and c_p c_q (w_ia w_jb + w_ib w_ja)
-    to the scalar, the pairing of ``quadratic_pairing``; each output term is
+    to the scalar, their pairing in ``weyl.bilinear_form``; each output term is
     then one division, by d_L^2 d_B for the obstruction and by
     d_L^2 d_B d_omega^2 for the scalar."""
     lifts = tuple(quadratic_lift(rep, i) for i in range(rep.algebra.dim))
@@ -472,22 +473,12 @@ def form_invariance_witness(s: SuperAlgebraData) -> str | None:
     return None
 
 
-def jacobiator(s: SuperAlgebraData, a: int, b: int, c: int) -> Vector:
-    """Cyclic sum [y_a,[y_b,y_c]] + [y_b,[y_c,y_a]] + [y_c,[y_a,y_b]] for odd
-    basis elements; the inner bracket lands in g0 and the outer one acts
-    back on the odd space, so the result is an odd coordinate vector.
-    Zero for every triple exactly when the odd-odd-odd Jacobi sector holds."""
-    (d, ad), k = s.adjoint_columns, s.rep.algebra.dim
-    total: Column = {}
-    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
-        add_product(total, ad[k + p], ad[k + q][k + r])
-    return tuple(Fraction(total.get(k + i, 0), d * d) for i in range(s.rep.space.dim))
-
-
 def jacobiator_from_obstruction(rep: SymplecticRep, obstruction: PolyElement,
                                 a: int, b: int, c: int) -> Vector:
-    """The same cyclic sum computed from the other side: twice the triple
-    contraction of the degree-four obstruction by the three basis vectors."""
+    """The cyclic sum [y_a,[y_b,y_c]] + [y_b,[y_c,y_a]] + [y_c,[y_a,y_b]] of
+    odd basis elements, an odd coordinate vector, read off the obstruction:
+    twice its triple contraction by the three basis vectors.  Zero for every
+    triple exactly when the odd-odd-odd Jacobi sector holds."""
     space = rep.space
     contracted = contract(space.basis_vector(c),
                           contract(space.basis_vector(b),

@@ -11,7 +11,8 @@ code uses closed forms that the test suite checks against it.  Writing
 w = sum_ij S_ij x_i x_j with S symmetric, A(w) = 4 S omega, so the inverse
 is ``sp_to_quadratic(alpha) = 1/4 sum_ij (alpha omega^-1)_ij x_i x_j``; and
 the pairing of quadratics, the constant term of their noncommutative
-product, is the permanent ``quadratic_pairing``.
+product, is the permanent (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja of the
+form matrix w, which ``engine.casimir_image`` sums inline.
 
 Each map checks its own input: ``sp_to_quadratic`` refuses alpha when
 alpha omega^-1 is not symmetric, for an alternating omega exactly when alpha
@@ -28,7 +29,7 @@ anchor is the only pair compared; it is the first monomial pair with nonzero
 trace, as tr(A(x_0^2) A(x_a x_b)) = -16 omega_0a omega_0b.  The sign is forced
 by the permanent expansion of the pairing, under which the square of a mixed
 quadratic monomial such as e.f is negative.  ``quadratic_factors`` reads the
-factors (i, j) off a quadratic monomial, for this module and ``engine``.
+factors (i, j) off a quadratic monomial, for ``engine``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from .exactla import (DimensionMismatch, Matrix, Scalar, SuperweylError, add_product, as_scalar,
                       integer_columns)
 from .symplectic import SymplecticSpace, Vector, as_vector
-from .weyl import PolyElement, SpaceMismatch, bilinear_form, contract, linear_coordinates
+from .weyl import PolyElement, bilinear_form, contract, linear_coordinates
 
 _ZERO = as_scalar(0)
 
@@ -110,29 +111,12 @@ def sp_to_quadratic(space: SymplecticSpace, alpha: Matrix) -> PolyElement:
     return PolyElement(space, terms)
 
 
-def quadratic_pairing(a: PolyElement, b: PolyElement) -> Scalar:
-    """The pairing of two quadratics, equal to ``weyl.bilinear_form`` but
-    read off the form matrix w: (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja."""
-    if a.space != b.space:
-        raise SpaceMismatch("quadratics live on different spaces")
-    if not (a.is_homogeneous(2) and b.is_homogeneous(2)):
-        raise ValueError("quadratic_pairing needs homogeneous quadratics")
-    w = a.space.omega.data
-    right = [(quadratic_factors(e), c) for e, c in b.terms.items()]
-    total = _ZERO
-    for e, c1 in a.terms.items():
-        i, j = quadratic_factors(e)
-        for (p, q), c2 in right:
-            total += c1 * c2 * (w[i][p] * w[j][q] + w[i][q] * w[j][p])
-    return total
-
-
 def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     """The constant c with (w, z) = c tr(A(w) A(z)) for all quadratics w, z,
     where A is ``quadratic_to_sp``, on a ``space`` taken as validated
     (``validate_space``).  Write w = d omega, integral for the common
     denominator d.  The closed forms on monomials are
-    (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja, as in ``quadratic_pairing``,
+    (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja, the permanent of the pairing,
     and tr(A(x_i x_j) A(x_a x_b)) = 4 (w_ja w_bi + w_jb w_ai + w_ia w_bj + w_ib w_aj);
     for an alternating w the trace is -8 times the pairing, so c = -1/8.
     Against x_0^2 the trace is -16 w_0a w_0b, so in the order of

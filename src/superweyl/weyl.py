@@ -48,7 +48,9 @@ class PolyElement:
 
     Instances are treated as immutable; all operations return new elements.
     Zero coefficients are dropped on construction, so the zero polynomial
-    has an empty term map and equality is exact coefficient equality.
+    has an empty term map and equality is exact coefficient equality.  An
+    exponent must be a non-negative ``int``; a float, a string or a bool
+    raises ``TypeError`` rather than being coerced.
     """
 
     __slots__ = ("space", "terms")
@@ -59,7 +61,9 @@ class PolyElement:
             c = as_scalar(coeff)
             if c == 0:
                 continue
-            e = tuple(int(k) for k in exp)
+            e = tuple(exp)
+            if any(isinstance(k, bool) or not isinstance(k, int) for k in e):
+                raise TypeError(f"exponents must be ints, got {e!r}")
             if len(e) != space.dim:
                 raise SpaceMismatch(
                     f"exponent vector of length {len(e)} on a space of dimension {space.dim}")
@@ -232,10 +236,6 @@ def _weyl_monomial_times(space: SymplecticSpace, exp: Exponent, b: PolyElement) 
     if correction.is_zero():
         return first
     return first - weyl_product(correction, b)
-
-
-def weyl_commutator(a: PolyElement, b: PolyElement) -> PolyElement:
-    return weyl_product(a, b) - weyl_product(b, a)
 
 
 def constant_term(a: PolyElement) -> Scalar:

@@ -6,15 +6,19 @@ permutations of creation/annihilation chains, the pairing of products of
 linear elements via the permanent formula, the quadratic lift of a matrix
 by solving against the Gram matrix of the Weyl-product pairing,
 representation-theoretic trace values from closed-form weight sums, the
-trace ratio from the matrices of every pair of quadratic monomials, the
-transpose of the lift by pairing every polynomial lift with a quadratic,
+trace ratio from the matrices of every pair of quadratic monomials, paired
+by the permanent formula, the transpose of the lift by pairing every
+polynomial lift with a quadratic under ``bilinear_form``,
 the structure constants of a matrix Lie algebra by flattening every
 commutator and solving against the flattened basis, the reduced echelon
 form by Gauss-Jordan elimination on ``Fraction`` rows, and the Lie algebra,
 representation and superalgebra axioms by explicit
 brackets of basis elements, pair by pair and triple by triple, in place of
-adjoint-matrix identities.  Agreement between these
-and the engine is the backbone of the suite.
+adjoint-matrix identities, with the odd-odd-odd cyclic sum ``jacobiator``
+that ``engine.jacobiator_from_obstruction`` reads off the obstruction.
+Agreement between these and the engine is the backbone of the suite.
+Every pairing here is the permanent formula or ``bilinear_form``, the
+Weyl-product model, and never a closed form of the package.
 
 The first section holds the plain ``Fraction`` helpers that only the tests
 use: a changed copy of a record, the dense coordinates of an even or odd
@@ -27,7 +31,8 @@ not define (sums, differences, negation, products, scalar multiples,
 values, brackets of coordinate
 vectors, the representation defect as a matrix, the dense adjoint matrices
 of a superalgebra, the degree-four part of the Casimir image as a sum of
-commutative products, and the derivation extending a matrix to polynomials.
+commutative products, the derivation extending a matrix to polynomials,
+the Weyl commutator, and the odd bracket of a double written out by hand.
 """
 
 from collections.abc import Mapping, Sequence
@@ -39,9 +44,10 @@ from superweyl.exactla import (DimensionMismatch, Matrix, Scalar, SingularMatrix
                                invert, solve_linear, solve_overdetermined)
 from superweyl.liealg import FormNotInvariant, FormSingular, JacobiFails, QuadraticLieAlgebra
 from superweyl.spbridge import (InconsistentRatio, NotSymplectic, quadratic_factors,
-                                quadratic_monomials, quadratic_pairing, quadratic_to_sp)
+                                quadratic_monomials, quadratic_to_sp)
 from superweyl.symplectic import SymplecticSpace, as_vector, is_in_sp
-from superweyl.weyl import PolyElement, bilinear_form, contract, linear_coordinates, sym_product
+from superweyl.weyl import (PolyElement, bilinear_form, contract, linear_coordinates,
+                            sym_product, weyl_product)
 
 _ZERO = Fraction(0)
 
@@ -242,7 +248,7 @@ def casimir_obstruction(space: SymplecticSpace, lifts: Sequence[PolyElement],
     dual lifts lift^i.  The top-degree part of the noncommutative product of
     two quadratics is their commutative product.
 
-    With the scalar sum_i ``quadratic_pairing``(lift_i, lift^i), this is the
+    With the scalar sum_i ``bilinear_form``(lift_i, lift^i), this is the
     ``Fraction`` reference of ``engine.casimir_image``."""
     zero = PolyElement.zero(space)
     return sum((sym_product(lift, dual) for lift, dual in zip(lifts, dual_lifts)), zero)
@@ -263,6 +269,26 @@ def derivation_action(alpha: Matrix, a: PolyElement) -> PolyElement:
             rest = exp[:i] + (k - 1,) + exp[i + 1:]
             total = total + (coeff * k) * sym_product(images[i], PolyElement.monomial(space, rest, 1))
     return total
+
+
+def weyl_commutator(a: PolyElement, b: PolyElement) -> PolyElement:
+    """The commutator a o b - b o a of the noncommutative product."""
+    return weyl_product(a, b) - weyl_product(b, a)
+
+
+def double_odd_table(s: SuperAlgebraData) -> dict[tuple[int, int], dict[int, Scalar]]:
+    """The odd bracket of the double of ``s`` written out by hand, as the pair
+    map of ``SuperAlgebraData.odd_odd`` on the basis (y_0..y_{n-1},
+    z_0..z_{n-1}) of ``catalog.build_double``: [y_p, y_q] from ``s``, and
+    [y_p, z_a] = -sum_l nu_l[a, p] w_l, w_l = x_{k+l} the dual of x_l."""
+    k, n = s.rep.algebra.dim, s.rep.space.dim
+    table = dict(s.odd_odd)
+    for p in range(n):
+        for a in range(n):
+            col = {k + l: -x for l, nu in enumerate(s.rep.matrices) if (x := nu[a, p])}
+            if col:
+                table[(p, n + a)] = col
+    return table
 
 
 # -- exact linear algebra, by Gauss-Jordan on Fraction rows -----------------
@@ -350,6 +376,18 @@ def permanent_pairing(space: SymplecticSpace, us, vs) -> Fraction:
     return total
 
 
+def permanent_form(a: PolyElement, b: PolyElement) -> Fraction:
+    """``permanent_pairing`` extended bilinearly to polynomials, each monomial
+    read as the product of its linear factors, the basis vectors."""
+    space = a.space
+
+    def factors(exp):
+        return [space.basis_vector(i) for i, k in enumerate(exp) for _ in range(k)]
+
+    return sum((c1 * c2 * permanent_pairing(space, factors(e1), factors(e2))
+                for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()), Fraction(0))
+
+
 def sl2_casimir_trace(two_j: int) -> Fraction:
     """Trace of h^2/2 + ef + fe on the irreducible module of highest weight
     ``two_j``, from the eigenvalue (two_j)(two_j + 2)/2 of the quadratic
@@ -380,7 +418,7 @@ def oracle_trace_ratio_constant(space: SymplecticSpace
     """``trace_ratio_constant`` from the matrices: build A(p) with
     ``quadratic_to_sp`` for every quadratic monomial p, fit the constant with
     ``bilinear_form`` on the first pair with nonzero tr(A(p) A(q)), and
-    require (p, q) = c tr(A(p) A(q)) through ``quadratic_pairing`` on all N^2
+    require (p, q) = c tr(A(p) A(q)) through ``permanent_form`` on all N^2
     pairs.  Returns the constant and that anchor pair, each monomial as its
     factors (i, j), i <= j."""
     monomials = quadratic_monomials(space)
@@ -398,17 +436,17 @@ def oracle_trace_ratio_constant(space: SymplecticSpace
         raise InconsistentRatio("trace pairing vanishes identically")
     constant = bilinear_form(monomials[anchor[0]], monomials[anchor[1]]) / trace(*anchor)
     for p, q in pairs:
-        if quadratic_pairing(monomials[p], monomials[q]) != constant * trace(p, q):
+        if permanent_form(monomials[p], monomials[q]) != constant * trace(p, q):
             raise InconsistentRatio(f"pairing and trace form disagree on monomial pair ({p}, {q})")
     return constant, tuple(quadratic_factors(*monomials[k].terms) for k in anchor)
 
 
 def oracle_quadratic_lift_adjoint(rep, w: PolyElement) -> tuple[Fraction, ...]:
-    """t = sum_i (lift_i, w) x^i: ``quadratic_pairing`` of every polynomial
+    """t = sum_i (lift_i, w) x^i: ``bilinear_form`` of every polynomial
     lift of ``oracle_sp_to_quadratic`` with w, against the dual basis x^i of
     B, column i of B^-1."""
     lifts = [oracle_sp_to_quadratic(rep.space, m) for m in rep.matrices]
-    coeffs = [quadratic_pairing(lift, w) for lift in lifts]
+    coeffs = [bilinear_form(lift, w) for lift in lifts]
     duals = invert(rep.algebra.form).columns()
     return tuple(sum((c * dual[l] for c, dual in zip(coeffs, duals)), Fraction(0))
                  for l in range(rep.algebra.dim))
@@ -532,6 +570,20 @@ def _unit(s, parity, index):
 def _labelled_basis(s):
     return ([(0, i, _unit(s, 0, i)) for i in range(s.rep.algebra.dim)]
             + [(1, a, _unit(s, 1, a)) for a in range(s.rep.space.dim)])
+
+
+def jacobiator(s, a: int, b: int, c: int) -> tuple[Scalar, ...]:
+    """Cyclic sum [y_a,[y_b,y_c]] + [y_b,[y_c,y_a]] + [y_c,[y_a,y_b]] of odd
+    basis elements through explicit brackets: the inner bracket lands in g0
+    and the outer one acts back on the odd space, so the result is an odd
+    coordinate vector.  Zero for every triple exactly when the odd-odd-odd
+    Jacobi sector holds."""
+    y = {t: _unit(s, 1, t) for t in (a, b, c)}
+    total = [Fraction(0)] * s.rep.space.dim
+    for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+        _, vec = _super_bracket(s, y[p], _super_bracket(s, y[q], y[r]))
+        total = [t + x for t, x in zip(total, vec)]
+    return tuple(total)
 
 
 def _form_invariance_witness(s):

@@ -6,15 +6,16 @@ import pytest
 import superweyl.catalog
 import superweyl.engine
 import superweyl.exactla
-from oracles import (dense_adjoint, linear_combination, mat_column, mat_diagonal, mat_is_zero,
-                     mat_mul, mat_neg, mat_scale, odd_table, oracle_rref,
-                     oracle_structure_constants, representation_defect, superalgebra_from_table)
+from oracles import (dense_adjoint, double_odd_table, linear_combination, mat_column,
+                     mat_diagonal, mat_is_zero, mat_mul, mat_neg, mat_scale, odd_table,
+                     oracle_rref, oracle_structure_constants, representation_defect,
+                     superalgebra_from_table)
 from superweyl.catalog import (InvalidInput, TooLarge, UnknownInstance, abelian_superalgebra,
                                build_double, build_instance, build_osp_even, build_spin_rep,
                                double_base, kron, matrix_structure_constants, so_basis, sp_basis,
                                trace_gram)
-from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra, decide,
-                              validate_rep, verify_superalgebra)
+from superweyl.engine import (SuperAlgebraData, SymplecticRep, casimir_image,
+                              construct_superalgebra, decide, validate_rep, verify_superalgebra)
 from superweyl.exactla import LinAlgError, Matrix, Scalar, SingularMatrix, as_scalar, record
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
@@ -240,28 +241,28 @@ def test_spin_rep_rejects_bad_weight():
 def test_double_shapes_and_validity():
     for name in ("abelian1", "gl11", "osp12"):
         base = double_base(name)
-        data = build_double(base)
-        rep = data.rep
+        rep = build_double(base)
         assert rep.algebra.dim == 2 * base.rep.algebra.dim
         assert rep.space.dim == 2 * base.rep.space.dim
         validate_space(rep.space) if rep.space.dim else None
         validate_lie(rep.algebra)
         validate_rep(rep)
-        assert all_pass(data) == []
+        # the structure the hand-written odd table defines is a superalgebra
+        assert all_pass(SuperAlgebraData(rep, double_odd_table(base))) == []
 
 
 def test_double_reconstruction_round_trip():
     for name in ("abelian1", "gl11", "osp12"):
-        expected = build_double(double_base(name))
-        r = decide(expected.rep)
-        assert r.verdict
-        rebuilt = construct_superalgebra(expected.rep)
-        assert rebuilt.odd_odd == expected.odd_odd
-        assert rebuilt.rep is expected.rep
+        base = double_base(name)
+        rep = build_double(base)
+        assert decide(rep).verdict
+        rebuilt = construct_superalgebra(rep)
+        assert rebuilt.odd_odd == double_odd_table(base)
+        assert rebuilt.rep is rep
 
 
 def test_double_of_purely_even_input():
-    rep = build_double(abelian_superalgebra(2)).rep
+    rep = build_double(abelian_superalgebra(2))
     assert rep.space.dim == 0 and rep.algebra.dim == 4
     assert decide(rep).verdict
 

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superweyl.cli
 from superweyl import __version__
 from superweyl.catalog import build_osp_even, build_spin_rep
 from superweyl.cli import main
+from superweyl.engine import CheckResult
 from superweyl.exactla import Matrix
 from superweyl.jsonio import (ParseError, algebra_from_json, canonical_dumps,
                               matrix_from_json, matrix_to_json, poly_to_json,
@@ -221,6 +223,22 @@ def test_construct_flow(tmp_path):
     assert all(c["pass"] for c in data["checks"])
 
 
+def test_failing_checks_fail_construct_but_not_test(tmp_path, capsys, monkeypatch):
+    # construct writes its file and exits 1; test reports the failing check
+    path = _write_instance(tmp_path, "gl11")
+    capsys.readouterr()
+    failing = CheckResult("jacobi_ooo", False, "indices (0, 0, 0)")
+    monkeypatch.setattr(superweyl.cli, "verify_superalgebra", lambda s: [failing])
+    out, report = tmp_path / "s.json", tmp_path / "r.json"
+    assert main(["construct", path, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("constructed with failing checks: jacobi_ooo\n", "")
+    entry = {"name": "jacobi_ooo", "pass": False, "witness": "indices (0, 0, 0)"}
+    assert json.loads(out.read_text())["checks"] == [entry]
+    assert main(["test", path, "--report", str(report)]) == 0
+    assert capsys.readouterr() == (f"extends; report written to {report}\n", "")
+    assert entry in json.loads(report.read_text())["checks"]
+
+
 def test_construct_obstructed_exits_two(tmp_path, capsys):
     path = _write_instance(tmp_path, "spin", "3")
     out = str(tmp_path / "s.json")
@@ -234,7 +252,8 @@ def test_construct_obstructed_names_first_failing_triple(tmp_path, capsys):
     # from the unchecked bracket tables, is nonzero
     from itertools import combinations_with_replacement
 
-    from superweyl.engine import construct_superalgebra_unchecked, jacobiator
+    from oracles import jacobiator
+    from superweyl.engine import construct_superalgebra_unchecked
     path = _write_instance(tmp_path, "spin", "3")
     capsys.readouterr()
     assert main(["construct", path, "--out", str(tmp_path / "s.json")]) == 2
@@ -350,6 +369,30 @@ def test_too_wide_matrix_rows_exit_one_with_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "ParseError: bad matrix: declared column count does not match rows\n"
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("nu", 0, 0, 0), "1/0", "bad rational '1/0': Fraction(1, 0)"),
+    (("g0", "dim"), -1, "bad algebra dimension -1"),
+    (("g0", "brackets", 0), [0, 1, 1], "each bracket entry must be [i, j, l, value]"),
+    (("g0", "brackets", 0), [0, 1, 7, "1"], "bracket entry (0, 1, 7) out of range"),
+    (("g0", "brackets", 0), [1, 0, 1, "1"], "sparse bracket entries need i < j, got (1, 0)"),
+    ((), [], "problem file must contain a JSON object"),
+], ids=["zero-denominator", "negative-dim", "three-items", "out-of-range", "unordered", "array"])
+def test_edited_problem_file_exits_one_with_one_line(tmp_path, capsys, keys, value, message):
+    # spin-1.json with the entry at ``keys`` replaced, or the whole file for no keys
+    obj = json.loads((GOLDEN / "spin-1.json").read_text())
+    if keys:
+        container = obj
+        for key in keys[:-1]:
+            container = container[key]
+        container[keys[-1]] = value
+    else:
+        obj = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"ParseError: {message}\n")
 
 
 def test_invalid_catalog_parameters_exit_one_with_one_line(capsys):

@@ -1,16 +1,17 @@
 """Differential tests: the closed forms of the working path against the
 Weyl-product model.
 
-The engine lifts matrices with 1/4 sum (alpha omega^-1)_ij x_i x_j, pairs
-quadratics with the permanent (x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja,
-reads the Casimir image as commutative product plus pairing, fits the
-trace ratio from closed forms of both bilinear forms, and reads the
-transpose of the lift off omega and the dual matrices.  Each is compared
-here with its definition: the Gram-solve lift of
-``oracles.oracle_sp_to_quadratic``, ``weyl.bilinear_form``, the graded
-parts of sums of ``weyl.weyl_product``, the matrix-by-matrix fit of
-``oracles.oracle_trace_ratio_constant`` and the polynomial pairings of
-``oracles.oracle_quadratic_lift_adjoint``.  Spaces are the standard ones or
+The engine lifts matrices with 1/4 sum (alpha omega^-1)_ij x_i x_j,
+reads the Casimir image as commutative product plus the permanent pairing
+(x_i x_j, x_a x_b) = w_ia w_jb + w_ib w_ja, fits the trace ratio from
+closed forms of both bilinear forms, and reads the transpose of the lift
+off omega and the dual matrices.  Each is compared here with its
+definition: the Gram-solve lift of ``oracles.oracle_sp_to_quadratic``,
+the graded parts of sums of ``weyl.weyl_product``, the matrix-by-matrix
+fit of ``oracles.oracle_trace_ratio_constant`` and the polynomial pairings
+of ``oracles.oracle_quadratic_lift_adjoint``.  The oracles' own pairing of
+quadratics, ``oracles.permanent_form``, is checked against
+``weyl.bilinear_form``.  Spaces are the standard ones or
 their images under a random change of basis Q (omega -> Q^T omega Q), so
 dense, non-standard form matrices are covered.  A change of basis P of g0
 together with Q of v must carry verdict, scalar, obstruction and odd
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from oracles import (algebra_from_table, bracket_vectors, casimir_obstruction, form_value,
                      linear_combination, mat_add, mat_apply, mat_diagonal, mat_mul, mat_scale,
                      odd_bracket, oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
-                     oracle_trace_ratio_constant)
+                     oracle_trace_ratio_constant, permanent_form, weyl_commutator)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
 from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra, decide,
@@ -35,11 +36,11 @@ from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgeb
 from superweyl.exactla import DimensionMismatch, Matrix, invert
 from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, validate_lie
-from superweyl.spbridge import (NotSymplectic, quadratic_monomials, quadratic_pairing,
-                                quadratic_to_sp, sp_to_quadratic, trace_ratio_constant)
+from superweyl.spbridge import (NotSymplectic, quadratic_monomials, quadratic_to_sp,
+                                sp_to_quadratic, trace_ratio_constant)
 from superweyl.symplectic import SymplecticSpace, is_in_sp, standard_space, validate_space
 from superweyl.weyl import (PolyElement, bilinear_form, constant_term, grade,
-                            sym_product, weyl_commutator, weyl_product)
+                            sym_product, weyl_product)
 
 ENTRIES = st.sampled_from([Fraction(x)
                            for x in ("-2", "-1", "-1/2", "0", "0", "1/3", "1", "3/2")])
@@ -144,8 +145,9 @@ def space_with_two_quadratics(draw):
 @settings(max_examples=40, deadline=None)
 def test_quadratic_pairing_matches_bilinear_form(pair_of_quadratics):
     a, b = pair_of_quadratics
-    assert quadratic_pairing(a, b) == bilinear_form(a, b)
-    assert quadratic_pairing(a, b) == quadratic_pairing(b, a)
+    # the oracles' permanent pairing, which oracle_trace_ratio_constant uses
+    assert permanent_form(a, b) == bilinear_form(a, b)
+    assert permanent_form(a, b) == permanent_form(b, a)
 
 
 def check_trace_ratio_and_anchor(space):
@@ -208,7 +210,7 @@ def test_casimir_split_matches_weyl_products(data):
     closed_duals = [linear_combination(dual, closed_lifts, PolyElement.zero(space))
                     for dual in duals]
     assert casimir_obstruction(space, closed_lifts, closed_duals) == image.get(4, zero)
-    scalar = sum((quadratic_pairing(a, b) for a, b in zip(closed_lifts, dual_lifts)), Fraction(0))
+    scalar = sum(map(permanent_form, closed_lifts, dual_lifts), Fraction(0))
     assert scalar == constant_term(image.get(0, zero))
     assert image.get(2, zero) == Fraction(1, 2) * commutators
 
@@ -225,7 +227,7 @@ BASE_REPS = {
     "gl11": build_gl11_even,
     "osp_even(1,1)": lambda: build_osp_even(1, 1),
     "spin 3": lambda: build_spin_rep(3),
-    "double gl11": lambda: build_double(double_base("gl11")).rep,
+    "double gl11": lambda: build_double(double_base("gl11")),
 }
 
 

@@ -11,16 +11,16 @@ import superweyl.engine
 import superweyl.exactla
 import superweyl.spbridge
 import superweyl.symplectic
-from oracles import (bracket, bracket_vectors, dense_adjoint, form_value, linear_combination,
-                     mat_add, mat_apply, mat_diagonal, mat_mul, mat_scale, odd_bracket, odd_table,
-                     replace, superalgebra_from_table)
+from oracles import (bracket, bracket_vectors, dense_adjoint, form_value, jacobiator,
+                     linear_combination, mat_add, mat_apply, mat_diagonal, mat_mul, mat_scale,
+                     odd_bracket, odd_table, replace, superalgebra_from_table, weyl_commutator)
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.cli import main
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
                               NotSuperLieType, SuperAlgebraData, SymplecticRep,
                               casimir_image, construct_superalgebra,
                               construct_superalgebra_unchecked, decide,
-                              jacobiator, jacobiator_from_obstruction,
+                              jacobiator_from_obstruction,
                               quadratic_lift, quadratic_lift_adjoint,
                               validate_rep, verify_superalgebra)
 from superweyl.exactla import DimensionMismatch, Matrix, invert
@@ -28,7 +28,7 @@ from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
 from superweyl.symplectic import SymplecticSpace, standard_space, validate_space
-from superweyl.weyl import PolyElement
+from superweyl.weyl import PolyElement, SpaceMismatch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 S1 = standard_space(1)
@@ -93,7 +93,6 @@ def test_lift_values_for_sl2_action():
 
 def test_lift_is_equivariant():
     # lifting intertwines the bracket with the noncommutative commutator
-    from superweyl.weyl import weyl_commutator
     for rep in (osp11(), build_spin_rep(3)):
         lifts = [quadratic_lift(rep, i) for i in range(rep.algebra.dim)]
         for i in range(rep.algebra.dim):
@@ -117,6 +116,10 @@ def test_lift_adjoint_refuses_a_non_quadratic():
     for w in (E, E * E + PolyElement.constant(S1, 1), E * E * F):
         with pytest.raises(ValueError, match="homogeneous quadratic"):
             quadratic_lift_adjoint(rep, w)
+    # nor a quadratic on another space of the same dimension
+    other = PolyElement.variable(SymplecticSpace(Matrix([[0, 2], [-2, 0]])), 0)
+    with pytest.raises(SpaceMismatch, match="different space"):
+        quadratic_lift_adjoint(rep, other * other)
 
 
 def test_lift_adjoint_defining_property():

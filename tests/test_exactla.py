@@ -130,6 +130,12 @@ def test_solve_and_invert():
     assert mat_mul(a, x) == mat_column([3, 2])
     assert mat_mul(a, invert(a)) == Matrix.identity(2)
     assert mat_mul(invert(a), a) == Matrix.identity(2)
+    with pytest.raises(DimensionMismatch, match="coefficient matrix must be square"):
+        solve_linear(Matrix([[1, 2]]), mat_column([1]))
+    with pytest.raises(DimensionMismatch, match="right-hand side has wrong number of rows"):
+        solve_linear(a, mat_column([1, 2, 3]))
+    with pytest.raises(DimensionMismatch, match="only square matrices can be inverted"):
+        invert(Matrix([[1, 2]]))
 
 
 def test_singular_detected():
@@ -145,6 +151,8 @@ def test_solve_overdetermined():
         solve_overdetermined(a, mat_column([2, 3, 6]))
     with pytest.raises(SingularMatrix):
         solve_overdetermined(Matrix([[1, 2], [2, 4], [0, 0]]), mat_column([0, 0, 0]))
+    with pytest.raises(DimensionMismatch, match="right-hand side has wrong number of rows"):
+        solve_overdetermined(a, mat_column([2, 3]))
 
 
 _scalars = st.fractions(min_value=-5, max_value=5, max_denominator=4)

@@ -21,7 +21,7 @@ integers and divide once per output term.  On every golden problem and on
 random problems whose forms and matrices carry coprime denominators near
 10^6, they must equal their ``Fraction`` references exactly (the matrix
 product alpha omega^-1, ``oracles.casimir_obstruction`` and
-``quadratic_pairing``) and the Weyl-product path, and the lift must still
+``weyl.bilinear_form``) and the Weyl-product path, and the lift must still
 refuse alpha when alpha omega^-1 misses symmetry by the smallest step.
 ``is_nonsingular`` must agree with ``invert``.
 """
@@ -39,15 +39,14 @@ from oracles import (casimir_obstruction, linear_combination, mat_add, mat_diago
                      representation_defect, superalgebra_from_table)
 from superweyl.catalog import build_instance
 from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra_unchecked,
-                              decide, form_invariance_witness, jacobiator, validate_rep,
-                              verify_superalgebra)
+                              decide, form_invariance_witness, validate_rep, verify_superalgebra)
 from superweyl.exactla import (Matrix, SingularMatrix, integer_columns, integer_tables,
                                invariance_violation, invert, is_nonsingular)
 from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, casimir_pairs, defect_columns, validate_lie
-from superweyl.spbridge import NotSymplectic, quadratic_pairing, sp_to_quadratic
+from superweyl.spbridge import NotSymplectic, sp_to_quadratic
 from superweyl.symplectic import SymplecticSpace, is_in_sp, validate_space
-from superweyl.weyl import PolyElement, constant_term, grade, weyl_product
+from superweyl.weyl import PolyElement, bilinear_form, constant_term, grade, weyl_product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -212,10 +211,7 @@ def test_checks_form_no_fraction_products(monkeypatch):
 
 
 def _check_results(s):
-    n = s.rep.space.dim
-    triples = [(a, b, c) for a in range(n) for b in range(a, n) for c in range(b, n)]
-    return (verify_superalgebra(s), form_invariance_witness(s),
-            [jacobiator(s, *triple) for triple in triples])
+    return verify_superalgebra(s), form_invariance_witness(s)
 
 
 def test_checks_build_no_dense_matrix_that_grows_with_k_plus_n(monkeypatch):
@@ -275,7 +271,7 @@ def fraction_casimir_image(rep: SymplecticRep, lifts) -> tuple[PolyElement, Frac
     zero = PolyElement.zero(rep.space)
     duals = [linear_combination(dual, lifts, zero) for dual in casimir_pairs(rep.algebra)]
     return (casimir_obstruction(rep.space, lifts, duals),
-            sum(map(quadratic_pairing, lifts, duals), Fraction(0)))
+            sum(map(bilinear_form, lifts, duals), Fraction(0)))
 
 
 # the problem files, not the reports, outputs or manifest

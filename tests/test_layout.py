@@ -10,9 +10,11 @@ exists, once, and every other module, and every test module, uses each
 name it imports.  Every
 exception class of the package derives from ``exactla.SuperweylError``, the
 one class the command line catches for exit status 1.  Every
-module-level function has a caller in the package, is exported, or is
-traced by the benchmark: a helper that only tests use lives in
-``tests/oracles.py``.  ``Matrix`` is a container: each of its methods is a
+module-level function has a caller in the package or is traced by the
+benchmark, exported or not: a helper that only tests use lives in
+``tests/oracles.py``.  A name read inside a function that binds the same
+name, as a parameter, an assignment, or a loop or comprehension target, is
+that local and no call.  ``Matrix`` is a container: each of its methods is a
 value-type dunder or has a caller in the package, so it defines no
 arithmetic, which the tests take from ``tests/oracles.py``.  Importing the
 command line loads only what its verbs run.  Every value a record caches is
@@ -35,6 +37,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -267,12 +270,42 @@ def _attributes(node: ast.AST) -> collections.Counter:
                                if isinstance(sub, ast.Attribute))
 
 
+def local_bindings(function: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
+    """The names ``function`` binds itself: its parameters and every name it
+    assigns, loop and comprehension targets included, but not the names
+    bound inside the functions and classes nested in it."""
+    args = function.args
+    names = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if arg}
+    stack = list(function.body) if isinstance(function.body, list) else [function.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
+                            | ast.ClassDef):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def free_reads(node: ast.AST, bound: frozenset[str] = frozenset()) -> Iterator[str]:
+    """The plain names read under ``node``, except where a function around
+    the read binds the same name."""
+    if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):
+        bound = bound | local_bindings(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from free_reads(child, bound)
+
+
 def uncalled_functions(paths: list[Path], exempt: set[str], classes: set[str] = frozenset()
                        ) -> list[str]:
     """Module-level functions of ``paths`` (``__init__.py`` aside) whose name
-    no file of ``paths`` references as a plain name, unless ``exempt`` holds
-    the name or ``<module>.<name>``.  An attribute does not count: ``os.replace``
-    is no call of a module's own ``replace``.
+    no file of ``paths`` reads as a plain name (``free_reads``), unless
+    ``exempt`` holds the name or ``<module>.<name>``.  An attribute does not
+    count: ``os.replace`` is no call of a module's own ``replace``; nor does
+    a local of the same name.
 
     The methods of each class ``<module>.<class>`` in ``classes`` are checked
     too: a method other than a ``VALUE_DUNDERS`` one needs its name as an
@@ -281,8 +314,7 @@ def uncalled_functions(paths: list[Path], exempt: set[str], classes: set[str] = 
     name alone, so another type's method of the same name counts as a call."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in paths}
-    referenced = {node.id for tree in trees.values() for node in ast.walk(tree)
-                  if isinstance(node, ast.Name)}
+    referenced = {name for tree in trees.values() for name in free_reads(tree)}
     attributes = sum(map(_attributes, trees.values()), collections.Counter())
     dead = [f"{path.name}:{node.lineno} defines {node.name} and nothing calls it"
             for path, tree in trees.items() if path.name != "__init__.py"
@@ -309,11 +341,34 @@ def test_caller_detector(tmp_path):
                                    "def replace():\n    pass\n")
     (tmp_path / "b.py").write_text("import os\nfrom .a import used\n\n"
                                    "def f():\n    os.replace('x', 'y')\n    return used()\n")
+    (tmp_path / "__init__.py").write_text("from .a import exported\n\n"
+                                          "__all__ = ['exported']\n")
     paths = sorted(tmp_path.glob("*.py"))
-    assert uncalled_functions(paths, {"a.traced", "exported"}) == [
+    # an import and an entry of __all__ are no calls
+    assert uncalled_functions(paths, {"a.traced"}) == [
+        "a.py:7 defines exported and nothing calls it",
         "a.py:10 defines dead and nothing calls it",
         "a.py:13 defines replace and nothing calls it",
         "b.py:4 defines f and nothing calls it"]
+
+
+def test_caller_detector_skips_locally_bound_names(tmp_path):
+    (tmp_path / "a.py").write_text("".join(f"def {name}():\n    pass\n\n" for name in (
+        "assigned", "parameter", "looped", "comprehended", "nested", "called")))
+    (tmp_path / "b.py").write_text(
+        "from .a import assigned, called, comprehended, looped, nested, parameter\n\n"
+        "def f(parameter):\n    assigned = parameter\n    for looped in range(assigned):\n"
+        "        pass\n    return [comprehended for comprehended in (looped,)]\n\n"
+        "def g():\n    def inner(nested):\n        return nested\n\n"
+        "    return called(), inner, nested\n\nVALUE = g()\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    # a name bound by a nested function still counts where its parent reads it
+    assert uncalled_functions(paths, set()) == [
+        "a.py:1 defines assigned and nothing calls it",
+        "a.py:4 defines parameter and nothing calls it",
+        "a.py:7 defines looped and nothing calls it",
+        "a.py:10 defines comprehended and nothing calls it",
+        "b.py:3 defines f and nothing calls it"]
 
 
 def test_caller_detector_on_methods(tmp_path):
@@ -357,9 +412,9 @@ def test_traced_functions_exist():
 
 
 def test_every_function_has_a_caller():
-    exempt = set(superweyl.__all__) | {f"{module}.{name}" for module, names
-                                       in traced_targets().items() for name in names}
-    assert uncalled_functions(sorted(PACKAGE.glob("*.py")), exempt, {"exactla.Matrix"}) == []
+    # an exported name needs a caller too; only the benchmark's traced names are exempt
+    traced = {f"{module}.{name}" for module, names in traced_targets().items() for name in names}
+    assert uncalled_functions(sorted(PACKAGE.glob("*.py")), traced, {"exactla.Matrix"}) == []
 
 
 def _load_tracer_module():

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import derivation_action, mat_diagonal, mat_mul, mat_scale, mat_sub
+from oracles import derivation_action, mat_diagonal, mat_mul, mat_scale, mat_sub, weyl_commutator
 from superweyl import spbridge
 from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.spbridge import (InconsistentRatio, NotSymplectic, ad_vector,
                                 quadratic_monomials, quadratic_to_sp,
                                 sp_to_quadratic, trace_ratio_constant)
 from superweyl.symplectic import SymplecticSpace, standard_space, validate_space
-from superweyl.weyl import PolyElement, bilinear_form, linear_coordinates, weyl_commutator
+from superweyl.weyl import PolyElement, bilinear_form, linear_coordinates
 
 S1 = standard_space(1)
 E = PolyElement.variable(S1, 0)

@@ -5,7 +5,7 @@ import pytest
 from oracles import mat_diagonal, pair
 from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.symplectic import (NotAlternating, OddDimension, Singular,
-                                  SymplecticSpace, is_in_sp,
+                                  SymplecticSpace, as_vector, is_in_sp,
                                   standard_space, validate_space)
 
 
@@ -17,6 +17,13 @@ def test_standard_space_form():
     assert pair(s, s.basis_vector(2), s.basis_vector(0)) == -1
     assert pair(s, s.basis_vector(0), s.basis_vector(1)) == 0
     validate_space(s)
+    for i in (-1, 4):
+        with pytest.raises(IndexError, match=f"basis index {i} out of range for dimension 4"):
+            s.basis_vector(i)
+    with pytest.raises(DimensionMismatch, match="expected 4 coordinates, got 3"):
+        as_vector(s, (1, 0, 0))
+    with pytest.raises(ValueError, match="at least one hyperbolic pair"):
+        standard_space(0)
 
 
 def test_pair_is_alternating_and_bilinear():
@@ -63,6 +70,9 @@ def test_is_in_sp():
     assert is_in_sp(s, Matrix([[0, 1], [0, 0]]))
     assert is_in_sp(s, Matrix([[0, 0], [1, 0]]))
     assert not is_in_sp(s, Matrix.identity(2))
+    for alpha in (Matrix.identity(4), Matrix.from_entries({}, 2, 3)):
+        with pytest.raises(DimensionMismatch, match="expected a 2x2 matrix"):
+            is_in_sp(s, alpha)
 
 
 def test_is_in_sp_nonstandard_form():

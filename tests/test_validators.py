@@ -18,7 +18,7 @@ from superweyl.spbridge import NotSymplectic
 INSTANCES = {
     "osp_even(1,1)": lambda: build_osp_even(1, 1),
     "osp_even(2,1)": lambda: build_osp_even(2, 1),
-    "double gl11": lambda: build_double(double_base("gl11")).rep,
+    "double gl11": lambda: build_double(double_base("gl11")),
     "spin 3": lambda: build_spin_rep(3),
 }
 

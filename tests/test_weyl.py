@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_weyl_product, pair, permanent_pairing
+from oracles import oracle_weyl_product, pair, permanent_pairing, weyl_commutator
 from superweyl.symplectic import standard_space
 from superweyl.weyl import (PolyElement, SpaceMismatch, bilinear_form, constant_term,
-                            contract, grade, linear_coordinates, weyl_commutator,
-                            weyl_product)
+                            contract, grade, linear_coordinates, weyl_product)
 
 S1 = standard_space(1)
 S2 = standard_space(2)
@@ -75,6 +74,18 @@ def test_constants_act_as_scalars():
 def test_space_mismatch_rejected():
     with pytest.raises(SpaceMismatch):
         weyl_product(E, PolyElement.variable(S2, 0))
+    with pytest.raises(SpaceMismatch, match="exponent vector of length 3"):
+        PolyElement(S1, {(1, 0, 0): 1})
+
+
+def test_exponents_are_non_negative_ints():
+    with pytest.raises(ValueError, match="negative exponent"):
+        PolyElement(S1, {(-1, 1): 1})
+    # no coercion: int(1.7) would read the term as x0
+    for exp in ((1.7, 0), (True, 0), ("1", 0)):
+        with pytest.raises(TypeError, match="exponents must be ints"):
+            PolyElement(S1, {exp: 1})
+    assert PolyElement(S1, {(1, 0): 1}) == E
 
 
 # -- contraction -----------------------------------------------------------
