@@ -31,7 +31,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .engine import SuperAlgebraData, SymplecticRep, construct_superalgebra, verify_superalgebra
 from .exactla import (LinAlgError, Matrix, Scalar, SuperweylError, add_product, as_scalar,
-                      integer_columns, integer_tables, invert)
+                      integer_columns, integer_tables, invert, is_index)
 from .liealg import QuadraticLieAlgebra, bracket_table, defect_columns
 from .spbridge import NotSymplectic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
@@ -310,7 +310,7 @@ def _as_int(value) -> int:
     """A Python int other than a bool, or a string of ASCII digits with an
     optional leading minus; spaces, signs, underscores and other digits are
     refused, and more than 18 digits, far above every size guard, are too many."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_index(value):
         return value
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         digits = len(value.lstrip("-"))

@@ -8,7 +8,8 @@ Verbs:
 
 Every error the package raises derives from ``exactla.SuperweylError``; it
 and every failure to read or write a file exit with status 1 and a single
-line naming the exception type, e.g. ``JacobiFails: ...``.  An obstructed
+line naming the exception type, e.g. ``JacobiFails: ...``, and so does a
+usage mistake, such as a missing option or an unknown verb.  An obstructed
 construction is not an error in that sense and gets its own exit status.
 """
 
@@ -95,6 +96,13 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _usage_error(message: str):
+    """``ArgumentParser.error`` of every parser: a usage mistake exits 1
+    with one line, not with argparse's usage text and status 2, the status
+    of an obstructed construction."""
+    raise SuperweylError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superweyl",
@@ -123,12 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("parameters", nargs="*")
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.set_defaults(func=cmd_catalog)
+    for each in (parser, *sub.choices.values()):
+        each.error = _usage_error
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SuperweylError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -78,6 +78,12 @@ def as_scalar(value: Scalar | int | str) -> Scalar:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def is_index(value) -> bool:
+    """Whether ``value`` is an ``int``: an index, an exponent or a size is
+    never a float and never a bool, although a bool is an int to Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Matrix:
     """Immutable dense matrix with exact rational entries: construction,
     indexing, rows, columns, transpose, equality and hash, and no arithmetic."""
@@ -108,12 +114,15 @@ class Matrix:
     def from_entries(cls, entries: Mapping[tuple[int, int], Scalar | int | str], rows: int,
                      cols: int | None = None) -> "Matrix":
         """The matrix, square unless ``cols`` is given, whose nonzero entries
-        are the map {(i, j): value}; an index outside the shape, a negative
-        one included, raises ``IndexError``.  ``__init__`` coerces each value
-        once, through ``as_scalar``."""
+        are the map {(i, j): value}; an index that is not an ``int``
+        (``is_index``) raises ``TypeError``, and one outside the shape, a
+        negative one included, ``IndexError``.  ``__init__`` coerces each
+        value once, through ``as_scalar``."""
         cols = rows if cols is None else cols
         data = [[_ZERO] * cols for _ in range(rows)]
         for (i, j), x in entries.items():
+            if not (is_index(i) and is_index(j)):
+                raise TypeError(f"entry ({i!r}, {j!r}) has an index that is not an int")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
             data[i][j] = x

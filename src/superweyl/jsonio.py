@@ -16,7 +16,7 @@ import re
 from collections.abc import Sequence
 
 from .engine import (CheckResult, SuperAlgebraData, SymplecticRep, TestReport)
-from .exactla import DimensionMismatch, Matrix, Scalar, SuperweylError, as_scalar
+from .exactla import DimensionMismatch, Matrix, Scalar, SuperweylError, as_scalar, is_index
 from .liealg import QuadraticLieAlgebra
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
 from .weyl import PolyElement
@@ -60,7 +60,7 @@ def _known_keys(obj: dict, keys: tuple[str, ...], what: str) -> None:
 
 def _integer(value, what: str) -> int:
     """A JSON integer; booleans, floats and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_index(value):
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -158,11 +158,7 @@ def problem_from_json(obj) -> SymplecticRep:
     nu = obj["nu"]
     if not isinstance(nu, list) or len(nu) != algebra.dim:
         raise ParseError("'nu' must list one matrix per basis element of g0")
-    matrices = tuple(matrix_from_json(m, space.dim) for m in nu)
-    try:
-        return SymplecticRep(algebra, space, matrices)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return SymplecticRep(algebra, space, tuple(matrix_from_json(m, space.dim) for m in nu))
 
 
 def _unique_keys(pairs: list) -> dict:

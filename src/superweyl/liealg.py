@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .exactla import (Column, DimensionMismatch, IntegerColumns, Matrix, Scalar,
                       SingularMatrix, SuperweylError, add_product, as_scalar, integer_columns,
-                      integer_tables, invariance_violation, invert, record)
+                      integer_tables, invariance_violation, invert, is_index, record)
 
 _ZERO = as_scalar(0)
 
@@ -61,12 +61,15 @@ class QuadraticLieAlgebra:
     @classmethod
     def from_sparse(cls, entries: Sequence[tuple[int, int, int, object]],
                     form: Matrix) -> "QuadraticLieAlgebra":
-        """Build from sparse entries (i, j, l, value), each index below the
-        size of ``form`` and i < j, meaning that [x_i, x_j] has coefficient
-        value on x_l.  Repeated entries add up, and those that cancel are dropped."""
+        """Build from sparse entries (i, j, l, value), each index an ``int``
+        below the size of ``form`` and i < j, meaning that [x_i, x_j] has
+        coefficient value on x_l.  Repeated entries add up, and those that
+        cancel are dropped."""
         dim = form.rows
         sums: dict[tuple[int, int], dict[int, Scalar]] = {}
         for i, j, l, value in entries:
+            if not all(map(is_index, (i, j, l))):
+                raise TypeError(f"bracket entry {(i, j, l)!r} has an index that is not an int")
             if not (0 <= i < dim and 0 <= j < dim and 0 <= l < dim):
                 raise IndexError(f"bracket entry ({i}, {j}, {l}) out of range")
             if i >= j:
@@ -94,10 +97,14 @@ def check_pairs(pairs: Mapping[tuple[int, int], dict[int, Scalar]], size: int, k
                 sign: int) -> None:
     """Refuse a pair map whose key is not a pair a < b < size, or a <= b <
     size for the symmetric bracket (``sign`` +1), whose map has a coordinate
-    outside range(k), or which stores a zero coefficient or an empty map."""
+    outside range(k), or which stores a zero coefficient or an empty map;
+    an index of a key or a coordinate that is not an ``int`` (``is_index``)
+    raises ``TypeError``."""
     name, order = ("odd bracket", "a <= b") if sign > 0 else ("bracket", "i < j")
     gap = int(sign < 0)
     for key, col in pairs.items():
+        if isinstance(key, tuple) and not all(map(is_index, (*key, *col))):
+            raise TypeError(f"{name} {key!r} has an index that is not an int")
         if not (isinstance(key, tuple) and len(key) == 2
                 and 0 <= key[0] <= key[1] - gap and key[1] < size):
             raise ValueError(f"{name} key {key!r} is not a pair {order} < {size}")

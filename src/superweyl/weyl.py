@@ -1,11 +1,11 @@
 """Polynomials on a symplectic space carrying two products.
 
 The same sparse coefficient data serves two algebra structures on the
-polynomial ring in the coordinates of a symplectic space:
-
-* the ordinary commutative product, and
-* a noncommutative product with ``u v - v u = 2 (u, v)`` for linear u, v,
-  where ``( , )`` is the form of the underlying space.
+polynomial ring in the coordinates of a symplectic space, the products
+``sym_product`` (commutative) and ``weyl_product`` (noncommutative, with
+``u v - v u = 2 (u, v)`` for linear u, v, where ``( , )`` is the form of the
+underlying space).  A ``PolyElement`` itself only adds, subtracts and scales
+(``c * p``), so ``p * q`` is refused rather than choosing one of them.
 
 The bridge between them is the contraction ``contract(u, a)``: the unique
 derivation of the commutative product sending a linear element v to the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .exactla import Scalar, SuperweylError, as_scalar
+from .exactla import Scalar, SuperweylError, as_scalar, is_index
 from .symplectic import SymplecticSpace, Vector, as_vector
 
 _ZERO = as_scalar(0)
@@ -62,7 +62,7 @@ class PolyElement:
             if c == 0:
                 continue
             e = tuple(exp)
-            if any(isinstance(k, bool) or not isinstance(k, int) for k in e):
+            if not all(map(is_index, e)):
                 raise TypeError(f"exponents must be ints, got {e!r}")
             if len(e) != space.dim:
                 raise SpaceMismatch(
@@ -80,10 +80,6 @@ class PolyElement:
         return cls(space, {})
 
     @classmethod
-    def constant(cls, space: SymplecticSpace, value) -> "PolyElement":
-        return cls(space, {tuple([0] * space.dim): as_scalar(value)})
-
-    @classmethod
     def variable(cls, space: SymplecticSpace, i: int) -> "PolyElement":
         exp = [0] * space.dim
         exp[i] = 1
@@ -92,17 +88,6 @@ class PolyElement:
     @classmethod
     def monomial(cls, space: SymplecticSpace, exp: Sequence[int], coeff) -> "PolyElement":
         return cls(space, {tuple(exp): as_scalar(coeff)})
-
-    @classmethod
-    def from_vector(cls, space: SymplecticSpace, coords: Sequence) -> "PolyElement":
-        v = as_vector(space, coords)
-        terms = {}
-        for i, c in enumerate(v):
-            if c != 0:
-                exp = [0] * space.dim
-                exp[i] = 1
-                terms[tuple(exp)] = c
-        return cls(space, terms)
 
     # -- structure ---------------------------------------------------------
 
@@ -114,9 +99,6 @@ class PolyElement:
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         return sorted(self.terms.items())
-
-    def coefficient(self, exp: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(exp), _ZERO)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -133,15 +115,6 @@ class PolyElement:
         for exp, coeff in other.terms.items():
             out[exp] = out.get(exp, _ZERO) - coeff
         return PolyElement(self.space, out)
-
-    def __neg__(self) -> "PolyElement":
-        return PolyElement(self.space, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, PolyElement):
-            return sym_product(self, other)
-        c = as_scalar(other)
-        return PolyElement(self.space, {e: c * v for e, v in self.terms.items()})
 
     def __rmul__(self, other):
         c = as_scalar(other)

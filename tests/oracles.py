@@ -27,8 +27,10 @@ dense brackets given once per pair,
 linear combinations, the dense ``Matrix`` arithmetic that the package does
 not define (sums, differences, negation, products, scalar multiples,
 ``mat_apply``, ``mat_trace`` and ``mat_is_zero``, with the shape errors
-``DimensionMismatch`` gives), column matrices (``mat_column``), form
-values, brackets of coordinate
+``DimensionMismatch`` gives), column matrices (``mat_column``), the
+constant and the linear polynomials and the coefficient of a monomial,
+which ``PolyElement`` does not define (``poly_constant``,
+``poly_from_vector``, ``poly_coefficient``), form values, brackets of coordinate
 vectors, the representation defect as a matrix, the dense adjoint matrices
 of a superalgebra, the degree-four part of the Casimir image as a sum of
 commutative products, the derivation extending a matrix to polynomials,
@@ -154,6 +156,22 @@ def pair(space: SymplecticSpace, u: Sequence, v: Sequence) -> Scalar:
     return bilinear(space.omega, as_vector(space, u), as_vector(space, v))
 
 
+def poly_constant(space: SymplecticSpace, value) -> PolyElement:
+    """The constant polynomial ``value`` on ``space``."""
+    return PolyElement.monomial(space, [0] * space.dim, value)
+
+
+def poly_from_vector(space: SymplecticSpace, coords: Sequence) -> PolyElement:
+    """The linear polynomial sum_i coords[i] x_i."""
+    return PolyElement(space, {tuple(int(i == j) for j in range(space.dim)): c
+                               for i, c in enumerate(as_vector(space, coords))})
+
+
+def poly_coefficient(p: PolyElement, exp: Sequence[int]) -> Scalar:
+    """The coefficient of the monomial ``exp`` in ``p``."""
+    return p.terms.get(tuple(exp), _ZERO)
+
+
 def replace(obj, **changes):
     """A copy of the record ``obj`` with the named fields changed; the
     copy's ``__post_init__`` checks it as any new record."""
@@ -260,7 +278,7 @@ def derivation_action(alpha: Matrix, a: PolyElement) -> PolyElement:
     space = a.space
     if alpha.rows != space.dim or alpha.cols != space.dim:
         raise DimensionMismatch("matrix and polynomial live on spaces of different dimension")
-    images = [PolyElement.from_vector(space, alpha.col(i)) for i in range(space.dim)]
+    images = [poly_from_vector(space, alpha.col(i)) for i in range(space.dim)]
     total = PolyElement.zero(space)
     for exp, coeff in a.terms.items():
         for i, k in enumerate(exp):
@@ -324,8 +342,8 @@ def oracle_rref(a: Matrix) -> tuple[list[list[Scalar]], list[int]]:
 
 
 def gamma_apply(u: PolyElement, z: PolyElement) -> PolyElement:
-    """Multiply-then-contract action of a linear element: u * z + iota(u) z."""
-    return u * z + contract(linear_coordinates(u), z)
+    """Multiply-then-contract action of a linear element: u . z + iota(u) z."""
+    return sym_product(u, z) + contract(linear_coordinates(u), z)
 
 
 def linear_factors(space: SymplecticSpace, exp: tuple[int, ...]) -> list[PolyElement]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from oracles import (derivation_action, double_odd_table, jacobiator, mat_add, mat_mul, mat_scale,
                      mat_sub, odd_bracket, odd_table, oracle_weyl_product, pair, permanent_pairing,
-                     sl2_casimir_trace, weyl_commutator)
+                     poly_constant, poly_from_vector, sl2_casimir_trace, weyl_commutator)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base, sp_basis)
 from superweyl.cli import main
@@ -27,7 +27,7 @@ from superweyl.exactla import Matrix
 from superweyl.liealg import QuadraticLieAlgebra
 from superweyl.spbridge import quadratic_to_sp, sp_to_quadratic, trace_ratio_constant
 from superweyl.symplectic import standard_space
-from superweyl.weyl import PolyElement, bilinear_form, linear_coordinates, weyl_product
+from superweyl.weyl import PolyElement, bilinear_form, linear_coordinates, sym_product, weyl_product
 
 
 def announce(num: int, text: str) -> None:
@@ -55,11 +55,10 @@ def test_criterion_01_product_relation_associativity_permanent():
 
     for space in (s2, s4):
         for _ in range(25):
-            u = PolyElement.from_vector(space, _random_linear(rng, space))
-            v = PolyElement.from_vector(space, _random_linear(rng, space))
+            u = poly_from_vector(space, _random_linear(rng, space))
+            v = poly_from_vector(space, _random_linear(rng, space))
             uc, vc = linear_coordinates(u), linear_coordinates(v)
-            assert weyl_commutator(u, v) == PolyElement.constant(
-                space, 2 * pair(space, uc, vc))
+            assert weyl_commutator(u, v) == poly_constant(space, 2 * pair(space, uc, vc))
 
     for _ in range(100):
         a = _random_poly(rng, s2, 4, 3)
@@ -71,12 +70,12 @@ def test_criterion_01_product_relation_associativity_permanent():
         k = rng.randint(0, 4)
         us = [_random_linear(rng, s4) for _ in range(k)]
         vs = [_random_linear(rng, s4) for _ in range(k)]
-        a = PolyElement.constant(s4, 1)
-        b = PolyElement.constant(s4, 1)
+        a = poly_constant(s4, 1)
+        b = poly_constant(s4, 1)
         for u in us:
-            a = a * PolyElement.from_vector(s4, u)
+            a = sym_product(a, poly_from_vector(s4, u))
         for v in vs:
-            b = b * PolyElement.from_vector(s4, v)
+            b = sym_product(b, poly_from_vector(s4, v))
         assert bilinear_form(a, b) == permanent_pairing(s4, us, vs)
 
     announce(1, "defining relation, associativity on 100 random triples, "
@@ -90,11 +89,11 @@ def test_criterion_02_power_pairing():
         for _ in range(10):
             u = _random_linear(rng, space)
             v = _random_linear(rng, space)
-            un = PolyElement.constant(space, 1)
-            vn = PolyElement.constant(space, 1)
+            un = poly_constant(space, 1)
+            vn = poly_constant(space, 1)
             for _ in range(n):
-                un = un * PolyElement.from_vector(space, u)
-                vn = vn * PolyElement.from_vector(space, v)
+                un = sym_product(un, poly_from_vector(space, u))
+                vn = sym_product(vn, poly_from_vector(space, v))
             assert bilinear_form(un, vn) == math.factorial(n) * pair(space, u, v) ** n
     announce(2, "pairing of n-th powers equals n! times the n-th power of the "
                 "linear pairing for n up to 5")
@@ -145,13 +144,13 @@ def test_criterion_05_smallest_positive_instance():
     space = rep.space
     e = PolyElement.variable(space, 0)
     f = PolyElement.variable(space, 1)
-    lift_h = Fraction(-1, 2) * (e * f)
-    lift_e = Fraction(1, 4) * (e * e)
-    lift_f = Fraction(-1, 4) * (f * f)
+    lift_h = Fraction(-1, 2) * sym_product(e, f)
+    lift_e = Fraction(1, 4) * sym_product(e, e)
+    lift_f = Fraction(-1, 4) * sym_product(f, f)
     casimir = (oracle_weyl_product(lift_h, Fraction(1, 2) * lift_h)
                + oracle_weyl_product(lift_e, lift_f)
                + oracle_weyl_product(lift_f, lift_e))
-    assert casimir == PolyElement.constant(space, Fraction(-3, 8))
+    assert casimir == poly_constant(space, Fraction(-3, 8))
 
     s = construct_superalgebra(rep)
     checks = verify_superalgebra(s)

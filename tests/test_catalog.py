@@ -8,8 +8,8 @@ import superweyl.engine
 import superweyl.exactla
 from oracles import (dense_adjoint, double_odd_table, linear_combination, mat_column,
                      mat_diagonal, mat_is_zero, mat_mul, mat_neg, mat_scale, odd_table,
-                     oracle_rref, oracle_structure_constants, representation_defect,
-                     superalgebra_from_table)
+                     oracle_rref, oracle_structure_constants, poly_coefficient,
+                     representation_defect, superalgebra_from_table)
 from superweyl.catalog import (InvalidInput, TooLarge, UnknownInstance, abelian_superalgebra,
                                build_double, build_instance, build_osp_even, build_spin_rep,
                                double_base, kron, matrix_structure_constants, so_basis, sp_basis,
@@ -198,8 +198,8 @@ def test_osp_even_carries_the_supertrace_form():
             obstructions.append(casimir_image(SymplecticRep(summand, rep.space, matrices))[0])
             start += len(basis)
         monomials = sorted({exp for p in obstructions for exp in p.terms})
-        coefficients = Matrix([[p.coefficient(exp) for p in obstructions] for exp in monomials],
-                              cols=len(bases))
+        coefficients = Matrix([[poly_coefficient(p, exp) for p in obstructions]
+                               for exp in monomials], cols=len(bases))
         assert len(oracle_rref(coefficients)[1]) == len(bases) - 1, (m, n)
         inverse_scales = mat_column([Fraction(1, t) for t in scales])
         assert mat_is_zero(mat_mul(coefficients, inverse_scales)), (m, n)

@@ -6,12 +6,14 @@ import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superweyl.cli
+from oracles import poly_constant
 from superweyl import __version__
 from superweyl.catalog import build_osp_even, build_spin_rep
 from superweyl.cli import main
@@ -70,7 +72,7 @@ def test_matrix_parse_lets_programming_errors_through(monkeypatch):
 def test_poly_round_trip():
     s = standard_space(1)
     p = (PolyElement.monomial(s, (2, 1), Fraction(3, 4))
-         + PolyElement.constant(s, -2))
+         + poly_constant(s, -2))
     obj = poly_to_json(p)
     assert obj == [{"exp": [0, 0], "coeff": "-2"}, {"exp": [2, 1], "coeff": "3/4"}]
     assert sum((PolyElement.monomial(s, tuple(t["exp"]), scalar_from_str(t["coeff"]))
@@ -373,12 +375,13 @@ def test_too_wide_matrix_rows_exit_one_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("keys, value, message", [
     (("nu", 0, 0, 0), "1/0", "bad rational '1/0': Fraction(1, 0)"),
+    (("space", "dim"), -1, "bad space dimension -1"),
     (("g0", "dim"), -1, "bad algebra dimension -1"),
     (("g0", "brackets", 0), [0, 1, 1], "each bracket entry must be [i, j, l, value]"),
     (("g0", "brackets", 0), [0, 1, 7, "1"], "bracket entry (0, 1, 7) out of range"),
     (("g0", "brackets", 0), [1, 0, 1, "1"], "sparse bracket entries need i < j, got (1, 0)"),
     ((), [], "problem file must contain a JSON object"),
-], ids=["zero-denominator", "negative-dim", "three-items", "out-of-range", "unordered", "array"])
+], ids=["zero-denominator", "negative-space-dim", "negative-dim", "three-items", "out-of-range", "unordered", "array"])
 def test_edited_problem_file_exits_one_with_one_line(tmp_path, capsys, keys, value, message):
     # spin-1.json with the entry at ``keys`` replaced, or the whole file for no keys
     obj = json.loads((GOLDEN / "spin-1.json").read_text())
@@ -544,10 +547,14 @@ def test_mutated_problem_files_exit_cleanly(problem):
                 assert err.getvalue().count("\n") == 1
 
 
-# an argument that starts with "-" and is no negative integer is an option
-# to argparse, which exits 2 by itself; negative integers come from the
-# integer strategy
-_ARGUMENT_TEXT = st.text(max_size=12).filter(lambda text: not text.startswith("-"))
+def _asks_for_help(text: str) -> bool:
+    # -h, a cluster of short options that starts with it, or an abbreviation
+    # of --help: argparse prints the help and exits 0
+    return text.startswith("-h") or (len(text) > 2 and "--help".startswith(text))
+
+
+# any other argument that starts with "-", an unknown option or --out, is drawn too
+_ARGUMENT_TEXT = st.text(max_size=12).filter(lambda text: not _asks_for_help(text))
 
 
 @given(st.one_of(st.sampled_from(["gl11", "osp_even", "spin", "double"]), _ARGUMENT_TEXT),
@@ -555,15 +562,19 @@ _ARGUMENT_TEXT = st.text(max_size=12).filter(lambda text: not text.startswith("-
                           st.sampled_from(["abelian1", "gl11", "osp12"])), max_size=3))
 @settings(max_examples=80, deadline=None)
 def test_catalog_arguments_exit_cleanly(name, params):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # a drawn --out writes nowhere: the written object is kept here
+    out, err, written = io.StringIO(), io.StringIO(), []
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.object(superweyl.cli, "write_json_atomic",
+                            lambda path, obj: written.append(obj))):
         code = main(["catalog", name, *params])
     assert code in (0, 1)
     if code == 1:
-        assert out.getvalue() == ""
+        assert out.getvalue() == "" and written == []
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
     else:
-        assert err.getvalue() == "" and json.loads(out.getvalue())["space"]
+        assert err.getvalue() == ""
+        assert (written[0] if written else json.loads(out.getvalue()))["space"]
 
 
 def test_version_flag(capsys):
@@ -571,3 +582,25 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["construct", "-h"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: superweyl")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "p.json"], "the following arguments are required: --out"),
+    (["test", "p.json"], "the following arguments are required: --report"),
+    (["frob", "p.json"], "argument command: invalid choice: 'frob'"),
+    (["validate", "p.json", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["no-out", "no-report", "unknown-verb", "unknown-option"])
+def test_usage_error_exits_one_with_one_line(capsys, argv, message):
+    # not argparse's usage text and status 2, which construct gives an
+    # obstructed problem; the file is never opened
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"SuperweylError: {message}") and err.count("\n") == 1

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 from oracles import (algebra_from_table, bracket_vectors, casimir_obstruction, form_value,
                      linear_combination, mat_add, mat_apply, mat_diagonal, mat_mul, mat_scale,
                      odd_bracket, oracle_quadratic_lift_adjoint, oracle_sp_to_quadratic,
-                     oracle_trace_ratio_constant, permanent_form, weyl_commutator)
+                     oracle_trace_ratio_constant, permanent_form, poly_constant, poly_from_vector,
+                     weyl_commutator)
 from superweyl.catalog import (build_double, build_gl11_even, build_osp_even,
                                build_spin_rep, double_base)
 from superweyl.engine import (SymplecticRep, casimir_image, construct_superalgebra, decide,
@@ -307,10 +308,10 @@ def _change_basis(rep: SymplecticRep, p: Matrix, q: Matrix) -> SymplecticRep:
 
 def _substitute(poly: PolyElement, m: Matrix, space: SymplecticSpace) -> PolyElement:
     """``poly`` with each y_c replaced by sum_a m_ac y'_a, on ``space``."""
-    images = [PolyElement.from_vector(space, m.col(c)) for c in range(space.dim)]
+    images = [poly_from_vector(space, m.col(c)) for c in range(space.dim)]
     total = PolyElement.zero(space)
     for exp, coeff in poly.terms.items():
-        term = PolyElement.constant(space, coeff)
+        term = poly_constant(space, coeff)
         for c, power in enumerate(exp):
             for _ in range(power):
                 term = sym_product(term, images[c])

@@ -13,7 +13,8 @@ import superweyl.spbridge
 import superweyl.symplectic
 from oracles import (bracket, bracket_vectors, dense_adjoint, form_value, jacobiator,
                      linear_combination, mat_add, mat_apply, mat_diagonal, mat_mul, mat_scale,
-                     odd_bracket, odd_table, replace, superalgebra_from_table, weyl_commutator)
+                     odd_bracket, odd_table, poly_constant, replace, superalgebra_from_table,
+                     weyl_commutator)
 from superweyl.catalog import build_gl11_even, build_osp_even, build_spin_rep
 from superweyl.cli import main
 from superweyl.engine import (InternalDegreeLeak, NotARepresentation,
@@ -28,12 +29,13 @@ from superweyl.jsonio import load_problem
 from superweyl.liealg import QuadraticLieAlgebra, validate_lie
 from superweyl.spbridge import NotSymplectic
 from superweyl.symplectic import SymplecticSpace, standard_space, validate_space
-from superweyl.weyl import PolyElement, SpaceMismatch
+from superweyl.weyl import PolyElement, SpaceMismatch, sym_product
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 S1 = standard_space(1)
 E = PolyElement.variable(S1, 0)
 F = PolyElement.variable(S1, 1)
+E2, EF, F2 = sym_product(E, E), sym_product(E, F), sym_product(F, F)
 
 VERIFY_NAMES = [
     "graded_antisymmetry",
@@ -86,9 +88,9 @@ def test_rep_shape_check():
 
 def test_lift_values_for_sl2_action():
     rep = osp11()
-    assert quadratic_lift(rep, 0) == Fraction(-1, 2) * (E * F)
-    assert quadratic_lift(rep, 1) == Fraction(1, 4) * (E * E)
-    assert quadratic_lift(rep, 2) == Fraction(-1, 4) * (F * F)
+    assert quadratic_lift(rep, 0) == Fraction(-1, 2) * EF
+    assert quadratic_lift(rep, 1) == Fraction(1, 4) * E2
+    assert quadratic_lift(rep, 2) == Fraction(-1, 4) * F2
 
 
 def test_lift_is_equivariant():
@@ -104,22 +106,34 @@ def test_lift_is_equivariant():
                 assert weyl_commutator(lifts[i], lifts[j]) == expected
 
 
+def test_equal_lifts_hash_equal():
+    # two loads of one file: equal records, not the same objects, so the
+    # hash of each polynomial and of its space's Matrix is computed twice
+    first, second = (load_problem(str(GOLDEN / "spin-3.json")) for _ in range(2))
+    assert first.space is not second.space and first.space == second.space
+    k = first.algebra.dim
+    lifts = [quadratic_lift(rep, i) for rep in (first, second) for i in range(k)]
+    assert [hash(lift) for lift in lifts[:k]] == [hash(lift) for lift in lifts[k:]]
+    assert len(set(lifts)) == k
+    assert len({first.space.omega, second.space.omega}) == 1
+
+
 def test_lift_adjoint_values():
     rep = osp11()
-    assert quadratic_lift_adjoint(rep, E * E) == (0, Fraction(-1, 2), 0)
-    assert quadratic_lift_adjoint(rep, E * F) == (Fraction(1, 4), 0, 0)
-    assert quadratic_lift_adjoint(rep, F * F) == (0, 0, Fraction(1, 2))
+    assert quadratic_lift_adjoint(rep, E2) == (0, Fraction(-1, 2), 0)
+    assert quadratic_lift_adjoint(rep, EF) == (Fraction(1, 4), 0, 0)
+    assert quadratic_lift_adjoint(rep, F2) == (0, 0, Fraction(1, 2))
 
 
 def test_lift_adjoint_refuses_a_non_quadratic():
     rep = osp11()
-    for w in (E, E * E + PolyElement.constant(S1, 1), E * E * F):
+    for w in (E, E2 + poly_constant(S1, 1), sym_product(E2, F)):
         with pytest.raises(ValueError, match="homogeneous quadratic"):
             quadratic_lift_adjoint(rep, w)
     # nor a quadratic on another space of the same dimension
     other = PolyElement.variable(SymplecticSpace(Matrix([[0, 2], [-2, 0]])), 0)
     with pytest.raises(SpaceMismatch, match="different space"):
-        quadratic_lift_adjoint(rep, other * other)
+        quadratic_lift_adjoint(rep, sym_product(other, other))
 
 
 def test_lift_adjoint_defining_property():
@@ -168,7 +182,7 @@ def test_decide_takes_its_input_as_validated():
     # and only validate_rep sees that they do not represent the bracket
     rep = SymplecticRep(QuadraticLieAlgebra({}, Matrix.identity(2)), S1,
                         (Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])))
-    assert decide(rep).obstruction == Fraction(1, 16) * (E * E * E * E + F * F * F * F)
+    assert decide(rep).obstruction == Fraction(1, 16) * (sym_product(E2, E2) + sym_product(F2, F2))
     with pytest.raises(NotARepresentation):
         validate_rep(rep)
 
@@ -423,6 +437,9 @@ def test_odd_table_stores_exactly_the_nonzero_entries():
             SuperAlgebraData(s.rep, {(0, 0): col})
     with pytest.raises(DimensionMismatch):
         SuperAlgebraData(s.rep, {(0, 0): {2: Fraction(1)}})
+    for odd_odd in ({(False, True): {0: Fraction(1)}}, {(0, 0): {True: Fraction(1)}}):
+        with pytest.raises(TypeError, match="has an index that is not an int"):
+            SuperAlgebraData(s.rep, odd_odd)
 
 
 def test_adjoint_columns_read_the_tables():

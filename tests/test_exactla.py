@@ -88,6 +88,13 @@ def test_from_entries_refuses_indices_outside_the_shape(key, rows, cols):
         Matrix.from_entries({key: 1}, rows, cols)
 
 
+@pytest.mark.parametrize("key", [(True, 0), (0, False), (1.0, 0), (0, 0.0)])
+def test_from_entries_refuses_indices_that_are_not_ints(key):
+    # True is no row 1, as it would be for a list
+    with pytest.raises(TypeError, match="has an index that is not an int"):
+        Matrix.from_entries({key: 1}, 2)
+
+
 @pytest.mark.parametrize("value", [0.5, 1.0, True, False])
 def test_from_entries_refuses_floats_and_bools(value):
     with pytest.raises(TypeError):

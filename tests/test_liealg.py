@@ -104,6 +104,20 @@ def test_table_stores_exactly_the_nonzero_entries():
         QuadraticLieAlgebra({(0, 1): {2: Fraction(1)}}, Matrix.identity(2))
 
 
+def test_brackets_refuse_indices_that_are_not_ints():
+    # neither in a key nor in a coordinate, and not through from_sparse
+    form, one = Matrix.identity(2), Fraction(1)
+    for brackets in ({(0.0, 1.0): {0: one}}, {(False, 1): {0: one}}, {(0, 1): {True: one}},
+                     {(0, 1): {0.0: one}}):
+        with pytest.raises(TypeError, match="has an index that is not an int"):
+            QuadraticLieAlgebra(brackets, form)
+    # nor where an int entry of the same pair or coordinate comes first
+    for entries in ([(0.0, 1, 0, 1)], [(0, 1, 0, 1), (False, 1, 1, 1)],
+                    [(0, 1, 1, 1), (0, 1, True, 1)]):
+        with pytest.raises(TypeError, match="has an index that is not an int"):
+            QuadraticLieAlgebra.from_sparse(entries, form)
+
+
 def test_jacobi_violation_detected():
     g = QuadraticLieAlgebra.from_sparse([(0, 1, 2, 1), (0, 2, 0, 1)], Matrix.identity(3))
     with pytest.raises(JacobiFails) as info:

@@ -4,27 +4,29 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import derivation_action, mat_diagonal, mat_mul, mat_scale, mat_sub, weyl_commutator
+from oracles import (derivation_action, mat_diagonal, mat_mul, mat_scale, mat_sub, poly_constant,
+                     poly_from_vector, weyl_commutator)
 from superweyl import spbridge
 from superweyl.exactla import DimensionMismatch, Matrix
 from superweyl.spbridge import (InconsistentRatio, NotSymplectic, ad_vector,
                                 quadratic_monomials, quadratic_to_sp,
                                 sp_to_quadratic, trace_ratio_constant)
 from superweyl.symplectic import SymplecticSpace, standard_space, validate_space
-from superweyl.weyl import PolyElement, bilinear_form, linear_coordinates
+from superweyl.weyl import PolyElement, bilinear_form, linear_coordinates, sym_product
 
 S1 = standard_space(1)
 E = PolyElement.variable(S1, 0)
 F = PolyElement.variable(S1, 1)
+E2, EF, F2 = sym_product(E, E), sym_product(E, F), sym_product(F, F)
 
 
 def test_quadratic_to_sp_refuses_non_quadratics():
-    quadratic_to_sp(E * F)
+    quadratic_to_sp(EF)
     quadratic_to_sp(PolyElement.zero(S1))
     with pytest.raises(ValueError):
         quadratic_to_sp(E)
     with pytest.raises(ValueError):
-        quadratic_to_sp(E * E + PolyElement.constant(S1, 1))
+        quadratic_to_sp(E2 + poly_constant(S1, 1))
 
 
 def test_sp_to_quadratic_refuses_matrices_outside_sp():
@@ -37,12 +39,10 @@ def test_sp_to_quadratic_refuses_matrices_outside_sp():
 
 def test_ad_vector_by_hand():
     # e.f scales e by -2 and f by 2; e^2 sends f to 4e and kills e
-    ef = E * F
-    assert ad_vector(ef, (1, 0)) == (-2, 0)
-    assert ad_vector(ef, (0, 1)) == (0, 2)
-    e2 = E * E
-    assert ad_vector(e2, (1, 0)) == (0, 0)
-    assert ad_vector(e2, (0, 1)) == (4, 0)
+    assert ad_vector(EF, (1, 0)) == (-2, 0)
+    assert ad_vector(EF, (0, 1)) == (0, 2)
+    assert ad_vector(E2, (1, 0)) == (0, 0)
+    assert ad_vector(E2, (0, 1)) == (4, 0)
 
 
 def test_ad_matches_weyl_commutator():
@@ -50,16 +50,16 @@ def test_ad_matches_weyl_commutator():
     for _ in range(10):
         w = sum((PolyElement.monomial(S1, (2 - k, k), rng.randint(-3, 3))
                  for k in range(3)), PolyElement.zero(S1))
-        v = PolyElement.from_vector(
+        v = poly_from_vector(
             S1, (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))))
         direct = weyl_commutator(w, v)
         assert linear_coordinates(direct) == ad_vector(w, linear_coordinates(v))
 
 
 def test_quadratic_to_sp_values():
-    assert quadratic_to_sp(E * F) == mat_diagonal([-2, 2])
-    assert quadratic_to_sp(E * E) == Matrix([[0, 4], [0, 0]])
-    assert quadratic_to_sp(F * F) == Matrix([[0, 0], [-4, 0]])
+    assert quadratic_to_sp(EF) == mat_diagonal([-2, 2])
+    assert quadratic_to_sp(E2) == Matrix([[0, 4], [0, 0]])
+    assert quadratic_to_sp(F2) == Matrix([[0, 0], [-4, 0]])
 
 
 def test_map_is_lie_homomorphism():
@@ -110,9 +110,9 @@ def test_derivation_action_extends_matrix():
     assert derivation_action(alpha, E) == E
     assert derivation_action(alpha, F) == -1 * F
     # derivation on a product
-    assert derivation_action(alpha, E * E) == 2 * (E * E)
-    assert derivation_action(alpha, E * F).is_zero()
-    assert derivation_action(alpha, PolyElement.constant(S1, 5)).is_zero()
+    assert derivation_action(alpha, E2) == 2 * E2
+    assert derivation_action(alpha, EF).is_zero()
+    assert derivation_action(alpha, poly_constant(S1, 5)).is_zero()
 
 
 def test_derivation_action_agrees_with_commutator():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_weyl_product, pair, permanent_pairing, weyl_commutator
+from oracles import (oracle_weyl_product, pair, permanent_pairing, poly_constant, poly_from_vector,
+                     weyl_commutator)
 from superweyl.symplectic import standard_space
 from superweyl.weyl import (PolyElement, SpaceMismatch, bilinear_form, constant_term,
-                            contract, grade, linear_coordinates, weyl_product)
+                            contract, grade, linear_coordinates, sym_product, weyl_product)
 
 S1 = standard_space(1)
 S2 = standard_space(2)
@@ -29,7 +30,7 @@ def random_poly(rng, space, max_degree, terms=3):
 
 
 def random_linear(rng, space):
-    return PolyElement.from_vector(
+    return poly_from_vector(
         space, [Fraction(rng.randint(-3, 3)) for _ in range(space.dim)])
 
 
@@ -37,8 +38,8 @@ def random_linear(rng, space):
 
 
 def test_defining_relation_on_basis():
-    assert weyl_commutator(E, F) == PolyElement.constant(S1, 2)
-    assert weyl_commutator(F, E) == PolyElement.constant(S1, -2)
+    assert weyl_commutator(E, F) == poly_constant(S1, 2)
+    assert weyl_commutator(F, E) == poly_constant(S1, -2)
     assert weyl_commutator(E, E).is_zero()
 
 
@@ -49,24 +50,23 @@ def test_defining_relation_random_linears():
         v = random_linear(rng, S2)
         uc = linear_coordinates(u)
         vc = linear_coordinates(v)
-        expected = PolyElement.constant(S2, 2 * pair(S2, uc, vc))
+        expected = poly_constant(S2, 2 * pair(S2, uc, vc))
         assert weyl_commutator(u, v) == expected
 
 
 def test_square_products_by_hand():
-    e2, f2, ef = E * E, F * F, E * F
-    assert weyl_product(e2, f2) == (e2 * f2 + 4 * ef
-                                    + PolyElement.constant(S1, 2))
-    assert weyl_product(f2, e2) == (e2 * f2 - 4 * ef
-                                    + PolyElement.constant(S1, 2))
-    assert weyl_product(ef, ef) == (e2 * f2 + PolyElement.constant(S1, -1))
+    e2, f2, ef = sym_product(E, E), sym_product(F, F), sym_product(E, F)
+    e2f2 = sym_product(e2, f2)
+    assert weyl_product(e2, f2) == e2f2 + 4 * ef + poly_constant(S1, 2)
+    assert weyl_product(f2, e2) == e2f2 - 4 * ef + poly_constant(S1, 2)
+    assert weyl_product(ef, ef) == e2f2 + poly_constant(S1, -1)
     assert bilinear_form(e2, f2) == 2
     assert bilinear_form(ef, ef) == -1
 
 
 def test_constants_act_as_scalars():
-    c = PolyElement.constant(S1, Fraction(3, 2))
-    a = E * E + F
+    c = poly_constant(S1, Fraction(3, 2))
+    a = sym_product(E, E) + F
     assert weyl_product(c, a) == Fraction(3, 2) * a
     assert weyl_product(a, c) == Fraction(3, 2) * a
 
@@ -76,6 +76,14 @@ def test_space_mismatch_rejected():
         weyl_product(E, PolyElement.variable(S2, 0))
     with pytest.raises(SpaceMismatch, match="exponent vector of length 3"):
         PolyElement(S1, {(1, 0, 0): 1})
+
+
+def test_only_scalars_multiply_with_star():
+    # the two products are the functions sym_product and weyl_product
+    assert 3 * E == PolyElement.monomial(S1, (1, 0), 3)
+    for refused in (lambda: E * F, lambda: E * 3, lambda: -E):
+        with pytest.raises(TypeError):
+            refused()
 
 
 def test_exponents_are_non_negative_ints():
@@ -95,7 +103,7 @@ def test_contract_on_linears_is_the_form():
     u = S2.basis_vector(0)
     for i in range(4):
         got = contract(u, PolyElement.variable(S2, i))
-        assert got == PolyElement.constant(S2, pair(S2, u, S2.basis_vector(i)))
+        assert got == poly_constant(S2, pair(S2, u, S2.basis_vector(i)))
 
 
 def test_contract_is_derivation_of_both_products():
@@ -104,7 +112,8 @@ def test_contract_is_derivation_of_both_products():
         a = random_poly(rng, S2, 3)
         b = random_poly(rng, S2, 3)
         u = tuple(Fraction(rng.randint(-2, 2)) for _ in range(4))
-        assert contract(u, a * b) == contract(u, a) * b + a * contract(u, b)
+        assert (contract(u, sym_product(a, b))
+                == sym_product(contract(u, a), b) + sym_product(a, contract(u, b)))
         assert (contract(u, weyl_product(a, b))
                 == weyl_product(contract(u, a), b) + weyl_product(a, contract(u, b)))
 
@@ -125,7 +134,7 @@ def test_contract_multiply_commutator_is_pairing():
         a = random_poly(rng, S1, 3)
         u = (Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)))
         v = random_linear(rng, S1)
-        lhs = contract(u, v * a) - v * contract(u, a)
+        lhs = contract(u, sym_product(v, a)) - sym_product(v, contract(u, a))
         assert lhs == pair(S1, u, linear_coordinates(v)) * a
 
 
@@ -136,7 +145,7 @@ def test_contract_adjoint_to_multiplication():
         w = random_poly(rng, S2, 3)
         z = random_poly(rng, S2, 4)
         u = S2.basis_vector(rng.randrange(4))
-        lhs = bilinear_form(PolyElement.from_vector(S2, u) * w, z)
+        lhs = bilinear_form(sym_product(poly_from_vector(S2, u), w), z)
         assert lhs == bilinear_form(w, contract(u, z))
 
 
@@ -148,11 +157,11 @@ def test_power_pairing_factorial():
     for n in range(6):
         u = random_linear(rng, S1)
         v = random_linear(rng, S1)
-        un = PolyElement.constant(S1, 1)
-        vn = PolyElement.constant(S1, 1)
+        un = poly_constant(S1, 1)
+        vn = poly_constant(S1, 1)
         for _ in range(n):
-            un = un * u
-            vn = vn * v
+            un = sym_product(un, u)
+            vn = sym_product(vn, v)
         base = pair(S1, linear_coordinates(u), linear_coordinates(v))
         assert bilinear_form(un, vn) == math.factorial(n) * base ** n
 
@@ -192,12 +201,12 @@ def test_pairing_matches_permanent_oracle():
         k = rng.randint(0, 3)
         us = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(4)) for _ in range(k)]
         vs = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(4)) for _ in range(k)]
-        a = PolyElement.constant(S2, 1)
-        b = PolyElement.constant(S2, 1)
+        a = poly_constant(S2, 1)
+        b = poly_constant(S2, 1)
         for u in us:
-            a = a * PolyElement.from_vector(S2, u)
+            a = sym_product(a, poly_from_vector(S2, u))
         for v in vs:
-            b = b * PolyElement.from_vector(S2, v)
+            b = sym_product(b, poly_from_vector(S2, v))
         assert bilinear_form(a, b) == permanent_pairing(S2, us, vs)
 
 
@@ -262,12 +271,12 @@ def test_grade_reassembles():
 
 def test_linear_coordinates_roundtrip():
     v = (Fraction(1), Fraction(-2), Fraction(0), Fraction(5))
-    assert linear_coordinates(PolyElement.from_vector(S2, v)) == v
+    assert linear_coordinates(poly_from_vector(S2, v)) == v
     with pytest.raises(ValueError):
-        linear_coordinates(E * E)
+        linear_coordinates(sym_product(E, E))
 
 
 def test_constant_term():
-    a = E * F + PolyElement.constant(S1, Fraction(-7, 3))
+    a = sym_product(E, F) + poly_constant(S1, Fraction(-7, 3))
     assert constant_term(a) == Fraction(-7, 3)
     assert constant_term(E) == 0
