@@ -554,7 +554,8 @@ def _asks_for_help(text: str) -> bool:
 
 
 # any other argument that starts with "-", an unknown option or --out, is drawn too
-_ARGUMENT_TEXT = st.text(max_size=12).filter(lambda text: not _asks_for_help(text))
+_ARGUMENT_TEXT = st.one_of(st.text(max_size=12), st.text(max_size=11).map("-".__add__),
+                           st.just("--out")).filter(lambda text: not _asks_for_help(text))
 
 
 @given(st.one_of(st.sampled_from(["gl11", "osp_even", "spin", "double"]), _ARGUMENT_TEXT),
