@@ -99,8 +99,9 @@ def cmd_catalog(args) -> int:
 def _usage_error(message: str):
     """``ArgumentParser.error`` of every parser: a usage mistake exits 1
     with one line, not with argparse's usage text and status 2, the status
-    of an obstructed construction."""
-    raise SuperweylError(message)
+    of an obstructed construction. argparse quotes arguments raw, so a
+    character that is not printable, a line break among them, is escaped."""
+    raise SuperweylError("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
 
 
 def build_parser() -> argparse.ArgumentParser:
