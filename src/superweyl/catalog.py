@@ -17,9 +17,10 @@ Every builder lists the nonzero entries {(row, col): value} of its
 matrices and forms, and ``Matrix.from_entries`` makes each of them a
 ``Matrix``.  A summand spanned by basis matrices takes its trace form
 G as its invariant form, and G gives the structure constants too:
-coordinate l of [b_i, b_j] is sum_m (G^-1)_lm tr([b_i, b_j] b_m), summed
-in integers on the fraction-free kernel of the validators
-(``matrix_structure_constants``).
+coordinate l of [b_i, b_j] is sum_m (G^-1)_lm tr([b_i, b_j] b_m).
+``matrix_structure_constants`` builds the summand in one pass, in integers
+on the fraction-free kernel of the validators, and checks each commutator
+against its reconstruction from those coordinates.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from .engine import SuperAlgebraData, SymplecticRep, construct_superalgebra, verify_superalgebra
-from .exactla import (LinAlgError, Matrix, Scalar, SuperweylError, add_product, as_scalar,
-                      integer_columns, integer_tables, invert, is_index)
-from .liealg import QuadraticLieAlgebra, bracket_table, defect_columns
+from .exactla import (LinAlgError, Matrix, Scalar, SuperweylError, add_product, integer_columns,
+                      invert, is_index)
+from .liealg import QuadraticLieAlgebra
 from .spbridge import NotSymplectic
 from .symplectic import MAX_STANDARD_DIM, SymplecticSpace, standard_space
-
-_ZERO = as_scalar(0)
 
 
 class TooLarge(SuperweylError):
@@ -85,55 +84,42 @@ def sp_basis(n: int) -> list[Matrix]:
     return [Matrix.from_entries(e, 2 * n) for e in entries]
 
 
-def trace_gram(basis: Sequence[Matrix]) -> Matrix:
-    """[tr(a b)] over the basis, summed over the nonzero entries of a."""
-    entries = [_entries(m) for m in basis]
-    return Matrix([[sum((x * b[j, i] for (i, j), x in a.items() if (j, i) in b), _ZERO)
-                    for b in entries] for a in entries], cols=len(basis))
+def matrix_structure_constants(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
+    """The matrix Lie algebra spanned by ``basis``, with its trace form G.
+    The basis must be closed under commutators and G nonsingular: coordinate
+    l of [b_i, b_j] is sum_m (G^-1)_lm tr([b_i, b_j] b_m).
 
-
-def matrix_structure_constants(basis: Sequence[Matrix], gram: Matrix
-                               ) -> dict[tuple[int, int], dict[int, Scalar]]:
-    """Expand commutators of basis matrices back in the basis, as the
-    pair map of ``QuadraticLieAlgebra.brackets``.  The basis must be
-    closed under commutators and its trace form G, given as ``gram``
-    (``trace_gram``), nonsingular: coordinate l of [b_i, b_j] is
-    sum_m (G^-1)_lm tr([b_i, b_j] b_m).
-
-    On the integer columns of d b_i, the commutators d^2 [b_i, b_j], for
-    i < j, and their traces against d b_m are ints, and each coordinate is
-    one division.  A singular G raises ``SingularMatrix``, as every
-    dependent basis does.  The map is then checked as the representation
-    defect of the basis (``liealg.defect_columns``); a basis that is not
-    closed raises ``LinAlgError``."""
-    if not basis:
-        return {}
-    k, size = len(basis), basis[0].rows
+    The basis is cleared once, to the integer columns of d b_i.  The entries
+    of d^2 G, the commutators d^2 [b_i, b_j] for i < j and their traces
+    against d b_m are ints, and each coordinate is one division.  A singular
+    G raises ``SingularMatrix``, as every dependent basis does.  Each
+    commutator is then compared, in integers, with its reconstruction
+    sum_l c_l b_l from those coordinates; a basis that is not closed raises
+    ``LinAlgError``."""
+    k, size = len(basis), basis[0].rows if basis else 0
     d, b = integer_columns(basis)
-    e, (inverse,) = integer_columns([invert(gram)])
-    # against[r * size + z] maps m to d (b_m)_zr, the factor of C_rz in tr(C b_m)
-    against: list[dict[int, int]] = [{} for _ in range(size * size)]
+    # flat[m] maps r * size + z to d (b_m)_rz, and against[r * size + z] maps
+    # m to d (b_m)_zr, the factor of C_rz in tr(C b_m)
+    flat, against = [{} for _ in range(k)], [{} for _ in range(size * size)]
     for m, cols in enumerate(b):
         for r, col in enumerate(cols):
             for z, x in col.items():
-                against[r * size + z][m] = x
+                against[r * size + z][m] = flat[m][z * size + r] = x
+    gram = Matrix.from_entries({(i, m): Fraction(x, d * d) for i in range(k)
+                                for m, x in add_product({}, against, flat[i]).items()}, k)
+    e, (inverse,) = integer_columns([invert(gram)])
     brackets = {}
     for i, j in combinations(range(k), 2):
         commutator = {r * size + z: c for z in range(size) for r, c in
                       add_product(add_product({}, b[i], b[j][z]), b[j], b[i][z], -1).items() if c}
         coords = add_product({}, inverse, add_product({}, against, commutator))
+        # coords holds e d^3 c_l: closed means sum_l e d^3 c_l d b_l = e d^2 d^2 [b_i, b_j]
+        residue = add_product({p: e * d * d * c for p, c in commutator.items()}, flat, coords, -1)
+        if any(residue.values()):
+            raise LinAlgError("the basis is not closed under commutators")
         if col := {l: Fraction(x, e * d ** 3) for l, x in coords.items() if x}:
             brackets[i, j] = col
-    ad = integer_tables(bracket_table(brackets, k, -1))
-    if any(defect_columns(ad, (d, b), k, i, j, range(size)) for i, j in combinations(range(k), 2)):
-        raise LinAlgError("the basis is not closed under commutators")
-    return brackets
-
-
-def _summand(basis: Sequence[Matrix]) -> QuadraticLieAlgebra:
-    """The matrix Lie algebra spanned by ``basis``, with its trace form."""
-    gram = trace_gram(basis)
-    return QuadraticLieAlgebra(matrix_structure_constants(basis, gram), gram)
+    return QuadraticLieAlgebra(brackets, gram)
 
 
 def _direct_sum(summands: Sequence[QuadraticLieAlgebra],
@@ -176,7 +162,7 @@ def build_osp_even(m: int, n: int) -> SymplecticRep:
     so_b, sp_b = so_basis(m), sp_basis(n)
     matrices = ([kron(a, Matrix.identity(2 * n)) for a in so_b]
                 + [kron(Matrix.identity(m), b) for b in sp_b])
-    summands = [_summand(basis) for basis in (so_b, sp_b) if basis]
+    summands = [matrix_structure_constants(basis) for basis in (so_b, sp_b) if basis]
     algebra = _direct_sum(summands, (1, -1)[:len(summands)])
     return SymplecticRep(algebra, space, tuple(matrices))
 
@@ -209,7 +195,8 @@ def build_spin_rep(two_j: int) -> SymplecticRep:
     e = Matrix.from_entries({(r, r + 1): (r + 1) * (two_j - r) for r in range(two_j)}, size)
     f = Matrix.from_entries({(r + 1, r): 1 for r in range(two_j)}, size)
     omega = Matrix.from_entries({(r, two_j - r): (-1) ** r for r in range(size)}, size)
-    return SymplecticRep(_summand(sp_basis(1)), SymplecticSpace(omega), (h, e, f))
+    sl2 = matrix_structure_constants(sp_basis(1))
+    return SymplecticRep(sl2, SymplecticSpace(omega), (h, e, f))
 
 
 def abelian_superalgebra(dim: int) -> SuperAlgebraData:

@@ -9,8 +9,9 @@ representation-theoretic trace values from closed-form weight sums, the
 trace ratio from the matrices of every pair of quadratic monomials, paired
 by the permanent formula, the transpose of the lift by pairing every
 polynomial lift with a quadratic under ``bilinear_form``,
-the structure constants of a matrix Lie algebra by flattening every
-commutator and solving against the flattened basis, the reduced echelon
+the trace form of a matrix basis by dense products, the structure
+constants of a matrix Lie algebra by flattening every commutator and
+solving against the flattened basis, the reduced echelon
 form by Gauss-Jordan elimination on ``Fraction`` rows, and the Lie algebra,
 representation and superalgebra axioms by explicit
 brackets of basis elements, pair by pair and triple by triple, in place of
@@ -471,6 +472,11 @@ def oracle_quadratic_lift_adjoint(rep, w: PolyElement) -> tuple[Fraction, ...]:
 
 
 # -- the Lie algebra and representation axioms, tuple by tuple --------------
+
+
+def oracle_trace_gram(basis: Sequence[Matrix]) -> Matrix:
+    """The trace form [tr(a b)] of a matrix basis, one dense product per pair."""
+    return Matrix([[mat_trace(mat_mul(a, b)) for b in basis] for a in basis], cols=len(basis))
 
 
 def oracle_structure_constants(basis: Sequence[Matrix]

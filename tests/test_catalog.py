@@ -8,16 +8,15 @@ import superweyl.engine
 import superweyl.exactla
 from oracles import (dense_adjoint, double_odd_table, linear_combination, mat_column,
                      mat_diagonal, mat_is_zero, mat_mul, mat_neg, mat_scale, odd_table,
-                     oracle_rref, oracle_structure_constants, poly_coefficient,
-                     representation_defect, superalgebra_from_table)
+                     oracle_rref, oracle_structure_constants, oracle_trace_gram,
+                     poly_coefficient, representation_defect, superalgebra_from_table)
 from superweyl.catalog import (InvalidInput, TooLarge, UnknownInstance, abelian_superalgebra,
                                build_double, build_instance, build_osp_even, build_spin_rep,
-                               double_base, kron, matrix_structure_constants, so_basis, sp_basis,
-                               trace_gram)
+                               double_base, kron, matrix_structure_constants, so_basis, sp_basis)
 from superweyl.engine import (SuperAlgebraData, SymplecticRep, casimir_image,
                               construct_superalgebra, decide, validate_rep, verify_superalgebra)
 from superweyl.exactla import LinAlgError, Matrix, Scalar, SingularMatrix, as_scalar, record
-from superweyl.liealg import QuadraticLieAlgebra, validate_lie
+from superweyl.liealg import validate_lie
 from superweyl.spbridge import NotSymplectic
 from superweyl.symplectic import is_in_sp, standard_space, validate_space
 
@@ -64,24 +63,25 @@ def test_sp_basis():
 
 
 def test_trace_gram_sl2():
-    assert trace_gram(sp_basis(1)) == SL2_FORM
+    basis = sp_basis(1)
+    assert matrix_structure_constants(basis).form == oracle_trace_gram(basis) == SL2_FORM
 
 
 def test_structure_constants_sl2():
-    basis = sp_basis(1)
-    assert matrix_structure_constants(basis, trace_gram(basis)) == {
+    assert matrix_structure_constants(sp_basis(1)).brackets == {
         (0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
 
 
 def test_structure_constants_refuse_open_or_dependent_bases():
-    e12, e21 = Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
-    dependent = [e12, mat_scale(2, e12)]
-    with pytest.raises(LinAlgError) as info:
-        # [E12, E21] = diag(1, -1) is outside
-        matrix_structure_constants([e12, e21], trace_gram([e12, e21]))
-    assert not isinstance(info.value, SingularMatrix)
+    e11, e12, e21 = Matrix([[1, 0], [0, 0]]), Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])
+    # [E12, E21] = diag(1, -1) lies outside both spans: its projection under
+    # the nonsingular trace form is zero on {E12, E21} and E11 on {E11, E12, E21}
+    for basis in ([e12, e21], [e11, e12, e21]):
+        with pytest.raises(LinAlgError) as info:
+            matrix_structure_constants(basis)
+        assert not isinstance(info.value, SingularMatrix), len(basis)
     with pytest.raises(SingularMatrix):
-        matrix_structure_constants(dependent, trace_gram(dependent))
+        matrix_structure_constants([e12, mat_scale(2, e12)])
 
 
 def _recombined(basis):
@@ -96,8 +96,7 @@ def test_structure_constants_match_flatten_and_solve_oracle():
     bases = ([so_basis(m) for m in range(1, 6)] + [sp_basis(n) for n in range(1, 4)]
              + [_recombined(sp_basis(2)), _recombined(so_basis(4))])
     for basis in bases:
-        assert (matrix_structure_constants(basis, trace_gram(basis))
-                == oracle_structure_constants(basis))
+        assert matrix_structure_constants(basis).brackets == oracle_structure_constants(basis)
 
 
 def test_structure_constants_refuse_a_degenerate_trace_form():
@@ -107,12 +106,13 @@ def test_structure_constants_refuse_a_degenerate_trace_form():
                      for pos in ((0, 1), (1, 2), (0, 2)))
     assert oracle_structure_constants([e12, e23, e13]) == {(0, 1): {2: 1}}
     with pytest.raises(SingularMatrix):
-        matrix_structure_constants([e12, e23, e13], trace_gram([e12, e23, e13]))
+        matrix_structure_constants([e12, e23, e13])
 
 
 def test_catalog_builds_without_the_overdetermined_solve(monkeypatch):
-    # a build decides nothing: it never computes a Casimir image, and it
-    # inverts each summand's trace form once, in matrix_structure_constants
+    # a build decides nothing: it never computes a Casimir image, and per
+    # summand, in matrix_structure_constants, it inverts the trace form once
+    # and clears two things once each, the basis and the inverse form
     def refuse(name):
         def refused(*args):
             raise AssertionError(f"{name} called")
@@ -122,20 +122,32 @@ def test_catalog_builds_without_the_overdetermined_solve(monkeypatch):
         for name in ("solve_overdetermined", "casimir_image"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse(name))
-    inverted, invert = [], superweyl.exactla.invert
+    inverted, cleared = [], []
+    invert, vectors = superweyl.exactla.invert, superweyl.exactla.integer_vectors
 
     def counted_invert(a):
         inverted.append(a.rows)
         return invert(a)
 
+    def counted_vectors(arg):
+        cleared.append(len(arg))
+        return vectors(arg)
+
     for module in [m for key, m in sys.modules.items() if key.startswith("superweyl.")]:
-        if getattr(module, "invert", None) is invert:
-            monkeypatch.setattr(module, "invert", counted_invert)
-    # the summands of (2, 2) are so(2) and sp(4), those of (4, 1) so(4) and sp(2)
-    for (m, n), sizes in (((2, 2), [1, 10]), ((4, 1), [6, 3])):
+        for name, original, counted in (("invert", invert, counted_invert),
+                                        ("integer_vectors", vectors, counted_vectors)):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    # the summands of (2, 2) are so(2) and sp(4), those of (4, 1) so(4) and
+    # sp(2); a summand of k basis matrices of size s clears k s basis columns,
+    # then the k columns of the inverse form
+    for (m, n), sizes, columns in (((2, 2), [1, 10], [2, 1, 40, 10]),
+                                   ((4, 1), [6, 3], [24, 6, 6, 3])):
         inverted.clear()
+        cleared.clear()
         rep = build_osp_even(m, n)
         assert inverted == sizes, (m, n)
+        assert cleared == columns, (m, n)
     validate_lie(rep.algebra)
     validate_rep(rep)
 
@@ -185,15 +197,14 @@ def test_osp_even_carries_the_supertrace_form():
         bases = [basis for basis in (so_basis(m), sp_basis(n)) if basis]
         scales = (1, -1)[:len(bases)]
         assert rep.algebra.form == _block_diagonal(
-            [mat_scale(t, trace_gram(basis)) for t, basis in zip(scales, bases)]), (m, n)
+            [mat_scale(t, oracle_trace_gram(basis)) for t, basis in zip(scales, bases)]), (m, n)
         assert decide(rep).verdict, (m, n)
         # the certificate: the obstructions P_s of the summands alone, each
         # under its plain trace form, have a one-line space of relations,
         # spanned by the inverse scales: sum_s P_s / scale_s = 0
         obstructions, start = [], 0
         for basis in bases:
-            gram = trace_gram(basis)
-            summand = QuadraticLieAlgebra(matrix_structure_constants(basis, gram), gram)
+            summand = matrix_structure_constants(basis)
             matrices = rep.matrices[start:start + len(basis)]
             obstructions.append(casimir_image(SymplecticRep(summand, rep.space, matrices))[0])
             start += len(basis)
