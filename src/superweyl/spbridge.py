@@ -19,17 +19,19 @@ alpha omega^-1 is not symmetric, for an alternating omega exactly when alpha
 is outside sp(omega), and ``quadratic_to_sp`` refuses a non-quadratic.
 
 There is also a scalar worth recording: on quadratics the pairing is
-proportional to the matrix trace form, and ``trace_ratio_constant`` fits
-the proportionality constant with one Weyl-product pairing, on the anchor
-pair (x_0^2, x_q^2), q the first row where column 0 of omega is nonzero,
-and checks the closed forms of both there.  For the conventions of this
-package the constant is -1/8 in every dimension: since omega is alternating,
-tr(A(p) A(q)) = -8 (p, q) holds identically on the monomial basis, so the
-anchor is the only pair compared; it is the first monomial pair with nonzero
-trace, as tr(A(x_0^2) A(x_a x_b)) = -16 omega_0a omega_0b.  The sign is forced
-by the permanent expansion of the pairing, under which the square of a mixed
-quadratic monomial such as e.f is negative.  ``quadratic_factors`` reads the
-factors (i, j) off a quadratic monomial, for ``engine``.
+proportional to the matrix trace form, and for the conventions of this
+package the constant is -1/8 in every dimension: since omega is
+alternating, tr(A(p) A(q)) = -8 (p, q) holds identically on the monomial
+basis.  ``trace_ratio_constant`` fits it on the anchor pair (x_0^2, x_q^2),
+q the first row where column 0 of omega is nonzero, the first monomial pair
+with nonzero trace, as tr(A(x_0^2) A(x_a x_b)) = -16 omega_0a omega_0b.  The
+trace there is that closed form, which the tests check against
+``quadratic_to_sp`` on every monomial pair; the pairing is one Weyl-product
+pairing.  The sign is forced by the permanent expansion of the pairing,
+under which the square of a mixed quadratic monomial such as e.f is
+negative.  ``quadratic_factors`` reads the factors (i, j) off a quadratic
+monomial, for ``engine``.  No verb calls ``quadratic_to_sp`` or
+``ad_vector``; they serve the tests.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .exactla import (DimensionMismatch, Matrix, Scalar, SuperweylError, add_pro
                       integer_columns)
 from .symplectic import SymplecticSpace, Vector, as_vector
 from .weyl import PolyElement, bilinear_form, contract, linear_coordinates
-
-_ZERO = as_scalar(0)
 
 
 class NotSymplectic(SuperweylError):
@@ -122,11 +122,12 @@ def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     Against x_0^2 the trace is -16 w_0a w_0b, so in the order of
     ``quadratic_monomials`` the first pair with nonzero trace is the anchor
     (x_0^2, x_q^2), q the first row of column 0 of w with w_q0 nonzero, where
-    the trace is -16 w_q0^2 and the pairing 2 w_q0^2.  Only the anchor is
-    compared, in integers: the trace against the matrices of ``quadratic_to_sp``,
-    and the pairing against ``weyl.bilinear_form``, which fits c.  Raises
-    ``InconsistentRatio`` if either disagrees (a closed form has left the
-    Weyl-product model) or if column 0 is empty, as only a singular w allows."""
+    the trace is -16 w_q0^2 and the pairing 2 w_q0^2.  The trace is that
+    closed form, over d^2; the pairing is ``weyl.bilinear_form``, compared
+    with its closed form in integers, and fits c.  Raises
+    ``InconsistentRatio`` if the pairing disagrees (a closed form has left
+    the Weyl-product model) or if column 0 is empty, as only a singular w
+    allows."""
     if space.dim < 2:
         raise ValueError("the trace ratio needs a space of dimension at least 2")
     n = space.dim
@@ -134,15 +135,9 @@ def trace_ratio_constant(space: SymplecticSpace) -> Scalar:
     if not columns[0]:
         raise InconsistentRatio("trace pairing vanishes identically")
     q, w_q0 = min(columns[0].items())
-    anchor = ((0, 0), (q, q))
     left, right = (PolyElement.monomial(space, [2 * (t == u) for t in range(n)], 1) for u in (0, q))
-    m_left, m_right = quadratic_to_sp(left), quadratic_to_sp(right)
-    anchor_trace = sum((m_left[r, c] * m_right[c, r] for r in range(n) for c in range(n)), _ZERO)
-    if anchor_trace * scale ** 2 != -16 * w_q0 ** 2:
-        raise InconsistentRatio("the closed-form trace disagrees with quadratic_to_sp "
-                                f"on monomial pair {anchor}")
     pairing = bilinear_form(left, right)
     if pairing * scale ** 2 != 2 * w_q0 ** 2:
         raise InconsistentRatio("the closed-form pairing disagrees with bilinear_form "
-                                f"on monomial pair {anchor}")
-    return pairing / anchor_trace
+                                f"on monomial pair {((0, 0), (q, q))}")
+    return pairing / Fraction(-16 * w_q0 ** 2, scale ** 2)

@@ -191,18 +191,21 @@ def test_one_analysis_per_representation(monkeypatch):
     # the lifts run once, in casimir_image, and omega and B are inverted
     # once each, however many of the validators and entry points read them;
     # nothing calls is_in_sp, since validate_rep tests nu against sp(omega)
-    # on rep.matrix_columns, and the dual lifts and dual matrices are
-    # integer sums, with no Fraction linear combination
+    # on rep.matrix_columns, the dual lifts and dual matrices are integer
+    # sums, with no Fraction linear combination, and the trace fit takes
+    # its anchor trace from the closed form, with no quadratic_to_sp matrix
     originals = {"sp_to_quadratic": superweyl.spbridge.sp_to_quadratic,
                  "solve_linear": superweyl.exactla.solve_linear,
                  "is_in_sp": superweyl.symplectic.is_in_sp,
-                 "linear_combination": linear_combination}
+                 "linear_combination": linear_combination,
+                 "quadratic_to_sp": superweyl.spbridge.quadratic_to_sp}
     counts = dict.fromkeys(originals, 0)
     for module, name in ((superweyl.engine, "sp_to_quadratic"),
                          (superweyl.exactla, "solve_linear"),
                          (superweyl.engine, "is_in_sp"),
                          (superweyl.spbridge, "is_in_sp"),
-                         (superweyl.engine, "linear_combination")):
+                         (superweyl.engine, "linear_combination"),
+                         (superweyl.spbridge, "quadratic_to_sp")):
         def counted(*args, _name=name):
             counts[_name] += 1
             return originals[_name](*args)
@@ -217,7 +220,7 @@ def test_one_analysis_per_representation(monkeypatch):
     construct_superalgebra_unchecked(rep)
     assert rep.algebra.dim == 10
     assert counts == {"sp_to_quadratic": 10, "solve_linear": 2, "is_in_sp": 0,
-                      "linear_combination": 0}
+                      "linear_combination": 0, "quadratic_to_sp": 0}
 
 
 def _patch_everywhere(monkeypatch, name, original, replacement):

@@ -5,13 +5,14 @@ sibling module, at module level or inside a function: a name shared across
 modules is part of the package's interface and must be public.  Every
 function that the benchmark's tracer wraps must stay a module-level
 callable of its module, and the benchmark's traced CLI calls must reach
-every function its checker requires.  Every name the package exports
-exists, once, and every other module, and every test module, uses each
-name it imports.  Every
+every function its checker requires.  The package module binds no name
+but ``__version__`` and its submodules, so each name has one import path,
+from the module that defines it; every module, and every test module,
+uses each name it imports, and reads each private constant it binds.  Every
 exception class of the package derives from ``exactla.SuperweylError``, the
 one class the command line catches for exit status 1.  Every
 module-level function has a caller in the package or is traced by the
-benchmark, exported or not: a helper that only tests use lives in
+benchmark: a helper that only tests use lives in
 ``tests/oracles.py``.  A name read inside a function that binds the same
 name, as a parameter, an assignment, or a loop or comprehension target, is
 that local and no call.  Every method of every class of the package is a
@@ -41,6 +42,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -87,11 +89,25 @@ def test_detector_sees_function_local_imports(tmp_path):
     assert private_imports(sample) == ["sample.py:2 imports _hidden from .engine"]
 
 
-def test_public_names_exist_once():
-    # a stale entry of __all__ fails only on a star import
-    names = superweyl.__all__
-    assert [name for name in names if not hasattr(superweyl, name)] == []
-    assert len(set(names)) == len(names)
+def reexports(package: types.ModuleType) -> list[str]:
+    """The public names of ``package`` that are not its own submodules."""
+    return [name for name, value in vars(package).items() if not name.startswith("_")
+            and getattr(value, "__name__", None) != f"{package.__name__}.{name}"]
+
+
+def test_package_module_is_a_namespace():
+    # a function or class is imported from the module that defines it
+    assert isinstance(superweyl.__version__, str)
+    assert {"engine", "cli"} <= vars(superweyl).keys()
+    assert reexports(superweyl) == []
+    assert not hasattr(superweyl, "__all__")
+
+
+def test_reexport_detector():
+    package = types.ModuleType("pkg")
+    package.__version__, package.sub, package.engine = "1", types.ModuleType("pkg.sub"), object
+    package.decide = types.ModuleType("other.decide")
+    assert reexports(package) == ["engine", "decide"]
 
 
 def error_classes(module) -> dict[str, bool]:
@@ -144,9 +160,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    # __init__ imports to export
-    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-    paths += sorted((ROOT / "tests").glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [line for path in paths for line in unused_imports(path)] == []
 
 
@@ -303,8 +317,37 @@ def free_reads(node: ast.AST, bound: frozenset[str] = frozenset()) -> Iterator[s
         yield from free_reads(child, bound)
 
 
+def unread_constants(path: Path) -> list[str]:
+    """Private names that a module-level assignment of ``path`` binds and no
+    code of ``path`` reads (``free_reads``).  Only the module itself can read
+    one, since no module imports a private name from a sibling."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound = {node.id: node.lineno for statement in tree.body
+             if isinstance(statement, ast.Assign | ast.AnnAssign)
+             for target in (statement.targets if isinstance(statement, ast.Assign)
+                            else [statement.target])
+             for node in ast.walk(target) if isinstance(node, ast.Name) and _private(node.id)}
+    read = set(free_reads(tree))
+    return [f"{path.name}:{line} binds {name} and nothing reads it"
+            for name, line in bound.items() if name not in read]
+
+
+def test_every_private_constant_is_read():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [line for path in paths for line in unread_constants(path)] == []
+
+
+def test_unread_constant_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("_USED = 1\n_DEAD: int = 2\n_A, _B = 3, 4\nPUBLIC = _A\n_SHADOWED = 5\n"
+                      "__dunder__ = 6\n\ndef f(_SHADOWED):\n    return _USED + _SHADOWED\n")
+    assert unread_constants(sample) == ["sample.py:2 binds _DEAD and nothing reads it",
+                                        "sample.py:3 binds _B and nothing reads it",
+                                        "sample.py:5 binds _SHADOWED and nothing reads it"]
+
+
 def uncalled_functions(paths: list[Path], exempt: set[str]) -> list[str]:
-    """Module-level functions of ``paths`` (``__init__.py`` aside) whose name
+    """Module-level functions of ``paths`` whose name
     no file of ``paths`` reads as a plain name (``free_reads``), unless
     ``exempt`` holds the name or ``<module>.<name>``.  An attribute does not
     count: ``os.replace`` is no call of a module's own ``replace``; nor does
@@ -321,8 +364,7 @@ def uncalled_functions(paths: list[Path], exempt: set[str]) -> list[str]:
     referenced = {name for tree in trees.values() for name in free_reads(tree)}
     attributes = sum(map(_attributes, trees.values()), collections.Counter())
     dead = [f"{path.name}:{node.lineno} defines {node.name} and nothing calls it"
-            for path, tree in trees.items() if path.name != "__init__.py"
-            for node in tree.body if isinstance(node, ast.FunctionDef)
+            for path, tree in trees.items() for node in tree.body if isinstance(node, ast.FunctionDef)
             and not {node.name, f"{path.stem}.{node.name}"} & (referenced | exempt)]
     for path, tree in trees.items():
         for cls in tree.body:
@@ -430,7 +472,7 @@ ALLOWED_METHODS = {"__post_init__", "weyl.PolyElement.__add__", "weyl.PolyElemen
 
 
 def test_every_function_has_a_caller():
-    # an exported name needs a caller too; only the benchmark's traced names are exempt
+    # only the benchmark's traced names are exempt
     traced = {f"{module}.{name}" for module, names in traced_targets().items() for name in names}
     assert uncalled_functions(sorted(PACKAGE.glob("*.py")), traced | ALLOWED_METHODS) == []
 

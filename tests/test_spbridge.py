@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (derivation_action, mat_diagonal, mat_mul, mat_scale, mat_sub, poly_constant,
+from oracles import (derivation_action, mat_diagonal, mat_mul, mat_sub, poly_constant,
                      poly_from_vector, weyl_commutator)
 from superweyl import spbridge
 from superweyl.exactla import DimensionMismatch, Matrix
@@ -152,15 +152,6 @@ ANCHORED_SPACES = [pytest.param(S1, 1, id="standard-plane"), pytest.param(DENSE,
 def test_trace_ratio_refuses_a_wrong_reference_pairing(space, q, monkeypatch):
     monkeypatch.setattr(spbridge, "bilinear_form", lambda a, b: -bilinear_form(a, b))
     message = ("closed-form pairing disagrees with bilinear_form "
-               f"on monomial pair ((0, 0), ({q}, {q}))")
-    with pytest.raises(InconsistentRatio, match=re.escape(message)):
-        trace_ratio_constant(space)
-
-
-@pytest.mark.parametrize("space, q", ANCHORED_SPACES)
-def test_trace_ratio_refuses_a_wrong_reference_trace(space, q, monkeypatch):
-    monkeypatch.setattr(spbridge, "quadratic_to_sp", lambda w: mat_scale(2, quadratic_to_sp(w)))
-    message = ("closed-form trace disagrees with quadratic_to_sp "
                f"on monomial pair ((0, 0), ({q}, {q}))")
     with pytest.raises(InconsistentRatio, match=re.escape(message)):
         trace_ratio_constant(space)
